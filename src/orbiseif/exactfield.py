@@ -94,10 +94,26 @@ class QuadFieldElement:
         return QuadFieldElement(rest.a * inv_n, rest.b * inv_n,
                                 rest.c * inv_n, rest.d * inv_n)
 
-    # -- comparisons, hashing, conversion --------------------------------
+    # -- comparisons and hashing ------------------------------------------
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+
+    def sign(self) -> int:
+        """-1, 0 or 1 for the real value, exactly.
+
+        Write the element as A + B*sqrt5 with A, B in Q(sqrt2).  When the
+        signs of A and B differ, the larger of A^2 and 5*B^2 wins; the same
+        split decides the sign of each element of Q(sqrt2).
+        """
+        a, b, c, d = self.a, self.b, self.c, self.d
+
+        def squares_sign():
+            # A^2 - 5 B^2 for A = a + b sqrt2, B = c + d sqrt2
+            return _sign2(a * a + 2 * b * b - 5 * (c * c + 2 * d * d),
+                          2 * a * b - 10 * c * d)
+
+        return _sign_of_sum(_sign2(a, b), _sign2(c, d), squares_sign)
 
     def __eq__(self, other):
         if not isinstance(other, (QuadFieldElement, int, Fraction)):
@@ -107,10 +123,6 @@ class QuadFieldElement:
 
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))
-
-    def __float__(self):
-        return (float(self.a) + float(self.b) * _SQRT2
-                + float(self.c) * _SQRT5 + float(self.d) * _SQRT10)
 
     def __repr__(self):
         return f"QuadFieldElement({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -123,9 +135,24 @@ class QuadFieldElement:
         return " + ".join(parts) if parts else "0"
 
 
-_SQRT2 = 2.0 ** 0.5
-_SQRT5 = 5.0 ** 0.5
-_SQRT10 = 10.0 ** 0.5
+def _sign_of_sum(sx: int, sy: int, squares_sign) -> int:
+    """Sign of x + y from the signs of x and y and, called only when they
+    disagree, the sign of x^2 - y^2."""
+    if sx == sy or sy == 0:
+        return sx
+    if sx == 0:
+        return sy
+    return sx * squares_sign()
+
+
+def _sign2(p: Fraction, q: Fraction) -> int:
+    """Sign of p + q*sqrt2 for rational p, q."""
+    return _sign_of_sum(_sign_rational(p), _sign_rational(q),
+                        lambda: _sign_rational(p * p - 2 * q * q))
+
+
+def _sign_rational(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
 
 
 def _coerce(x) -> QuadFieldElement:
@@ -134,9 +161,7 @@ def _coerce(x) -> QuadFieldElement:
     return QuadFieldElement(x)
 
 
-QF_ZERO = QuadFieldElement(0)
 QF_ONE = QuadFieldElement(1)
-QF_HALF = QuadFieldElement(Fraction(1, 2))
 # sqrt(1/2) = (1/2)*sqrt2
 QF_HALF_SQRT2 = QuadFieldElement(0, Fraction(1, 2))
 # tau/2 and 1/(2 tau) for the golden ratio tau = (sqrt5+1)/2

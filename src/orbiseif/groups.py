@@ -139,29 +139,6 @@ def algebraic_group(group_id: StandardGroupId) -> list[GroupElement]:
     raise ValueError(f"no algebraic representation wired for {group_id}")
 
 
-def mulclose(generators, limit: int = 100000):
-    """Closure of a generating set under multiplication (fixed point).
-
-    Breadth-first over generator products; the loop ends exactly when
-    the set maps into itself under every generator on both sides.
-    """
-    gens = list(generators)
-    elements = set(gens)
-    frontier = list(elements)
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in gens:
-                for prod in (multiply(g, h), multiply(h, g)):
-                    if prod not in elements:
-                        elements.add(prod)
-                        new.append(prod)
-        frontier = new
-        if len(elements) > limit:
-            raise RuntimeError("closure exceeded element limit")
-    return elements
-
-
 # ---------------------------------------------------------------------------
 # family specifications
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ exact rational arithmetic: the induced isometries fall into four
 explicit shapes (rotation about the poles, half turn about an
 equatorial axis, the antipode composed with a polar rotation, and
 reflection in a meridian) and the conjugations to the core can be done
-symbolically.  Binary polyhedral right factors go through floats for
-the spherical geometry only; every angle that enters homology is
-snapped back to an exact rational first.
+symbolically.  Binary polyhedral right factors take the axis path,
+exact in Q(sqrt2, sqrt5): a base point is a unit vector of Im H, kept
+as an oriented line; a right factor r = cos(pi t) + sin(pi t) u rotates
+the base by 2 pi t about the line of u, with t looked up from the exact
+value of Re r, and orbits and stabilizers follow from incidences of
+those lines.  No float and no numeric tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .engine import (
@@ -40,30 +44,27 @@ from .engine import (
     PROJECTIVE,
     SPHERE,
     BaseSignature,
+    InternalInconsistencyError,
     LocalInvariant,
     SeifertData,
     TopologyReport,
     THREE_SPHERE,
+    _ext_gcd,
     derive_xi,
     lens_report,
     modinv_pos,
 )
+from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
 from .groups import PairGroup, phi_order
-from .quaternions import (
-    HALF,
-    CircleJElement,
-    NotHopfPreservingError,
-    SpherePoint,
-    SPHERE_INFINITY,
-    float_quat_conjugate,
-    float_quat_multiply,
-    induced_base_isometry,
-    snap_phase,
-    to_float_quaternion,
-)
+from .quaternions import HALF, CircleJElement, NotHopfPreservingError
 
-GEOM_TOL = 1e-6
 HOPF_FIBER = (1, 1)
+
+
+def _require(condition: bool, message: str) -> None:
+    """Self-check that, unlike assert, survives python -O."""
+    if not condition:
+        raise InternalInconsistencyError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,7 @@ class TorusQuotientMap:
 
     def image_of(self, p: int, q: int):
         (m00, m01), (m10, m11) = self.matrix
-        assert m10 == 0
+        _require(m10 == 0, "torus quotient matrix is not upper triangular")
         return (m00 * p + m01 * q, m11 * q)
 
     def compose_after(self, first: "TorusQuotientMap") -> "TorusQuotientMap":
@@ -130,9 +131,8 @@ def slope_invariant(tq: TorusQuotientMap, fiber=HOPF_FIBER,
     the core fix order so the invariant keeps the singularity index.
     """
     p, q = fiber
-    assert math.gcd(p, q) == 1
     num, den = tq.image_of(p, q)
-    assert den >= 1
+    _require(math.gcd(p, q) == 1 and den >= 1, "fiber slope is not primitive")
     c = math.gcd(abs(num), den)
     a, b = num // c, den // c
     a_bar = 0 if b == 1 else modinv_pos(a, b)
@@ -155,7 +155,8 @@ def _invariant_from_int_vectors(vectors, grid: int,
     size = len(vectors)
     vertical = [v for u, v in vectors if u == 0]
     k = len(vertical)
-    assert k >= 1 and size % k == 0
+    _require(k >= 1 and size % k == 0,
+             "core-fixing elements do not form a subgroup")
     if k == 1:
         pre = IDENTITY_TORUS_MAP
     else:
@@ -165,16 +166,16 @@ def _invariant_from_int_vectors(vectors, grid: int,
 
     residual = {(u, (k * v) % grid) for u, v in vectors}
     e2 = size // k
-    assert len(residual) == e2, "residual does not act faithfully on the core"
+    _require(len(residual) == e2, "residual does not act faithfully on the core")
     if e2 == 1:
         main = IDENTITY_TORUS_MAP
     else:
         step = grid // e2
         gen = next(((u, v) for u, v in residual
                     if math.gcd(u, grid) == step), None)
-        assert gen is not None, "residual core action is not cyclic"
+        _require(gen is not None, "residual core action is not cyclic")
         u0, v0 = gen
-        assert v0 % step == 0, "residual generator is not on the grid"
+        _require(v0 % step == 0, "residual generator is not on the grid")
         main = torus_quotient_map(u0 // step, e2, v0 // step)
     return slope_invariant(main.compose_after(pre), HOPF_FIBER, location)
 
@@ -196,16 +197,15 @@ def _invariant_from_vectors(vectors, location: str) -> LocalInvariant:
 class SingularOrbit:
     """One equivalence class of singular base points.
 
-    `exact` carries symbolic position data when the group is circle
-    type: ("pole", swap) marks the core at infinity (swap False) or at
-    zero (swap True), ("equator", a) the unit-circle point of angle a.
+    `position` names one representative exactly: ("pole", swap) is the
+    core at infinity (swap False) or at zero (swap True), ("equator", a)
+    the unit-circle point of angle a/grid, and ("axis", line, sign) the
+    point sign * u of the axis path, u the stored direction of the line.
     """
 
-    representative: tuple          # point of S^2 in R^3
-    rep_lambda: SpherePoint
     rotation_order: int            # order of the orientation-preserving stabilizer
     corner: bool                   # lies on a reflection circle
-    exact: Optional[tuple] = None
+    position: tuple
 
 
 @dataclass
@@ -213,28 +213,38 @@ class BaseActionGroup:
     order: int
     signature: BaseSignature
     orbits: list                   # SingularOrbit entries, deterministic order
-    mode: str                      # "circle" or "float"
-    class_pairs: list              # one representative pair per induced class
+    mode: str                      # "circle" or "axis"
     # circle-mode payload: common angle denominator and per-element
     # integer rows (left jflag, right jflag, left angle, right angle)
     grid: Optional[int] = None
     rows: Optional[list] = None
-    # float-mode payload
-    rotations: Optional[list] = None
-    reversing: Optional[list] = None
-    pair_class: Optional[list] = None
-
-    @property
-    def isometries(self):
-        """One BaseIsometry per induced isometry class."""
-        return [induced_base_isometry(p) for p in self.class_pairs]
 
 
 def _check_chi(kind, cones, corners, order, signature):
     chi = Fraction(2 if kind == SPHERE else 1)
     chi -= sum(1 - Fraction(1, q) for q in cones)
     chi -= sum(Fraction(1, 2) * (1 - Fraction(1, q)) for q in corners)
-    assert chi * order == 2, f"quotient signature {signature} fails chi*order=2"
+    _require(chi * order == 2, f"quotient signature {signature} fails chi*order=2")
+
+
+def _quotient_signature(has_reversing: bool, has_reflection: bool,
+                        orbits, order: int) -> BaseSignature:
+    """Quotient type from the reversing elements, cone points and corner
+    reflectors from the singular orbits, checked by chi * order = 2."""
+    if not has_reversing:
+        kind = SPHERE
+    elif has_reflection:
+        kind = DISC
+    else:
+        kind = PROJECTIVE
+    disc = kind == DISC
+    cones = tuple(sorted(o.rotation_order for o in orbits
+                         if not (disc and o.corner)))
+    corners = tuple(sorted(o.rotation_order for o in orbits
+                           if disc and o.corner))
+    signature = BaseSignature(kind, cones, corners)
+    _check_chi(kind, cones, corners, order, signature)
+    return signature
 
 
 def base_group(group: PairGroup) -> BaseActionGroup:
@@ -253,7 +263,7 @@ def base_group(group: PairGroup) -> BaseActionGroup:
                 "left factor is not circle-type; the group moves the fibration")
     if all(isinstance(p.right, CircleJElement) for p in group.elements):
         return _base_group_circle(group)
-    return _base_group_float(group)
+    return _base_group_axis(group)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +324,8 @@ def _equator_stab_vectors(rows, grid: int, point: int):
             continue
         if (2 * (point + b)) % grid == half:
             beta_c = (point + b) % grid
-            assert beta_c in (quarter, 3 * quarter)
+            _require(beta_c in (quarter, 3 * quarter),
+                     "half turn does not conjugate to +-i")
             vectors.add(((a - beta_c) % grid, (a + beta_c) % grid))
     return vectors
 
@@ -322,36 +333,19 @@ def _equator_stab_vectors(rows, grid: int, point: int):
 def _base_group_circle(group: PairGroup) -> BaseActionGroup:
     grid, rows = _angle_grid(group)
     half = grid // 2
-    classes = {}
     shapes = {ROT: set(), FLIP: set(), AROT: set(), REFL: set()}
-    for i, (jl, jr, _, b) in enumerate(rows):
+    for jl, jr, _, b in rows:
         # induced map: rot lam -> e^(2 pi i c) lam, flip lam -> -e^(2 pi i c)/lam,
         # arot lam -> -e^(2 pi i c)/conj(lam), refl lam -> e^(2 pi i c) conj(lam)
         # with c = -2 beta
-        shape = 2 * jl + jr
-        c = (-2 * b) % grid
-        key = (shape, c)
-        if key not in classes:
-            classes[key] = group.elements[i]
-            shapes[shape].add(c)
-    order = len(classes)
-    assert phi_order(group) % order == 0
+        shapes[2 * jl + jr].add((-2 * b) % grid)
+    order = sum(len(cs) for cs in shapes.values())
+    _require(phi_order(group) % order == 0, "base order does not divide |G|/2")
 
     rots, flips, arots, refls = (shapes[ROT], shapes[FLIP],
                                  shapes[AROT], shapes[REFL])
-    assert 0 in rots
+    _require(0 in rots, "no identity class")
     r0 = len(rots)
-
-    has_reversing = bool(arots) or bool(refls)
-    # an antipode-rotation is a pure reflection (in the equator plane)
-    # exactly when its angle parameter is a half turn
-    has_reflection = bool(refls) or half in arots
-    if not has_reversing:
-        kind = SPHERE
-    elif has_reflection:
-        kind = DISC
-    else:
-        kind = PROJECTIVE
 
     orbits = []
 
@@ -360,10 +354,7 @@ def _base_group_circle(group: PairGroup) -> BaseActionGroup:
         pole_on_mirror = bool(refls)   # every meridian mirror passes the poles
         pole_orbits = [False] if poles_merge else [False, True]
         for swap in pole_orbits:
-            rep3 = (0.0, 0.0, -1.0 if swap else 1.0)
-            lam = SpherePoint(0j) if swap else SPHERE_INFINITY
-            orbits.append(SingularOrbit(rep3, lam, r0, pole_on_mirror,
-                                        ("pole", swap)))
+            orbits.append(SingularOrbit(r0, pole_on_mirror, ("pole", swap)))
 
     if flips:
         # equatorial half-turn axes; flip(c) fixes the two unit-circle
@@ -377,7 +368,8 @@ def _base_group_circle(group: PairGroup) -> BaseActionGroup:
         # translations induced on the equator circle by the whole group
         translations = set(rots) | {(c + half) % grid for c in arots}
         step = grid // len(translations)
-        assert all(t % step == 0 for t in translations)
+        _require(all(t % step == 0 for t in translations),
+                 "equator translations are not cyclic")
         anti = {(c + half) % grid for c in flips} | set(refls)
         kappa = min(anti)
 
@@ -390,182 +382,146 @@ def _base_group_circle(group: PairGroup) -> BaseActionGroup:
         for key in sorted(grouped):
             a = grouped[key][0]
             mirrored = ((2 * a) % grid in refls) or (half in arots)
-            angle = 2 * math.pi * a / grid
-            rep3 = (math.cos(angle), math.sin(angle), 0.0)
-            orbits.append(SingularOrbit(rep3, SpherePoint(
-                complex(math.cos(angle), math.sin(angle))), 2, mirrored,
-                ("equator", a)))
+            orbits.append(SingularOrbit(2, mirrored, ("equator", a)))
 
-    disc = kind == DISC
-    cones = tuple(sorted(o.rotation_order for o in orbits
-                         if not (disc and o.corner)))
-    corners = tuple(sorted(o.rotation_order for o in orbits
-                           if disc and o.corner))
-    signature = BaseSignature(kind, cones, corners)
-    _check_chi(kind, cones, corners, order, signature)
-
-    return BaseActionGroup(order, signature, orbits, "circle",
-                           list(classes.values()), grid, rows)
+    # an antipode-rotation is a pure reflection (in the equator plane)
+    # exactly when its angle parameter is a half turn
+    signature = _quotient_signature(bool(arots) or bool(refls),
+                                    bool(refls) or half in arots, orbits, order)
+    return BaseActionGroup(order, signature, orbits, "circle", grid, rows)
 
 
 # ---------------------------------------------------------------------------
-# float path: binary polyhedral right factors
+# axis path: binary polyhedral right factors
 # ---------------------------------------------------------------------------
+#
+# The fiber through h lies over the point h^-1 i h of the unit sphere in
+# Im H.  A pair (l, r) moves that point P to r P r^-1, or to -r P r^-1
+# when l is j-type.  For r = cos(pi t) + sin(pi t) u this is the rotation
+# by 2 pi t about the line of u, composed with the antipode for j-type l.
+# A point is kept as (line, sign): sign times the stored direction of a
+# line, all in Q(sqrt2, sqrt5).
 
-def _canonical_sign_key(el):
-    """Exact key identifying a right factor up to global sign."""
-    if isinstance(el, CircleJElement):
-        return min((el.angle, el.jflag),
-                   ((el.angle + HALF) % 1, el.jflag))
-    return min(el._key, tuple(tuple(-x if i % 2 == 0 else x
-                                    for i, x in enumerate(row))
-                              for row in el._key))
+# Every element of T*, O* and I* has order 1-6, 8 or 10, so its real part
+# is cos(pi t) for one of these t (Conway & Smith, On Quaternions and
+# Octonions, 2003, ch. 3).
+_HALF_ANGLE = {
+    QuadFieldElement(1): Fraction(0),
+    QF_HALF_TAU: Fraction(1, 5),                  # (1 + sqrt5)/4
+    QF_HALF_SQRT2: Fraction(1, 4),
+    QuadFieldElement(HALF): Fraction(1, 3),
+    QF_HALF_TAU_INV: Fraction(2, 5),              # (sqrt5 - 1)/4
+    QuadFieldElement(0): HALF,
+    -QF_HALF_TAU_INV: Fraction(3, 5),
+    QuadFieldElement(-HALF): Fraction(2, 3),
+    -QF_HALF_SQRT2: Fraction(3, 4),
+    -QF_HALF_TAU: Fraction(4, 5),
+    QuadFieldElement(-1): Fraction(1),
+}
 
-
-def _mat_vec(m, v):
-    return (m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
-            m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2],
-            m[2][0] * v[0] + m[2][1] * v[1] + m[2][2] * v[2])
-
-
-def _close(p, q, tol=GEOM_TOL):
-    return (abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
-            and abs(p[2] - q[2]) <= tol)
-
-
-def _rotation_axis(rot):
-    """Both fixed points on the sphere of a nontrivial rotation."""
-    v = (rot[2][1] - rot[1][2], rot[0][2] - rot[2][0], rot[1][0] - rot[0][1])
-    norm = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
-    if norm > 1e-4:
-        axis = (v[0] / norm, v[1] / norm, v[2] / norm)
-    else:
-        # half turn: R + I has rank one with columns along the axis
-        best, best_norm = None, -1.0
-        for j in range(3):
-            col = tuple(rot[i][j] + (1.0 if i == j else 0.0) for i in range(3))
-            cn = math.sqrt(sum(c * c for c in col))
-            if cn > best_norm:
-                best, best_norm = col, cn
-        assert best_norm > 1e-4
-        axis = tuple(c / best_norm for c in best)
-    return axis, tuple(-c for c in axis)
+# Memo tables of pure functions of the elements: what the oracle computes
+# does not depend on which groups were seen before.
+_LINES = {}              # direction with first nonzero coordinate 1 -> index
+_LINE_DIRECTIONS = []    # index -> direction
 
 
-def _stereo(point3d) -> SpherePoint:
-    x, y, z = point3d
-    if 1.0 - z < 1e-9:
-        return SPHERE_INFINITY
-    return SpherePoint(complex(x / (1.0 - z), y / (1.0 - z)))
+@lru_cache(maxsize=None)
+def _axis(r):
+    """(t, line, sign) with r = cos(pi t) + sin(pi t) * sign * u / |u| for
+    the stored direction u of the line; the line is None for r = +-1.
+
+    Cached per element, since the field inverse that normalizes the
+    direction costs far more than a dictionary lookup.
+    """
+    t = _HALF_ANGLE.get(r.w)
+    _require(t is not None, f"real part of {r} is not a tabulated cos(pi t)")
+    if t == 0 or t == 1:
+        return t, None, 0
+    v = (r.x, r.y, r.z)
+    pivot = next(c for c in v if not c.is_zero())
+    scale = pivot.inverse()
+    direction = tuple(c * scale for c in v)
+    line = _LINES.get(direction)
+    if line is None:
+        line = _LINES[direction] = len(_LINE_DIRECTIONS)
+        _LINE_DIRECTIONS.append(direction)
+    return t, line, pivot.sign()
 
 
-def _base_group_float(group: PairGroup) -> BaseActionGroup:
-    class_of = {}
-    pair_class = []
-    class_pairs = []
+@lru_cache(maxsize=None)
+def _perpendicular(line_a: int, line_b: int) -> bool:
+    u, v = _LINE_DIRECTIONS[line_a], _LINE_DIRECTIONS[line_b]
+    return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]).is_zero()
+
+
+def _rotation_key(r):
+    """Exact key of r up to sign: r and -r induce the same rotation."""
+    negated = tuple((-a, b, -c, d, -e, f, -g, h)
+                    for a, b, c, d, e, f, g, h in r._key)
+    return min(r._key, negated)
+
+
+def _base_group_axis(group: PairGroup) -> BaseActionGroup:
+    """Base action of a group whose right factors lie in T*, O* or I*.
+
+    Singular points are the points on rotation axes.  The points whose
+    rotation stabilizer has order q fall into orbits that orbit-stabilizer
+    counting numbers: one orbit, whose representative can be any of the
+    points, or two, separated by P and -P once no element is seen to
+    carry P to -P.  Any other count is not resolved and raises.
+    """
+    classes = {}
     for pair in group.elements:
-        key = (pair.left.jflag, _canonical_sign_key(pair.right))
-        idx = class_of.get(key)
-        if idx is None:
-            idx = len(class_pairs)
-            class_of[key] = idx
-            class_pairs.append(pair)
-        pair_class.append(idx)
+        key = (pair.left.jflag, _rotation_key(pair.right))
+        if key not in classes:
+            classes[key] = (pair.left.jflag,) + _axis(pair.right)
+    order = len(classes)
+    _require(phi_order(group) % order == 0, "base order does not divide |G|/2")
 
-    isometries = [induced_base_isometry(p) for p in class_pairs]
-    rotations = [iso.rotation_matrix() for iso in isometries]
-    reversing = [iso.orientation_reversing for iso in isometries]
-    order = len(class_pairs)
-    assert phi_order(group) % order == 0
+    stabilizer = {}          # rotation axis -> order of its rotation stabilizer
+    half_turns = []          # axes of the rotation half turns
+    reversing_lines = set()  # rotation axes of the reversing classes
+    mirrors = []             # normals of the reflections
+    for reversing, t, line, _ in classes.values():
+        if reversing:
+            # -R fixes no point unless R is a half turn, when it is the
+            # reflection in the plane normal to the axis
+            reversing_lines.add(line)
+            if t == HALF:
+                mirrors.append(line)
+        elif line is not None:
+            stabilizer[line] = stabilizer.get(line, 1) + 1
+            if t == HALF:
+                half_turns.append(line)
 
-    identity_class = None
-    eye = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    for idx, rot in enumerate(rotations):
-        if not reversing[idx] and all(_close(rot[i], eye[i]) for i in range(3)):
-            assert identity_class is None
-            identity_class = idx
-    assert identity_class is not None
-
-    points = []
-
-    def point_index(p):
-        for i, q in enumerate(points):
-            if _close(p, q):
-                return i
-        return None
-
-    for idx, rot in enumerate(rotations):
-        if reversing[idx] or idx == identity_class:
-            continue
-        for p in _rotation_axis(rot):
-            if point_index(p) is None:
-                points.append(p)
-
-    rot_order = []
-    on_mirror = []
-    for p in points:
-        stab = sum(1 for idx in range(order)
-                   if not reversing[idx] and _close(_mat_vec(rotations[idx], p), p))
-        mirrored = any(reversing[idx]
-                       and _close(_mat_vec(rotations[idx], p), p)
-                       for idx in range(order))
-        rot_order.append(stab)
-        on_mirror.append(mirrored)
-
-    parent = list(range(len(points)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for idx in range(order):
-        for i, p in enumerate(points):
-            j = point_index(_mat_vec(rotations[idx], p))
-            assert j is not None, "singular set is not invariant"
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-
-    orbit_members = {}
-    for i in range(len(points)):
-        orbit_members.setdefault(find(i), []).append(i)
-
+    lines_of_order = {}
+    for line, q in stabilizer.items():
+        lines_of_order.setdefault(q, []).append(line)
     orbits = []
-    for members in orbit_members.values():
-        qs = {rot_order[i] for i in members}
-        assert len(qs) == 1, "stabilizer order must be constant on an orbit"
-        mirrored = {on_mirror[i] for i in members}
-        assert len(mirrored) == 1
-        rep = min((tuple(round(c, 6) for c in points[i]), i) for i in members)[1]
-        orbits.append(SingularOrbit(points[rep], _stereo(points[rep]),
-                                    rot_order[rep], on_mirror[rep]))
-    orbits.sort(key=lambda o: tuple(round(c, 6) for c in o.representative))
+    for q, lines in sorted(lines_of_order.items()):
+        on_mirror = {line: any(_perpendicular(line, m) for m in mirrors)
+                     for line in lines}
+        # each line carries two points, whose stabilizer has order q,
+        # doubled on a mirror; summing |Stab| / |G| counts the orbits
+        count = Fraction(sum(2 * q * (1 + on_mirror[line]) for line in lines),
+                         order)
+        line = lines[0]
+        if count == 1:
+            signs = (1,)
+        else:
+            # P goes to -P under a rotation half turn about an axis normal
+            # to P, or under the antipode composed with a rotation fixing P
+            swapped = (None in reversing_lines or line in reversing_lines
+                       or any(_perpendicular(line, h) for h in half_turns))
+            _require(count == 2 and not swapped,
+                     f"orbits of the order-{q} points are not resolved")
+            signs = (1, -1)
+        orbits.extend(SingularOrbit(q, on_mirror[line], ("axis", line, sign))
+                      for sign in signs)
 
-    has_reversing = any(reversing)
-    has_reflection = any(
-        reversing[idx]
-        and rotations[idx][0][0] + rotations[idx][1][1] + rotations[idx][2][2]
-        > 1 - GEOM_TOL
-        for idx in range(order))
-    if not has_reversing:
-        kind = SPHERE
-    elif has_reflection:
-        kind = DISC
-    else:
-        kind = PROJECTIVE
-
-    cones = tuple(sorted(o.rotation_order for o in orbits
-                         if not (kind == DISC and o.corner)))
-    corners = tuple(sorted(o.rotation_order for o in orbits
-                           if kind == DISC and o.corner))
-    signature = BaseSignature(kind, cones, corners)
-    _check_chi(kind, cones, corners, order, signature)
-
-    return BaseActionGroup(order, signature, orbits, "float", class_pairs,
-                           rotations=rotations, reversing=reversing,
-                           pair_class=pair_class)
+    signature = _quotient_signature(bool(reversing_lines), bool(mirrors),
+                                    orbits, order)
+    return BaseActionGroup(order, signature, orbits, "axis")
 
 
 def euler_oracle(group: PairGroup, base: Optional[BaseActionGroup] = None) -> Fraction:
@@ -581,57 +537,42 @@ def euler_oracle(group: PairGroup, base: Optional[BaseActionGroup] = None) -> Fr
 # local invariants of the exceptional fibers
 # ---------------------------------------------------------------------------
 
-def _conjugator_to_infinity(lam: SpherePoint):
-    """Unit quaternion w = w1 + w2 j whose induced map sends lam to the
-    infinity point (the image of the core at z2 = 0)."""
-    if lam.infinite:
-        return (1.0, 0.0, 0.0, 0.0)
-    w2 = 1.0 / math.sqrt(1.0 + abs(lam.value) ** 2)
-    w1 = lam.value * w2
-    return (w1.real, w1.imag, w2, 0.0)
+def _axis_stab_vectors(group: PairGroup, line: int, sign: int):
+    """Exact torus translations of the stabilizer of the fiber over the
+    axis-path point P = sign * u, conjugated to the core at infinity.
 
-
-def _float_stabilizer_vectors(group: PairGroup, base: BaseActionGroup,
-                              orbit: SingularOrbit):
-    """Exact torus translations of the fiber stabilizer, conjugated so the
-    fiber in question becomes the core at infinity.
-
+    A unit w with w P w^-1 = i carries that fiber to the core, and turns
+    a right factor cos(pi t) + sin(pi t) v with v = +-P into
+    cos(pi t) +- i sin(pi t), so beta = +-t/2 with the sign of v . P.
     Only orientation-preserving pairs enter: at a corner reflector the
     local invariant is by definition that of the index-two cyclic part.
-    Left factors stay exact; conjugated right factors are diagonal up to
-    float error and are snapped to rational angles.
     """
-    w = _conjugator_to_infinity(orbit.rep_lambda)
-    w_inv = float_quat_conjugate(w)
-    denominator_bound = 2 * phi_order(group)
     vectors = set()
-    p3 = orbit.representative
-    for pair, cls in zip(group.elements, base.pair_class):
-        if base.reversing[cls]:
+    for pair in group.elements:
+        if pair.left.jflag:
             continue
-        if not _close(_mat_vec(base.rotations[cls], p3), p3):
+        t, r_line, r_sign = _axis(pair.right)
+        if r_line is None:
+            beta = t / 2
+        elif r_line == line:
+            beta = r_sign * sign * t / 2
+        else:
             continue
-        rq = to_float_quaternion(pair.right)
-        conj = float_quat_multiply(float_quat_multiply(w, rq), w_inv)
-        assert math.hypot(conj[2], conj[3]) < 1e-7, \
-            "conjugated stabilizer element is not diagonal"
-        beta = snap_phase(complex(conj[0], conj[1]), denominator_bound)
         alpha = pair.left.angle
         vectors.add(((alpha - beta) % 1, (alpha + beta) % 1))
     return vectors
 
 
 def _orbit_invariant(group, base, orbit, location):
-    if base.mode == "circle":
-        kind = orbit.exact[0]
-        if kind == "pole":
-            vectors = _pole_stab_vectors(base.rows, base.grid, orbit.exact[1])
-        else:
-            vectors = _equator_stab_vectors(base.rows, base.grid,
-                                            orbit.exact[1])
-        return _invariant_from_int_vectors(vectors, base.grid, location)
-    return _invariant_from_vectors(
-        _float_stabilizer_vectors(group, base, orbit), location)
+    kind, *where = orbit.position
+    if kind == "axis":
+        return _invariant_from_vectors(_axis_stab_vectors(group, *where),
+                                       location)
+    if kind == "pole":
+        vectors = _pole_stab_vectors(base.rows, base.grid, where[0])
+    else:
+        vectors = _equator_stab_vectors(base.rows, base.grid, where[0])
+    return _invariant_from_int_vectors(vectors, base.grid, location)
 
 
 def exceptional_fibers_oracle(group: PairGroup,
@@ -644,8 +585,8 @@ def exceptional_fibers_oracle(group: PairGroup,
     for orbit in base.orbits:
         location = CORNER if (disc and orbit.corner) else CONE
         inv = _orbit_invariant(group, base, orbit, location)
-        assert inv.den == orbit.rotation_order, \
-            "invariant denominator must match the base cone index"
+        _require(inv.den == orbit.rotation_order,
+                 "invariant denominator must match the base cone index")
         invariants.append(inv)
     return invariants
 
@@ -663,7 +604,7 @@ def _torus_translation_vectors(group: PairGroup):
             raise ValueError("lens assembly needs a diagonal torus group")
     grid, rows = _angle_grid(group)
     vectors = {((a - b) % grid, (a + b) % grid) for _, _, a, b in rows}
-    assert len(vectors) == phi_order(group)
+    _require(len(vectors) == phi_order(group), "torus translations repeat")
     return grid, vectors
 
 
@@ -691,19 +632,19 @@ def lens_oracle(group: PairGroup) -> TopologyReport:
     components = tuple(sorted(k for k in (k1, k2) if k > 1))
     residual = {((k1 * u) % grid, (k2 * v) % grid) for u, v in vectors}
     e = len(vectors) // (k1 * k2)
-    assert len(residual) == e, "fixed-point subgroups do not exhaust the overlap"
+    _require(len(residual) == e, "fixed-point subgroups do not exhaust the overlap")
     if e == 1:
         return TopologyReport(THREE_SPHERE, singular_components=components)
     step = grid // e
     gen = next(((u, v) for u, v in residual
                 if math.gcd(math.gcd(u, v), grid) == step), None)
-    assert gen is not None, "residual action is not cyclic"
+    _require(gen is not None, "residual action is not cyclic")
     u0, v0 = gen
-    assert u0 % step == 0 and v0 % step == 0
+    _require(u0 % step == 0 and v0 % step == 0, "residual generator is not on the grid")
     g = u0 // step
     d = v0 // step
-    assert math.gcd(g, e) == 1 and math.gcd(d, e) == 1, \
-        "residual action is not free"
+    _require(math.gcd(g, e) == 1 and math.gcd(d, e) == 1,
+             "residual action is not free")
     d_bar = modinv_pos(d, e)
     # meridian of the second quotient torus = -(g*dbar) mu' + e lambda'
     return lens_report(e, (-g * d_bar) % e, components)
@@ -726,8 +667,8 @@ def lens_oracle_lattice(group: PairGroup) -> TopologyReport:
     m1 = (denom // k1, 0)
     m2 = (0, denom // k2)
     x1, y1 = _solve_2d(b1, b2, m1)
-    assert math.gcd(x1, y1) == 1, "torus meridian is not primitive in the lattice"
-    _, uu, vv = _ext_gcd_2(x1, y1)
+    _require(math.gcd(x1, y1) == 1, "torus meridian is not primitive in the lattice")
+    _, uu, vv = _ext_gcd(x1, y1)
     # (m1, w) is a lattice basis: the change matrix ((x1, -vv), (y1, uu))
     # from (b1, b2) has determinant x1*uu + y1*vv = 1
     w = (-vv * b1[0] + uu * b2[0], -vv * b1[1] + uu * b2[1])
@@ -737,27 +678,13 @@ def lens_oracle_lattice(group: PairGroup) -> TopologyReport:
     return lens_report(abs(p), q % abs(p), components)
 
 
-def _ext_gcd_2(a, b):
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_u, u = u, old_u - quo * u
-        old_v, v = v, old_v - quo * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def _lattice_basis_2d(vectors):
     """Basis of the sublattice of Z^2 generated by the vectors."""
     basis = []
     for vec in vectors:
         basis.append(vec)
         basis = _reduce_basis(basis)
-    assert len(basis) == 2
+    _require(len(basis) == 2, "vectors do not span a full lattice")
     return basis[0], basis[1]
 
 
@@ -778,7 +705,7 @@ def _reduce_basis(vecs):
         break
     lead = [v for v in vecs if v[0] != 0]
     rest = [v for v in vecs if v[0] == 0]
-    assert len(lead) <= 1
+    _require(len(lead) <= 1, "basis reduction left two leading vectors")
     if rest:
         g = 0
         for v in rest:
@@ -790,10 +717,10 @@ def _reduce_basis(vecs):
 def _solve_2d(b1, b2, target):
     """Integer (x, y) with x*b1 + y*b2 = target."""
     det = b1[0] * b2[1] - b1[1] * b2[0]
-    assert det != 0
+    _require(det != 0, "lattice basis is degenerate")
     x_num = target[0] * b2[1] - target[1] * b2[0]
     y_num = b1[0] * target[1] - b1[1] * target[0]
-    assert x_num % det == 0 and y_num % det == 0, "target is not in the lattice"
+    _require(x_num % det == 0 and y_num % det == 0, "target is not in the lattice")
     return x_num // det, y_num // det
 
 

@@ -1,10 +1,10 @@
-"""Unit quaternions in two exact representations, and their action on S^2.
+"""Unit quaternions in two exact representations, and pairs of them.
 
 The 3-sphere is the group of unit quaternions z1 + z2*j.  A pair (p, q)
-acts isometrically on it by h -> p*h*q^-1; the projection
-pi(z1 + z2*j) = z1/z2 to the Riemann sphere is invariant under the
-relevant subgroups, and every pair with a circle-type left factor
-descends to an isometry of that sphere.
+acts isometrically on it by h -> p*h*q^-1.  The Hopf fibers are the
+orbits h -> e^(i t)*h, so every pair with a circle-type left factor
+permutes them; the oracle reads the induced action on the base sphere
+directly off the factors.
 
 Two exact element representations are used:
 
@@ -20,8 +20,6 @@ factors of a pair live in separate groups), so mixing is an error.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -35,10 +33,6 @@ class RepresentationMismatchError(TypeError):
 
 class NotHopfPreservingError(ValueError):
     """Pair whose left factor is not circle-type; it moves the fibration."""
-
-
-class SnapFailureError(ArithmeticError):
-    """No rational with the allowed denominator is close enough."""
 
 
 HALF = Fraction(1, 2)
@@ -95,11 +89,6 @@ class CircleJElement:
 
     def is_identity(self) -> bool:
         return not self.jflag and self.angle == 0
-
-    def to_complex_pair(self):
-        """(z1, z2) floats with the element equal to z1 + z2*j."""
-        z = cmath.exp(2j * math.pi * float(self.angle))
-        return (0j, z) if self.jflag else (z, 0j)
 
 
 CIRCLE_ONE = CircleJElement(Fraction(0), False)
@@ -170,18 +159,12 @@ class AlgebraicQuaternion:
     def is_identity(self) -> bool:
         return self.w == QF_ONE and self.x.is_zero() and self.y.is_zero() and self.z.is_zero()
 
-    def to_complex_pair(self):
-        return (complex(float(self.w), float(self.x)),
-                complex(float(self.y), float(self.z)))
-
 
 def quat_rational(w, x, y, z) -> AlgebraicQuaternion:
     return AlgebraicQuaternion(QuadFieldElement(w), QuadFieldElement(x),
                                QuadFieldElement(y), QuadFieldElement(z))
 
 
-QUAT_ONE = quat_rational(1, 0, 0, 0)
-QUAT_MINUS_ONE = quat_rational(-1, 0, 0, 0)
 QUAT_I = quat_rational(0, 1, 0, 0)
 QUAT_J = quat_rational(0, 0, 1, 0)
 QUAT_K = quat_rational(0, 0, 0, 1)
@@ -210,29 +193,6 @@ def element_negate(a: GroupElement) -> GroupElement:
     return AlgebraicQuaternion(-a.w, -a.x, -a.y, -a.z)
 
 
-def to_complex_pair(a: GroupElement):
-    return a.to_complex_pair()
-
-
-def to_float_quaternion(a: GroupElement):
-    z1, z2 = a.to_complex_pair()
-    return (z1.real, z1.imag, z2.real, z2.imag)
-
-
-def float_quat_multiply(p, q):
-    w1, x1, y1, z1 = p
-    w2, x2, y2, z2 = q
-    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
-
-
-def float_quat_conjugate(p):
-    w, x, y, z = p
-    return (w, -x, -y, -z)
-
-
 # ---------------------------------------------------------------------------
 # pairs acting on S^3
 # ---------------------------------------------------------------------------
@@ -257,187 +217,3 @@ class PairElement:
     def negate(self) -> "PairElement":
         return PairElement(element_negate(self.left), element_negate(self.right))
 
-    def apply_float(self, h):
-        """Image of the float quaternion h = (w, x, y, z) under the action."""
-        p = to_float_quaternion(self.left)
-        q = to_float_quaternion(self.right)
-        return float_quat_multiply(float_quat_multiply(p, h), float_quat_conjugate(q))
-
-
-# ---------------------------------------------------------------------------
-# the base 2-sphere: C u {inf}, projection, induced isometries
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """Point of C u {inf}; infinity is an explicit tag, never an overflow."""
-
-    value: complex = 0j
-    infinite: bool = False
-
-    @staticmethod
-    def infinity() -> "SpherePoint":
-        return SpherePoint(0j, True)
-
-    def as_projective(self):
-        """(numerator, denominator) with the point equal to their ratio."""
-        return (1 + 0j, 0j) if self.infinite else (self.value, 1 + 0j)
-
-
-SPHERE_INFINITY = SpherePoint.infinity()
-
-
-def hopf_project(h: GroupElement) -> SpherePoint:
-    """z1/z2 for h = z1 + z2*j, with infinity when z2 = 0."""
-    z1, z2 = to_complex_pair(h)
-    if abs(z2) == 0.0:
-        return SPHERE_INFINITY
-    return SpherePoint(z1 / z2)
-
-
-def hopf_project_float(h) -> SpherePoint:
-    w, x, y, z = h
-    z1 = complex(w, x)
-    z2 = complex(y, z)
-    if abs(z2) < 1e-13:
-        return SPHERE_INFINITY
-    return SpherePoint(z1 / z2)
-
-
-def unstereo(p: SpherePoint):
-    """Point of the unit sphere in R^3; infinity goes to the north pole."""
-    n, d = p.as_projective()
-    return unstereo_projective(n, d)
-
-
-def unstereo_projective(n: complex, d: complex):
-    s = abs(n) ** 2 + abs(d) ** 2
-    nd = n * d.conjugate()
-    return (2 * nd.real / s, 2 * nd.imag / s, (abs(n) ** 2 - abs(d) ** 2) / s)
-
-
-def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:
-    a = unstereo(p)
-    b = unstereo(q)
-    return math.dist(a, b)
-
-
-@dataclass(frozen=True)
-class BaseIsometry:
-    """Isometry of C u {inf}: a Moebius map, then optionally the antipode.
-
-    The map is lam -> antipodal^flag(M(lam)) where M has matrix
-    ((a, b), (c, d)) and the antipodal involution is lam -> -1/conj(lam).
-    Matrices are considered up to a nonzero complex scalar.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    orientation_reversing: bool = False
-
-    def apply_projective(self, n: complex, d_: complex):
-        num = self.a * n + self.b * d_
-        den = self.c * n + self.d * d_
-        if self.orientation_reversing:
-            # antipodal map on projective coordinates: (n : d) -> (-conj(d) : conj(n))
-            num, den = -den.conjugate(), num.conjugate()
-        return num, den
-
-    def apply(self, p: SpherePoint) -> SpherePoint:
-        n, d = self.apply_projective(*p.as_projective())
-        if abs(d) <= 1e-14 * max(1.0, abs(n)):
-            return SPHERE_INFINITY
-        return SpherePoint(n / d)
-
-    def compose(self, other: "BaseIsometry") -> "BaseIsometry":
-        """self after other."""
-        m1 = (self.a, self.b, self.c, self.d)
-        if other.orientation_reversing:
-            # push the antipode of `other` past the matrix of `self`:
-            # A o M = chi(M) o A with chi((a,b),(c,d)) = ((conj d, -conj c), (-conj b, conj a))
-            a, b, c, d = m1
-            m1 = (d.conjugate(), -c.conjugate(), -b.conjugate(), a.conjugate())
-        a1, b1, c1, d1 = m1
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return BaseIsometry(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-                            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2,
-                            self.orientation_reversing != other.orientation_reversing)
-
-    def normalized_matrix(self):
-        """Scale so the largest entry is 1 in modulus with zero phase."""
-        entries = (self.a, self.b, self.c, self.d)
-        pivot = max(entries, key=abs)
-        if abs(pivot) == 0:
-            raise ValueError("degenerate Moebius matrix")
-        return tuple(e / pivot for e in entries)
-
-    def same_isometry(self, other: "BaseIsometry", tol: float = 1e-9) -> bool:
-        if self.orientation_reversing != other.orientation_reversing:
-            return False
-        m1 = self.normalized_matrix()
-        m2 = other.normalized_matrix()
-        return all(abs(x - y) <= tol for x, y in zip(m1, m2))
-
-    def rotation_matrix(self):
-        """The corresponding element of O(3), columns = images of the axes."""
-        cols = []
-        for n, d in ((1 + 0j, 1 + 0j), (1j, 1 + 0j), (1 + 0j, 0j)):
-            cols.append(unstereo_projective(*self.apply_projective(n, d)))
-        return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-
-
-BASE_IDENTITY = BaseIsometry(1 + 0j, 0j, 0j, 1 + 0j, False)
-
-
-def mobius_of_right_factor(r: GroupElement) -> BaseIsometry:
-    """Moebius map induced on z1/z2 by h -> h * r^-1 for r = w1 + w2*j."""
-    w1, w2 = to_complex_pair(r)
-    return BaseIsometry(w1.conjugate(), w2.conjugate(), -w2, w1, False)
-
-
-def induced_base_isometry(e: PairElement) -> BaseIsometry:
-    """Isometry of the base sphere induced by a fibration-preserving pair.
-
-    Circle-type left factors act trivially on the base; left factors of
-    the form e^(i t)*j compose with the antipodal involution (for any t).
-    The right factor w1 + w2*j contributes
-    lam -> (conj(w1)*lam + conj(w2)) / (-w2*lam + w1).
-    """
-    if not isinstance(e.left, CircleJElement):
-        raise NotHopfPreservingError("left factor must be circle-type")
-    m = mobius_of_right_factor(e.right)
-    return BaseIsometry(m.a, m.b, m.c, m.d, e.left.jflag)
-
-
-# ---------------------------------------------------------------------------
-# rational recovery of numerically conjugated angles
-# ---------------------------------------------------------------------------
-
-SNAP_TOLERANCE = 1e-6
-
-
-def snap_angle(x: float, max_denominator: int) -> Fraction:
-    """Nearest rational with denominator dividing max_denominator.
-
-    Raises SnapFailureError when the nearest candidate is further than
-    the tolerance; that signals a bug or a too-small denominator bound,
-    never a value to be used.
-    """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be positive")
-    snapped = Fraction(round(x * max_denominator), max_denominator)
-    if abs(x - float(snapped)) > SNAP_TOLERANCE:
-        raise SnapFailureError(
-            f"{x} is {abs(x - float(snapped)):.3g} away from the nearest "
-            f"multiple of 1/{max_denominator}")
-    return snapped
-
-
-def snap_phase(z: complex, max_denominator: int) -> Fraction:
-    """Exact angle t with z ~ e^(2*pi*i*t), denominator dividing the bound."""
-    if abs(abs(z) - 1.0) > 1e-7:
-        raise SnapFailureError(f"|z| = {abs(z)} is not on the unit circle")
-    t = cmath.phase(z) / (2 * math.pi)
-    return snap_angle(t % 1.0, max_denominator) % 1

@@ -31,12 +31,11 @@ from orbiseif.groups import (
     FamilySpec,
     get_family,
     goursat_group,
-    mulclose,
     phi_order,
     standard_group,
 )
 from orbiseif.oracle import lens_oracle
-from orbiseif.quaternions import QUAT_I
+from orbiseif.quaternions import QUAT_I, multiply
 from orbiseif.verify import run_sweep, sweep_specs
 from test_properties import (
     coprimality_suite,
@@ -55,6 +54,29 @@ TABLE4_BOUND = 480
 
 def _report(name, detail):
     print(f"PASS {name}: {detail}", flush=True)
+
+
+def mulclose(generators, limit: int = 100000):
+    """Closure of a generating set under multiplication (fixed point).
+
+    Breadth-first over generator products; the loop ends exactly when
+    the set maps into itself under every generator on both sides.
+    """
+    gens = list(generators)
+    elements = set(gens)
+    frontier = list(elements)
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in gens:
+                for prod in (multiply(g, h), multiply(h, g)):
+                    if prod not in elements:
+                        elements.add(prod)
+                        new.append(prod)
+        frontier = new
+        if len(elements) > limit:
+            raise RuntimeError("closure exceeded element limit")
+    return elements
 
 
 @pytest.fixture(scope="module")

@@ -80,10 +80,30 @@ def test_norm_is_conjugate_product_and_detects_zero():
         assert y.is_zero() == (y.norm() == 0)
 
 
-def test_float_conversion():
-    x = QuadFieldElement(Fraction(1, 3), Fraction(-2, 5), 1, Fraction(1, 7))
-    expected = 1 / 3 - 2 / 5 * SQRT2 + SQRT5 + SQRT10 / 7
-    assert abs(float(x) - expected) < 1e-12
+def _float_value(x):
+    return (float(x.a) + float(x.b) * SQRT2 + float(x.c) * SQRT5
+            + float(x.d) * SQRT10)
+
+
+def test_sign_matches_float_evaluation():
+    rng = random.Random(13)
+    for _ in range(300):
+        x = rand_element(rng)
+        value = _float_value(x)
+        assert x.sign() == (value > 0) - (value < 0), x
+    # near cancellations in every pair of basis terms, and a product of
+    # two of them with all four coordinates nonzero (about 1.6e-5)
+    small2 = QuadFieldElement(99, -70)                   # 99 - 70 sqrt2
+    small5 = QuadFieldElement(161, 0, -72)               # 161 - 72 sqrt5
+    near = [small2, small5, QuadFieldElement(19, 0, 0, -6),
+            QuadFieldElement(0, 49, -31), QuadFieldElement(0, 0, 99, -70),
+            QuadFieldElement(0, 161, 0, -72), small2 * small5]
+    for x in near:
+        value = _float_value(x)
+        assert abs(value) > 1e-9
+        assert x.sign() == (value > 0) - (value < 0), x
+        assert (-x).sign() == -x.sign()
+    assert QuadFieldElement(0).sign() == 0
 
 
 SQRT10 = 10 ** 0.5

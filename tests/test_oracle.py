@@ -1,13 +1,33 @@
 """Brute-force geometric recomputation against known quotient data."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from orbiseif.engine import DISC, LENS, SPHERE, THREE_SPHERE, BaseSignature
-from orbiseif.groups import FamilySpec, goursat_group
+import orbiseif
+from orbiseif.engine import (
+    DISC,
+    LENS,
+    SPHERE,
+    THREE_SPHERE,
+    BaseSignature,
+    InternalInconsistencyError,
+)
+from orbiseif.exactfield import QuadFieldElement
+from orbiseif.groups import (
+    BINARY_ICOSAHEDRAL,
+    BINARY_OCTAHEDRAL,
+    BINARY_TETRAHEDRAL,
+    FamilySpec,
+    PairGroup,
+    goursat_group,
+    standard_group,
+)
 from orbiseif.oracle import (
-    _base_group_float,
+    _HALF_ANGLE,
     base_group,
     euler_oracle,
     exceptional_fibers_oracle,
@@ -17,7 +37,9 @@ from orbiseif.oracle import (
     slope_invariant,
     torus_quotient_map,
 )
+from orbiseif.quaternions import PairElement
 from orbiseif.verify import sweep_specs
+from test_quaternions import circle_to_quaternion
 
 F = Fraction
 
@@ -160,27 +182,101 @@ def test_oracle_report_klein_action():
     assert rep.topology.singular_components == (2, 2)
 
 
-def test_circle_and_float_paths_agree():
-    """The exact circle-pair geometry and the generic float geometry are
-    two implementations of the same classification."""
-    for spec in (FamilySpec("2", m=2, n=3), FamilySpec("10", m=1, n=3),
-                 FamilySpec("10", m=2, n=2), FamilySpec("33", m=2, n=2),
-                 FamilySpec("34", m=1, n=3), FamilySpec("2bis", m=1, n=3),
-                 FamilySpec("3bis", m=2, n=2), FamilySpec("4bis", m=1, n=2),
-                 FamilySpec("11", m=1, n=1, r=2, s=1),
-                 FamilySpec("11p", m=1, n=3, r=2, s=1),
-                 FamilySpec("13", m=2, n=3)):
+def test_polyhedral_real_parts_are_tabulated_cosines():
+    """Re r = cos(pi t) for a tabulated t on every element of T*, O*, I*.
+    Each entry c = cos(pi k/n) satisfies the Chebyshev identity
+    T_n(c) = (-1)^k exactly, and the entries decrease as t grows."""
+    for gid in (BINARY_TETRAHEDRAL, BINARY_OCTAHEDRAL, BINARY_ICOSAHEDRAL):
+        assert all(r.w in _HALF_ANGLE for r in standard_group(gid))
+    assert len(_HALF_ANGLE) == 11
+    for c, t in _HALF_ANGLE.items():
+        previous, current = QuadFieldElement(1), c     # T_0, T_1
+        for _ in range(t.denominator - 1):
+            previous, current = current, 2 * c * current - previous
+        assert current == (-1) ** t.numerator, (c, t)
+    ordered = sorted(_HALF_ANGLE, key=_HALF_ANGLE.get)
+    assert all((b - a).sign() == -1 for a, b in zip(ordered, ordered[1:]))
+
+
+def _with_quaternion_right_factors(group):
+    return PairGroup(group.spec,
+                     [PairElement(p.left, circle_to_quaternion(p.right))
+                      for p in group.elements],
+                     group.left, group.left_kernel,
+                     group.right, group.right_kernel)
+
+
+# circle groups whose right angles have denominators dividing 8: sphere,
+# disc and projective bases, with and without j-type left factors
+AXIS_CROSS_CHECK_SPECS = [
+    FamilySpec("1", m=1, n=1, r=4, s=1),
+    FamilySpec("11", m=1, n=1, r=2, s=1),
+    FamilySpec("10", m=1, n=1),
+    FamilySpec("2bis", m=1, n=1),
+    FamilySpec("2bis", m=1, n=4),
+    FamilySpec("3bis", m=1, n=2),
+]
+
+
+def test_circle_and_axis_paths_agree():
+    """The exact circle-pair geometry and the axis geometry of polyhedral
+    right factors are two implementations of the same classification;
+    the circle path is the reference on groups both can read."""
+    j_left_seen = False
+    for spec in AXIS_CROSS_CHECK_SPECS:
         group = goursat_group(spec)
         circle = base_group(group)
         assert circle.mode == "circle"
-        floaty = _base_group_float(group)
-        assert circle.order == floaty.order
-        assert circle.signature == floaty.signature
+        converted = _with_quaternion_right_factors(group)
+        axis = base_group(converted)
+        assert axis.mode == "axis"
+        assert (axis.order, axis.signature) == (circle.order, circle.signature)
         inv_c = exceptional_fibers_oracle(group, circle)
-        inv_f = exceptional_fibers_oracle(group, floaty)
-        assert normalized_invs(inv_c) == normalized_invs(inv_f)
+        inv_a = exceptional_fibers_oracle(converted, axis)
+        assert normalized_invs(inv_c) == normalized_invs(inv_a), spec
         assert sorted(v.location for v in inv_c) == \
-            sorted(v.location for v in inv_f)
+            sorted(v.location for v in inv_a)
+        j_left_seen |= any(p.left.jflag for p in group.elements)
+    assert j_left_seen
+    # right factor D*8: three perpendicular half-turn axes whose orbits
+    # the axis path does not separate, so it must refuse rather than guess
+    unresolved = _with_quaternion_right_factors(
+        goursat_group(FamilySpec("2", m=1, n=2)))
+    with pytest.raises(InternalInconsistencyError, match="not resolved"):
+        base_group(unresolved)
+
+
+def _run_optimized(*args):
+    """Run python -O with the package importable; return the process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orbiseif.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-O", *args], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_chi_check_survives_python_optimize():
+    script = (
+        "import sys\n"
+        "from orbiseif.engine import SPHERE, BaseSignature, "
+        "InternalInconsistencyError\n"
+        "from orbiseif.oracle import _check_chi\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "try:\n"
+        "    _check_chi(SPHERE, (2, 3), (), 60, BaseSignature(SPHERE, (2, 3)))\n"
+        "except InternalInconsistencyError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('a wrong signature passed the chi check')\n")
+    proc = _run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_sweep_passes_under_python_optimize():
+    proc = _run_optimized("-m", "orbiseif.cli", "verify", "--max-order", "24",
+                          "--families", "all")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_base_group_chi_times_order_is_two():
