@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -178,8 +179,8 @@ def _build_parser():
     ver.add_argument("--max-order", type=int, required=True)
     ver.add_argument("--families", default="all")
     ver.add_argument("--workers", type=int, default=None,
-                     help="worker processes (ORBISEIF_WORKERS overrides "
-                          "the default of 1)")
+                     help="worker processes, at most the CPU count "
+                          "(ORBISEIF_WORKERS overrides the default of 1)")
     ver.add_argument("--json", action="store_true")
     return parser
 
@@ -272,6 +273,11 @@ def _cmd_verify(args, out) -> int:
         print("error: no fibered family selected", file=sys.stderr)
         return EXIT_INVALID
     workers = args.workers if args.workers else verify_mod.default_workers()
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        print(f"error: {workers} workers requested, but only {cpus} CPUs "
+              "are available", file=sys.stderr)
+        return EXIT_INVALID
     specs = verify_mod.sweep_specs(args.max_order, families)
     results = verify_mod.run_sweep(specs, workers=workers)
     mismatches = [res for res in results if not res.ok]

@@ -23,11 +23,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .groups import FamilySpec, get_family, normalized_s, validate
-
-
-class InternalInconsistencyError(ArithmeticError):
-    """A derived quantity failed integrality; signals formula misuse."""
+from .groups import (
+    FamilySpec,
+    InternalInconsistencyError,
+    get_family,
+    normalized_s,
+    validate,
+)
 
 
 def modinv_pos(x: int, modulus: int) -> int:

@@ -11,6 +11,17 @@ the suffix "p", swapped families the suffix "bis").  For each family the
 gluing isomorphism is pinned by explicit generator images; whenever
 several choices of phi give conjugate groups, one fixed choice is made
 here and all downstream invariants are insensitive to it.
+
+The construction works on coset data.  Each factor with its kernel
+becomes the coset index of every element, the elements of every coset
+and the product table of the quotient (at most six cosets in the
+catalog), so the gluing is index arithmetic and the pairs are read off
+the coset tuples.  The binary polyhedral right
+factors do not depend on the family parameters; their coset data are
+built once per process, on first use, keyed by (right, right kernel,
+representation).  Nothing is kept per spec.  The cyclic and dihedral
+parameter families skip the cosets and write the element grid directly.
+Self-checks raise InternalInconsistencyError, so python -O keeps them.
 """
 
 from __future__ import annotations
@@ -24,13 +35,25 @@ from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldEl
 from .quaternions import (
     CIRCLE_J,
     AlgebraicQuaternion,
-    CircleJElement,
     GroupElement,
     PairElement,
+    _circle,
     circle_root,
+    element_negate,
     multiply,
     quat_rational,
 )
+
+
+class InternalInconsistencyError(ArithmeticError):
+    """A self-check failed: a derived quantity is not integral, or a built
+    group or quotient is not what its construction promises."""
+
+
+def _require(condition: bool, message: str) -> None:
+    """Self-check that, unlike assert, survives python -O."""
+    if not condition:
+        raise InternalInconsistencyError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +125,11 @@ def standard_group(group_id: StandardGroupId) -> list[GroupElement]:
     """Exact element list; circle representation for C and D* groups."""
     kind, order = group_id.kind, group_id.order
     if kind == "C":
-        return [circle_root(order, k) for k in range(order)]
+        return [_circle(k, order, False) for k in range(order)]
     if kind == "D":
         n = order // 2
-        rotations = [circle_root(n, k) for k in range(n)]
-        return rotations + [CircleJElement(Fraction(k, n), True) for k in range(n)]
+        rotations = [_circle(k, n, False) for k in range(n)]
+        return rotations + [_circle(k, n, True) for k in range(n)]
     if kind == "T":
         return _tetrahedral_elements()
     if kind == "O":
@@ -539,70 +562,106 @@ class PairGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def element_set(self):
-        if not hasattr(self, "_element_set"):
-            self._element_set = frozenset(self.elements)
-        return self._element_set
-
 
 def phi_order(group: PairGroup) -> int:
     """Order of the rotation group; the pair kernel is {(1,1), (-1,-1)}."""
-    assert group.order % 2 == 0
+    _require(group.order % 2 == 0, "pair group has odd order")
     return group.order // 2
 
 
+@dataclass(frozen=True)
+class _Quotient:
+    """A factor R of a Goursat 5-tuple with its kernel K, as coset data."""
+
+    coset_of: dict       # element -> index of its coset l*K
+    cosets: tuple        # index -> (l*k for k in K), so each coset is listed
+    identity: GroupElement
+    table: tuple         # table[a][b] = index of the coset product a*b
+
+
 def _coset_partition(elements, kernel):
-    """Coset representatives and element -> coset index for l*K cosets."""
+    """Cosets l*K, each as the tuple (l*k for k in K), and the map
+    element -> coset index."""
     index = {}
-    reps = []
+    cosets = []
     for el in elements:
         if el in index:
             continue
-        idx = len(reps)
-        reps.append(el)
-        for k in kernel:
-            index[multiply(el, k)] = idx
-    assert len(index) == len(elements), "kernel is not a subgroup of the group"
-    return reps, index
+        coset = tuple(multiply(el, k) for k in kernel)
+        for x in coset:
+            index[x] = len(cosets)
+        cosets.append(coset)
+    _require(len(index) == len(elements), "kernel is not a subgroup of the group")
+    return tuple(cosets), index
 
 
-def _close_isomorphism(reps_l, index_l, reps_r, index_r, seed):
+def _quotient(group_id: StandardGroupId, kernel_id: StandardGroupId,
+              algebraic: bool) -> _Quotient:
+    build = algebraic_group if algebraic else standard_group
+    elements = build(group_id)
+    kernel = elements if kernel_id == group_id else build(kernel_id)
+    members = set(elements)
+    _require(all(k in members for k in kernel),
+             f"{kernel_id} is not contained in {group_id}")
+    cosets, coset_of = _coset_partition(elements, kernel)
+    reps = [coset[0] for coset in cosets]
+    table = tuple(tuple(coset_of[multiply(a, b)] for b in reps) for a in reps)
+    return _Quotient(coset_of, cosets,
+                     elements[_identity_position(elements)], table)
+
+
+# (right, right_kernel, algebraic_right) -> _Quotient for the binary
+# polyhedral right factors, filled on first use.  They do not depend on
+# the family parameters, and a Q(sqrt2, sqrt5) product costs about a
+# millisecond, so each is built once per process: the catalog has six
+# keys.  Circle-type factors change with the parameters and are rebuilt.
+_FIXED_FACTORS: dict = {}
+
+
+def _right_quotient(data: GoursatData) -> _Quotient:
+    key = (data.right, data.right_kernel, data.algebraic_right)
+    if data.right.kind not in "TOI":
+        return _quotient(*key)
+    quotient = _FIXED_FACTORS.get(key)
+    if quotient is None:
+        quotient = _FIXED_FACTORS[key] = _quotient(*key)
+    return quotient
+
+
+def _close_isomorphism(table_l, table_r, seed):
     """Total bijective homomorphism on coset indices extending the seed.
 
     The seed maps the identity coset and the generator cosets; the rest
-    is forced by multiplicativity, spreading from the generators.
-    Afterwards phi(g*x) = phi(g)*phi(x) is checked for every generator g
-    against every coset x, which by induction on word length makes phi a
-    homomorphism on the whole quotient.
+    is forced by multiplicativity, spreading from the generators through
+    the two quotient product tables.  Afterwards phi(g*x) = phi(g)*phi(x)
+    is checked for every generator g against every coset x, which by
+    induction on word length makes phi a homomorphism on the whole
+    quotient.
     """
     phi = dict(seed)
-    gens = [item for item in seed.items()]
+    gens = list(seed.items())
     frontier = list(phi.items())
     while frontier:
         fresh = []
         for a, fa in frontier:
             for g, fg in gens:
-                ga = index_l[multiply(reps_l[g], reps_l[a])]
-                image = index_r[multiply(reps_r[fg], reps_r[fa])]
+                ga = table_l[g][a]
+                image = table_r[fg][fa]
                 known = phi.get(ga)
                 if known is None:
                     phi[ga] = image
                     fresh.append((ga, image))
-                elif known != image:
-                    raise AssertionError(
-                        "generator images do not extend to a homomorphism")
+                else:
+                    _require(known == image,
+                             "generator images do not extend to a homomorphism")
         frontier = fresh
-    if len(phi) != len(reps_l):
-        raise AssertionError("generator cosets do not span the quotient")
-    if len(set(phi.values())) != len(phi):
-        raise AssertionError("gluing isomorphism is not injective")
+    _require(len(phi) == len(table_l), "generator cosets do not span the quotient")
+    _require(len(set(phi.values())) == len(phi),
+             "gluing isomorphism is not injective")
     for g, fg in gens:
-        for a in range(len(reps_l)):
-            left = index_l[multiply(reps_l[g], reps_l[a])]
-            right = index_r[multiply(reps_r[fg], reps_r[phi[a]])]
-            if phi[left] != right:
-                raise AssertionError("gluing map is not multiplicative")
+        for a in range(len(table_l)):
+            _require(phi[table_l[g][a]] == table_r[fg][phi[a]],
+                     "gluing map is not multiplicative")
     return phi
 
 
@@ -624,13 +683,18 @@ def _goursat_grid(spec: FamilySpec) -> list:
     flags = (False, True) if dihedral else (False,)
     for flag in flags:
         for c in range(r):
-            rights = [CircleJElement(Fraction(c * s + r * u, right_den), flag)
+            rights = [_circle(c * s + r * u, right_den, flag)
                       for u in range(half * n)]
             for t in range(half * m):
-                left = CircleJElement(Fraction(c + r * t, left_den), flag)
+                left = _circle(c + r * t, left_den, flag)
                 for right in rights:
                     pairs.append(PairElement(left, right))
     return pairs
+
+
+def _check_order(group: PairGroup, data: GoursatData) -> None:
+    _require(group.order == data.left.order * data.right_kernel.order,
+             f"{group.spec} has {group.order} elements, not |L| * |R_K|")
 
 
 def goursat_group(spec: FamilySpec) -> PairGroup:
@@ -648,54 +712,35 @@ def goursat_group(spec: FamilySpec) -> PairGroup:
         pairs = _goursat_grid(spec)
         group = PairGroup(spec, pairs, data.left, data.left_kernel,
                           data.right, data.right_kernel)
-        assert group.order == data.left.order * data.right_kernel.order
+        _check_order(group, data)
         return group
     return _goursat_generic(spec, data)
 
 
 def _goursat_generic(spec: FamilySpec, data: GoursatData) -> PairGroup:
     """Coset-by-coset construction from the 5-tuple and the gluing seed."""
-    left_elements = standard_group(data.left)
-    left_kernel = standard_group(data.left_kernel)
-    right_elements = (algebraic_group(data.right) if data.algebraic_right
-                      else standard_group(data.right))
-    right_kernel = (algebraic_group(data.right_kernel) if data.algebraic_right
-                    else standard_group(data.right_kernel))
+    left = _quotient(data.left, data.left_kernel, False)
+    right = _right_quotient(data)
+    _require(len(left.cosets) == len(right.cosets),
+             "quotients have different orders")
 
-    left_set = set(left_elements)
-    right_set = set(right_elements)
-    assert all(k in left_set for k in left_kernel)
-    assert all(k in right_set for k in right_kernel)
-
-    reps_l, index_l = _coset_partition(left_elements, left_kernel)
-    reps_r, index_r = _coset_partition(right_elements, right_kernel)
-    assert len(reps_l) == len(reps_r), "quotients have different orders"
-
-    identity_l = index_l[left_elements[_identity_position(left_elements)]]
-    identity_r = index_r[right_elements[_identity_position(right_elements)]]
-
-    seed = {identity_l: identity_r}
+    seed = {left.coset_of[left.identity]: right.coset_of[right.identity]}
     for gen_l, gen_r in data.phi_generators:
-        seed[index_l[gen_l]] = index_r[gen_r]
-    phi = _close_isomorphism(reps_l, index_l, reps_r, index_r, seed)
+        seed[left.coset_of[gen_l]] = right.coset_of[gen_r]
+    phi = _close_isomorphism(left.table, right.table, seed)
 
-    pairs = []
-    for coset, rep_l in enumerate(reps_l):
-        rep_r = reps_r[phi[coset]]
-        rights = [multiply(rep_r, k2) for k2 in right_kernel]
-        for k1 in left_kernel:
-            l = multiply(rep_l, k1)
-            for right in rights:
-                pairs.append(PairElement(l, right))
-
+    pairs = [PairElement(l, r)
+             for coset, lefts in enumerate(left.cosets) for l in lefts
+             for r in right.cosets[phi[coset]]]
     group = PairGroup(spec, pairs, data.left, data.left_kernel,
                       data.right, data.right_kernel)
-    assert group.order == data.left.order * data.right_kernel.order
-    ident = PairElement(left_elements[_identity_position(left_elements)],
-                        right_elements[_identity_position(right_elements)])
-    assert ident in group.element_set
-    assert ident.negate() in group.element_set, \
-        "(-1, -1) must belong to every catalog group"
+    _check_order(group, data)
+    # (l, r) lies in G exactly when phi maps the coset of l to that of r
+    for l, r, what in ((left.identity, right.identity, "(1, 1)"),
+                       (element_negate(left.identity),
+                        element_negate(right.identity), "(-1, -1)")):
+        _require(phi[left.coset_of[l]] == right.coset_of[r],
+                 f"{what} must belong to every catalog group")
     return group
 
 
@@ -703,7 +748,7 @@ def _identity_position(elements) -> int:
     for i, el in enumerate(elements):
         if el.is_identity():
             return i
-    raise AssertionError("element list lacks the identity")
+    raise InternalInconsistencyError("element list lacks the identity")
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .engine import (
     PROJECTIVE,
     SPHERE,
     BaseSignature,
-    InternalInconsistencyError,
     LocalInvariant,
     SeifertData,
     TopologyReport,
@@ -55,16 +54,11 @@ from .engine import (
     modinv_pos,
 )
 from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
-from .groups import PairGroup, phi_order
-from .quaternions import HALF, CircleJElement, NotHopfPreservingError
+from .groups import PairGroup, _require, phi_order
+from .quaternions import CircleJElement, NotHopfPreservingError
 
 HOPF_FIBER = (1, 1)
-
-
-def _require(condition: bool, message: str) -> None:
-    """Self-check that, unlike assert, survives python -O."""
-    if not condition:
-        raise InternalInconsistencyError(message)
+HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +174,6 @@ def _invariant_from_int_vectors(vectors, grid: int,
     return slope_invariant(main.compose_after(pre), HOPF_FIBER, location)
 
 
-def _invariant_from_vectors(vectors, location: str) -> LocalInvariant:
-    """Fraction-vector front end for the integer core."""
-    grid = 1
-    for u, v in vectors:
-        grid = math.lcm(grid, math.lcm(u.denominator, v.denominator))
-    scaled = {(int(u * grid), int(v * grid)) for u, v in vectors}
-    return _invariant_from_int_vectors(scaled, grid, location)
-
-
 # ---------------------------------------------------------------------------
 # the induced action on the base sphere: common data model
 # ---------------------------------------------------------------------------
@@ -277,10 +262,8 @@ def _angle_grid(group: PairGroup):
     """Common denominator (a multiple of 4) and per-element integer rows
     (left jflag, right jflag, left angle, right angle) for a pair group
     whose factors are all circle-type."""
-    grid = 4
-    for pair in group.elements:
-        grid = math.lcm(grid, pair.left.angle.denominator)
-        grid = math.lcm(grid, pair.right.angle.denominator)
+    grid = math.lcm(4, *{pair.left._key[1] for pair in group.elements},
+                    *{pair.right._key[1] for pair in group.elements})
     rows = []
     for pair in group.elements:
         an, ad, jl = pair.left._key
@@ -538,36 +521,42 @@ def euler_oracle(group: PairGroup, base: Optional[BaseActionGroup] = None) -> Fr
 # ---------------------------------------------------------------------------
 
 def _axis_stab_vectors(group: PairGroup, line: int, sign: int):
-    """Exact torus translations of the stabilizer of the fiber over the
-    axis-path point P = sign * u, conjugated to the core at infinity.
+    """Common grid and exact torus translations, as integer numerators
+    over it, of the stabilizer of the fiber over the axis-path point
+    P = sign * u, conjugated to the core at infinity.
 
     A unit w with w P w^-1 = i carries that fiber to the core, and turns
     a right factor cos(pi t) + sin(pi t) v with v = +-P into
     cos(pi t) +- i sin(pi t), so beta = +-t/2 with the sign of v . P.
+    The tabulated t have denominators 1-5, so t/2 lies on the grid of
+    120ths; the left angles add their own denominators.
     Only orientation-preserving pairs enter: at a corner reflector the
     local invariant is by definition that of the index-two cyclic part.
     """
+    grid = math.lcm(120, *{pair.left._key[1] for pair in group.elements})
     vectors = set()
     for pair in group.elements:
-        if pair.left.jflag:
+        num, den, jflag = pair.left._key
+        if jflag:
             continue
         t, r_line, r_sign = _axis(pair.right)
         if r_line is None:
-            beta = t / 2
+            direction = 1
         elif r_line == line:
-            beta = r_sign * sign * t / 2
+            direction = r_sign * sign
         else:
             continue
-        alpha = pair.left.angle
-        vectors.add(((alpha - beta) % 1, (alpha + beta) % 1))
-    return vectors
+        alpha = num * (grid // den)
+        beta = direction * t.numerator * (grid // (2 * t.denominator))
+        vectors.add(((alpha - beta) % grid, (alpha + beta) % grid))
+    return grid, vectors
 
 
 def _orbit_invariant(group, base, orbit, location):
     kind, *where = orbit.position
     if kind == "axis":
-        return _invariant_from_vectors(_axis_stab_vectors(group, *where),
-                                       location)
+        grid, vectors = _axis_stab_vectors(group, *where)
+        return _invariant_from_int_vectors(vectors, grid, location)
     if kind == "pole":
         vectors = _pole_stab_vectors(base.rows, base.grid, where[0])
     else:

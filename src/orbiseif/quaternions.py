@@ -9,8 +9,9 @@ directly off the factors.
 Two exact element representations are used:
 
 * CircleJElement: e^(2*pi*i*t) or e^(2*pi*i*t)*j with t an exact
-  rational.  This covers every cyclic and binary dihedral group of any
-  order without leaving the rationals.
+  rational, stored as the reduced integer pair (numerator, denominator).
+  This covers every cyclic and binary dihedral group of any order; a
+  product, inverse or negation is integer arithmetic with one gcd.
 * AlgebraicQuaternion: coordinates in Q(sqrt2, sqrt5), enough for the
   binary tetrahedral, octahedral and icosahedral groups.
 
@@ -20,6 +21,7 @@ factors of a pair live in separate groups), so mixing is an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -35,9 +37,6 @@ class NotHopfPreservingError(ValueError):
     """Pair whose left factor is not circle-type; it moves the fibration."""
 
 
-HALF = Fraction(1, 2)
-
-
 # ---------------------------------------------------------------------------
 # circle-with-j representation
 # ---------------------------------------------------------------------------
@@ -46,21 +45,25 @@ class CircleJElement:
     """e^(2*pi*i*angle), times j when jflag is set; angle kept in [0, 1).
 
     Immutable and hashable on the reduced (numerator, denominator, jflag)
-    triple; these elements are dictionary keys throughout the group
-    machinery, so the hash is cached.
+    triple `_key`; these elements are dictionary keys throughout the group
+    machinery.  Arithmetic stays on that integer triple: `angle` builds a
+    Fraction on each access and is meant for display and tests.
     """
 
-    __slots__ = ("angle", "jflag", "_key")
+    __slots__ = ("jflag", "_key")
 
     def __init__(self, angle, jflag: bool = False):
         a = (angle if isinstance(angle, Fraction) else Fraction(angle)) % 1
-        object.__setattr__(self, "angle", a)
-        object.__setattr__(self, "jflag", bool(jflag))
-        object.__setattr__(self, "_key",
-                           (a.numerator, a.denominator, bool(jflag)))
+        _set_jflag(self, bool(jflag))
+        _set_key(self, (a.numerator, a.denominator, bool(jflag)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CircleJElement is immutable")
+
+    @property
+    def angle(self) -> Fraction:
+        num, den, _ = self._key
+        return Fraction(num, den)
 
     def __eq__(self, other):
         if not isinstance(other, CircleJElement):
@@ -75,31 +78,50 @@ class CircleJElement:
 
     def multiply(self, other: "CircleJElement") -> "CircleJElement":
         # j * e^(i t) = e^(-i t) * j  and  j^2 = -1 = e^(2 pi i / 2).
-        if not self.jflag:
-            return CircleJElement(self.angle + other.angle, other.jflag)
-        if not other.jflag:
-            return CircleJElement(self.angle - other.angle, True)
-        return CircleJElement(self.angle - other.angle + HALF, False)
+        an, ad, aj = self._key
+        bn, bd, bj = other._key
+        if not aj:
+            return _circle(an * bd + bn * ad, ad * bd, bj)
+        if not bj:
+            return _circle(an * bd - bn * ad, ad * bd, True)
+        return _circle(2 * (an * bd - bn * ad) + ad * bd, 2 * ad * bd, False)
 
     def inverse(self) -> "CircleJElement":
-        if not self.jflag:
-            return CircleJElement(-self.angle, False)
+        num, den, jflag = self._key
+        if not jflag:
+            return _circle(-num, den, False)
         # (t, j)^-1 = (t + 1/2, j): solve (t,j)*(u,j) = (t - u + 1/2, 1) = identity.
-        return CircleJElement(self.angle + HALF, True)
+        return _circle(2 * num + den, 2 * den, True)
 
     def is_identity(self) -> bool:
-        return not self.jflag and self.angle == 0
+        return self._key[0] == 0 and not self.jflag
 
 
-CIRCLE_ONE = CircleJElement(Fraction(0), False)
+_new = object.__new__
+_set_jflag = CircleJElement.jflag.__set__
+_set_key = CircleJElement._key.__set__
+
+
+def _circle(num: int, den: int, jflag: bool) -> CircleJElement:
+    """e^(2*pi*i*num/den), times j when jflag is set: the integer
+    constructor, reducing with one gcd and building no Fraction."""
+    num %= den
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    el = _new(CircleJElement)
+    _set_jflag(el, jflag)
+    _set_key(el, (num, den, jflag))
+    return el
 
 
 def circle_root(k: int, power: int = 1) -> CircleJElement:
     """e^(2*pi*i*power/k)."""
-    return CircleJElement(Fraction(power, k), False)
+    return _circle(power, k, False)
 
 
-CIRCLE_J = CircleJElement(Fraction(0), True)
+CIRCLE_J = _circle(0, 1, True)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +187,6 @@ def quat_rational(w, x, y, z) -> AlgebraicQuaternion:
                                QuadFieldElement(y), QuadFieldElement(z))
 
 
-QUAT_I = quat_rational(0, 1, 0, 0)
-QUAT_J = quat_rational(0, 0, 1, 0)
-QUAT_K = quat_rational(0, 0, 0, 1)
-
-
 GroupElement = Union[CircleJElement, AlgebraicQuaternion]
 
 
@@ -183,13 +200,10 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
         f"cannot multiply {type(a).__name__} by {type(b).__name__}")
 
 
-def inverse(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
 def element_negate(a: GroupElement) -> GroupElement:
     if isinstance(a, CircleJElement):
-        return CircleJElement(a.angle + HALF, a.jflag)
+        num, den, jflag = a._key
+        return _circle(2 * num + den, 2 * den, jflag)
     return AlgebraicQuaternion(-a.w, -a.x, -a.y, -a.z)
 
 

@@ -35,7 +35,7 @@ from orbiseif.groups import (
     standard_group,
 )
 from orbiseif.oracle import lens_oracle
-from orbiseif.quaternions import QUAT_I, multiply
+from orbiseif.quaternions import multiply
 from orbiseif.verify import run_sweep, sweep_specs
 from test_properties import (
     coprimality_suite,
@@ -44,6 +44,7 @@ from test_properties import (
     representative_independence_suite,
     s_reflection_suite,
 )
+from test_quaternions import QUAT_I
 
 F = Fraction
 

@@ -1,7 +1,9 @@
 """Command-line interface: output formats, round trips, exit codes."""
 
 import json
+import os
 
+from orbiseif import verify
 from orbiseif.cli import main, report_from_dict, report_json
 from orbiseif.engine import evaluate
 from orbiseif.groups import FamilySpec
@@ -136,3 +138,26 @@ def test_verify_json_shape(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["compute"]) == 1
     assert main(["bogus-command"]) == 1
+
+
+def test_verify_rejects_more_workers_than_cpus(monkeypatch, capsys):
+    """A worker count above the CPU count, from --workers or from
+    ORBISEIF_WORKERS, exits with code 1 before any pool is created."""
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("ORBISEIF_WORKERS", raising=False)
+    code, _, err = run_cli(capsys, "verify", "--max-order", "8",
+                           "--workers", "3")
+    assert code == 1 and "3 workers requested" in err
+    monkeypatch.setenv("ORBISEIF_WORKERS", "3")
+    code, _, err = run_cli(capsys, "verify", "--max-order", "8")
+    assert code == 1 and "3 workers requested" in err
+    # at the cap the sweep runs; one worker needs no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setenv("ORBISEIF_WORKERS", "1")
+    code, out, _ = run_cli(capsys, "verify", "--max-order", "8")
+    assert code == 0 and "all agree" in out

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from orbiseif import groups
 from orbiseif.groups import (
     BINARY_ICOSAHEDRAL,
     BINARY_OCTAHEDRAL,
     BINARY_TETRAHEDRAL,
+    TABLE4_FAMILIES,
     FamilySpec,
     UnsupportedFamilyError,
     _goursat_generic,
+    algebraic_group,
     binary_dihedral,
     cyclic,
     enumerate_specs,
@@ -22,7 +25,9 @@ from orbiseif.groups import (
     standard_group,
     validate,
 )
-from orbiseif.quaternions import CircleJElement, multiply
+from orbiseif.quaternions import CircleJElement, PairElement, multiply
+from orbiseif.verify import run_sweep, sweep_specs
+from test_oracle import _run_optimized
 
 F = Fraction
 
@@ -50,6 +55,15 @@ def test_binary_dihedral_structure():
 ])
 def test_polyhedral_orders(gid, order):
     assert len(set(standard_group(gid))) == order
+
+
+def test_standard_group_returns_a_fresh_list():
+    for gid in (cyclic(6), binary_dihedral(8), BINARY_TETRAHEDRAL,
+                BINARY_OCTAHEDRAL, BINARY_ICOSAHEDRAL):
+        first = standard_group(gid)
+        want = list(first)
+        first.clear()
+        assert standard_group(gid) == want
 
 
 def test_tetrahedral_and_octahedral_closure_exhaustive():
@@ -136,7 +150,7 @@ def test_goursat_closure_exhaustive_small():
     for spec in (FamilySpec("34", m=1, n=3), FamilySpec("1", m=1, n=1, r=4, s=1),
                  FamilySpec("10", m=1, n=1)):
         group = goursat_group(spec)
-        members = group.element_set
+        members = set(group.elements)
         for a in group.elements:
             assert a.inverse() in members
             for b in group.elements:
@@ -148,7 +162,7 @@ def test_goursat_closure_sampled_large():
     for spec in (FamilySpec("9", m=1), FamilySpec("19", m=1),
                  FamilySpec("11", m=2, n=1, r=3, s=1)):
         group = goursat_group(spec)
-        members = group.element_set
+        members = set(group.elements)
         for _ in range(500):
             a, b = rng.choice(group.elements), rng.choice(group.elements)
             assert a.multiply(b) in members
@@ -184,6 +198,88 @@ def test_grid_construction_matches_generic_cosets():
         grid = goursat_group(spec)
         generic = _goursat_generic(spec, get_family(fam).goursat(spec))
         assert set(grid.elements) == set(generic.elements)
+
+
+def _reference_goursat(data):
+    """{(l, r) : phi(l L_K) = r R_K} with the cosets kept as frozensets:
+    phi spreads from the seed by multiplying coset representatives and
+    finding the product's coset by membership."""
+    build = algebraic_group if data.algebraic_right else standard_group
+
+    def cosets(group, kernel):
+        out = []
+        for g in group:
+            if not any(g in c for c in out):
+                out.append(frozenset(multiply(g, k) for k in kernel))
+        return out
+
+    def identity(group):
+        return next(x for x in group if x.is_identity())
+
+    left, right = standard_group(data.left), build(data.right)
+    cl = cosets(left, standard_group(data.left_kernel))
+    cr = cosets(right, build(data.right_kernel))
+
+    def find(cs, x):
+        return next(c for c in cs if x in c)
+
+    def times(cs, a, b):
+        return find(cs, multiply(next(iter(a)), next(iter(b))))
+
+    phi = {find(cl, identity(left)): find(cr, identity(right))}
+    phi.update((find(cl, gl), find(cr, gr)) for gl, gr in data.phi_generators)
+    gens = list(phi.items())
+    frontier = list(gens)
+    while frontier:
+        a, fa = frontier.pop()
+        for g, fg in gens:
+            ga, image = times(cl, g, a), times(cr, fg, fa)
+            if ga not in phi:
+                phi[ga] = image
+                frontier.append((ga, image))
+            assert phi[ga] == image
+    assert len(phi) == len(cl) == len(cr)
+    return {PairElement(l, r) for c, fc in phi.items() for l in c for r in fc}
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(fam, m=m)
+    for fam in ("5", "6", "7", "8", "9", "14", "15", "16", "17", "18")
+    for m in (1, 2)] + [FamilySpec("19", m=1)], ids=str)
+def test_polyhedral_goursat_matches_brute_force_cosets(spec):
+    group = goursat_group(spec)
+    reference = _reference_goursat(get_family(spec.family).goursat(spec))
+    assert len(group.elements) == len(reference)
+    assert set(group.elements) == reference
+
+
+def test_fixed_factor_cache_stays_bounded():
+    """Only the binary polyhedral right factors are kept, one entry per
+    (right, right kernel, representation), however many specs ran."""
+    results = run_sweep(sweep_specs(60, TABLE4_FAMILIES))
+    assert all(res.ok for res in results)
+    assert 0 < len(groups._FIXED_FACTORS) <= 6
+    assert all(right.kind in "TOI" for right, _, _ in groups._FIXED_FACTORS)
+
+
+def test_goursat_checks_survive_python_optimize():
+    script = (
+        "import sys\n"
+        "from orbiseif import engine, groups\n"
+        "from orbiseif.groups import FamilySpec, GoursatData, cyclic\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "if engine.InternalInconsistencyError is not "
+        "groups.InternalInconsistencyError:\n"
+        "    sys.exit('engine and groups raise different errors')\n"
+        "data = GoursatData(cyclic(4), cyclic(3), cyclic(4), cyclic(4))\n"
+        "try:\n"
+        "    groups._goursat_generic(FamilySpec('2', m=1, n=1), data)\n"
+        "except engine.InternalInconsistencyError as exc:\n"
+        "    sys.exit(0 if 'C3 is not contained in C4' in str(exc) else str(exc))\n"
+        "sys.exit('a kernel outside the group passed')\n")
+    proc = _run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_contains_minus_one_pair():

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orbiseif.exactfield import QF_HALF_SQRT2, QuadFieldElement
 from orbiseif.groups import IOTA, SIGMA, FamilySpec, goursat_group, standard_group
@@ -19,17 +21,23 @@ from orbiseif.quaternions import (
     AlgebraicQuaternion,
     CircleJElement,
     PairElement,
-    QUAT_I,
-    QUAT_J,
-    QUAT_K,
     RepresentationMismatchError,
+    _circle,
     circle_root,
-    inverse,
+    element_negate,
     multiply,
     quat_rational,
 )
 
 F = Fraction
+
+QUAT_I = quat_rational(0, 1, 0, 0)
+QUAT_J = quat_rational(0, 0, 1, 0)
+QUAT_K = quat_rational(0, 0, 0, 1)
+
+
+def inverse(a):
+    return a.inverse()
 
 
 # -- products and inverses ---------------------------------------------------
@@ -64,6 +72,40 @@ def test_circle_inverses():
     flipped = CircleJElement(t, True)
     assert inverse(flipped) == CircleJElement(t + F(1, 2), True)
     assert multiply(flipped, inverse(flipped)).is_identity()
+
+
+def _fraction_key(angle, jflag):
+    angle %= 1
+    return (angle.numerator, angle.denominator, jflag)
+
+
+def _fraction_product(a, b):
+    """Product of (angle, jflag) pairs with Fraction angles, from
+    j e^(i t) = e^(-i t) j and j^2 = -1."""
+    (s, sj), (t, tj) = a, b
+    if not sj:
+        return s + t, tj
+    if not tj:
+        return s - t, True
+    return s - t + F(1, 2), False
+
+
+_circle_args = st.tuples(st.integers(-120, 120), st.integers(1, 120),
+                         st.booleans())
+
+
+@given(_circle_args, _circle_args)
+def test_integer_circle_arithmetic_matches_fractions(a, b):
+    x, y = _circle(*a), _circle(*b)
+    fx, fy = (F(a[0], a[1]), a[2]), (F(b[0], b[1]), b[2])
+    public = CircleJElement(*fx)
+    assert public == x and hash(public) == hash(x)
+    assert x._key == _fraction_key(*fx) and x.angle == fx[0] % 1
+    assert x.multiply(y)._key == _fraction_key(*_fraction_product(fx, fy))
+    inverse_angle = fx[0] + F(1, 2) if fx[1] else -fx[0]
+    assert x.inverse()._key == _fraction_key(inverse_angle, fx[1])
+    assert element_negate(x)._key == _fraction_key(fx[0] + F(1, 2), fx[1])
+    assert x.is_identity() == (_fraction_key(*fx) == (0, 1, False))
 
 
 def test_unit_norm_exact_for_polyhedral_groups():
