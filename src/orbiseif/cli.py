@@ -160,7 +160,6 @@ def _build_parser():
     comp.add_argument("-r", type=int)
     comp.add_argument("-s", type=int)
     comp.add_argument("--json", action="store_true")
-    comp.add_argument("--text", action="store_true")
     comp.add_argument("--normalized", action="store_true",
                       help="normalize the local invariants into [0, den)")
     comp.add_argument("--mirror", action="store_true",

@@ -67,9 +67,10 @@ class BaseSignature:
     corners: tuple = ()
 
     def __post_init__(self):
-        assert self.kind in (SPHERE, DISC, PROJECTIVE)
-        if self.kind != DISC:
-            assert not self.corners
+        if self.kind not in (SPHERE, DISC, PROJECTIVE):
+            raise ValueError("base kind must be sphere, disc or projective")
+        if self.corners and self.kind != DISC:
+            raise ValueError("only a disc base has corner reflectors")
 
     def normalized(self) -> "BaseSignature":
         """Indices sorted, index-1 cone points and corner reflectors dropped."""
@@ -102,8 +103,10 @@ class LocalInvariant:
     location: str = CONE
 
     def __post_init__(self):
-        assert self.den >= 1
-        assert self.location in (CONE, CORNER)
+        if self.den < 1:
+            raise ValueError("invariant denominator must be at least 1")
+        if self.location not in (CONE, CORNER):
+            raise ValueError("invariant location must be cone or corner")
 
     @property
     def normalized_num(self) -> int:
@@ -132,15 +135,10 @@ class SeifertData:
     xi: Optional[int] = None
 
     def __post_init__(self):
-        assert (self.xi is not None) == (self.base.kind == DISC)
-        if self.xi is not None:
-            assert self.xi in (0, 1)
-
-    def cone_invariants(self):
-        return tuple(v for v in self.invariants if v.location == CONE)
-
-    def corner_invariants(self):
-        return tuple(v for v in self.invariants if v.location == CORNER)
+        if (self.xi is not None) != (self.base.kind == DISC):
+            raise ValueError("xi is given exactly for a disc base")
+        if self.xi is not None and self.xi not in (0, 1):
+            raise ValueError("xi must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -450,14 +448,20 @@ def seifert_polyhedral(spec: FamilySpec) -> SeifertData:
 # generic operations on SeifertData
 # ---------------------------------------------------------------------------
 
-def derive_xi(base, invariants, euler) -> int:
-    """The boundary invariant forced by integrality of the invariant sum."""
-    partial = euler
+def _fiber_sum(euler, invariants) -> Fraction:
+    """Euler number + cone invariants + half the normalized corner ones."""
+    total = euler
     for v in invariants:
         if v.location == CONE:
-            partial += v.value
+            total += v.value
         else:
-            partial += Fraction(v.normalized_num, v.den) / 2
+            total += Fraction(v.normalized_num, v.den) / 2
+    return total
+
+
+def derive_xi(base, invariants, euler) -> int:
+    """The boundary invariant forced by integrality of the invariant sum."""
+    partial = _fiber_sum(euler, invariants)
     for xi in (0, 1):
         if (partial + Fraction(xi, 2)) % 1 == 0:
             return xi
@@ -473,12 +477,7 @@ def somma_residue(d: SeifertData) -> Fraction:
     only the normalized form gives a residue that is well defined mod 1.
     The result must be an integer for every valid family.
     """
-    total = d.euler
-    for v in d.invariants:
-        if v.location == CONE:
-            total += v.value
-        else:
-            total += Fraction(v.normalized_num, v.den) / 2
+    total = _fiber_sum(d.euler, d.invariants)
     if d.xi is not None:
         total += Fraction(d.xi, 2)
     return total

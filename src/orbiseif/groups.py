@@ -1,4 +1,4 @@
-"""Finite subgroups of S^3 x S^3 presented as explicit element lists.
+"""Finite subgroups of S^3 x S^3, built as integer rows.
 
 A subgroup G of S^3 x S^3 containing (-1, -1) is determined by the
 5-tuple (L, L_K, R, R_K, phi): the two projections L, R, the two kernels
@@ -12,15 +12,15 @@ gluing isomorphism is pinned by explicit generator images; whenever
 several choices of phi give conjugate groups, one fixed choice is made
 here and all downstream invariants are insensitive to it.
 
-The construction works on coset data.  Each factor with its kernel
+The construction works on coset data: each factor with its kernel
 becomes the coset index of every element, the elements of every coset
 and the product table of the quotient (at most six cosets in the
-catalog), so the gluing is index arithmetic and the pairs are read off
-the coset tuples.  The binary polyhedral right
-factors do not depend on the family parameters; their coset data are
-built once per process, on first use, keyed by (right, right kernel,
-representation).  Nothing is kept per spec.  The cyclic and dihedral
-parameter families skip the cosets and write the element grid directly.
+catalog), so the gluing is index arithmetic.  The binary polyhedral
+right factors do not depend on the family parameters; their coset data
+are built once per process, keyed by (right, right kernel).  The cyclic
+and dihedral parameter families skip the cosets.  Either path writes
+one list of integer rows, circle angles as numerators over a common
+grid (see PairGroup); the explicit pairs are a view built on demand.
 Self-checks raise InternalInconsistencyError, so python -O keeps them.
 """
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
@@ -192,7 +193,6 @@ class GoursatData:
     # generator coset images pinning phi; the identity coset maps to the
     # identity coset and the rest follows by multiplicativity
     phi_generators: tuple = ()
-    algebraic_right: bool = False
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,8 @@ def _coprime(s: int, r: int) -> list[str]:
     return [] if math.gcd(s, r) == 1 else ["gcd(s,r)=1 fails"]
 
 
-def _g(left, lk, right, rk, gens=(), algebraic_right=False):
-    return GoursatData(left, lk, right, rk, tuple(gens), algebraic_right)
+def _g(left, lk, right, rk, gens=()):
+    return GoursatData(left, lk, right, rk, tuple(gens))
 
 
 def _z(k, power=1):
@@ -284,7 +284,7 @@ _register(Family(
     lambda sp: 24 * sp.m,
     goursat=lambda sp: _g(cyclic(6 * sp.m), cyclic(2 * sp.m),
                           BINARY_TETRAHEDRAL, binary_dihedral(8),
-                          [(_z(6 * sp.m), OMEGA)], algebraic_right=True),
+                          [(_z(6 * sp.m), OMEGA)]),
     label="(C6m/C2m, T*/D*8)"))
 
 _register(Family(
@@ -299,7 +299,7 @@ _register(Family(
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
-                          [(_z(4 * sp.m), SIGMA)], algebraic_right=True),
+                          [(_z(4 * sp.m), SIGMA)]),
     label="(C4m/C2m, O*/T*)"))
 
 _register(Family(
@@ -381,7 +381,7 @@ _register(Family(
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
-                          [(CIRCLE_J, SIGMA)], algebraic_right=True),
+                          [(CIRCLE_J, SIGMA)]),
     label="(D*4m/C2m, O*/T*)"))
 
 _register(Family(
@@ -389,7 +389,7 @@ _register(Family(
     lambda sp: 96 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
-                          [(_z(4 * sp.m), SIGMA)], algebraic_right=True),
+                          [(_z(4 * sp.m), SIGMA)]),
     label="(D*8m/D*4m, O*/T*)"))
 
 _register(Family(
@@ -397,8 +397,7 @@ _register(Family(
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(12 * sp.m), cyclic(2 * sp.m),
                           BINARY_OCTAHEDRAL, binary_dihedral(8),
-                          [(_z(6 * sp.m), OMEGA), (CIRCLE_J, SIGMA)],
-                          algebraic_right=True),
+                          [(_z(6 * sp.m), OMEGA), (CIRCLE_J, SIGMA)]),
     label="(D*12m/C2m, O*/D*8)"))
 
 _register(Family(
@@ -551,8 +550,16 @@ def normalized_s(spec: FamilySpec) -> int:
 
 @dataclass
 class PairGroup:
+    """A built group as integer rows, one per pair (l, r).
+
+    Circle angles are numerators over `grid`.  With a circle-type right
+    factor a row is (left jflag, right jflag, left angle, right angle);
+    with a T*, O* or I* right factor it is (left jflag, left angle, r).
+    """
+
     spec: FamilySpec
-    elements: list[PairElement]
+    grid: int
+    rows: list
     left: StandardGroupId
     left_kernel: StandardGroupId
     right: StandardGroupId
@@ -560,7 +567,17 @@ class PairGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
+
+    @cached_property
+    def elements(self) -> list[PairElement]:
+        """The rows as explicit pairs, built on first access."""
+        grid = self.grid
+        if len(self.rows[0]) == 3:
+            return [PairElement(_circle(a, grid, jl), r)
+                    for jl, a, r in self.rows]
+        return [PairElement(_circle(a, grid, jl), _circle(b, grid, jr))
+                for jl, jr, a, b in self.rows]
 
 
 def phi_order(group: PairGroup) -> int:
@@ -595,9 +612,10 @@ def _coset_partition(elements, kernel):
     return tuple(cosets), index
 
 
-def _quotient(group_id: StandardGroupId, kernel_id: StandardGroupId,
-              algebraic: bool) -> _Quotient:
-    build = algebraic_group if algebraic else standard_group
+def _quotient(group_id: StandardGroupId, kernel_id: StandardGroupId) -> _Quotient:
+    """Coset data of a factor; T*, O* and I* with their kernels are built
+    in quaternion coordinates, circle-type factors as circle elements."""
+    build = algebraic_group if group_id.kind in "TOI" else standard_group
     elements = build(group_id)
     kernel = elements if kernel_id == group_id else build(kernel_id)
     members = set(elements)
@@ -610,16 +628,16 @@ def _quotient(group_id: StandardGroupId, kernel_id: StandardGroupId,
                      elements[_identity_position(elements)], table)
 
 
-# (right, right_kernel, algebraic_right) -> _Quotient for the binary
-# polyhedral right factors, filled on first use.  They do not depend on
-# the family parameters, and a Q(sqrt2, sqrt5) product costs about a
-# millisecond, so each is built once per process: the catalog has six
-# keys.  Circle-type factors change with the parameters and are rebuilt.
+# (right, right_kernel) -> _Quotient for the binary polyhedral right
+# factors, filled on first use.  They do not depend on the family
+# parameters, and a Q(sqrt2, sqrt5) product costs about a millisecond, so
+# each is built once per process: the catalog has six keys.  Circle-type
+# factors change with the parameters and are rebuilt.
 _FIXED_FACTORS: dict = {}
 
 
 def _right_quotient(data: GoursatData) -> _Quotient:
-    key = (data.right, data.right_kernel, data.algebraic_right)
+    key = (data.right, data.right_kernel)
     if data.right.kind not in "TOI":
         return _quotient(*key)
     quotient = _FIXED_FACTORS.get(key)
@@ -665,40 +683,32 @@ def _close_isomorphism(table_l, table_r, seed):
     return phi
 
 
-def _goursat_grid(spec: FamilySpec) -> list:
-    """Direct element grid for the cyclic and dihedral parameter families.
+def _goursat_grid(spec: FamilySpec):
+    """(grid, rows) written directly for the cyclic and dihedral
+    parameter families.
 
     The quotients are generated by the rotation coset (and j for the
     dihedral rows, glued by j -> j), so the c-th rotation coset of the
     left kernel pairs with the (c*s)-th on the right, and the j cosets
-    pair likewise.  This produces exactly the same element set as the
-    generic coset construction, just without computing any products.
+    pair likewise.  This gives exactly the rows of the generic coset
+    construction, without computing any products.
     """
     m, n, r, s = spec.m, spec.n, spec.r, spec.s
     half = 1 if spec.family in ("1p", "11p") else 2
-    dihedral = spec.family in ("11", "11p")
+    flags = (False, True) if spec.family in ("11", "11p") else (False,)
     left_den = half * m * r
     right_den = half * n * r
-    pairs = []
-    flags = (False, True) if dihedral else (False,)
-    for flag in flags:
-        for c in range(r):
-            rights = [_circle(c * s + r * u, right_den, flag)
-                      for u in range(half * n)]
-            for t in range(half * m):
-                left = _circle(c + r * t, left_den, flag)
-                for right in rights:
-                    pairs.append(PairElement(left, right))
-    return pairs
-
-
-def _check_order(group: PairGroup, data: GoursatData) -> None:
-    _require(group.order == data.left.order * data.right_kernel.order,
-             f"{group.spec} has {group.order} elements, not |L| * |R_K|")
+    grid = math.lcm(4, left_den, right_den)
+    lstep, rstep = grid // left_den, grid // right_den
+    cosets = [([(c + r * t) * lstep for t in range(half * m)],
+               [(c * s + r * u) % right_den * rstep for u in range(half * n)])
+              for c in range(r)]
+    return grid, [(flag, flag, a, b) for flag in flags
+                  for lefts, rights in cosets for a in lefts for b in rights]
 
 
 def goursat_group(spec: FamilySpec) -> PairGroup:
-    """Element list of the group {(l, r) : phi(l L_K) = r R_K}."""
+    """The group {(l, r) : phi(l L_K) = r R_K} as integer rows."""
     fam = get_family(spec.family)
     if not fam.fibered or fam.goursat is None:
         raise UnsupportedFamilyError(
@@ -709,17 +719,23 @@ def goursat_group(spec: FamilySpec) -> PairGroup:
 
     data = fam.goursat(spec)
     if spec.family in ("1", "1p", "11", "11p"):
-        pairs = _goursat_grid(spec)
-        group = PairGroup(spec, pairs, data.left, data.left_kernel,
-                          data.right, data.right_kernel)
-        _check_order(group, data)
-        return group
-    return _goursat_generic(spec, data)
+        grid, rows = _goursat_grid(spec)
+    else:
+        grid, rows = _goursat_generic(spec, data)
+    _require(len(rows) == data.left.order * data.right_kernel.order,
+             f"{spec} has {len(rows)} elements, not |L| * |R_K|")
+    return PairGroup(spec, grid, rows, data.left, data.left_kernel,
+                     data.right, data.right_kernel)
 
 
-def _goursat_generic(spec: FamilySpec, data: GoursatData) -> PairGroup:
-    """Coset-by-coset construction from the 5-tuple and the gluing seed."""
-    left = _quotient(data.left, data.left_kernel, False)
+def _circle_period(group_id: StandardGroupId) -> int:
+    """Least common denominator of the angles of a C or D* group."""
+    return group_id.order if group_id.kind == "C" else group_id.order // 2
+
+
+def _goursat_generic(spec: FamilySpec, data: GoursatData):
+    """(grid, rows) coset by coset from the 5-tuple and the gluing seed."""
+    left = _quotient(data.left, data.left_kernel)
     right = _right_quotient(data)
     _require(len(left.cosets) == len(right.cosets),
              "quotients have different orders")
@@ -728,20 +744,28 @@ def _goursat_generic(spec: FamilySpec, data: GoursatData) -> PairGroup:
     for gen_l, gen_r in data.phi_generators:
         seed[left.coset_of[gen_l]] = right.coset_of[gen_r]
     phi = _close_isomorphism(left.table, right.table, seed)
-
-    pairs = [PairElement(l, r)
-             for coset, lefts in enumerate(left.cosets) for l in lefts
-             for r in right.cosets[phi[coset]]]
-    group = PairGroup(spec, pairs, data.left, data.left_kernel,
-                      data.right, data.right_kernel)
-    _check_order(group, data)
     # (l, r) lies in G exactly when phi maps the coset of l to that of r
     for l, r, what in ((left.identity, right.identity, "(1, 1)"),
                        (element_negate(left.identity),
                         element_negate(right.identity), "(-1, -1)")):
         _require(phi[left.coset_of[l]] == right.coset_of[r],
                  f"{what} must belong to every catalog group")
-    return group
+
+    polyhedral = data.right.kind in "TOI"
+    grid = math.lcm(4, _circle_period(data.left),
+                    1 if polyhedral else _circle_period(data.right))
+
+    def on_grid(coset):
+        return [(jflag, num * (grid // den)) for num, den, jflag in
+                (el._key for el in coset)]
+
+    lefts = [on_grid(coset) for coset in left.cosets]
+    if polyhedral:
+        return grid, [(jl, a, r) for coset, pairs in enumerate(lefts)
+                      for jl, a in pairs for r in right.cosets[phi[coset]]]
+    rights = [on_grid(coset) for coset in right.cosets]
+    return grid, [(jl, jr, a, b) for coset, pairs in enumerate(lefts)
+                  for jl, a in pairs for jr, b in rights[phi[coset]]]
 
 
 def _identity_position(elements) -> int:

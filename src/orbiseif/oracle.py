@@ -1,32 +1,30 @@
-"""Brute-force recomputation of the quotient invariants from group elements.
+"""Brute-force recomputation of the quotient invariants from group data.
 
-Nothing in this module reads the closed-form tables.  Starting from an
-explicit pair group it
+Nothing in this module reads the closed-form tables.  It reads only the
+integer rows of a built group (`PairGroup.grid` and `PairGroup.rows`) and
 
 * classifies the induced isometry group of the base 2-sphere and reads
   the quotient 2-orbifold off the fixed-point geometry,
 * gets the Euler number from the covering degrees (the Hopf fibration
   itself has Euler number -1),
 * recomputes every local invariant from the solid-torus quotient
-  homology: conjugate the fiber to the core at infinity by an explicit
-  fibration-preserving isometry, reduce the now-diagonal stabilizer to
-  exact rational rotation pairs, and push the fiber class through the
-  quotient matrices,
+  homology: conjugate the fiber to the core at infinity, reduce the
+  now-diagonal stabilizer to integer torus translations, and push the
+  fiber class through the quotient matrices,
 * for the abelian families, assembles the underlying lens space from
   the boundary matrices of the two solid tori and the meridian exchange.
 
-When every factor is circle-type (cyclic and binary dihedral groups,
-which covers all the large parameter sweeps) the whole computation is
-exact rational arithmetic: the induced isometries fall into four
-explicit shapes (rotation about the poles, half turn about an
-equatorial axis, the antipode composed with a polar rotation, and
-reflection in a meridian) and the conjugations to the core can be done
-symbolically.  Binary polyhedral right factors take the axis path,
-exact in Q(sqrt2, sqrt5): a base point is a unit vector of Im H, kept
-as an oriented line; a right factor r = cos(pi t) + sin(pi t) u rotates
-the base by 2 pi t about the line of u, with t looked up from the exact
-value of Re r, and orbits and stabilizers follow from incidences of
-those lines.  No float and no numeric tolerance is used anywhere.
+The row shape picks the path once per group.  Rows of two circle-type
+factors, (left jflag, right jflag, left angle, right angle), give
+integer angle arithmetic: the induced isometries fall into four shapes
+(rotation about the poles, half turn about an equatorial axis, the
+antipode composed with a polar rotation, and reflection in a meridian).
+Rows (left jflag, left angle, r) with r in T*, O* or I* take the axis
+path, exact in Q(sqrt2, sqrt5): a base point is a unit vector of Im H,
+kept as an oriented line; r = cos(pi t) + sin(pi t) u rotates the base
+by 2 pi t about the line of u, with t looked up from the exact value of
+Re r, and orbits and stabilizers follow from incidences of those lines.
+No float and no numeric tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .engine import (
 )
 from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
 from .groups import PairGroup, _require, phi_order
-from .quaternions import CircleJElement, NotHopfPreservingError
+from .quaternions import NotHopfPreservingError
 
 HOPF_FIBER = (1, 1)
 HALF = Fraction(1, 2)
@@ -199,10 +197,6 @@ class BaseActionGroup:
     signature: BaseSignature
     orbits: list                   # SingularOrbit entries, deterministic order
     mode: str                      # "circle" or "axis"
-    # circle-mode payload: common angle denominator and per-element
-    # integer rows (left jflag, right jflag, left angle, right angle)
-    grid: Optional[int] = None
-    rows: Optional[list] = None
 
 
 def _check_chi(kind, cones, corners, order, signature):
@@ -242,11 +236,10 @@ def base_group(group: PairGroup) -> BaseActionGroup:
     quotient, and incidence of reflection circles with rotation axes
     decides corner against interior cone.
     """
-    for pair in group.elements:
-        if not isinstance(pair.left, CircleJElement):
-            raise NotHopfPreservingError(
-                "left factor is not circle-type; the group moves the fibration")
-    if all(isinstance(p.right, CircleJElement) for p in group.elements):
+    if group.left.kind not in "CD":
+        raise NotHopfPreservingError(
+            "left factor is not circle-type; the group moves the fibration")
+    if len(group.rows[0]) == 4:
         return _base_group_circle(group)
     return _base_group_axis(group)
 
@@ -256,20 +249,6 @@ def base_group(group: PairGroup) -> BaseActionGroup:
 # ---------------------------------------------------------------------------
 
 ROT, FLIP, AROT, REFL = 0, 1, 2, 3
-
-
-def _angle_grid(group: PairGroup):
-    """Common denominator (a multiple of 4) and per-element integer rows
-    (left jflag, right jflag, left angle, right angle) for a pair group
-    whose factors are all circle-type."""
-    grid = math.lcm(4, *{pair.left._key[1] for pair in group.elements},
-                    *{pair.right._key[1] for pair in group.elements})
-    rows = []
-    for pair in group.elements:
-        an, ad, jl = pair.left._key
-        bn, bd, jr = pair.right._key
-        rows.append((jl, jr, an * (grid // ad), bn * (grid // bd)))
-    return grid, rows
 
 
 def _pole_stab_vectors(rows, grid: int, swap: bool):
@@ -314,7 +293,7 @@ def _equator_stab_vectors(rows, grid: int, point: int):
 
 
 def _base_group_circle(group: PairGroup) -> BaseActionGroup:
-    grid, rows = _angle_grid(group)
+    grid, rows = group.grid, group.rows
     half = grid // 2
     shapes = {ROT: set(), FLIP: set(), AROT: set(), REFL: set()}
     for jl, jr, _, b in rows:
@@ -371,7 +350,7 @@ def _base_group_circle(group: PairGroup) -> BaseActionGroup:
     # exactly when its angle parameter is a half turn
     signature = _quotient_signature(bool(arots) or bool(refls),
                                     bool(refls) or half in arots, orbits, order)
-    return BaseActionGroup(order, signature, orbits, "circle", grid, rows)
+    return BaseActionGroup(order, signature, orbits, "circle")
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +433,10 @@ def _base_group_axis(group: PairGroup) -> BaseActionGroup:
     carry P to -P.  Any other count is not resolved and raises.
     """
     classes = {}
-    for pair in group.elements:
-        key = (pair.left.jflag, _rotation_key(pair.right))
+    for jl, _, r in group.rows:
+        key = (jl, _rotation_key(r))
         if key not in classes:
-            classes[key] = (pair.left.jflag,) + _axis(pair.right)
+            classes[key] = (jl,) + _axis(r)
     order = len(classes)
     _require(phi_order(group) % order == 0, "base order does not divide |G|/2")
 
@@ -529,39 +508,39 @@ def _axis_stab_vectors(group: PairGroup, line: int, sign: int):
     a right factor cos(pi t) + sin(pi t) v with v = +-P into
     cos(pi t) +- i sin(pi t), so beta = +-t/2 with the sign of v . P.
     The tabulated t have denominators 1-5, so t/2 lies on the grid of
-    120ths; the left angles add their own denominators.
+    120ths, and the left angles are lifted from the group's grid.
     Only orientation-preserving pairs enter: at a corner reflector the
     local invariant is by definition that of the index-two cyclic part.
     """
-    grid = math.lcm(120, *{pair.left._key[1] for pair in group.elements})
+    grid = math.lcm(120, group.grid)
+    lift = grid // group.grid
     vectors = set()
-    for pair in group.elements:
-        num, den, jflag = pair.left._key
-        if jflag:
+    for jl, a, r in group.rows:
+        if jl:
             continue
-        t, r_line, r_sign = _axis(pair.right)
+        t, r_line, r_sign = _axis(r)
         if r_line is None:
             direction = 1
         elif r_line == line:
             direction = r_sign * sign
         else:
             continue
-        alpha = num * (grid // den)
+        alpha = a * lift
         beta = direction * t.numerator * (grid // (2 * t.denominator))
         vectors.add(((alpha - beta) % grid, (alpha + beta) % grid))
     return grid, vectors
 
 
-def _orbit_invariant(group, base, orbit, location):
+def _orbit_invariant(group, orbit, location):
     kind, *where = orbit.position
     if kind == "axis":
         grid, vectors = _axis_stab_vectors(group, *where)
         return _invariant_from_int_vectors(vectors, grid, location)
     if kind == "pole":
-        vectors = _pole_stab_vectors(base.rows, base.grid, where[0])
+        vectors = _pole_stab_vectors(group.rows, group.grid, where[0])
     else:
-        vectors = _equator_stab_vectors(base.rows, base.grid, where[0])
-    return _invariant_from_int_vectors(vectors, base.grid, location)
+        vectors = _equator_stab_vectors(group.rows, group.grid, where[0])
+    return _invariant_from_int_vectors(vectors, group.grid, location)
 
 
 def exceptional_fibers_oracle(group: PairGroup,
@@ -573,7 +552,7 @@ def exceptional_fibers_oracle(group: PairGroup,
     invariants = []
     for orbit in base.orbits:
         location = CORNER if (disc and orbit.corner) else CONE
-        inv = _orbit_invariant(group, base, orbit, location)
+        inv = _orbit_invariant(group, orbit, location)
         _require(inv.den == orbit.rotation_order,
                  "invariant denominator must match the base cone index")
         invariants.append(inv)
@@ -587,14 +566,11 @@ def exceptional_fibers_oracle(group: PairGroup,
 def _torus_translation_vectors(group: PairGroup):
     """Exact (z1, z2) rotation angles of every rotation-group element, as
     integer numerators over a common denominator."""
-    for pair in group.elements:
-        if not isinstance(pair.left, CircleJElement) or pair.left.jflag \
-                or not isinstance(pair.right, CircleJElement) or pair.right.jflag:
-            raise ValueError("lens assembly needs a diagonal torus group")
-    grid, rows = _angle_grid(group)
-    vectors = {((a - b) % grid, (a + b) % grid) for _, _, a, b in rows}
+    if group.left.kind != "C" or group.right.kind != "C":
+        raise ValueError("lens assembly needs a diagonal torus group")
+    vectors = _pole_stab_vectors(group.rows, group.grid, False)
     _require(len(vectors) == phi_order(group), "torus translations repeat")
-    return grid, vectors
+    return group.grid, vectors
 
 
 def _core_fix_counts(vectors):

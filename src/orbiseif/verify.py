@@ -20,7 +20,10 @@ from typing import Optional
 from . import engine
 from .engine import EngineReport, evaluate, somma_residue
 from .groups import (
+    ABELIAN_FAMILIES,
+    DIHEDRAL_FAMILIES,
     FIBERED_FAMILIES,
+    TABLE4_FAMILIES,
     FamilySpec,
     enumerate_specs,
     get_family,
@@ -130,16 +133,15 @@ def _table_reading_diagnostic(spec: FamilySpec, orc: OracleReport) -> str:
 
 def resolve_families(tokens) -> list:
     """Family id list from command-line tokens, expanding the aliases."""
-    from .groups import TABLE4_FAMILIES
     names = []
     for token in tokens:
         token = token.strip()
         if token == "table4":
             names.extend(TABLE4_FAMILIES)
         elif token == "abelian":
-            names.extend(["1", "1p"])
+            names.extend(ABELIAN_FAMILIES)
         elif token == "dihedral":
-            names.extend(["11", "11p"])
+            names.extend(DIHEDRAL_FAMILIES)
         elif token == "all":
             names.extend(FIBERED_FAMILIES)
         else:

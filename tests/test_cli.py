@@ -7,6 +7,7 @@ from orbiseif import verify
 from orbiseif.cli import main, report_from_dict, report_json
 from orbiseif.engine import evaluate
 from orbiseif.groups import FamilySpec
+from test_oracle import _run_optimized
 
 
 def run_cli(capsys, *args):
@@ -65,6 +66,35 @@ def test_json_round_trip_and_determinism(capsys):
                              "-m", "3", "-n", "5", "--json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_malformed_report_rejected_under_python_optimize():
+    """The data-model checks on a JSON report are raised errors, not
+    asserts, so python -O still rejects an out-of-range xi or a zero
+    invariant denominator."""
+    script = (
+        "import sys\n"
+        "from orbiseif.cli import report_from_dict, report_to_dict\n"
+        "from orbiseif.engine import evaluate\n"
+        "from orbiseif.groups import FamilySpec\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "def disc_doc():\n"
+        "    doc = report_to_dict(evaluate(FamilySpec('10', m=1, n=3)))\n"
+        "    assert doc['base']['kind'] == 'Disc'\n"
+        "    return doc\n"
+        "bad_xi = disc_doc()\n"
+        "bad_xi['base']['xi'] = 2\n"
+        "zero_den = disc_doc()\n"
+        "zero_den['invariants'][0]['den'] = 0\n"
+        "for doc in (bad_xi, zero_den):\n"
+        "    try:\n"
+        "        report_from_dict(doc)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    sys.exit('a malformed report was accepted')\n")
+    proc = _run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_mirror_and_normalized_flags(capsys):

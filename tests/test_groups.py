@@ -14,6 +14,7 @@ from orbiseif.groups import (
     FamilySpec,
     UnsupportedFamilyError,
     _goursat_generic,
+    _goursat_grid,
     algebraic_group,
     binary_dihedral,
     cyclic,
@@ -178,33 +179,35 @@ def test_goursat_projection_and_kernel_consistency():
         group = goursat_group(spec)
         fam = get_family(spec.family)
         data = fam.goursat(spec)
-        from orbiseif.groups import algebraic_group
         lefts = {p.left for p in group.elements}
         assert lefts == set(standard_group(data.left))
         left_kernel = {p.left for p in group.elements if p.right.is_identity()}
         assert left_kernel == set(standard_group(data.left_kernel))
         right_kernel = {p.right for p in group.elements if p.left.is_identity()}
-        want = (algebraic_group(data.right_kernel) if data.algebraic_right
+        want = (algebraic_group(data.right_kernel) if data.right.kind in "TOI"
                 else standard_group(data.right_kernel))
         assert right_kernel == set(want)
 
 
 def test_grid_construction_matches_generic_cosets():
+    """The direct grid and the coset construction write the same rows
+    on the same grid."""
     for fam, kw in [("1", dict(m=2, n=3, r=4, s=3)),
                     ("1p", dict(m=3, n=3, r=2, s=1)),
                     ("11", dict(m=1, n=2, r=5, s=2)),
                     ("11p", dict(m=1, n=1, r=6, s=1))]:
         spec = FamilySpec(fam, **kw)
-        grid = goursat_group(spec)
-        generic = _goursat_generic(spec, get_family(fam).goursat(spec))
-        assert set(grid.elements) == set(generic.elements)
+        grid, rows = _goursat_grid(spec)
+        generic_grid, generic_rows = _goursat_generic(
+            spec, get_family(fam).goursat(spec))
+        assert (grid, sorted(rows)) == (generic_grid, sorted(generic_rows))
 
 
 def _reference_goursat(data):
     """{(l, r) : phi(l L_K) = r R_K} with the cosets kept as frozensets:
     phi spreads from the seed by multiplying coset representatives and
     finding the product's coset by membership."""
-    build = algebraic_group if data.algebraic_right else standard_group
+    build = algebraic_group if data.right.kind in "TOI" else standard_group
 
     def cosets(group, kernel):
         out = []
@@ -242,10 +245,21 @@ def _reference_goursat(data):
     return {PairElement(l, r) for c, fc in phi.items() for l in c for r in fc}
 
 
+# one small spec of every family whose factors are both circle-type: the
+# direct grid (1, 1p, 11, 11p) and the coset rows, read through the
+# `elements` view; 33 and 33p swap the rotation and j cosets
+CIRCLE_SPECS = [
+    FamilySpec("1", m=2, n=1, r=3, s=2), FamilySpec("1p", m=1, n=3, r=4, s=3),
+    FamilySpec("11", m=1, n=2, r=3, s=2), FamilySpec("11p", m=3, n=1, r=2, s=1),
+] + [FamilySpec(fam, m=2, n=3) for fam in (
+    "2", "3", "4", "10", "12", "13", "13bis", "33", "2bis", "3bis", "4bis")
+] + [FamilySpec(fam, m=3, n=5) for fam in ("33p", "34", "34bis")]
+
+
 @pytest.mark.parametrize("spec", [
     FamilySpec(fam, m=m)
     for fam in ("5", "6", "7", "8", "9", "14", "15", "16", "17", "18")
-    for m in (1, 2)] + [FamilySpec("19", m=1)], ids=str)
+    for m in (1, 2)] + [FamilySpec("19", m=1)] + CIRCLE_SPECS, ids=str)
 def test_polyhedral_goursat_matches_brute_force_cosets(spec):
     group = goursat_group(spec)
     reference = _reference_goursat(get_family(spec.family).goursat(spec))
@@ -255,11 +269,11 @@ def test_polyhedral_goursat_matches_brute_force_cosets(spec):
 
 def test_fixed_factor_cache_stays_bounded():
     """Only the binary polyhedral right factors are kept, one entry per
-    (right, right kernel, representation), however many specs ran."""
+    (right, right kernel), however many specs ran."""
     results = run_sweep(sweep_specs(60, TABLE4_FAMILIES))
     assert all(res.ok for res in results)
     assert 0 < len(groups._FIXED_FACTORS) <= 6
-    assert all(right.kind in "TOI" for right, _, _ in groups._FIXED_FACTORS)
+    assert all(right.kind in "TOI" for right, _ in groups._FIXED_FACTORS)
 
 
 def test_goursat_checks_survive_python_optimize():

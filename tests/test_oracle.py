@@ -37,7 +37,7 @@ from orbiseif.oracle import (
     slope_invariant,
     torus_quotient_map,
 )
-from orbiseif.quaternions import PairElement
+from orbiseif.quaternions import CircleJElement, NotHopfPreservingError
 from orbiseif.verify import sweep_specs
 from test_quaternions import circle_to_quaternion
 
@@ -199,10 +199,12 @@ def test_polyhedral_real_parts_are_tabulated_cosines():
 
 
 def _with_quaternion_right_factors(group):
-    return PairGroup(group.spec,
-                     [PairElement(p.left, circle_to_quaternion(p.right))
-                      for p in group.elements],
-                     group.left, group.left_kernel,
+    """The same group with 3-tuple rows: right factors in Q(sqrt2, sqrt5)
+    coordinates, so the oracle takes the axis path."""
+    grid = group.grid
+    rows = [(jl, a, circle_to_quaternion(CircleJElement(F(b, grid), jr)))
+            for jl, jr, a, b in group.rows]
+    return PairGroup(group.spec, grid, rows, group.left, group.left_kernel,
                      group.right, group.right_kernel)
 
 
@@ -244,6 +246,16 @@ def test_circle_and_axis_paths_agree():
         goursat_group(FamilySpec("2", m=1, n=2)))
     with pytest.raises(InternalInconsistencyError, match="not resolved"):
         base_group(unresolved)
+
+
+def test_polyhedral_left_factor_is_not_hopf_preserving():
+    """A left factor outside C and D* moves the Hopf fibration."""
+    group = goursat_group(FamilySpec("5", m=1))
+    swapped = PairGroup(group.spec, group.grid, group.rows,
+                        BINARY_TETRAHEDRAL, BINARY_TETRAHEDRAL,
+                        group.left, group.left_kernel)
+    with pytest.raises(NotHopfPreservingError):
+        base_group(swapped)
 
 
 def _run_optimized(*args):
