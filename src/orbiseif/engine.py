@@ -188,11 +188,13 @@ def canonical_lens(p: int, q: int):
     Returns (THREE_SPHERE, None, None) for p = 1.
     """
     p = abs(p)
-    assert p >= 1
+    if p == 0:
+        raise ValueError("lens parameter p must be nonzero")
     if p == 1:
         return THREE_SPHERE, None, None
     q %= p
-    assert math.gcd(q, p) == 1
+    if math.gcd(q, p) != 1:
+        raise ValueError("lens parameters p and q must be coprime")
     qinv = modinv_pos(q, p)
     q_min = min(q, (-q) % p, qinv % p, (-qinv) % p)
     return LENS, p, q_min
@@ -230,7 +232,8 @@ def derived_quantities(spec: FamilySpec, reading: str = "body") -> DerivedQuanti
 
 @lru_cache(maxsize=8192)
 def _derived_quantities_cached(spec: FamilySpec, reading: str) -> DerivedQuantities:
-    assert spec.family in ("1", "1p")
+    if spec.family not in ("1", "1p"):
+        raise ValueError("derived quantities exist only for families 1 and 1p")
     violations, _ = validate(spec)
     if violations:
         raise ValueError("; ".join(violations))
@@ -532,10 +535,12 @@ def _two_fiber_lens(pairs, euler):
     p = b1 * a2 + a1 * b2p
     # x0, y0 with b1*y0 - a1*x0 = 1 exist since the pair is reduced
     gcd, y0, x0neg = _ext_gcd(b1, a1)
-    assert gcd == 1
+    if gcd != 1:
+        raise InternalInconsistencyError(f"invariant pair ({a1}, {b1}) is not reduced")
     x0 = -x0neg
     q = -(b2p * y0 + a2 * x0)
-    assert p != 0
+    if p == 0:
+        raise InternalInconsistencyError("two-fiber gluing gives p = 0")
     return p, q
 
 

@@ -81,7 +81,8 @@ class QuadFieldElement:
         p = self * self.conjugate(True, False)
         q = self.conjugate(False, True) * self.conjugate(True, True)
         n = p * q
-        assert n.b == 0 and n.c == 0 and n.d == 0
+        if n.b != 0 or n.c != 0 or n.d != 0:
+            raise ArithmeticError(f"norm of {self} is not rational")
         return n.a
 
     def inverse(self) -> "QuadFieldElement":

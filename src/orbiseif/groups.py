@@ -13,15 +13,19 @@ several choices of phi give conjugate groups, one fixed choice is made
 here and all downstream invariants are insensitive to it.
 
 The construction works on coset data: each factor with its kernel
-becomes the coset index of every element, the elements of every coset
+becomes the coset index of every element, the members of every coset
 and the product table of the quotient (at most six cosets in the
-catalog), so the gluing is index arithmetic.  The binary polyhedral
-right factors do not depend on the family parameters; their coset data
-are built once per process, keyed by (right, right kernel).  The cyclic
-and dihedral parameter families skip the cosets.  Either path writes
-one list of integer rows, circle angles as numerators over a common
-grid (see PairGroup); the explicit pairs are a view built on demand.
-Self-checks raise InternalInconsistencyError, so python -O keeps them.
+catalog), so the gluing is index arithmetic.  For a cyclic or binary
+dihedral factor these data are closed-form: the cosets are residue
+classes of integer angles, and no product of elements is formed.  The
+binary polyhedral right factors do not depend on the family parameters;
+their coset data are built from the elements once per process, keyed by
+(right, right kernel).  The families 1, 1p, 11 and 11p skip the cosets.
+Either path writes one list of integer rows, circle angles as numerators
+over a common grid (see PairGroup).  Explicit circle elements appear
+only as the catalog's generator images and in the `elements` view of a
+built group.  Self-checks raise InternalInconsistencyError, so python -O
+keeps them.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ def _require(condition: bool, message: str) -> None:
 # standard subgroups of S^3
 # ---------------------------------------------------------------------------
 
+_POLYHEDRAL_ORDERS = {"T": 24, "O": 48, "I": 120}
+
+
 @dataclass(frozen=True)
 class StandardGroupId:
     """C = cyclic, D = binary dihedral, T/O/I = binary polyhedral."""
@@ -69,12 +76,14 @@ class StandardGroupId:
     order: int
 
     def __post_init__(self):
-        assert self.kind in "CDTOI"
-        if self.kind == "D":
-            # C_n u C_n j is closed only when -1 = j^2 lies in C_n, i.e. n even.
-            assert self.order % 4 == 0
-        if self.kind in "TOI":
-            assert self.order == {"T": 24, "O": 48, "I": 120}[self.kind]
+        if self.kind not in ("C", "D", "T", "O", "I"):
+            raise ValueError("group kind must be one of C, D, T, O, I")
+        # C_n u C_n j is closed only when -1 = j^2 lies in C_n, i.e. n even.
+        if self.kind == "D" and self.order % 4 != 0:
+            raise ValueError("binary dihedral order must be a multiple of 4")
+        if self.kind in _POLYHEDRAL_ORDERS and \
+                self.order != _POLYHEDRAL_ORDERS[self.kind]:
+            raise ValueError("T*, O* and I* have orders 24, 48 and 120")
 
     def __str__(self):
         if self.kind == "C":
@@ -490,7 +499,8 @@ FAMILY_ORDER = ["1", "1p"] + [str(k) for k in range(2, 11)] + ["11", "11p"] \
     + [str(k) for k in range(12, 21)] + ["21", "21p", "22", "23", "24", "25",
     "26", "26p", "26pp", "27", "28", "29", "30", "31", "31p", "32", "32p",
     "33", "33p", "34", "2bis", "3bis", "4bis", "13bis", "34bis"]
-assert set(FAMILY_ORDER) == set(FAMILIES)
+if set(FAMILY_ORDER) != set(FAMILIES):
+    raise ValueError("FAMILY_ORDER must list exactly the registered families")
 
 TABLE4_FAMILIES = [str(k) for k in range(2, 11)] + [str(k) for k in range(12, 20)] \
     + ["33", "33p", "34", "2bis", "3bis", "4bis", "13bis", "34bis"]
@@ -590,15 +600,90 @@ def phi_order(group: PairGroup) -> int:
 class _Quotient:
     """A factor R of a Goursat 5-tuple with its kernel K, as coset data."""
 
-    coset_of: dict       # element -> index of its coset l*K
-    cosets: tuple        # index -> (l*k for k in K), so each coset is listed
-    identity: GroupElement
+    coset_of: Callable   # element of R -> index of its coset l*K
+    cosets: tuple        # index -> members: (jflag, angles) parts for C and
+                         # D*, the quaternions l*k for T*, O* and I*
     table: tuple         # table[a][b] = index of the coset product a*b
+    identity: int        # index of the kernel itself
+    minus_one: int       # index of the coset of -1
 
 
-def _coset_partition(elements, kernel):
-    """Cosets l*K, each as the tuple (l*k for k in K), and the map
-    element -> coset index."""
+def _circle_period(group_id: StandardGroupId) -> int:
+    """Least common denominator of the angles of a C or D* group."""
+    return group_id.order if group_id.kind == "C" else group_id.order // 2
+
+
+def _circle_quotient(group: StandardGroupId, kernel: StandardGroupId,
+                     grid: int) -> _Quotient:
+    """Coset data of a C or D* factor in closed form, with no product of
+    elements.
+
+    An element is (jflag, a) with angle a/P over the period P of the
+    factor.  With k rotations in the kernel and q = P/k, the rotation
+    (False, a) lies in coset a mod q, and so does (True, a) when the
+    kernel is binary dihedral; over a cyclic kernel (True, a) lies in
+    coset q + a mod q, since (True, a)*(False, b) = (True, a - b).  Each
+    coset is an arithmetic progression of angles, listed as numerators
+    over `grid`, and the product table comes from the representatives
+    by the rule of CircleJElement.multiply.
+    """
+    period, k = _circle_period(group), _circle_period(kernel)
+    dihedral_kernel = kernel.kind == "D"
+    _require(period % k == 0 and (group.kind == "D" or not dihedral_kernel),
+             f"{kernel} is not contained in {group}")
+    _require(period % 2 == 0, f"-1 is not in {group}")
+    q = period // k
+    j_base = 0 if dihedral_kernel else q
+
+    def index(jflag, a):
+        return (j_base if jflag else 0) + a % q
+
+    def coset_of(element):
+        num, den, jflag = element._key
+        _require(period % den == 0 and (group.kind == "D" or not jflag),
+                 f"{element} is not in {group}")
+        return index(jflag, num * (period // den))
+
+    def times(x, y):
+        # j*e^(2 pi i b) = e^(-2 pi i b)*j and j*j = -1 = e^(2 pi i (P/2)/P)
+        (xj, a), (yj, b) = x, y
+        if not xj:
+            return yj, a + b
+        return not yj, a - b + (period // 2 if yj else 0)
+
+    reps = [(False, c) for c in range(q)]
+    if group.kind == "D" and not dihedral_kernel:
+        reps += [(True, c) for c in range(q)]
+    table = tuple(tuple(index(*times(x, y)) for y in reps) for x in reps)
+    step = grid // period
+    cosets = []
+    for jflag, c in reps:
+        angles = range(c * step, grid, q * step)
+        cosets.append(((False, angles), (True, angles)) if dihedral_kernel
+                      else ((jflag, angles),))
+    return _Quotient(coset_of, tuple(cosets), table, 0, index(False, period // 2))
+
+
+# (right, right_kernel) -> _Quotient for the binary polyhedral right
+# factors, filled on first use.  They do not depend on the family
+# parameters, and a Q(sqrt2, sqrt5) product costs about a millisecond, so
+# each is built once per process: the catalog has six keys.
+_FIXED_FACTORS: dict = {}
+
+
+def _polyhedral_quotient(group_id: StandardGroupId,
+                         kernel_id: StandardGroupId) -> _Quotient:
+    """Coset data of a T*, O* or I* factor, from its elements in
+    quaternion coordinates; each coset is the tuple (l*k for k in K)."""
+    key = (group_id, kernel_id)
+    quotient = _FIXED_FACTORS.get(key)
+    if quotient is not None:
+        return quotient
+    elements = algebraic_group(group_id)
+    kernel = elements if kernel_id == group_id else algebraic_group(kernel_id)
+    members = set(elements)
+    _require(all(k in members for k in kernel),
+             f"{kernel_id} is not contained in {group_id}")
     index = {}
     cosets = []
     for el in elements:
@@ -609,40 +694,18 @@ def _coset_partition(elements, kernel):
             index[x] = len(cosets)
         cosets.append(coset)
     _require(len(index) == len(elements), "kernel is not a subgroup of the group")
-    return tuple(cosets), index
-
-
-def _quotient(group_id: StandardGroupId, kernel_id: StandardGroupId) -> _Quotient:
-    """Coset data of a factor; T*, O* and I* with their kernels are built
-    in quaternion coordinates, circle-type factors as circle elements."""
-    build = algebraic_group if group_id.kind in "TOI" else standard_group
-    elements = build(group_id)
-    kernel = elements if kernel_id == group_id else build(kernel_id)
-    members = set(elements)
-    _require(all(k in members for k in kernel),
-             f"{kernel_id} is not contained in {group_id}")
-    cosets, coset_of = _coset_partition(elements, kernel)
+    identity = quat_rational(1, 0, 0, 0)
+    _require(identity in index, "element list lacks the identity")
     reps = [coset[0] for coset in cosets]
-    table = tuple(tuple(coset_of[multiply(a, b)] for b in reps) for a in reps)
-    return _Quotient(coset_of, cosets,
-                     elements[_identity_position(elements)], table)
+    table = tuple(tuple(index[multiply(a, b)] for b in reps) for a in reps)
 
+    def coset_of(element):
+        _require(element in index, f"{element} is not in {group_id}")
+        return index[element]
 
-# (right, right_kernel) -> _Quotient for the binary polyhedral right
-# factors, filled on first use.  They do not depend on the family
-# parameters, and a Q(sqrt2, sqrt5) product costs about a millisecond, so
-# each is built once per process: the catalog has six keys.  Circle-type
-# factors change with the parameters and are rebuilt.
-_FIXED_FACTORS: dict = {}
-
-
-def _right_quotient(data: GoursatData) -> _Quotient:
-    key = (data.right, data.right_kernel)
-    if data.right.kind not in "TOI":
-        return _quotient(*key)
-    quotient = _FIXED_FACTORS.get(key)
-    if quotient is None:
-        quotient = _FIXED_FACTORS[key] = _quotient(*key)
+    quotient = _FIXED_FACTORS[key] = _Quotient(
+        coset_of, tuple(cosets), table, index[identity],
+        index[element_negate(identity)])
     return quotient
 
 
@@ -728,51 +791,33 @@ def goursat_group(spec: FamilySpec) -> PairGroup:
                      data.right, data.right_kernel)
 
 
-def _circle_period(group_id: StandardGroupId) -> int:
-    """Least common denominator of the angles of a C or D* group."""
-    return group_id.order if group_id.kind == "C" else group_id.order // 2
-
-
 def _goursat_generic(spec: FamilySpec, data: GoursatData):
     """(grid, rows) coset by coset from the 5-tuple and the gluing seed."""
-    left = _quotient(data.left, data.left_kernel)
-    right = _right_quotient(data)
-    _require(len(left.cosets) == len(right.cosets),
-             "quotients have different orders")
-
-    seed = {left.coset_of[left.identity]: right.coset_of[right.identity]}
-    for gen_l, gen_r in data.phi_generators:
-        seed[left.coset_of[gen_l]] = right.coset_of[gen_r]
-    phi = _close_isomorphism(left.table, right.table, seed)
-    # (l, r) lies in G exactly when phi maps the coset of l to that of r
-    for l, r, what in ((left.identity, right.identity, "(1, 1)"),
-                       (element_negate(left.identity),
-                        element_negate(right.identity), "(-1, -1)")):
-        _require(phi[left.coset_of[l]] == right.coset_of[r],
-                 f"{what} must belong to every catalog group")
-
     polyhedral = data.right.kind in "TOI"
     grid = math.lcm(4, _circle_period(data.left),
                     1 if polyhedral else _circle_period(data.right))
+    left = _circle_quotient(data.left, data.left_kernel, grid)
+    right = (_polyhedral_quotient(data.right, data.right_kernel) if polyhedral
+             else _circle_quotient(data.right, data.right_kernel, grid))
+    _require(len(left.cosets) == len(right.cosets),
+             "quotients have different orders")
 
-    def on_grid(coset):
-        return [(jflag, num * (grid // den)) for num, den, jflag in
-                (el._key for el in coset)]
+    seed = {left.identity: right.identity}
+    for gen_l, gen_r in data.phi_generators:
+        seed[left.coset_of(gen_l)] = right.coset_of(gen_r)
+    phi = _close_isomorphism(left.table, right.table, seed)
+    # (l, r) lies in G exactly when phi maps the coset of l to that of r
+    for l, r, what in ((left.identity, right.identity, "(1, 1)"),
+                       (left.minus_one, right.minus_one, "(-1, -1)")):
+        _require(phi[l] == r, f"{what} must belong to every catalog group")
 
-    lefts = [on_grid(coset) for coset in left.cosets]
     if polyhedral:
-        return grid, [(jl, a, r) for coset, pairs in enumerate(lefts)
-                      for jl, a in pairs for r in right.cosets[phi[coset]]]
-    rights = [on_grid(coset) for coset in right.cosets]
-    return grid, [(jl, jr, a, b) for coset, pairs in enumerate(lefts)
-                  for jl, a in pairs for jr, b in rights[phi[coset]]]
-
-
-def _identity_position(elements) -> int:
-    for i, el in enumerate(elements):
-        if el.is_identity():
-            return i
-    raise InternalInconsistencyError("element list lacks the identity")
+        return grid, [(jl, a, r) for coset, parts in enumerate(left.cosets)
+                      for jl, angles in parts for a in angles
+                      for r in right.cosets[phi[coset]]]
+    return grid, [(jl, jr, a, b) for coset, parts in enumerate(left.cosets)
+                  for jl, angles in parts for a in angles
+                  for jr, rights in right.cosets[phi[coset]] for b in rights]
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +860,8 @@ def _param_candidates(fam: Family, max_order: int):
             m += 1
         return
 
-    assert fam.params == ("m", "n", "r", "s")
+    if fam.params != ("m", "n", "r", "s"):
+        raise ValueError("family parameters must be (), (m,), (m, n) or (m, n, r, s)")
     m = 1
     while order_of(m=m, n=1, r=1, s=1) <= max_order:
         n = 1

@@ -200,10 +200,15 @@ class BaseActionGroup:
 
 
 def _check_chi(kind, cones, corners, order, signature):
-    chi = Fraction(2 if kind == SPHERE else 1)
-    chi -= sum(1 - Fraction(1, q) for q in cones)
-    chi -= sum(Fraction(1, 2) * (1 - Fraction(1, q)) for q in corners)
-    _require(chi * order == 2, f"quotient signature {signature} fails chi*order=2")
+    """chi * order = 2 with chi = chi(base) - sum(1 - 1/q) over the cones
+    - sum((1 - 1/q)/2) over the corners, in integers: both sides times 2L,
+    L the lcm of the cone and corner orders."""
+    lcm = math.lcm(*cones, *corners)
+    chi_2l = 2 * lcm * (2 if kind == SPHERE else 1)
+    chi_2l -= sum(2 * (lcm - lcm // q) for q in cones)
+    chi_2l -= sum(lcm - lcm // q for q in corners)
+    _require(chi_2l * order == 4 * lcm,
+             f"quotient signature {signature} fails chi*order=2")
 
 
 def _quotient_signature(has_reversing: bool, has_reflection: bool,

@@ -170,12 +170,14 @@ class AlgebraicQuaternion:
 
     def norm_squared(self) -> Fraction:
         n = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-        assert n.b == 0 and n.c == 0 and n.d == 0
+        if n.b != 0 or n.c != 0 or n.d != 0:
+            raise ArithmeticError(f"squared norm of {self} is not rational")
         return n.a
 
     def inverse(self) -> "AlgebraicQuaternion":
         # Unit quaternion: inverse is the conjugate.
-        assert self.norm_squared() == 1
+        if self.norm_squared() != 1:
+            raise ArithmeticError(f"{self} is not a unit quaternion")
         return AlgebraicQuaternion(self.w, -self.x, -self.y, -self.z)
 
     def is_identity(self) -> bool:

@@ -1,6 +1,7 @@
 """Standard subgroups of the 3-sphere and the Goursat pair groups."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,13 @@ CIRCLE_SPECS = [
     "2", "3", "4", "10", "12", "13", "13bis", "33", "2bis", "3bis", "4bis")
 ] + [FamilySpec(fam, m=3, n=5) for fam in ("33p", "34", "34bis")]
 
+# every table-4 spec of order <= 48 whose right factor is circle-type,
+# so the closed-form cosets meet the brute force at many m and n
+CIRCLE_SPECS += [
+    row.spec for row in enumerate_specs(48, TABLE4_FAMILIES)
+    if get_family(row.spec.family).goursat(row.spec).right.kind in "CD"
+    and row.spec not in CIRCLE_SPECS]
+
 
 @pytest.mark.parametrize("spec", [
     FamilySpec(fam, m=m)
@@ -280,20 +288,65 @@ def test_goursat_checks_survive_python_optimize():
     script = (
         "import sys\n"
         "from orbiseif import engine, groups\n"
-        "from orbiseif.groups import FamilySpec, GoursatData, cyclic\n"
+        "from orbiseif.groups import (FamilySpec, GoursatData, "
+        "binary_dihedral, cyclic)\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "if engine.InternalInconsistencyError is not "
         "groups.InternalInconsistencyError:\n"
         "    sys.exit('engine and groups raise different errors')\n"
-        "data = GoursatData(cyclic(4), cyclic(3), cyclic(4), cyclic(4))\n"
-        "try:\n"
-        "    groups._goursat_generic(FamilySpec('2', m=1, n=1), data)\n"
-        "except engine.InternalInconsistencyError as exc:\n"
-        "    sys.exit(0 if 'C3 is not contained in C4' in str(exc) else str(exc))\n"
-        "sys.exit('a kernel outside the group passed')\n")
+        "for group, kernel, want in (\n"
+        "        (cyclic(4), cyclic(3), 'C3 is not contained in C4'),\n"
+        "        (cyclic(8), binary_dihedral(8), 'D*8 is not contained in C8')):\n"
+        "    data = GoursatData(group, kernel, group, group)\n"
+        "    try:\n"
+        "        groups._goursat_generic(FamilySpec('2', m=1, n=1), data)\n"
+        "    except engine.InternalInconsistencyError as exc:\n"
+        "        if want not in str(exc):\n"
+        "            sys.exit(str(exc))\n"
+        "    else:\n"
+        "        sys.exit(f'{kernel} outside {group} passed')\n")
     proc = _run_optimized("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_group_shape_checks_survive_python_optimize():
+    """The closed-form cosets rely on an even binary dihedral period and
+    on the fixed T*, O*, I* orders; malformed ids raise under -O too."""
+    script = (
+        "import sys\n"
+        "from orbiseif.groups import StandardGroupId\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "for kind, order in (('D', 6), ('T', 48), ('X', 4)):\n"
+        "    try:\n"
+        "        StandardGroupId(kind, order)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    sys.exit(f'{kind}{order} was accepted')\n")
+    proc = _run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_table4_builds_form_no_product_once_warm(monkeypatch):
+    """Once the T*, O*, I* coset data are filled, building a group of any
+    table-4 family forms no element product and lists no standard group:
+    the coset data of cyclic and binary dihedral factors are closed-form."""
+    specs = [enumerate_specs(240, [fam])[0].spec for fam in TABLE4_FAMILIES]
+    for spec in specs:
+        goursat_group(spec)
+    calls = Counter()
+    for name in ("multiply", "standard_group"):
+        def counted(*args, _name=name, _original=getattr(groups, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(groups, name, counted)
+    made = {}
+    for spec in specs:
+        before = sum(calls.values())
+        goursat_group(spec)
+        made[spec.family] = sum(calls.values()) - before
+    assert made == dict.fromkeys(TABLE4_FAMILIES, 0)
 
 
 def test_contains_minus_one_pair():

@@ -6,11 +6,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import orbiseif
 from orbiseif.engine import (
     DISC,
     LENS,
+    PROJECTIVE,
     SPHERE,
     THREE_SPHERE,
     BaseSignature,
@@ -28,6 +31,7 @@ from orbiseif.groups import (
 )
 from orbiseif.oracle import (
     _HALF_ANGLE,
+    _check_chi,
     base_group,
     euler_oracle,
     exceptional_fibers_oracle,
@@ -285,6 +289,42 @@ def test_chi_check_survives_python_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
+def _chi(sig):
+    """Orbifold Euler characteristic of a base signature, in Fractions."""
+    chi = F(2 if sig.kind == SPHERE else 1)
+    chi -= sum(1 - F(1, q) for q in sig.cones)
+    return chi - sum(F(1, 2) * (1 - F(1, q)) for q in sig.corners)
+
+
+@st.composite
+def _signatures(draw):
+    kind = draw(st.sampled_from((SPHERE, DISC, PROJECTIVE)))
+    orders = st.lists(st.integers(2, 12), max_size=4).map(sorted).map(tuple)
+    return BaseSignature(kind, draw(orders), draw(orders) if kind == DISC else ())
+
+
+@given(_signatures(), st.integers(1, 240), st.booleans())
+@example(BaseSignature(SPHERE, (2, 3, 5)), 60, False)
+@example(BaseSignature(SPHERE, (2, 3)), 60, False)
+@example(BaseSignature(DISC, (), (2, 3, 4)), 48, False)
+@example(BaseSignature(DISC, (3,), (2, 2)), 6, False)
+@example(BaseSignature(PROJECTIVE, (3,)), 6, False)
+@example(BaseSignature(PROJECTIVE, (2, 2)), 4, False)
+def test_integer_chi_check_matches_fractions(sig, order, fit):
+    """The integer chi * order = 2 check accepts exactly what the
+    Fraction formula accepts; with `fit` the order is set to 2/chi when
+    that is an integer, so both outcomes occur."""
+    chi = _chi(sig)
+    if fit and chi > 0 and (2 / chi).denominator == 1:
+        order = int(2 / chi)
+    try:
+        _check_chi(sig.kind, sig.cones, sig.corners, order, sig)
+        accepted = True
+    except InternalInconsistencyError:
+        accepted = False
+    assert accepted == (chi * order == 2)
+
+
 def test_verify_sweep_passes_under_python_optimize():
     proc = _run_optimized("-m", "orbiseif.cli", "verify", "--max-order", "24",
                           "--families", "all")
@@ -295,11 +335,7 @@ def test_base_group_chi_times_order_is_two():
     for spec in (FamilySpec("19", m=1), FamilySpec("15", m=2),
                  FamilySpec("18", m=2), FamilySpec("33p", m=3, n=5)):
         base = base_group(goursat_group(spec))
-        sig = base.signature
-        chi = F(2 if sig.kind == SPHERE else 1)
-        chi -= sum(1 - F(1, q) for q in sig.cones)
-        chi -= sum(F(1, 2) * (1 - F(1, q)) for q in sig.corners)
-        assert chi * base.order == 2
+        assert _chi(base.signature) * base.order == 2
 
 
 def test_mismatch_diff_reports_the_variant_reading():
