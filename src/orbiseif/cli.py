@@ -49,6 +49,10 @@ EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_UNSUPPORTED = 3
 
+# Largest rotation order `verify --max-order` and `compute --verify` take;
+# a sweep has 949,019 specs at 960, and its count grows as the bound squared.
+MAX_VERIFY_ORDER = 960
+
 _BASE_KIND_NAMES = {SPHERE: "Sphere", DISC: "Disc", PROJECTIVE: "ProjectivePlane"}
 _BASE_KIND_FROM_NAME = {v: k for k, v in _BASE_KIND_NAMES.items()}
 _TOP_KIND_NAMES = {THREE_SPHERE: "ThreeSphere", LENS: "LensSpace",
@@ -202,6 +206,10 @@ def _cmd_compute(args, out) -> int:
         for v in violations:
             print(f"invalid: {v}", file=sys.stderr)
         return EXIT_INVALID
+    if args.verify and fam.phi_order(spec) > MAX_VERIFY_ORDER:
+        print(f"error: --verify takes rotation orders up to {MAX_VERIFY_ORDER}, "
+              f"not {fam.phi_order(spec)}", file=sys.stderr)
+        return EXIT_INVALID
 
     report = evaluate(spec)
     if args.mirror:
@@ -259,8 +267,9 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if args.max_order < 1:
-        print("error: --max-order must be at least 1", file=sys.stderr)
+    if not 1 <= args.max_order <= MAX_VERIFY_ORDER:
+        print(f"error: --max-order must lie in 1..{MAX_VERIFY_ORDER}",
+              file=sys.stderr)
         return EXIT_INVALID
     try:
         families = verify_mod.resolve_families(args.families.split(","))

@@ -26,6 +26,7 @@ from typing import Optional
 from .groups import (
     FamilySpec,
     InternalInconsistencyError,
+    _ext_gcd,
     get_family,
     normalized_s,
     validate,
@@ -451,22 +452,20 @@ def seifert_polyhedral(spec: FamilySpec) -> SeifertData:
 # generic operations on SeifertData
 # ---------------------------------------------------------------------------
 
-def _fiber_sum(euler, invariants) -> Fraction:
-    """Euler number + cone invariants + half the normalized corner ones."""
-    total = euler
+def _fiber_sum(euler, invariants, xi=0) -> Fraction:
+    """Euler number + cone invariants + half the normalized corner ones
+    + xi/2, summed as integers over 2L, L the lcm of the denominators."""
+    lcm = math.lcm(euler.denominator, *(v.den for v in invariants))
+    total = 2 * euler.numerator * (lcm // euler.denominator) + xi * lcm
     for v in invariants:
-        if v.location == CONE:
-            total += v.value
-        else:
-            total += Fraction(v.normalized_num, v.den) / 2
-    return total
+        total += (2 * v.num if v.location == CONE else v.normalized_num) * (lcm // v.den)
+    return Fraction(total, 2 * lcm)
 
 
 def derive_xi(base, invariants, euler) -> int:
     """The boundary invariant forced by integrality of the invariant sum."""
-    partial = _fiber_sum(euler, invariants)
     for xi in (0, 1):
-        if (partial + Fraction(xi, 2)) % 1 == 0:
+        if _fiber_sum(euler, invariants, xi).denominator == 1:
             return xi
     raise InternalInconsistencyError("no xi in {0,1} makes the sum integral")
 
@@ -480,10 +479,7 @@ def somma_residue(d: SeifertData) -> Fraction:
     only the normalized form gives a residue that is well defined mod 1.
     The result must be an integer for every valid family.
     """
-    total = _fiber_sum(d.euler, d.invariants)
-    if d.xi is not None:
-        total += Fraction(d.xi, 2)
-    return total
+    return _fiber_sum(d.euler, d.invariants, d.xi or 0)
 
 
 def _sort_invariants(invariants):
@@ -542,21 +538,6 @@ def _two_fiber_lens(pairs, euler):
     if p == 0:
         raise InternalInconsistencyError("two-fiber gluing gives p = 0")
     return p, q
-
-
-def _ext_gcd(a, b):
-    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_u, u = u, old_u - quo * u
-        old_v, v = v, old_v - quo * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
 
 
 def underlying_space(d: SeifertData, spec: FamilySpec) -> TopologyReport:

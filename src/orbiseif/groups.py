@@ -12,20 +12,18 @@ gluing isomorphism is pinned by explicit generator images; whenever
 several choices of phi give conjugate groups, one fixed choice is made
 here and all downstream invariants are insensitive to it.
 
-The construction works on coset data: each factor with its kernel
-becomes the coset index of every element, the members of every coset
-and the product table of the quotient (at most six cosets in the
-catalog), so the gluing is index arithmetic.  For a cyclic or binary
-dihedral factor these data are closed-form: the cosets are residue
-classes of integer angles, and no product of elements is formed.  The
-binary polyhedral right factors do not depend on the family parameters;
-their coset data are built from the elements once per process, keyed by
-(right, right kernel).  The families 1, 1p, 11 and 11p skip the cosets.
-Either path writes one list of integer rows, circle angles as numerators
-over a common grid (see PairGroup).  Explicit circle elements appear
-only as the catalog's generator images and in the `elements` view of a
-built group.  Self-checks raise InternalInconsistencyError, so python -O
-keeps them.
+When both factors are cyclic or binary dihedral, the group is kept as
+a lattice (RotationLattice): its rotation pairs, as integer angle pairs,
+in Hermite normal form, and one coset of it per class of j-flags, all
+from the catalog generators closed by Schreier generators.  With a T*,
+O* or I* right factor the gluing is index arithmetic on coset data: the
+left cosets are residue classes of integer angles, and the right coset
+data are built from the elements once per process, keyed by (right,
+right kernel), since they do not depend on the family parameters.
+Circle angles are numerators over a common grid (see PairGroup), and
+the integer rows and explicit elements of a lattice group are views
+built on demand.  Self-checks raise InternalInconsistencyError, so
+python -O keeps them.
 """
 
 from __future__ import annotations
@@ -558,34 +556,102 @@ def normalized_s(spec: FamilySpec) -> int:
 # Goursat construction
 # ---------------------------------------------------------------------------
 
+def _ext_gcd(a, b):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
+    u, v, u1, v1 = 1, 0, 0, 1
+    while b:
+        quo = a // b
+        a, b, u, v, u1, v1 = b, a - quo * b, u1, v1, u - quo * u1, v - quo * v1
+    return (a, u, v) if a >= 0 else (-a, -u, -v)
+
+
+def _hnf(vectors, grid: int):
+    """Hermite normal form (h11, h12, h22) of the lattice spanned by the
+    integer vectors and grid*Z^2: the basis (h11, h12), (0, h22), h11 and
+    h22 dividing grid, 0 <= h12 < h22 (H. Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, section 2.4.2).  Each vector (x, y)
+    meets the first row through the unimodular ((s, t), (-x/g, h11/g)),
+    s*h11 + t*x = g."""
+    h11, h12, h22 = grid, 0, grid
+    for x, y in vectors:
+        g, s, t = _ext_gcd(h11, x)
+        h22 = math.gcd(h22, (h11 * y - x * h12) // g)
+        h11, h12 = g, (s * h12 + t * y) % h22
+    return h11, h12, h22
+
+
+@dataclass(frozen=True)
+class RotationLattice:
+    """A group with two circle-type factors, as integer lattice data.
+
+    Its rotation pairs (a, b), both factors plain rotations by a/grid and
+    b/grid, form a lattice Lambda of Z^2 that contains grid*Z^2, kept as
+    its Hermite normal form (see _hnf).  Each flag class (left jflag, right
+    jflag) is one coset x_f + Lambda, as a rotation keeps the flags of what
+    it multiplies; `offsets` holds one reduced (jl, jr, a, b) per class
+    (see reduce), the rotation class (False, False, 0, 0) first.
+    """
+
+    h11: int
+    h12: int
+    h22: int
+    offsets: tuple
+
+    def reduce(self, a: int, b: int):
+        """The representative of (a, b) + Lambda with 0 <= a < h11,
+        0 <= b < h22; it is (0, 0) exactly on Lambda."""
+        x = a // self.h11
+        return a - x * self.h11, (b - x * self.h12) % self.h22
+
+    def points(self, grid: int):
+        """Lambda modulo grid, as (a, b) pairs with 0 <= a, b < grid."""
+        h11, h12, h22 = self.h11, self.h12, self.h22
+        return [(x * h11, b) for x in range(grid // h11)
+                for b in range(x * h12 % h22, grid, h22)]
+
+
 @dataclass
 class PairGroup:
-    """A built group as integer rows, one per pair (l, r).
+    """A built group, one integer row per pair (l, r) on demand.
 
     Circle angles are numerators over `grid`.  With a circle-type right
-    factor a row is (left jflag, right jflag, left angle, right angle);
-    with a T*, O* or I* right factor it is (left jflag, left angle, r).
+    factor the group is `lattice`, and a row is (left jflag, right jflag,
+    left angle, right angle); with a T*, O* or I* right factor the group
+    is `axis_rows`, rows (left jflag, left angle, r).  `rows` and
+    `elements` are views built on first access; `order` builds neither.
     """
 
     spec: FamilySpec
     grid: int
-    rows: list
     left: StandardGroupId
     left_kernel: StandardGroupId
     right: StandardGroupId
     right_kernel: StandardGroupId
+    lattice: Optional[RotationLattice] = None
+    axis_rows: Optional[list] = None
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        lat = self.lattice
+        if lat is None:
+            return len(self.axis_rows)
+        return self.grid ** 2 // (lat.h11 * lat.h22) * len(lat.offsets)
+
+    @cached_property
+    def rows(self) -> list:
+        """Every pair as an integer row, built on first access."""
+        if self.lattice is None:
+            return self.axis_rows
+        grid, points = self.grid, self.lattice.points(self.grid)
+        return [(jl, jr, (a + x) % grid, (b + y) % grid)
+                for jl, jr, a, b in self.lattice.offsets for x, y in points]
 
     @cached_property
     def elements(self) -> list[PairElement]:
         """The rows as explicit pairs, built on first access."""
         grid = self.grid
-        if len(self.rows[0]) == 3:
-            return [PairElement(_circle(a, grid, jl), r)
-                    for jl, a, r in self.rows]
+        if self.lattice is None:
+            return [PairElement(_circle(a, grid, jl), r) for jl, a, r in self.rows]
         return [PairElement(_circle(a, grid, jl), _circle(b, grid, jr))
                 for jl, jr, a, b in self.rows]
 
@@ -613,10 +679,38 @@ def _circle_period(group_id: StandardGroupId) -> int:
     return group_id.order if group_id.kind == "C" else group_id.order // 2
 
 
+def _check_circle_factor(group: StandardGroupId, kernel: StandardGroupId):
+    """The period of a C or D* factor: even, so that -1 lies in it, and a
+    multiple of its kernel's, whose j-type elements it must have."""
+    period, k = _circle_period(group), _circle_period(kernel)
+    if period % k or (kernel.kind == "D" and group.kind != "D"):
+        raise InternalInconsistencyError(f"{kernel} is not contained in {group}")
+    if period % 2:
+        raise InternalInconsistencyError(f"-1 is not in {group}")
+    return period
+
+
+def _on_circle_grid(element, group: StandardGroupId, grid: int):
+    """(jflag, angle numerator over grid) of a circle element of group."""
+    num, den, jflag = element._key
+    if _circle_period(group) % den or (jflag and group.kind != "D"):
+        raise InternalInconsistencyError(f"{element} is not in {group}")
+    return jflag, num * (grid // den)
+
+
+def _circle_times(x, y, grid: int):
+    """Product of (jflag, angle) parts over grid, by the rule of
+    CircleJElement.multiply: j*e^(2 pi i b) = e^(-2 pi i b)*j, j*j = -1."""
+    (xj, a), (yj, b) = x, y
+    if not xj:
+        return yj, (a + b) % grid
+    return not yj, (a - b + (grid // 2 if yj else 0)) % grid
+
+
 def _circle_quotient(group: StandardGroupId, kernel: StandardGroupId,
                      grid: int) -> _Quotient:
-    """Coset data of a C or D* factor in closed form, with no product of
-    elements.
+    """Coset data of a C or D* left factor in closed form, with no
+    product of elements.
 
     An element is (jflag, a) with angle a/P over the period P of the
     factor.  With k rotations in the kernel and q = P/k, the rotation
@@ -625,36 +719,24 @@ def _circle_quotient(group: StandardGroupId, kernel: StandardGroupId,
     coset q + a mod q, since (True, a)*(False, b) = (True, a - b).  Each
     coset is an arithmetic progression of angles, listed as numerators
     over `grid`, and the product table comes from the representatives
-    by the rule of CircleJElement.multiply.
+    by _circle_times.
     """
-    period, k = _circle_period(group), _circle_period(kernel)
+    period = _check_circle_factor(group, kernel)
     dihedral_kernel = kernel.kind == "D"
-    _require(period % k == 0 and (group.kind == "D" or not dihedral_kernel),
-             f"{kernel} is not contained in {group}")
-    _require(period % 2 == 0, f"-1 is not in {group}")
-    q = period // k
+    q = period // _circle_period(kernel)
     j_base = 0 if dihedral_kernel else q
 
     def index(jflag, a):
         return (j_base if jflag else 0) + a % q
 
     def coset_of(element):
-        num, den, jflag = element._key
-        _require(period % den == 0 and (group.kind == "D" or not jflag),
-                 f"{element} is not in {group}")
-        return index(jflag, num * (period // den))
-
-    def times(x, y):
-        # j*e^(2 pi i b) = e^(-2 pi i b)*j and j*j = -1 = e^(2 pi i (P/2)/P)
-        (xj, a), (yj, b) = x, y
-        if not xj:
-            return yj, a + b
-        return not yj, a - b + (period // 2 if yj else 0)
+        return index(*_on_circle_grid(element, group, period))
 
     reps = [(False, c) for c in range(q)]
     if group.kind == "D" and not dihedral_kernel:
         reps += [(True, c) for c in range(q)]
-    table = tuple(tuple(index(*times(x, y)) for y in reps) for x in reps)
+    table = tuple(tuple(index(*_circle_times(x, y, period)) for y in reps)
+                  for x in reps)
     step = grid // period
     cosets = []
     for jflag, c in reps:
@@ -746,32 +828,67 @@ def _close_isomorphism(table_l, table_r, seed):
     return phi
 
 
-def _goursat_grid(spec: FamilySpec):
-    """(grid, rows) written directly for the cyclic and dihedral
-    parameter families.
+def _circle_lattice(data: GoursatData, grid: int) -> RotationLattice:
+    """The group generated by L_K x 1, 1 x R_K and the generator pairs of
+    phi, as lattice data.  Walking the flag classes from the rotation
+    class, each product t*s of a class representative t and a generator s
+    opens a class or gives the rotation pair t*s*rep(t*s)^-1; by
+    Schreier's lemma those pairs span Lambda.  The closure is the Goursat
+    group exactly when its kernels are L_K and R_K and its order is
+    |L|*|R_K| (checked by the caller): a larger right kernel means the
+    images do not extend to a homomorphism, a larger left one that phi is
+    not injective."""
+    for group, kernel in ((data.left, data.left_kernel),
+                          (data.right, data.right_kernel)):
+        _check_circle_factor(group, kernel)
+    one = (False, 0)
 
-    The quotients are generated by the rotation coset (and j for the
-    dihedral rows, glued by j -> j), so the c-th rotation coset of the
-    left kernel pairs with the (c*s)-th on the right, and the j cosets
-    pair likewise.  This gives exactly the rows of the generic coset
-    construction, without computing any products.
-    """
-    m, n, r, s = spec.m, spec.n, spec.r, spec.s
-    half = 1 if spec.family in ("1p", "11p") else 2
-    flags = (False, True) if spec.family in ("11", "11p") else (False,)
-    left_den = half * m * r
-    right_den = half * n * r
-    grid = math.lcm(4, left_den, right_den)
-    lstep, rstep = grid // left_den, grid // right_den
-    cosets = [([(c + r * t) * lstep for t in range(half * m)],
-               [(c * s + r * u) % right_den * rstep for u in range(half * n)])
-              for c in range(r)]
-    return grid, [(flag, flag, a, b) for flag in flags
-                  for lefts, rights in cosets for a in lefts for b in rights]
+    def kernel_gens(kernel):
+        rotation = (False, grid // _circle_period(kernel))
+        return (rotation, (True, 0)) if kernel.kind == "D" else (rotation,)
+
+    gens = [(x, one) for x in kernel_gens(data.left_kernel)]
+    gens += [(one, y) for y in kernel_gens(data.right_kernel)]
+    gens += [(_on_circle_grid(l, data.left, grid), _on_circle_grid(r, data.right, grid))
+             for l, r in data.phi_generators]
+
+    reps = {(False, False): (0, 0)}
+    flags = [(False, False)]
+    vectors = []
+    for jl, jr in flags:          # grows while it is walked
+        a, b = reps[jl, jr]
+        for x, y in gens:
+            (kl, c), (kr, d) = (_circle_times((jl, a), x, grid),
+                                _circle_times((jr, b), y, grid))
+            if (kl, kr) not in reps:
+                flags.append((kl, kr))
+            # t*s*rep(t*s)^-1 has the angles of t*s minus those of the rep
+            rep = reps.setdefault((kl, kr), (c, d))
+            vectors.append((c - rep[0], d - rep[1]))
+    h11, h12, h22 = _hnf(vectors, grid)
+    lattice = RotationLattice(h11, h12, h22, ())
+    offsets = tuple((jl, jr) + lattice.reduce(*reps[jl, jr]) for jl, jr in flags)
+    lattice = RotationLattice(h11, h12, h22, offsets)
+    _require(lattice.reduce(grid // 2, grid // 2) == (0, 0),
+             "(-1, -1) must belong to every catalog group")
+
+    # (1, r) for rotations r: b in h22*Z; (l, 1): a in h11*h22/gcd(h12, h22)*Z.
+    # A j-type class adds a kernel coset when its a (resp. b) can reach 0.
+    g = math.gcd(h12, h22)
+    right_kernel = grid // h22 * (1 + any(
+        not jl and jr and a == 0 for jl, jr, a, _ in offsets))
+    left_kernel = grid // (h11 * (h22 // g)) * (1 + any(
+        jl and not jr and b % g == 0 for jl, jr, _, b in offsets))
+    _require(right_kernel == data.right_kernel.order,
+             "generator images do not extend to a homomorphism")
+    _require(left_kernel == data.left_kernel.order,
+             "gluing isomorphism is not injective")
+    return lattice
 
 
 def goursat_group(spec: FamilySpec) -> PairGroup:
-    """The group {(l, r) : phi(l L_K) = r R_K} as integer rows."""
+    """The group {(l, r) : phi(l L_K) = r R_K}, as lattice data when both
+    factors are circle-type and as integer rows otherwise."""
     fam = get_family(spec.family)
     if not fam.fibered or fam.goursat is None:
         raise UnsupportedFamilyError(
@@ -781,27 +898,28 @@ def goursat_group(spec: FamilySpec) -> PairGroup:
         raise ValueError(f"invalid {spec}: " + "; ".join(violations))
 
     data = fam.goursat(spec)
-    if spec.family in ("1", "1p", "11", "11p"):
-        grid, rows = _goursat_grid(spec)
-    else:
-        grid, rows = _goursat_generic(spec, data)
-    _require(len(rows) == data.left.order * data.right_kernel.order,
-             f"{spec} has {len(rows)} elements, not |L| * |R_K|")
-    return PairGroup(spec, grid, rows, data.left, data.left_kernel,
-                     data.right, data.right_kernel)
-
-
-def _goursat_generic(spec: FamilySpec, data: GoursatData):
-    """(grid, rows) coset by coset from the 5-tuple and the gluing seed."""
+    _require(data.left.order * data.right_kernel.order
+             == data.right.order * data.left_kernel.order,
+             "quotients have different orders")
     polyhedral = data.right.kind in "TOI"
     grid = math.lcm(4, _circle_period(data.left),
                     1 if polyhedral else _circle_period(data.right))
-    left = _circle_quotient(data.left, data.left_kernel, grid)
-    right = (_polyhedral_quotient(data.right, data.right_kernel) if polyhedral
-             else _circle_quotient(data.right, data.right_kernel, grid))
-    _require(len(left.cosets) == len(right.cosets),
-             "quotients have different orders")
+    group = PairGroup(spec, grid, data.left, data.left_kernel, data.right,
+                      data.right_kernel)
+    if polyhedral:
+        group.axis_rows = _axis_rows(data, grid)
+    else:
+        group.lattice = _circle_lattice(data, grid)
+    if group.order != data.left.order * data.right_kernel.order:
+        raise InternalInconsistencyError(
+            f"{spec} has {group.order} elements, not |L| * |R_K|")
+    return group
 
+
+def _axis_rows(data: GoursatData, grid: int) -> list:
+    """Rows (jl, a, r) coset by coset, for a T*, O* or I* right factor."""
+    left = _circle_quotient(data.left, data.left_kernel, grid)
+    right = _polyhedral_quotient(data.right, data.right_kernel)
     seed = {left.identity: right.identity}
     for gen_l, gen_r in data.phi_generators:
         seed[left.coset_of(gen_l)] = right.coset_of(gen_r)
@@ -810,14 +928,9 @@ def _goursat_generic(spec: FamilySpec, data: GoursatData):
     for l, r, what in ((left.identity, right.identity, "(1, 1)"),
                        (left.minus_one, right.minus_one, "(-1, -1)")):
         _require(phi[l] == r, f"{what} must belong to every catalog group")
-
-    if polyhedral:
-        return grid, [(jl, a, r) for coset, parts in enumerate(left.cosets)
-                      for jl, angles in parts for a in angles
-                      for r in right.cosets[phi[coset]]]
-    return grid, [(jl, jr, a, b) for coset, parts in enumerate(left.cosets)
-                  for jl, angles in parts for a in angles
-                  for jr, rights in right.cosets[phi[coset]] for b in rights]
+    return [(jl, a, r) for coset, parts in enumerate(left.cosets)
+            for jl, angles in parts for a in angles
+            for r in right.cosets[phi[coset]]]
 
 
 # ---------------------------------------------------------------------------

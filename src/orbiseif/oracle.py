@@ -1,7 +1,8 @@
 """Brute-force recomputation of the quotient invariants from group data.
 
 Nothing in this module reads the closed-form tables.  It reads only the
-integer rows of a built group (`PairGroup.grid` and `PairGroup.rows`) and
+group data of a built group (`PairGroup.lattice`, or `PairGroup.rows`
+for T*, O* and I* right factors, over `PairGroup.grid`) and
 
 * classifies the induced isometry group of the base 2-sphere and reads
   the quotient 2-orbifold off the fixed-point geometry,
@@ -12,19 +13,19 @@ integer rows of a built group (`PairGroup.grid` and `PairGroup.rows`) and
   now-diagonal stabilizer to integer torus translations, and push the
   fiber class through the quotient matrices,
 * for the abelian families, assembles the underlying lens space from
-  the boundary matrices of the two solid tori and the meridian exchange.
+  the lattice of boundary torus translations and the meridian exchange.
 
-The row shape picks the path once per group.  Rows of two circle-type
-factors, (left jflag, right jflag, left angle, right angle), give
-integer angle arithmetic: the induced isometries fall into four shapes
-(rotation about the poles, half turn about an equatorial axis, the
-antipode composed with a polar rotation, and reflection in a meridian).
-Rows (left jflag, left angle, r) with r in T*, O* or I* take the axis
-path, exact in Q(sqrt2, sqrt5): a base point is a unit vector of Im H,
-kept as an oriented line; r = cos(pi t) + sin(pi t) u rotates the base
-by 2 pi t about the line of u, with t looked up from the exact value of
-Re r, and orbits and stabilizers follow from incidences of those lines.
-No float and no numeric tolerance is used anywhere.
+A group with two circle-type factors takes the lattice path: the induced
+isometries fall into four shapes (rotation about the poles, half turn
+about an equatorial axis, the antipode composed with a polar rotation,
+and reflection in a meridian), each an arithmetic progression of angles,
+and every stabilizer is a 2x2 integer lattice in Hermite normal form,
+so no row is listed.  Rows (left jflag, left angle, r) with r in T*, O*
+or I* take the axis path, exact in Q(sqrt2, sqrt5): a base point is a
+unit vector of Im H, kept as an oriented line; r = cos(pi t) + sin(pi t) u
+rotates the base by 2 pi t about the line of u, with t looked up from the
+exact value of Re r, and orbits and stabilizers follow from incidences of
+those lines.  No float and no numeric tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -46,13 +47,12 @@ from .engine import (
     SeifertData,
     TopologyReport,
     THREE_SPHERE,
-    _ext_gcd,
     derive_xi,
     lens_report,
     modinv_pos,
 )
 from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
-from .groups import PairGroup, _require, phi_order
+from .groups import PairGroup, _ext_gcd, _hnf, _require, phi_order
 from .quaternions import NotHopfPreservingError
 
 HOPF_FIBER = (1, 1)
@@ -92,9 +92,6 @@ class TorusQuotientMap:
                                 self.core_fix * first.core_fix)
 
 
-IDENTITY_TORUS_MAP = TorusQuotientMap(((1, 0), (0, 1)), 1)
-
-
 def torus_quotient_map(d: int, e: int, g: int) -> TorusQuotientMap:
     """Quotient of the solid torus by z1 -> e^(2 pi i g/e) z1,
     z2 -> e^(2 pi i d/e) z2 (the core is the z1 = 0 circle).
@@ -132,43 +129,22 @@ def slope_invariant(tq: TorusQuotientMap, fiber=HOPF_FIBER,
     return LocalInvariant(a_bar * k, b * k, location)
 
 
-def _invariant_from_int_vectors(vectors, grid: int,
-                                location: str) -> LocalInvariant:
+def _lattice_invariant(hnf, grid: int, location: str) -> LocalInvariant:
     """Local invariant of the core at infinity under a diagonal group.
 
-    `vectors` are the exact torus translations (u, v) as numerators over
-    the common denominator `grid`: the element rotates z1 by u/grid and
-    z2 by v/grid, and the core in question is the z1 circle (z2 = 0).
-    Quotient in two steps, each a solid-torus quotient: first by the
-    subgroup fixing the core pointwise (u = 0), then by the residual
-    group, which acts freely on the core and is cyclic because it embeds
-    in the circle of z1 rotations.
+    `hnf` is the Hermite normal form (h11, h12, h22) of the lattice of
+    torus translations (u, v): an element rotates z1 by u/grid and z2 by
+    v/grid, and the core is the z1 circle (z2 = 0).  Quotient first by
+    the k = grid/h22 translations (0, v) that fix the core pointwise,
+    then by the residual group {(u, k*v)}, which acts freely on the core
+    and is cyclic of order e = grid/h11, generated by (h11, k*h12).
     """
-    size = len(vectors)
-    vertical = [v for u, v in vectors if u == 0]
-    k = len(vertical)
-    _require(k >= 1 and size % k == 0,
-             "core-fixing elements do not form a subgroup")
-    if k == 1:
-        pre = IDENTITY_TORUS_MAP
-    else:
-        step = grid // k
-        gen = next(v for v in vertical if math.gcd(v, grid) == step)
-        pre = torus_quotient_map(0, k, gen // step)
-
-    residual = {(u, (k * v) % grid) for u, v in vectors}
-    e2 = size // k
-    _require(len(residual) == e2, "residual does not act faithfully on the core")
-    if e2 == 1:
-        main = IDENTITY_TORUS_MAP
-    else:
-        step = grid // e2
-        gen = next(((u, v) for u, v in residual
-                    if math.gcd(u, grid) == step), None)
-        _require(gen is not None, "residual core action is not cyclic")
-        u0, v0 = gen
-        _require(v0 % step == 0, "residual generator is not on the grid")
-        main = torus_quotient_map(u0 // step, e2, v0 // step)
+    h11, h12, h22 = hnf
+    k, e = grid // h22, grid // h11
+    twist = k * h12 % grid
+    _require(twist % h11 == 0, "residual generator is not on the grid")
+    pre = torus_quotient_map(0, k, 1)
+    main = torus_quotient_map(1, e, twist // h11)
     return slope_invariant(main.compose_after(pre), HOPF_FIBER, location)
 
 
@@ -244,8 +220,8 @@ def base_group(group: PairGroup) -> BaseActionGroup:
     if group.left.kind not in "CD":
         raise NotHopfPreservingError(
             "left factor is not circle-type; the group moves the fibration")
-    if len(group.rows[0]) == 4:
-        return _base_group_circle(group)
+    if group.lattice is not None:
+        return _circle_base(group, _circle_shapes(group))
     return _base_group_axis(group)
 
 
@@ -256,56 +232,69 @@ def base_group(group: PairGroup) -> BaseActionGroup:
 ROT, FLIP, AROT, REFL = 0, 1, 2, 3
 
 
-def _pole_stab_vectors(rows, grid: int, swap: bool):
-    """Translations of the stabilizer of a polar core; every plain
-    rotation pair fixes both poles.  The core at zero is carried to the
-    core at infinity by conjugation with (1, j), which inverts the right
-    angle, i.e. swaps the two translation coordinates."""
-    vectors = set()
-    for jl, jr, a, b in rows:
-        if jl or jr:
-            continue
-        u, v = (a - b) % grid, (a + b) % grid
-        vectors.add((v, u) if swap else (u, v))
-    return vectors
+def _circle_shapes(group: PairGroup) -> dict:
+    """Shape -> set of angle parameters c, as progressions over the grid.
+    A pair (jl, jr, a, b) induces the shape 2*jl + jr with c = -2b; over a
+    flag class x_f + Lambda, b runs through b_f + gcd(h12, h22)*Z, so c
+    runs from -2*b_f in steps of gcd(grid, 2*gcd(h12, h22))."""
+    lat, grid = group.lattice, group.grid
+    step = math.gcd(grid, 2 * math.gcd(lat.h12, lat.h22))
+    shapes = dict.fromkeys((ROT, FLIP, AROT, REFL), range(0))
+    for jl, jr, _, b in lat.offsets:
+        shapes[2 * jl + jr] = range((-2 * b) % step, grid, step)
+    return shapes
 
 
-def _equator_stab_vectors(rows, grid: int, point: int):
+def _pole_hnf(group: PairGroup, swap: bool):
+    """Translations of the stabilizer of a polar core: every rotation pair
+    (a, b) fixes both poles and translates the torus by T(a, b) =
+    (a - b, a + b).  The core at zero is carried to the core at infinity
+    by conjugation with (1, j), which inverts the right angle, i.e. swaps
+    the two translation coordinates."""
+    lat = group.lattice
+    vectors = [(a - b, a + b) for a, b in ((lat.h11, lat.h12), (0, lat.h22))]
+    return _hnf([(v, u) for u, v in vectors] if swap else vectors, group.grid)
+
+
+def _equator_hnf(group: PairGroup, point: int):
     """Translations of the stabilizer of the fiber over the unit-circle
     point of angle point/grid, conjugated to the core at infinity.
 
     The conjugator is (1, w) with w = (e^(2 pi i point/grid) + j)/sqrt2.
-    Plain rotation pairs survive only with right factor +-1 and are
-    untouched; half-turn pairs whose axis passes through the point
-    conjugate to right factor +-i, with the sign fixed by point + beta.
+    Rotation pairs survive only with right factor +-1, on Lambda_0 =
+    Lambda with 2b = 0, and are untouched.  The half turns (False, True,
+    a, b) through the point have beta = point + b = grid/4 mod grid/2;
+    they conjugate to right factor +-i, translate by T(a, beta) and form
+    one coset of Lambda_0, through one solution of that congruence.
     """
-    vectors = set()
+    lat, grid = group.lattice, group.grid
+    h11, h12, h22 = lat.h11, lat.h12, lat.h22
     half = grid // 2
-    quarter = grid // 4
-    for jl, jr, a, b in rows:
-        if jl:
-            continue
-        if not jr:
-            if (2 * b) % grid == 0:
-                vectors.add(((a - b) % grid, (a + b) % grid))
-            continue
-        if (2 * (point + b)) % grid == half:
-            beta_c = (point + b) % grid
-            _require(beta_c in (quarter, 3 * quarter),
-                     "half turn does not conjugate to +-i")
-            vectors.add(((a - beta_c) % grid, (a + beta_c) % grid))
-    return vectors
+    # x*(h11, h12) + z*(0, h22) with x*h12 + z*h22 = 0 mod half: x must
+    # be a multiple of x0, and z is then fixed mod half/g2
+    g2 = math.gcd(h22, half)
+    x0 = g2 // math.gcd(g2, h12)
+    z0 = -x0 * h12 // g2 * pow(h22 // g2, -1, half // g2)
+    kernel = [(x0 * h11, x0 * h12 + z0 * h22), (0, math.lcm(h22, half))]
+    # the b of the (False, True) class run through b_f + g*Z; solve for
+    # g*y = grid/4 - point - b_f mod half and move a by the same y
+    _, _, a_f, b_f = next(o for o in lat.offsets if not o[0] and o[1])
+    g, s, _ = _ext_gcd(h12, h22)
+    target, g3 = grid // 4 - point - b_f, math.gcd(g, half)
+    _require(target % g3 == 0, "no half turn fixes the equator point")
+    y = target // g3 * pow(g // g3, -1, half // g3)
+    alpha, beta = a_f + s * y * h11, point + b_f + g * y
+    _require((beta - grid // 4) % half == 0, "half turn does not conjugate to +-i")
+    return _hnf([(a - b, a + b) for a, b in kernel] + [(alpha - beta, alpha + beta)],
+                grid)
 
 
-def _base_group_circle(group: PairGroup) -> BaseActionGroup:
-    grid, rows = group.grid, group.rows
+def _circle_base(group: PairGroup, shapes: dict) -> BaseActionGroup:
+    """Base action from the four shape sets of a circle-type group."""
+    grid = group.grid
     half = grid // 2
-    shapes = {ROT: set(), FLIP: set(), AROT: set(), REFL: set()}
-    for jl, jr, _, b in rows:
-        # induced map: rot lam -> e^(2 pi i c) lam, flip lam -> -e^(2 pi i c)/lam,
-        # arot lam -> -e^(2 pi i c)/conj(lam), refl lam -> e^(2 pi i c) conj(lam)
-        # with c = -2 beta
-        shapes[2 * jl + jr].add((-2 * b) % grid)
+    # induced map: rot lam -> e^(2 pi i c) lam, flip lam -> -e^(2 pi i c)/lam,
+    # arot lam -> -e^(2 pi i c)/conj(lam), refl lam -> e^(2 pi i c) conj(lam)
     order = sum(len(cs) for cs in shapes.values())
     _require(phi_order(group) % order == 0, "base order does not divide |G|/2")
 
@@ -317,21 +306,15 @@ def _base_group_circle(group: PairGroup) -> BaseActionGroup:
     orbits = []
 
     if r0 >= 2:
-        poles_merge = bool(flips) or bool(arots)
-        pole_on_mirror = bool(refls)   # every meridian mirror passes the poles
-        pole_orbits = [False] if poles_merge else [False, True]
-        for swap in pole_orbits:
-            orbits.append(SingularOrbit(r0, pole_on_mirror, ("pole", swap)))
+        # flips and antipode-rotations swap the poles; every meridian
+        # mirror passes through both
+        for swap in [False] if flips or arots else [False, True]:
+            orbits.append(SingularOrbit(r0, bool(refls), ("pole", swap)))
 
     if flips:
         # equatorial half-turn axes; flip(c) fixes the two unit-circle
         # points with 2a = c + half
-        quarter = grid // 4
-        points = set()
-        for c in flips:
-            a = (c // 2 + quarter) % grid
-            points.add(a)
-            points.add((a + half) % grid)
+        points = {(c // 2 + grid // 4 + t) % grid for c in flips for t in (0, half)}
         # translations induced on the equator circle by the whole group
         translations = set(rots) | {(c + half) % grid for c in arots}
         step = grid // len(translations)
@@ -538,14 +521,17 @@ def _axis_stab_vectors(group: PairGroup, line: int, sign: int):
 
 def _orbit_invariant(group, orbit, location):
     kind, *where = orbit.position
+    grid = group.grid
     if kind == "axis":
         grid, vectors = _axis_stab_vectors(group, *where)
-        return _invariant_from_int_vectors(vectors, grid, location)
-    if kind == "pole":
-        vectors = _pole_stab_vectors(group.rows, group.grid, where[0])
+        hnf = _hnf(vectors, grid)
+        _require(len(vectors) * hnf[0] * hnf[2] == grid * grid,
+                 "stabilizer translations do not form a group")
+    elif kind == "pole":
+        hnf = _pole_hnf(group, where[0])
     else:
-        vectors = _equator_stab_vectors(group.rows, group.grid, where[0])
-    return _invariant_from_int_vectors(vectors, group.grid, location)
+        hnf = _equator_hnf(group, where[0])
+    return _lattice_invariant(hnf, grid, location)
 
 
 def exceptional_fibers_oracle(group: PairGroup,
@@ -568,74 +554,25 @@ def exceptional_fibers_oracle(group: PairGroup,
 # lens space of the abelian quotients
 # ---------------------------------------------------------------------------
 
-def _torus_translation_vectors(group: PairGroup):
-    """Exact (z1, z2) rotation angles of every rotation-group element, as
-    integer numerators over a common denominator."""
-    if group.left.kind != "C" or group.right.kind != "C":
-        raise ValueError("lens assembly needs a diagonal torus group")
-    vectors = _pole_stab_vectors(group.rows, group.grid, False)
-    _require(len(vectors) == phi_order(group), "torus translations repeat")
-    return group.grid, vectors
-
-
-def _core_fix_counts(vectors):
-    k1 = sum(1 for u, v in vectors if v == 0)   # fix the z1 = 0 core pointwise
-    k2 = sum(1 for u, v in vectors if u == 0)   # fix the z2 = 0 core pointwise
-    return k1, k2
-
-
 def lens_oracle(group: PairGroup) -> TopologyReport:
-    """Underlying lens space of an abelian quotient from the two solid
-    torus quotient matrices and the meridian/longitude exchange.
+    """Underlying lens space of an abelian quotient by lattice arithmetic.
 
-    After removing the subgroups with fixed points (which only change
-    the cores' singularity indices) the residual action is free and
-    cyclic; the quotient torus boundary map of the first solid torus
-    plus the Hopf gluing (the meridian of one torus is the longitude of
-    the other) express the second quotient meridian in the basis of the
-    first, which is exactly the lens gluing class.
+    The quotient of the boundary torus is R^2 / M for the lattice M of
+    torus translations of the rotation group, in Hermite normal form
+    (h11, h12), (0, h22) over the grid (see _pole_hnf).  The meridians of
+    the two quotient solid tori are the primitive vectors of M along the
+    axes, and expressing one in a basis extending the other reads off the
+    lens parameters.  The translations (0, v) fix the z2 = 0 core and the
+    (u, 0) the z1 = 0 core; their counts are the singular components.
     """
     if group.spec.family not in ("1", "1p"):
         raise ValueError("the lens assembly applies to the abelian families")
-    grid, vectors = _torus_translation_vectors(group)
-    k1, k2 = _core_fix_counts(vectors)
-    components = tuple(sorted(k for k in (k1, k2) if k > 1))
-    residual = {((k1 * u) % grid, (k2 * v) % grid) for u, v in vectors}
-    e = len(vectors) // (k1 * k2)
-    _require(len(residual) == e, "fixed-point subgroups do not exhaust the overlap")
-    if e == 1:
-        return TopologyReport(THREE_SPHERE, singular_components=components)
-    step = grid // e
-    gen = next(((u, v) for u, v in residual
-                if math.gcd(math.gcd(u, v), grid) == step), None)
-    _require(gen is not None, "residual action is not cyclic")
-    u0, v0 = gen
-    _require(u0 % step == 0 and v0 % step == 0, "residual generator is not on the grid")
-    g = u0 // step
-    d = v0 // step
-    _require(math.gcd(g, e) == 1 and math.gcd(d, e) == 1,
-             "residual action is not free")
-    d_bar = modinv_pos(d, e)
-    # meridian of the second quotient torus = -(g*dbar) mu' + e lambda'
-    return lens_report(e, (-g * d_bar) % e, components)
-
-
-def lens_oracle_lattice(group: PairGroup) -> TopologyReport:
-    """Same underlying space by pure lattice arithmetic (cross-check).
-
-    The quotient of the boundary torus is R^2 / Lambda for the lattice
-    Lambda generated by Z^2 and the translation vectors; the meridians
-    of the two quotient solid tori are the primitive lattice vectors
-    along the axes, and expressing one in a basis extending the other
-    reads off the lens parameters.
-    """
-    denom, vectors = _torus_translation_vectors(group)
-    k1, k2 = _core_fix_counts(vectors)
-    components = tuple(sorted(k for k in (k1, k2) if k > 1))
-    scaled = list(vectors) + [(denom, 0), (0, denom)]
-    b1, b2 = _lattice_basis_2d(scaled)
-    m1 = (denom // k1, 0)
-    m2 = (0, denom // k2)
+    grid = group.grid
+    h11, h12, h22 = _pole_hnf(group, False)
+    _require(grid * grid // (h11 * h22) == phi_order(group), "torus translations repeat")
+    b1, b2 = (h11, h12), (0, h22)
+    m1, m2 = (h11 * (h22 // math.gcd(h12, h22)), 0), b2
+    components = tuple(sorted(k for k in (grid // m1[0], grid // h22) if k > 1))
     x1, y1 = _solve_2d(b1, b2, m1)
     _require(math.gcd(x1, y1) == 1, "torus meridian is not primitive in the lattice")
     _, uu, vv = _ext_gcd(x1, y1)
@@ -646,42 +583,6 @@ def lens_oracle_lattice(group: PairGroup) -> TopologyReport:
     if abs(p) == 1:
         return TopologyReport(THREE_SPHERE, singular_components=components)
     return lens_report(abs(p), q % abs(p), components)
-
-
-def _lattice_basis_2d(vectors):
-    """Basis of the sublattice of Z^2 generated by the vectors."""
-    basis = []
-    for vec in vectors:
-        basis.append(vec)
-        basis = _reduce_basis(basis)
-    _require(len(basis) == 2, "vectors do not span a full lattice")
-    return basis[0], basis[1]
-
-
-def _reduce_basis(vecs):
-    """Hermite-style reduction of up to three 2d integer vectors."""
-    vecs = [v for v in vecs if v != (0, 0)]
-    if len(vecs) <= 1:
-        return vecs
-    while True:
-        vecs.sort(key=lambda v: (v[0] == 0, abs(v[0])))
-        if len(vecs) >= 2 and vecs[0][0] != 0 and vecs[1][0] != 0:
-            a, b = vecs[0], vecs[1]
-            quo = b[0] // a[0]
-            new = (b[0] - quo * a[0], b[1] - quo * a[1])
-            vecs[1] = new
-            vecs = [v for v in vecs if v != (0, 0)]
-            continue
-        break
-    lead = [v for v in vecs if v[0] != 0]
-    rest = [v for v in vecs if v[0] == 0]
-    _require(len(lead) <= 1, "basis reduction left two leading vectors")
-    if rest:
-        g = 0
-        for v in rest:
-            g = math.gcd(g, abs(v[1]))
-        rest = [(0, g)]
-    return lead + rest
 
 
 def _solve_2d(b1, b2, target):

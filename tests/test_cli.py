@@ -3,8 +3,8 @@
 import json
 import os
 
-from orbiseif import verify
-from orbiseif.cli import main, report_from_dict, report_json
+from orbiseif import cli, verify
+from orbiseif.cli import MAX_VERIFY_ORDER, main, report_from_dict, report_json
 from orbiseif.engine import evaluate
 from orbiseif.groups import FamilySpec
 from test_oracle import _run_optimized
@@ -191,3 +191,24 @@ def test_verify_rejects_more_workers_than_cpus(monkeypatch, capsys):
     monkeypatch.setenv("ORBISEIF_WORKERS", "1")
     code, out, _ = run_cli(capsys, "verify", "--max-order", "8")
     assert code == 0 and "all agree" in out
+
+
+def test_verify_order_limit_fails_before_any_build(monkeypatch, capsys):
+    """A bound above MAX_VERIFY_ORDER, for `verify --max-order` or for the
+    group of `compute --verify`, exits with code 1 during argument
+    validation: nothing is enumerated, evaluated or built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started for an oversized order")
+
+    for owner, name in ((verify, "sweep_specs"), (verify, "run_sweep"),
+                        (verify, "compare_spec"), (cli, "enumerate_specs"),
+                        (cli, "evaluate")):
+        monkeypatch.setattr(owner, name, refuse)
+    too_big = str(MAX_VERIFY_ORDER + 1)
+    code, _, err = run_cli(capsys, "verify", "--max-order", too_big)
+    assert code == 1 and str(MAX_VERIFY_ORDER) in err
+    # family 1 has rotation order 2*m*n*r
+    code, _, err = run_cli(capsys, "compute", "--family", "1", "-m", "1",
+                           "-n", "1", "-r", str(MAX_VERIFY_ORDER // 2 + 1),
+                           "-s", "1", "--verify")
+    assert code == 1 and str(MAX_VERIFY_ORDER) in err

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from orbiseif.engine import (
     CONE,
     CORNER,
@@ -10,8 +14,10 @@ from orbiseif.engine import (
     SPHERE,
     THREE_SPHERE,
     BaseSignature,
+    InternalInconsistencyError,
     LocalInvariant,
     SeifertData,
+    derive_xi,
     derived_quantities,
     evaluate,
     flip_orientation,
@@ -250,3 +256,44 @@ def test_singular_indices_match_the_gcd_rule_for_abelian_rows():
         data = seifert_abelian(spec)
         from_invariants = sorted(v.index for v in data.invariants if v.index > 1)
         assert singular_set(data, spec) == from_invariants
+
+
+# -- the integer invariant sum ---------------------------------------------------
+
+def _fraction_sum(euler, invariants, xi):
+    """Euler number + cone values + half the normalized corner values +
+    xi/2, one Fraction addition at a time."""
+    total = euler + F(xi, 2)
+    for v in invariants:
+        total += v.value if v.location == CONE else F(v.normalized_num, v.den) / 2
+    return total
+
+
+_INVARIANTS = st.builds(LocalInvariant, st.integers(-60, 60), st.integers(1, 24),
+                        st.sampled_from((CONE, CORNER)))
+_CONE_INVARIANTS = st.builds(LocalInvariant, st.integers(-60, 60),
+                             st.integers(1, 24))
+
+
+@given(st.fractions(max_denominator=48).filter(lambda f: abs(f) < 50),
+       st.one_of(st.lists(_CONE_INVARIANTS, max_size=5),
+                 st.lists(_INVARIANTS, max_size=5)),
+       st.sampled_from((None, 0, 1)))
+@example(F(-1, 30), [LocalInvariant(1, 2), LocalInvariant(1, 3),
+                     LocalInvariant(1, 5)], None)
+@example(F(-1, 6), [LocalInvariant(1, 2), LocalInvariant(-2, 3, CORNER)], 1)
+@example(F(-1, 10), [LocalInvariant(0, 5, CORNER), LocalInvariant(1, 5, CORNER)], 0)
+def test_integer_fiber_sum_matches_fractions(euler, invariants, xi):
+    """somma_residue and derive_xi, summed in integers over the lcm of the
+    denominators, equal the Fraction formula on cone-only and corner
+    inputs, integral or not."""
+    data = SeifertData(BaseSignature(DISC if xi is not None else SPHERE),
+                       tuple(invariants), euler, xi)
+    assert somma_residue(data) == _fraction_sum(euler, invariants, xi or 0)
+    integral = [x for x in (0, 1)
+                if _fraction_sum(euler, invariants, x).denominator == 1]
+    if integral:
+        assert derive_xi(data.base, data.invariants, euler) == integral[0]
+    else:
+        with pytest.raises(InternalInconsistencyError):
+            derive_xi(data.base, data.invariants, euler)

@@ -1,5 +1,6 @@
 """Standard subgroups of the 3-sphere and the Goursat pair groups."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,8 +15,6 @@ from orbiseif.groups import (
     TABLE4_FAMILIES,
     FamilySpec,
     UnsupportedFamilyError,
-    _goursat_generic,
-    _goursat_grid,
     algebraic_group,
     binary_dihedral,
     cyclic,
@@ -29,6 +28,7 @@ from orbiseif.groups import (
 )
 from orbiseif.quaternions import CircleJElement, PairElement, multiply
 from orbiseif.verify import run_sweep, sweep_specs
+from row_reference import coset_rows, direct_grid_rows
 from test_oracle import _run_optimized
 
 F = Fraction
@@ -190,18 +190,44 @@ def test_goursat_projection_and_kernel_consistency():
         assert right_kernel == set(want)
 
 
+def _circle_type(spec):
+    return get_family(spec.family).goursat(spec).right.kind in "CD"
+
+
 def test_grid_construction_matches_generic_cosets():
-    """The direct grid and the coset construction write the same rows
-    on the same grid."""
+    """The lattice build writes the rows of the coset-by-coset gluing for
+    every circle-type group of order <= 48, and those of the direct grid
+    of the parameter families on the cases below."""
     for fam, kw in [("1", dict(m=2, n=3, r=4, s=3)),
                     ("1p", dict(m=3, n=3, r=2, s=1)),
                     ("11", dict(m=1, n=2, r=5, s=2)),
                     ("11p", dict(m=1, n=1, r=6, s=1))]:
         spec = FamilySpec(fam, **kw)
-        grid, rows = _goursat_grid(spec)
-        generic_grid, generic_rows = _goursat_generic(
-            spec, get_family(fam).goursat(spec))
-        assert (grid, sorted(rows)) == (generic_grid, sorted(generic_rows))
+        group = goursat_group(spec)
+        grid, rows = direct_grid_rows(spec)
+        assert (group.grid, sorted(group.rows)) == (grid, sorted(rows))
+    specs = [sp for sp in sweep_specs(48) if _circle_type(sp)]
+    assert len(specs) == 2696
+    for spec in specs:
+        group = goursat_group(spec)
+        grid, rows = coset_rows(spec)
+        assert (group.grid, sorted(group.rows)) == (grid, sorted(rows)), spec
+        assert group.order == len(rows)
+
+
+def test_row_view_matches_the_row_build_digest():
+    """(spec, grid, sorted rows) of every circle-type group of order <= 120
+    hash to the digest of the row build that preceded the lattice build
+    (15,864 groups, 2,546,542 rows)."""
+    digest = hashlib.sha256()
+    count = 0
+    for spec in sweep_specs(120):
+        if _circle_type(spec):
+            group = goursat_group(spec)
+            digest.update(repr((str(spec), group.grid, sorted(group.rows))).encode())
+            count += 1
+    assert count == 15864
+    assert digest.hexdigest()[:16] == "5508e155f9b61fd5"
 
 
 def _reference_goursat(data):
@@ -247,8 +273,8 @@ def _reference_goursat(data):
 
 
 # one small spec of every family whose factors are both circle-type: the
-# direct grid (1, 1p, 11, 11p) and the coset rows, read through the
-# `elements` view; 33 and 33p swap the rotation and j cosets
+# lattice build, read through the `elements` view; 33 and 33p swap the
+# rotation and j cosets
 CIRCLE_SPECS = [
     FamilySpec("1", m=2, n=1, r=3, s=2), FamilySpec("1p", m=1, n=3, r=4, s=3),
     FamilySpec("11", m=1, n=2, r=3, s=2), FamilySpec("11p", m=3, n=1, r=2, s=1),
@@ -257,7 +283,7 @@ CIRCLE_SPECS = [
 ] + [FamilySpec(fam, m=3, n=5) for fam in ("33p", "34", "34bis")]
 
 # every table-4 spec of order <= 48 whose right factor is circle-type,
-# so the closed-form cosets meet the brute force at many m and n
+# so the lattice build meets the brute force at many m and n
 CIRCLE_SPECS += [
     row.spec for row in enumerate_specs(48, TABLE4_FAMILIES)
     if get_family(row.spec.family).goursat(row.spec).right.kind in "CD"
@@ -285,27 +311,33 @@ def test_fixed_factor_cache_stays_bounded():
 
 
 def test_goursat_checks_survive_python_optimize():
+    """Kernels outside their factor and gluings that are not isomorphisms
+    of the quotients raise in the generator build, under -O too."""
     script = (
         "import sys\n"
         "from orbiseif import engine, groups\n"
-        "from orbiseif.groups import (FamilySpec, GoursatData, "
-        "binary_dihedral, cyclic)\n"
+        "from orbiseif.groups import (GoursatData, binary_dihedral, "
+        "circle_root, cyclic)\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "if engine.InternalInconsistencyError is not "
         "groups.InternalInconsistencyError:\n"
         "    sys.exit('engine and groups raise different errors')\n"
-        "for group, kernel, want in (\n"
-        "        (cyclic(4), cyclic(3), 'C3 is not contained in C4'),\n"
-        "        (cyclic(8), binary_dihedral(8), 'D*8 is not contained in C8')):\n"
-        "    data = GoursatData(group, kernel, group, group)\n"
+        "c4, c2, z4, minus = cyclic(4), cyclic(2), circle_root(4), circle_root(2)\n"
+        "for data, want in (\n"
+        "        (GoursatData(c4, cyclic(3), c4, c4), 'C3 is not contained in C4'),\n"
+        "        (GoursatData(cyclic(8), binary_dihedral(8), cyclic(8), cyclic(8)),\n"
+        "         'D*8 is not contained in C8'),\n"
+        "        (GoursatData(c4, c2, c4, c2, ((z4, minus),)), 'not injective'),\n"
+        "        (GoursatData(c4, c2, c4, c2, ((minus, z4),)),\n"
+        "         'do not extend to a homomorphism')):\n"
         "    try:\n"
-        "        groups._goursat_generic(FamilySpec('2', m=1, n=1), data)\n"
+        "        groups._circle_lattice(data, 8)\n"
         "    except engine.InternalInconsistencyError as exc:\n"
         "        if want not in str(exc):\n"
         "            sys.exit(str(exc))\n"
         "    else:\n"
-        "        sys.exit(f'{kernel} outside {group} passed')\n")
+        "        sys.exit(f'{data} passed')\n")
     proc = _run_optimized("-c", script)
     assert proc.returncode == 0, proc.stderr
 

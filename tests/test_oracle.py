@@ -24,6 +24,7 @@ from orbiseif.groups import (
     BINARY_ICOSAHEDRAL,
     BINARY_OCTAHEDRAL,
     BINARY_TETRAHEDRAL,
+    FIBERED_FAMILIES,
     FamilySpec,
     PairGroup,
     goursat_group,
@@ -35,14 +36,26 @@ from orbiseif.oracle import (
     base_group,
     euler_oracle,
     exceptional_fibers_oracle,
+    _circle_base,
+    _circle_shapes,
+    _equator_hnf,
+    _lattice_invariant,
+    _pole_hnf,
     lens_oracle,
-    lens_oracle_lattice,
     oracle_report,
     slope_invariant,
     torus_quotient_map,
 )
 from orbiseif.quaternions import CircleJElement, NotHopfPreservingError
 from orbiseif.verify import sweep_specs
+from row_reference import (
+    equator_stab_vectors,
+    invariant_from_int_vectors,
+    lattice_points,
+    lens_by_matrices,
+    pole_stab_vectors,
+    row_shapes,
+)
 from test_quaternions import circle_to_quaternion
 
 F = Fraction
@@ -152,15 +165,53 @@ def test_lens_oracle_trivial():
 
 
 def test_lens_matrix_and_lattice_routes_agree():
-    """The quotient-matrix composition and the raw lattice computation
-    must name the same space for every small abelian group."""
+    """The quotient-matrix composition over the explicit translations and
+    the lattice computation on the pole normal form must name the same
+    space for every small abelian group."""
     for spec in sweep_specs(48, ["1", "1p"]):
         group = goursat_group(spec)
-        via_matrix = lens_oracle(group)
-        via_lattice = lens_oracle_lattice(group)
+        via_matrix = lens_by_matrices(group)
+        via_lattice = lens_oracle(group)
         assert (via_matrix.underlying, via_matrix.p, via_matrix.q) == \
             (via_lattice.underlying, via_lattice.p, via_lattice.q), spec
         assert via_matrix.singular_components == via_lattice.singular_components
+
+
+def test_lattice_oracle_matches_row_scan_reference():
+    """On every circle-type group of order <= 120 the lattice formulas
+    reproduce the row scans: the four shape sets, the base order,
+    signature and orbits, the exact stabilizer translations of every
+    singular orbit with its local invariant, and the lens space of the
+    abelian families."""
+    checked = orbits = 0
+    for spec in sweep_specs(120, FIBERED_FAMILIES):
+        group = goursat_group(spec)
+        if group.lattice is None:
+            continue
+        grid = group.grid
+        shapes = row_shapes(group)
+        lattice_shapes = _circle_shapes(group)
+        assert {k: set(v) for k, v in lattice_shapes.items()} == shapes, spec
+        base = base_group(group)
+        by_rows = _circle_base(group, shapes)
+        assert (base.order, base.signature, base.orbits) == \
+            (by_rows.order, by_rows.signature, by_rows.orbits), spec
+        for orbit in base.orbits:
+            kind, where = orbit.position
+            if kind == "pole":
+                vectors = pole_stab_vectors(group.rows, grid, where)
+                hnf = _pole_hnf(group, where)
+            else:
+                vectors = equator_stab_vectors(group.rows, grid, where)
+                hnf = _equator_hnf(group, where)
+            assert lattice_points(hnf, grid) == vectors, (spec, orbit)
+            assert _lattice_invariant(hnf, grid, "cone") == \
+                invariant_from_int_vectors(vectors, grid, "cone"), (spec, orbit)
+            orbits += 1
+        if spec.family in ("1", "1p"):
+            assert lens_oracle(group) == lens_by_matrices(group), spec
+        checked += 1
+    assert (checked, orbits) == (15864, 31235)
 
 
 # -- assembled reports ---------------------------------------------------------------
@@ -208,8 +259,8 @@ def _with_quaternion_right_factors(group):
     grid = group.grid
     rows = [(jl, a, circle_to_quaternion(CircleJElement(F(b, grid), jr)))
             for jl, jr, a, b in group.rows]
-    return PairGroup(group.spec, grid, rows, group.left, group.left_kernel,
-                     group.right, group.right_kernel)
+    return PairGroup(group.spec, grid, group.left, group.left_kernel,
+                     group.right, group.right_kernel, axis_rows=rows)
 
 
 # circle groups whose right angles have denominators dividing 8: sphere,
@@ -255,9 +306,9 @@ def test_circle_and_axis_paths_agree():
 def test_polyhedral_left_factor_is_not_hopf_preserving():
     """A left factor outside C and D* moves the Hopf fibration."""
     group = goursat_group(FamilySpec("5", m=1))
-    swapped = PairGroup(group.spec, group.grid, group.rows,
+    swapped = PairGroup(group.spec, group.grid,
                         BINARY_TETRAHEDRAL, BINARY_TETRAHEDRAL,
-                        group.left, group.left_kernel)
+                        group.left, group.left_kernel, axis_rows=group.rows)
     with pytest.raises(NotHopfPreservingError):
         base_group(swapped)
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from orbiseif.groups import FamilySpec, UnsupportedFamilyError
+from orbiseif import verify
+from orbiseif.groups import FamilySpec, RotationLattice, UnsupportedFamilyError
 from orbiseif.verify import (
     ComparisonResult,
     compare_spec,
@@ -72,3 +73,30 @@ def test_verify_command_reports_mismatch_with_exit_2(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "DISAGREES" in out
+
+
+def test_large_circle_groups_are_checked_without_rows(monkeypatch):
+    """Groups of a million elements and more pass compare_spec from their
+    lattice data alone: neither the rows nor the elements view is built,
+    and reading the order builds neither."""
+    def no_points(*args):
+        raise AssertionError("the rows of a circle-type group were listed")
+
+    monkeypatch.setattr(RotationLattice, "points", no_points)
+    built = []
+    build = verify.goursat_group
+
+    def keep(spec):
+        built.append(build(spec))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "goursat_group", keep)
+    specs = [FamilySpec("1", m=1, n=1, r=250_001, s=3),        # sphere, lens
+             FamilySpec("11", m=1, n=1, r=250_001, s=7),       # disc
+             FamilySpec("2", m=1, n=125_000),                  # equator orbits
+             FamilySpec("13", m=1, n=62_500)]                  # corners on a disc
+    for spec in specs:
+        assert compare_spec(spec).ok, spec
+    assert [group.order >= 10 ** 6 for group in built] == [True] * len(specs)
+    for group in built:
+        assert "rows" not in vars(group) and "elements" not in vars(group)
