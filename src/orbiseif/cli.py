@@ -182,7 +182,7 @@ def _build_parser():
     ver.add_argument("--max-order", type=int, required=True)
     ver.add_argument("--families", default="all")
     ver.add_argument("--workers", type=int, default=None,
-                     help="worker processes, at most the CPU count "
+                     help="worker processes, from 1 to the CPU count "
                           "(ORBISEIF_WORKERS overrides the default of 1)")
     ver.add_argument("--json", action="store_true")
     return parser
@@ -280,7 +280,12 @@ def _cmd_verify(args, out) -> int:
     if not families:
         print("error: no fibered family selected", file=sys.stderr)
         return EXIT_INVALID
-    workers = args.workers if args.workers else verify_mod.default_workers()
+    workers = (args.workers if args.workers is not None
+               else verify_mod.default_workers())
+    if workers < 1:
+        print(f"error: --workers must be at least 1, not {workers}",
+              file=sys.stderr)
+        return EXIT_INVALID
     cpus = os.cpu_count() or 1
     if workers > cpus:
         print(f"error: {workers} workers requested, but only {cpus} CPUs "

@@ -1,4 +1,4 @@
-"""Finite subgroups of S^3 x S^3, built as integer rows.
+"""Finite subgroups of S^3 x S^3, kept as Goursat coset structure.
 
 A subgroup G of S^3 x S^3 containing (-1, -1) is determined by the
 5-tuple (L, L_K, R, R_K, phi): the two projections L, R, the two kernels
@@ -16,14 +16,14 @@ When both factors are cyclic or binary dihedral, the group is kept as
 a lattice (RotationLattice): its rotation pairs, as integer angle pairs,
 in Hermite normal form, and one coset of it per class of j-flags, all
 from the catalog generators closed by Schreier generators.  With a T*,
-O* or I* right factor the gluing is index arithmetic on coset data: the
-left cosets are residue classes of integer angles, and the right coset
-data are built from the elements once per process, keyed by (right,
-right kernel), since they do not depend on the family parameters.
-Circle angles are numerators over a common grid (see PairGroup), and
-the integer rows and explicit elements of a lattice group are views
-built on demand.  Self-checks raise InternalInconsistencyError, so
-python -O keeps them.
+O* or I* right factor it is kept as coset data (CosetGluing): one left
+progression of integer angles per right coset of R_K, found by walking
+the right cosets along the generators.  The right cosets are built from
+the elements once per process, keyed by (right, right kernel), since
+they do not depend on the family parameters.  Circle angles are
+numerators over a common grid (see PairGroup), and the integer rows and
+explicit elements of every group are views built on demand.
+Self-checks raise InternalInconsistencyError, so python -O keeps them.
 """
 
 from __future__ import annotations
@@ -610,6 +610,31 @@ class RotationLattice:
                 for b in range(x * h12 % h22, grid, h22)]
 
 
+@dataclass(frozen=True)
+class CosetGluing:
+    """A group with a T*, O* or I* right factor, as Goursat coset data:
+    the cosets r*R_K (`right_cosets`, tuples of quaternions) and, one per
+    right coset in `offsets`, the reduced offset (jflag, a) of the coset
+    of L_K glued to it, (jflag, a + (grid/period)*Z) with period the angle
+    period of L_K, joined by the other jflag when L_K is binary dihedral."""
+
+    period: int
+    dihedral: bool
+    offsets: tuple
+    right_cosets: tuple
+
+    def parts(self):
+        """(jflag, a, right coset) per left progression."""
+        for (jl, a), coset in zip(self.offsets, self.right_cosets):
+            for jflag in (False, True) if self.dihedral else (jl,):
+                yield jflag, a, coset
+
+    def rows(self, grid: int):
+        """Every pair as a row (left jflag, left angle, r)."""
+        return [(jflag, x, r) for jflag, a, coset in self.parts()
+                for x in range(a, grid, grid // self.period) for r in coset]
+
+
 @dataclass
 class PairGroup:
     """A built group, one integer row per pair (l, r) on demand.
@@ -617,7 +642,7 @@ class PairGroup:
     Circle angles are numerators over `grid`.  With a circle-type right
     factor the group is `lattice`, and a row is (left jflag, right jflag,
     left angle, right angle); with a T*, O* or I* right factor the group
-    is `axis_rows`, rows (left jflag, left angle, r).  `rows` and
+    is `gluing`, and a row is (left jflag, left angle, r).  `rows` and
     `elements` are views built on first access; `order` builds neither.
     """
 
@@ -628,20 +653,21 @@ class PairGroup:
     right: StandardGroupId
     right_kernel: StandardGroupId
     lattice: Optional[RotationLattice] = None
-    axis_rows: Optional[list] = None
+    gluing: Optional[CosetGluing] = None
 
     @property
     def order(self) -> int:
-        lat = self.lattice
+        lat, glue = self.lattice, self.gluing
         if lat is None:
-            return len(self.axis_rows)
+            return (sum(map(len, glue.right_cosets)) * glue.period
+                    * (1 + glue.dihedral))
         return self.grid ** 2 // (lat.h11 * lat.h22) * len(lat.offsets)
 
     @cached_property
     def rows(self) -> list:
         """Every pair as an integer row, built on first access."""
         if self.lattice is None:
-            return self.axis_rows
+            return self.gluing.rows(self.grid)
         grid, points = self.grid, self.lattice.points(self.grid)
         return [(jl, jr, (a + x) % grid, (b + y) % grid)
                 for jl, jr, a, b in self.lattice.offsets for x, y in points]
@@ -667,8 +693,7 @@ class _Quotient:
     """A factor R of a Goursat 5-tuple with its kernel K, as coset data."""
 
     coset_of: Callable   # element of R -> index of its coset l*K
-    cosets: tuple        # index -> members: (jflag, angles) parts for C and
-                         # D*, the quaternions l*k for T*, O* and I*
+    cosets: tuple        # index -> members of the coset
     table: tuple         # table[a][b] = index of the coset product a*b
     identity: int        # index of the kernel itself
     minus_one: int       # index of the coset of -1
@@ -705,45 +730,6 @@ def _circle_times(x, y, grid: int):
     if not xj:
         return yj, (a + b) % grid
     return not yj, (a - b + (grid // 2 if yj else 0)) % grid
-
-
-def _circle_quotient(group: StandardGroupId, kernel: StandardGroupId,
-                     grid: int) -> _Quotient:
-    """Coset data of a C or D* left factor in closed form, with no
-    product of elements.
-
-    An element is (jflag, a) with angle a/P over the period P of the
-    factor.  With k rotations in the kernel and q = P/k, the rotation
-    (False, a) lies in coset a mod q, and so does (True, a) when the
-    kernel is binary dihedral; over a cyclic kernel (True, a) lies in
-    coset q + a mod q, since (True, a)*(False, b) = (True, a - b).  Each
-    coset is an arithmetic progression of angles, listed as numerators
-    over `grid`, and the product table comes from the representatives
-    by _circle_times.
-    """
-    period = _check_circle_factor(group, kernel)
-    dihedral_kernel = kernel.kind == "D"
-    q = period // _circle_period(kernel)
-    j_base = 0 if dihedral_kernel else q
-
-    def index(jflag, a):
-        return (j_base if jflag else 0) + a % q
-
-    def coset_of(element):
-        return index(*_on_circle_grid(element, group, period))
-
-    reps = [(False, c) for c in range(q)]
-    if group.kind == "D" and not dihedral_kernel:
-        reps += [(True, c) for c in range(q)]
-    table = tuple(tuple(index(*_circle_times(x, y, period)) for y in reps)
-                  for x in reps)
-    step = grid // period
-    cosets = []
-    for jflag, c in reps:
-        angles = range(c * step, grid, q * step)
-        cosets.append(((False, angles), (True, angles)) if dihedral_kernel
-                      else ((jflag, angles),))
-    return _Quotient(coset_of, tuple(cosets), table, 0, index(False, period // 2))
 
 
 # (right, right_kernel) -> _Quotient for the binary polyhedral right
@@ -789,43 +775,6 @@ def _polyhedral_quotient(group_id: StandardGroupId,
         coset_of, tuple(cosets), table, index[identity],
         index[element_negate(identity)])
     return quotient
-
-
-def _close_isomorphism(table_l, table_r, seed):
-    """Total bijective homomorphism on coset indices extending the seed.
-
-    The seed maps the identity coset and the generator cosets; the rest
-    is forced by multiplicativity, spreading from the generators through
-    the two quotient product tables.  Afterwards phi(g*x) = phi(g)*phi(x)
-    is checked for every generator g against every coset x, which by
-    induction on word length makes phi a homomorphism on the whole
-    quotient.
-    """
-    phi = dict(seed)
-    gens = list(seed.items())
-    frontier = list(phi.items())
-    while frontier:
-        fresh = []
-        for a, fa in frontier:
-            for g, fg in gens:
-                ga = table_l[g][a]
-                image = table_r[fg][fa]
-                known = phi.get(ga)
-                if known is None:
-                    phi[ga] = image
-                    fresh.append((ga, image))
-                else:
-                    _require(known == image,
-                             "generator images do not extend to a homomorphism")
-        frontier = fresh
-    _require(len(phi) == len(table_l), "generator cosets do not span the quotient")
-    _require(len(set(phi.values())) == len(phi),
-             "gluing isomorphism is not injective")
-    for g, fg in gens:
-        for a in range(len(table_l)):
-            _require(phi[table_l[g][a]] == table_r[fg][phi[a]],
-                     "gluing map is not multiplicative")
-    return phi
 
 
 def _circle_lattice(data: GoursatData, grid: int) -> RotationLattice:
@@ -886,9 +835,49 @@ def _circle_lattice(data: GoursatData, grid: int) -> RotationLattice:
     return lattice
 
 
+def _coset_gluing(data: GoursatData, grid: int) -> CosetGluing:
+    """The coset of L_K glued to each right coset of R_K, for a T*, O* or
+    I* right factor.  Walking the right cosets from R_K, the product c*s
+    of a coset c and a generator pair (l, s) is glued to t*l for the
+    offset t of c, so the gluing is multiplicative along every generator
+    edge, a homomorphism from R/R_K.  It inverts phi once it reaches
+    every right coset and glues no left coset twice (the quotients have
+    equal orders, checked by the caller)."""
+    _check_circle_factor(data.left, data.left_kernel)
+    right = _polyhedral_quotient(data.right, data.right_kernel)
+    period = _circle_period(data.left_kernel)
+    dihedral = data.left_kernel.kind == "D"
+
+    def reduced(jflag, a):
+        # the offset of the coset of L_K through (jflag, a); grid/2 is a
+        # multiple of the step, so a binary dihedral L_K joins the jflags
+        return not dihedral and jflag, a % (grid // period)
+
+    gens = [(_on_circle_grid(l, data.left, grid), right.coset_of(r))
+            for l, r in data.phi_generators]
+    offsets = {right.identity: (False, 0)}
+    reached = [right.identity]
+    for c in reached:             # grows while it is walked
+        for x, s in gens:
+            d = right.table[c][s]
+            image = reduced(*_circle_times(offsets[c], x, grid))
+            if d not in offsets:
+                reached.append(d)
+            _require(offsets.setdefault(d, image) == image,
+                     "generator images do not extend to a homomorphism")
+    _require(len(offsets) == len(right.cosets),
+             "generator cosets do not span the quotient")
+    _require(len(set(offsets.values())) == len(offsets),
+             "gluing isomorphism is not injective")
+    _require(offsets[right.minus_one] == reduced(False, grid // 2),
+             "(-1, -1) must belong to every catalog group")
+    return CosetGluing(period, dihedral,
+                       tuple(offsets[c] for c in range(len(offsets))), right.cosets)
+
+
 def goursat_group(spec: FamilySpec) -> PairGroup:
     """The group {(l, r) : phi(l L_K) = r R_K}, as lattice data when both
-    factors are circle-type and as integer rows otherwise."""
+    factors are circle-type and as coset data otherwise."""
     fam = get_family(spec.family)
     if not fam.fibered or fam.goursat is None:
         raise UnsupportedFamilyError(
@@ -907,30 +896,13 @@ def goursat_group(spec: FamilySpec) -> PairGroup:
     group = PairGroup(spec, grid, data.left, data.left_kernel, data.right,
                       data.right_kernel)
     if polyhedral:
-        group.axis_rows = _axis_rows(data, grid)
+        group.gluing = _coset_gluing(data, grid)
     else:
         group.lattice = _circle_lattice(data, grid)
     if group.order != data.left.order * data.right_kernel.order:
         raise InternalInconsistencyError(
             f"{spec} has {group.order} elements, not |L| * |R_K|")
     return group
-
-
-def _axis_rows(data: GoursatData, grid: int) -> list:
-    """Rows (jl, a, r) coset by coset, for a T*, O* or I* right factor."""
-    left = _circle_quotient(data.left, data.left_kernel, grid)
-    right = _polyhedral_quotient(data.right, data.right_kernel)
-    seed = {left.identity: right.identity}
-    for gen_l, gen_r in data.phi_generators:
-        seed[left.coset_of(gen_l)] = right.coset_of(gen_r)
-    phi = _close_isomorphism(left.table, right.table, seed)
-    # (l, r) lies in G exactly when phi maps the coset of l to that of r
-    for l, r, what in ((left.identity, right.identity, "(1, 1)"),
-                       (left.minus_one, right.minus_one, "(-1, -1)")):
-        _require(phi[l] == r, f"{what} must belong to every catalog group")
-    return [(jl, a, r) for coset, parts in enumerate(left.cosets)
-            for jl, angles in parts for a in angles
-            for r in right.cosets[phi[coset]]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Brute-force recomputation of the quotient invariants from group data.
 
 Nothing in this module reads the closed-form tables.  It reads only the
-group data of a built group (`PairGroup.lattice`, or `PairGroup.rows`
+group data of a built group (`PairGroup.lattice`, or `PairGroup.gluing`
 for T*, O* and I* right factors, over `PairGroup.grid`) and
 
 * classifies the induced isometry group of the base 2-sphere and reads
@@ -20,12 +20,13 @@ isometries fall into four shapes (rotation about the poles, half turn
 about an equatorial axis, the antipode composed with a polar rotation,
 and reflection in a meridian), each an arithmetic progression of angles,
 and every stabilizer is a 2x2 integer lattice in Hermite normal form,
-so no row is listed.  Rows (left jflag, left angle, r) with r in T*, O*
-or I* take the axis path, exact in Q(sqrt2, sqrt5): a base point is a
-unit vector of Im H, kept as an oriented line; r = cos(pi t) + sin(pi t) u
-rotates the base by 2 pi t about the line of u, with t looked up from the
-exact value of Re r, and orbits and stabilizers follow from incidences of
-those lines.  No float and no numeric tolerance is used anywhere.
+so no row is listed.  A group with a T*, O* or I* right factor takes
+the axis path, exact in Q(sqrt2, sqrt5), once per right element and
+left progression: a base point is a unit vector of Im H, kept as an
+oriented line; r = cos(pi t) + sin(pi t) u rotates the base by 2 pi t
+about the line of u, with t looked up from the exact value of Re r, and
+orbits and stabilizers follow from incidences of those lines.  No float
+and no numeric tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -412,7 +413,20 @@ def _rotation_key(r):
 
 
 def _base_group_axis(group: PairGroup) -> BaseActionGroup:
-    """Base action of a group whose right factors lie in T*, O* or I*.
+    """Base action of a group whose right factors lie in T*, O* or I*,
+    from the at most 2*|R| classes (left jflag, right factor up to sign)."""
+    classes = {}
+    for jflag, _, coset in group.gluing.parts():
+        for r in coset:
+            key = (jflag, _rotation_key(r))
+            if key not in classes:
+                classes[key] = (jflag,) + _axis(r)
+    return _axis_base(group, classes)
+
+
+def _axis_base(group: PairGroup, classes: dict) -> BaseActionGroup:
+    """Base action from the induced isometries, one (jflag, t, line,
+    sign) per class of pairs that induce the same one (see _axis).
 
     Singular points are the points on rotation axes.  The points whose
     rotation stabilizer has order q fall into orbits that orbit-stabilizer
@@ -420,11 +434,6 @@ def _base_group_axis(group: PairGroup) -> BaseActionGroup:
     points, or two, separated by P and -P once no element is seen to
     carry P to -P.  Any other count is not resolved and raises.
     """
-    classes = {}
-    for jl, _, r in group.rows:
-        key = (jl, _rotation_key(r))
-        if key not in classes:
-            classes[key] = (jl,) + _axis(r)
     order = len(classes)
     _require(phi_order(group) % order == 0, "base order does not divide |G|/2")
 
@@ -487,46 +496,52 @@ def euler_oracle(group: PairGroup, base: Optional[BaseActionGroup] = None) -> Fr
 # local invariants of the exceptional fibers
 # ---------------------------------------------------------------------------
 
-def _axis_stab_vectors(group: PairGroup, line: int, sign: int):
-    """Common grid and exact torus translations, as integer numerators
-    over it, of the stabilizer of the fiber over the axis-path point
-    P = sign * u, conjugated to the core at infinity.
+def _axis_hnf(group: PairGroup, line: int, sign: int):
+    """Common grid and Hermite normal form of the torus translations, as
+    integer numerators over it, of the stabilizer of the fiber over the
+    axis-path point P = sign * u, conjugated to the core at infinity.
 
     A unit w with w P w^-1 = i carries that fiber to the core, and turns
     a right factor cos(pi t) + sin(pi t) v with v = +-P into
     cos(pi t) +- i sin(pi t), so beta = +-t/2 with the sign of v . P.
     The tabulated t have denominators 1-5, so t/2 lies on the grid of
-    120ths, and the left angles are lifted from the group's grid.
+    120ths, and the left angles are lifted from the group's grid.  An r
+    on the line of P meets one left progression alpha + (grid/period)*Z
+    per right coset, which translates by (alpha - beta, alpha + beta) and
+    the kernel step.  The span of those is the stabilizer's translations
+    when its index is half the pair count: (l, r), (-l, -r) act alike.
     Only orientation-preserving pairs enter: at a corner reflector the
     local invariant is by definition that of the index-two cyclic part.
     """
+    gluing = group.gluing
     grid = math.lcm(120, group.grid)
-    lift = grid // group.grid
-    vectors = set()
-    for jl, a, r in group.rows:
-        if jl:
+    lift, step = grid // group.grid, grid // gluing.period
+    vectors = []
+    for jflag, a, coset in gluing.parts():
+        if jflag:
             continue
-        t, r_line, r_sign = _axis(r)
-        if r_line is None:
-            direction = 1
-        elif r_line == line:
-            direction = r_sign * sign
-        else:
-            continue
-        alpha = a * lift
-        beta = direction * t.numerator * (grid // (2 * t.denominator))
-        vectors.add(((alpha - beta) % grid, (alpha + beta) % grid))
-    return grid, vectors
+        for r in coset:
+            t, r_line, r_sign = _axis(r)
+            if r_line is None:
+                direction = 1
+            elif r_line == line:
+                direction = r_sign * sign
+            else:
+                continue
+            alpha = a * lift
+            beta = direction * t.numerator * (grid // (2 * t.denominator))
+            vectors.append((alpha - beta, alpha + beta))
+    h11, _, h22 = hnf = _hnf(vectors + [(step, step)], grid)
+    _require(len(vectors) * gluing.period * h11 * h22 == 2 * grid * grid,
+             "stabilizer translations do not form a group")
+    return grid, hnf
 
 
 def _orbit_invariant(group, orbit, location):
     kind, *where = orbit.position
     grid = group.grid
     if kind == "axis":
-        grid, vectors = _axis_stab_vectors(group, *where)
-        hnf = _hnf(vectors, grid)
-        _require(len(vectors) * hnf[0] * hnf[2] == grid * grid,
-                 "stabilizer translations do not form a group")
+        grid, hnf = _axis_hnf(group, *where)
     elif kind == "pole":
         hnf = _pole_hnf(group, where[0])
     else:

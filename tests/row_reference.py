@@ -1,22 +1,28 @@
 """Brute-force references that read the explicit rows of a built group.
 
 The library keeps a group with two circle-type factors as lattice data
-(`PairGroup.lattice`) and reads every oracle quantity off its Hermite
-normal form.  The functions here are the row scans that did the same
-work before: they read `PairGroup.rows`, one integer row per element, so
-the tests can check the lattice formulas against every element.  The two
-row builds at the end, the direct grid of the parameter families and
-the coset-by-coset gluing, are the constructions the lattice build
-replaced.
+(`PairGroup.lattice`), and one with a T*, O* or I* right factor as coset
+data (`PairGroup.gluing`), and reads every oracle quantity off that
+structure.  The functions here are the row scans that did the same work
+before: they read `PairGroup.rows`, one integer row per element, so the
+tests can check the structural formulas against every element.  The row
+builds at the end, the direct grid of the parameter families and the
+coset-by-coset gluing through quotient product tables, are the
+constructions the structural builds replaced.
 """
 
 import math
 
 from orbiseif.engine import THREE_SPHERE, TopologyReport, lens_report, modinv_pos
 from orbiseif.groups import (
+    CosetGluing,
+    StandardGroupId,
+    _Quotient,
+    _check_circle_factor,
     _circle_period,
-    _circle_quotient,
-    _close_isomorphism,
+    _circle_times,
+    _on_circle_grid,
+    _require,
     get_family,
     phi_order,
 )
@@ -27,6 +33,8 @@ from orbiseif.oracle import (
     REFL,
     ROT,
     TorusQuotientMap,
+    _axis,
+    _rotation_key,
     slope_invariant,
     torus_quotient_map,
 )
@@ -113,6 +121,59 @@ def invariant_from_int_vectors(vectors, grid, location):
     return slope_invariant(main.compose_after(pre), HOPF_FIBER, location)
 
 
+# -- the axis path: T*, O* and I* right factors ---------------------------------
+
+def axis_classes(group):
+    """(jflag, t, line, sign) per class of rows (l, r) inducing the same
+    base isometry, keyed by the left jflag and r up to sign."""
+    classes = {}
+    for jl, _, r in group.rows:
+        key = (jl, _rotation_key(r))
+        if key not in classes:
+            classes[key] = (jl,) + _axis(r)
+    return classes
+
+
+def axis_stab_vectors(group, line, sign):
+    """Common grid and the exact set of torus translations of the
+    stabilizer of the fiber over sign * (direction of line), one row at a
+    time (see oracle._axis_hnf)."""
+    grid = math.lcm(120, group.grid)
+    lift = grid // group.grid
+    vectors = set()
+    for jl, a, r in group.rows:
+        if jl:
+            continue
+        t, r_line, r_sign = _axis(r)
+        if r_line is None:
+            direction = 1
+        elif r_line == line:
+            direction = r_sign * sign
+        else:
+            continue
+        alpha = a * lift
+        beta = direction * t.numerator * (grid // (2 * t.denominator))
+        vectors.add(((alpha - beta) % grid, (alpha + beta) % grid))
+    return grid, vectors
+
+
+def gluing_by_right_element(rows, grid):
+    """Coset data of explicit rows (jl, a, r), grouped by right element:
+    one right coset {r} per r, glued to the left elements paired with it,
+    which form a coset of the left elements paired with the identity."""
+    lefts = {}
+    for jl, a, r in rows:
+        lefts.setdefault(r, []).append((jl, a))
+    kernel = next(ls for r, ls in lefts.items() if r.is_identity())
+    period = sum(1 for jl, _ in kernel if not jl)
+    step = grid // period
+    gluing = CosetGluing(period, any(jl for jl, _ in kernel),
+                         tuple((ls[0][0], ls[0][1] % step) for ls in lefts.values()),
+                         tuple((r,) for r in lefts))
+    assert len(rows) == len(set(rows)) and set(gluing.rows(grid)) == set(rows)
+    return gluing
+
+
 # -- the lens space, by the quotient-matrix route ------------------------------------
 
 def lens_by_matrices(group):
@@ -139,7 +200,83 @@ def lens_by_matrices(group):
     return lens_report(e, (-g * modinv_pos(d, e)) % e, components)
 
 
-# -- the row builds the lattice replaced -------------------------------------------
+# -- the row builds the lattice and coset gluing replaced -------------------------
+
+def _circle_quotient(group: StandardGroupId, kernel: StandardGroupId,
+                     grid: int) -> _Quotient:
+    """Coset data of a C or D* left factor in closed form, with no
+    product of elements.
+
+    An element is (jflag, a) with angle a/P over the period P of the
+    factor.  With k rotations in the kernel and q = P/k, the rotation
+    (False, a) lies in coset a mod q, and so does (True, a) when the
+    kernel is binary dihedral; over a cyclic kernel (True, a) lies in
+    coset q + a mod q, since (True, a)*(False, b) = (True, a - b).  Each
+    coset is an arithmetic progression of angles, listed as numerators
+    over `grid`, and the product table comes from the representatives
+    by _circle_times.
+    """
+    period = _check_circle_factor(group, kernel)
+    dihedral_kernel = kernel.kind == "D"
+    q = period // _circle_period(kernel)
+    j_base = 0 if dihedral_kernel else q
+
+    def index(jflag, a):
+        return (j_base if jflag else 0) + a % q
+
+    def coset_of(element):
+        return index(*_on_circle_grid(element, group, period))
+
+    reps = [(False, c) for c in range(q)]
+    if group.kind == "D" and not dihedral_kernel:
+        reps += [(True, c) for c in range(q)]
+    table = tuple(tuple(index(*_circle_times(x, y, period)) for y in reps)
+                  for x in reps)
+    step = grid // period
+    cosets = []
+    for jflag, c in reps:
+        angles = range(c * step, grid, q * step)
+        cosets.append(((False, angles), (True, angles)) if dihedral_kernel
+                      else ((jflag, angles),))
+    return _Quotient(coset_of, tuple(cosets), table, 0, index(False, period // 2))
+
+
+def _close_isomorphism(table_l, table_r, seed):
+    """Total bijective homomorphism on coset indices extending the seed.
+
+    The seed maps the identity coset and the generator cosets; the rest
+    is forced by multiplicativity, spreading from the generators through
+    the two quotient product tables.  Afterwards phi(g*x) = phi(g)*phi(x)
+    is checked for every generator g against every coset x, which by
+    induction on word length makes phi a homomorphism on the whole
+    quotient.
+    """
+    phi = dict(seed)
+    gens = list(seed.items())
+    frontier = list(phi.items())
+    while frontier:
+        fresh = []
+        for a, fa in frontier:
+            for g, fg in gens:
+                ga = table_l[g][a]
+                image = table_r[fg][fa]
+                known = phi.get(ga)
+                if known is None:
+                    phi[ga] = image
+                    fresh.append((ga, image))
+                else:
+                    _require(known == image,
+                             "generator images do not extend to a homomorphism")
+        frontier = fresh
+    _require(len(phi) == len(table_l), "generator cosets do not span the quotient")
+    _require(len(set(phi.values())) == len(phi),
+             "gluing isomorphism is not injective")
+    for g, fg in gens:
+        for a in range(len(table_l)):
+            _require(phi[table_l[g][a]] == table_r[fg][phi[a]],
+                     "gluing map is not multiplicative")
+    return phi
+
 
 def direct_grid_rows(spec):
     """(grid, rows) of families 1, 1p, 11 and 11p written straight from the

@@ -193,6 +193,21 @@ def test_verify_rejects_more_workers_than_cpus(monkeypatch, capsys):
     assert code == 0 and "all agree" in out
 
 
+def test_verify_rejects_fewer_than_one_worker(monkeypatch, capsys):
+    """--workers below 1 exits with code 1 before anything is enumerated,
+    like a count above the CPU cap."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep started with fewer than one worker")
+
+    monkeypatch.setattr(verify, "sweep_specs", refuse)
+    monkeypatch.setattr(verify, "run_sweep", refuse)
+    for count in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "--max-order", "8",
+                                 "--workers", count)
+        assert code == 1 and out == "", count
+        assert f"at least 1, not {count}" in err
+
+
 def test_verify_order_limit_fails_before_any_build(monkeypatch, capsys):
     """A bound above MAX_VERIFY_ORDER, for `verify --max-order` or for the
     group of `compute --verify`, exits with code 1 during argument

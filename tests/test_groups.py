@@ -230,6 +230,24 @@ def test_row_view_matches_the_row_build_digest():
     assert digest.hexdigest()[:16] == "5508e155f9b61fd5"
 
 
+def test_polyhedral_row_view_matches_the_row_build_digest():
+    """(spec, grid, rows sorted by (jl, a, r._key)) of every group with a
+    T*, O* or I* right factor of order <= 480 hash to the digest of the
+    row build that preceded the coset gluing (106 groups, 56,160 rows)."""
+    digest = hashlib.sha256()
+    count = rows = 0
+    for spec in sweep_specs(480, TABLE4_FAMILIES):
+        if not _circle_type(spec):
+            group = goursat_group(spec)
+            keys = sorted((jl, a, r._key) for jl, a, r in group.rows)
+            digest.update(repr((str(spec), group.grid, keys)).encode())
+            count += 1
+            rows += len(keys)
+            assert group.order == len(keys)
+    assert (count, rows) == (106, 56160)
+    assert digest.hexdigest()[:16] == "f81fc07174684c26"
+
+
 def _reference_goursat(data):
     """{(l, r) : phi(l L_K) = r R_K} with the cosets kept as frozensets:
     phi spreads from the seed by multiplying coset representatives and
@@ -312,27 +330,42 @@ def test_fixed_factor_cache_stays_bounded():
 
 def test_goursat_checks_survive_python_optimize():
     """Kernels outside their factor and gluings that are not isomorphisms
-    of the quotients raise in the generator build, under -O too."""
+    of the quotients raise in the generator builds of both kinds of
+    right factor, under -O too."""
     script = (
         "import sys\n"
         "from orbiseif import engine, groups\n"
-        "from orbiseif.groups import (GoursatData, binary_dihedral, "
-        "circle_root, cyclic)\n"
+        "from orbiseif.groups import (BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL, "
+        "CIRCLE_J, OMEGA, SIGMA, GoursatData, binary_dihedral, circle_root, "
+        "cyclic)\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "if engine.InternalInconsistencyError is not "
         "groups.InternalInconsistencyError:\n"
         "    sys.exit('engine and groups raise different errors')\n"
         "c4, c2, z4, minus = cyclic(4), cyclic(2), circle_root(4), circle_root(2)\n"
-        "for data, want in (\n"
-        "        (GoursatData(c4, cyclic(3), c4, c4), 'C3 is not contained in C4'),\n"
-        "        (GoursatData(cyclic(8), binary_dihedral(8), cyclic(8), cyclic(8)),\n"
-        "         'D*8 is not contained in C8'),\n"
-        "        (GoursatData(c4, c2, c4, c2, ((z4, minus),)), 'not injective'),\n"
-        "        (GoursatData(c4, c2, c4, c2, ((minus, z4),)),\n"
-        "         'do not extend to a homomorphism')):\n"
+        "o, t = BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL\n"
+        "lattice, gluing = groups._circle_lattice, groups._coset_gluing\n"
+        "for build, data, want in (\n"
+        "        (lattice, GoursatData(c4, cyclic(3), c4, c4),\n"
+        "         'C3 is not contained in C4'),\n"
+        "        (lattice, GoursatData(cyclic(8), binary_dihedral(8), cyclic(8),\n"
+        "                              cyclic(8)), 'D*8 is not contained in C8'),\n"
+        "        (lattice, GoursatData(c4, c2, c4, c2, ((z4, minus),)),\n"
+        "         'not injective'),\n"
+        "        (lattice, GoursatData(c4, c2, c4, c2, ((minus, z4),)),\n"
+        "         'do not extend to a homomorphism'),\n"
+        "        (gluing, GoursatData(c4, c2, o, t, ((z4, OMEGA),)),\n"
+        "         'do not extend to a homomorphism'),\n"
+        "        (gluing, GoursatData(c4, c2, o, t, ((minus, SIGMA),)),\n"
+        "         'not injective'),\n"
+        "        (gluing, GoursatData(binary_dihedral(8), binary_dihedral(4), o, t,\n"
+        "                             ((CIRCLE_J, SIGMA),)), 'not injective'),\n"
+        "        (gluing, GoursatData(c4, c2, o, t), 'do not span the quotient'),\n"
+        "        (gluing, GoursatData(c4, cyclic(8), o, t),\n"
+        "         'C8 is not contained in C4')):\n"
         "    try:\n"
-        "        groups._circle_lattice(data, 8)\n"
+        "        build(data, 8)\n"
         "    except engine.InternalInconsistencyError as exc:\n"
         "        if want not in str(exc):\n"
         "            sys.exit(str(exc))\n"

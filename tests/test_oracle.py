@@ -25,13 +25,17 @@ from orbiseif.groups import (
     BINARY_OCTAHEDRAL,
     BINARY_TETRAHEDRAL,
     FIBERED_FAMILIES,
+    TABLE4_FAMILIES,
     FamilySpec,
     PairGroup,
+    _hnf,
     goursat_group,
     standard_group,
 )
 from orbiseif.oracle import (
     _HALF_ANGLE,
+    _axis_base,
+    _axis_hnf,
     _check_chi,
     base_group,
     euler_oracle,
@@ -49,7 +53,10 @@ from orbiseif.oracle import (
 from orbiseif.quaternions import CircleJElement, NotHopfPreservingError
 from orbiseif.verify import sweep_specs
 from row_reference import (
+    axis_classes,
+    axis_stab_vectors,
     equator_stab_vectors,
+    gluing_by_right_element,
     invariant_from_int_vectors,
     lattice_points,
     lens_by_matrices,
@@ -214,6 +221,33 @@ def test_lattice_oracle_matches_row_scan_reference():
     assert (checked, orbits) == (15864, 31235)
 
 
+def test_axis_oracle_matches_row_scan_reference():
+    """On every group with a T*, O* or I* right factor of order <= 480 the
+    coset-gluing formulas reproduce the row scans: the base order,
+    signature and orbits, and the exact stabilizer translations of every
+    singular orbit with its Hermite normal form and local invariant."""
+    checked = orbits = 0
+    for spec in sweep_specs(480, TABLE4_FAMILIES):
+        group = goursat_group(spec)
+        if group.gluing is None:
+            continue
+        base = base_group(group)
+        by_rows = _axis_base(group, axis_classes(group))
+        assert (base.order, base.signature, base.orbits) == \
+            (by_rows.order, by_rows.signature, by_rows.orbits), spec
+        for orbit in base.orbits:
+            _, line, sign = orbit.position
+            grid, vectors = axis_stab_vectors(group, line, sign)
+            hnf = _hnf(vectors, grid)
+            assert _axis_hnf(group, line, sign) == (grid, hnf), (spec, orbit)
+            assert lattice_points(hnf, grid) == vectors, (spec, orbit)
+            assert _lattice_invariant(hnf, grid, "cone") == \
+                invariant_from_int_vectors(vectors, grid, "cone"), (spec, orbit)
+            orbits += 1
+        checked += 1
+    assert (checked, orbits) == (106, 308)
+
+
 # -- assembled reports ---------------------------------------------------------------
 
 def test_oracle_report_disc_with_cone():
@@ -254,13 +288,14 @@ def test_polyhedral_real_parts_are_tabulated_cosines():
 
 
 def _with_quaternion_right_factors(group):
-    """The same group with 3-tuple rows: right factors in Q(sqrt2, sqrt5)
-    coordinates, so the oracle takes the axis path."""
+    """The same group with right factors in Q(sqrt2, sqrt5) coordinates,
+    glued by right element, so the oracle takes the axis path."""
     grid = group.grid
     rows = [(jl, a, circle_to_quaternion(CircleJElement(F(b, grid), jr)))
             for jl, jr, a, b in group.rows]
     return PairGroup(group.spec, grid, group.left, group.left_kernel,
-                     group.right, group.right_kernel, axis_rows=rows)
+                     group.right, group.right_kernel,
+                     gluing=gluing_by_right_element(rows, grid))
 
 
 # circle groups whose right angles have denominators dividing 8: sphere,
@@ -308,7 +343,7 @@ def test_polyhedral_left_factor_is_not_hopf_preserving():
     group = goursat_group(FamilySpec("5", m=1))
     swapped = PairGroup(group.spec, group.grid,
                         BINARY_TETRAHEDRAL, BINARY_TETRAHEDRAL,
-                        group.left, group.left_kernel, axis_rows=group.rows)
+                        group.left, group.left_kernel, gluing=group.gluing)
     with pytest.raises(NotHopfPreservingError):
         base_group(swapped)
 

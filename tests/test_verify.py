@@ -3,7 +3,12 @@
 import pytest
 
 from orbiseif import verify
-from orbiseif.groups import FamilySpec, RotationLattice, UnsupportedFamilyError
+from orbiseif.groups import (
+    CosetGluing,
+    FamilySpec,
+    RotationLattice,
+    UnsupportedFamilyError,
+)
 from orbiseif.verify import (
     ComparisonResult,
     compare_spec,
@@ -77,12 +82,16 @@ def test_verify_command_reports_mismatch_with_exit_2(monkeypatch, capsys):
 
 def test_large_circle_groups_are_checked_without_rows(monkeypatch):
     """Groups of a million elements and more pass compare_spec from their
-    lattice data alone: neither the rows nor the elements view is built,
-    and reading the order builds neither."""
+    lattice or coset data alone: neither the rows nor the elements view is
+    built, and reading the order builds neither."""
     def no_points(*args):
         raise AssertionError("the rows of a circle-type group were listed")
 
+    def no_rows(*args):
+        raise AssertionError("the rows of a polyhedral group were listed")
+
     monkeypatch.setattr(RotationLattice, "points", no_points)
+    monkeypatch.setattr(CosetGluing, "rows", no_rows)
     built = []
     build = verify.goursat_group
 
@@ -94,7 +103,8 @@ def test_large_circle_groups_are_checked_without_rows(monkeypatch):
     specs = [FamilySpec("1", m=1, n=1, r=250_001, s=3),        # sphere, lens
              FamilySpec("11", m=1, n=1, r=250_001, s=7),       # disc
              FamilySpec("2", m=1, n=125_000),                  # equator orbits
-             FamilySpec("13", m=1, n=62_500)]                  # corners on a disc
+             FamilySpec("13", m=1, n=62_500),                  # corners on a disc
+             FamilySpec("19", m=2_084)]                        # I* right factor
     for spec in specs:
         assert compare_spec(spec).ok, spec
     assert [group.order >= 10 ** 6 for group in built] == [True] * len(specs)
