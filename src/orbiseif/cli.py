@@ -49,8 +49,9 @@ EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_UNSUPPORTED = 3
 
-# Largest rotation order `verify --max-order` and `compute --verify` take;
-# a sweep has 949,019 specs at 960, and its count grows as the bound squared.
+# Largest rotation order `verify --max-order`, `enumerate --max-order` and
+# `compute --verify` take; a sweep has 949,019 specs at 960, and its count
+# grows as the bound squared.
 MAX_VERIFY_ORDER = 960
 
 _BASE_KIND_NAMES = {SPHERE: "Sphere", DISC: "Disc", PROJECTIVE: "ProjectivePlane"}
@@ -181,9 +182,8 @@ def _build_parser():
     ver = sub.add_parser("verify", help="closed form against brute force")
     ver.add_argument("--max-order", type=int, required=True)
     ver.add_argument("--families", default="all")
-    ver.add_argument("--workers", type=int, default=None,
-                     help="worker processes, from 1 to the CPU count "
-                          "(ORBISEIF_WORKERS overrides the default of 1)")
+    ver.add_argument("--workers", type=int, default=1,
+                     help="worker processes, from 1 to the CPU count")
     ver.add_argument("--json", action="store_true")
     return parser
 
@@ -241,8 +241,9 @@ def _cmd_compute(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
-    if args.max_order < 1:
-        print("error: --max-order must be at least 1", file=sys.stderr)
+    if not 1 <= args.max_order <= MAX_VERIFY_ORDER:
+        print(f"error: --max-order must lie in 1..{MAX_VERIFY_ORDER}",
+              file=sys.stderr)
         return EXIT_INVALID
     try:
         families = (verify_mod.resolve_families(args.families.split(","))
@@ -280,19 +281,17 @@ def _cmd_verify(args, out) -> int:
     if not families:
         print("error: no fibered family selected", file=sys.stderr)
         return EXIT_INVALID
-    workers = (args.workers if args.workers is not None
-               else verify_mod.default_workers())
-    if workers < 1:
-        print(f"error: --workers must be at least 1, not {workers}",
+    if args.workers < 1:
+        print(f"error: --workers must be at least 1, not {args.workers}",
               file=sys.stderr)
         return EXIT_INVALID
     cpus = os.cpu_count() or 1
-    if workers > cpus:
-        print(f"error: {workers} workers requested, but only {cpus} CPUs "
-              "are available", file=sys.stderr)
+    if args.workers > cpus:
+        print(f"error: {args.workers} workers requested, but only {cpus} "
+              "CPUs are available", file=sys.stderr)
         return EXIT_INVALID
     specs = verify_mod.sweep_specs(args.max_order, families)
-    results = verify_mod.run_sweep(specs, workers=workers)
+    results = verify_mod.run_sweep(specs, workers=args.workers)
     mismatches = [res for res in results if not res.ok]
     if args.json:
         doc = {"checked": len(results),

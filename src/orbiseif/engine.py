@@ -220,19 +220,17 @@ def _minimal_nu(a: int, bound: int, coprime_to: int) -> int:
     raise InternalInconsistencyError("no admissible nu below the bound")
 
 
-def derived_quantities(spec: FamilySpec, reading: str = "body") -> DerivedQuantities:
+def derived_quantities(spec: FamilySpec) -> DerivedQuantities:
     """The integer box for families 1 and 1p (s already made odd for 1).
 
-    `reading` selects which of the two printed gcd patterns defines a:
-    "body" uses gcd(n'+s*m', n'-s*m', (2)m'n'r), "table" the variant with
-    m'+s*n' as second argument.  The geometric verifier confirms the
-    body reading; the table variant exists only for diagnostics.
+    a = gcd(n'+s*m', n'-s*m', (2)m'n'r), the factor 2 for family 1, and
+    b1, b2 are the gcds of (n'-s*m')/a and (n'+s*m')/a with (2)m'n'r/a.
     """
-    return _derived_quantities_cached(spec, reading)
+    return _derived_quantities_cached(spec)
 
 
 @lru_cache(maxsize=8192)
-def _derived_quantities_cached(spec: FamilySpec, reading: str) -> DerivedQuantities:
+def _derived_quantities_cached(spec: FamilySpec) -> DerivedQuantities:
     if spec.family not in ("1", "1p"):
         raise ValueError("derived quantities exist only for families 1 and 1p")
     violations, _ = validate(spec)
@@ -244,18 +242,9 @@ def _derived_quantities_cached(spec: FamilySpec, reading: str) -> DerivedQuantit
     mp, np_ = m // h, n // h
     double = 2 if spec.family == "1" else 1
     big = double * mp * np_ * r
-
-    if reading == "body":
-        a = math.gcd(math.gcd(np_ + s * mp, abs(np_ - s * mp)), big)
-    elif reading == "table":
-        a = math.gcd(math.gcd(abs(np_ - s * mp), mp + s * np_), big)
-    else:
-        raise ValueError(f"unknown reading {reading!r}")
-
-    b1 = math.gcd(abs(np_ - s * mp) // a, big // a) if (np_ - s * mp) % a == 0 \
-        else _fail_a(reading, "n'-s*m'", a)
-    b2 = math.gcd((np_ + s * mp) // a, big // a) if (np_ + s * mp) % a == 0 \
-        else _fail_a(reading, "n'+s*m'", a)
+    a = math.gcd(np_ + s * mp, np_ - s * mp, big)
+    b1 = math.gcd((np_ - s * mp) // a, big // a)
+    b2 = math.gcd((np_ + s * mp) // a, big // a)
 
     e1 = e2 = 1
     if spec.family == "1p":
@@ -287,18 +276,13 @@ def _derived_quantities_cached(spec: FamilySpec, reading: str) -> DerivedQuantit
                              e1, e2)
 
 
-def _fail_a(reading, combo, a):
-    raise InternalInconsistencyError(
-        f"{reading} reading: a = {a} does not divide {combo}")
-
-
 # ---------------------------------------------------------------------------
 # family evaluators
 # ---------------------------------------------------------------------------
 
-def seifert_abelian(spec: FamilySpec, reading: str = "body") -> SeifertData:
+def seifert_abelian(spec: FamilySpec) -> SeifertData:
     """Families 1 and 1p: two exceptional fibers over a football base."""
-    dq = derived_quantities(spec, reading)
+    dq = derived_quantities(spec)
     m, n, r = spec.m, spec.n, spec.r
     if spec.family == "1p":
         den = n * r // 2
@@ -313,7 +297,7 @@ def seifert_abelian(spec: FamilySpec, reading: str = "body") -> SeifertData:
     return SeifertData(base, invariants, Fraction(-2 * m, n * r))
 
 
-def seifert_dihedral(spec: FamilySpec, reading: str = "body") -> SeifertData:
+def seifert_dihedral(spec: FamilySpec) -> SeifertData:
     """Families 11 and 11p: the same data folded along a mirror circle.
 
     The base becomes a disc whose two corner reflectors carry the cone
@@ -322,7 +306,7 @@ def seifert_dihedral(spec: FamilySpec, reading: str = "body") -> SeifertData:
     makes the invariant-sum congruence integral.
     """
     abelian_spec = replace(spec, family={"11": "1", "11p": "1p"}[spec.family])
-    ab = seifert_abelian(abelian_spec, reading)
+    ab = seifert_abelian(abelian_spec)
     base = BaseSignature(DISC, (), ab.base.cones)
     invariants = tuple(LocalInvariant(v.num, v.den, CORNER) for v in ab.invariants)
     euler = ab.euler / 2
@@ -464,10 +448,10 @@ def _fiber_sum(euler, invariants, xi=0) -> Fraction:
 
 def derive_xi(base, invariants, euler) -> int:
     """The boundary invariant forced by integrality of the invariant sum."""
-    for xi in (0, 1):
-        if _fiber_sum(euler, invariants, xi).denominator == 1:
-            return xi
-    raise InternalInconsistencyError("no xi in {0,1} makes the sum integral")
+    den = _fiber_sum(euler, invariants).denominator
+    if den > 2:
+        raise InternalInconsistencyError("no xi in {0,1} makes the sum integral")
+    return den - 1
 
 
 def somma_residue(d: SeifertData) -> Fraction:
@@ -619,15 +603,15 @@ class EngineReport:
     provenance: str
 
 
-def evaluate(spec: FamilySpec, reading: str = "body") -> EngineReport:
+def evaluate(spec: FamilySpec) -> EngineReport:
     fam = get_family(spec.family)
     if not fam.fibered:
         raise ValueError(f"family {spec.family} preserves no fibration")
     if spec.family in ("1", "1p"):
-        seifert = seifert_abelian(spec, reading)
+        seifert = seifert_abelian(spec)
         provenance = f"abelian box, family {spec.family}"
     elif spec.family in ("11", "11p"):
-        seifert = seifert_dihedral(spec, reading)
+        seifert = seifert_dihedral(spec)
         provenance = f"dihedral fold of the abelian box, family {spec.family}"
     else:
         seifert = seifert_polyhedral(spec)

@@ -12,8 +12,9 @@ for T*, O* and I* right factors, over `PairGroup.grid`) and
   homology: conjugate the fiber to the core at infinity, reduce the
   now-diagonal stabilizer to integer torus translations, and push the
   fiber class through the quotient matrices,
-* for the abelian families, assembles the underlying lens space from
-  the lattice of boundary torus translations and the meridian exchange.
+* for a group with two cyclic factors, assembles the underlying lens
+  space from the lattice of boundary torus translations and the
+  meridian exchange.
 
 A group with two circle-type factors takes the lattice path: the induced
 isometries fall into four shapes (rotation about the poles, half turn
@@ -483,11 +484,9 @@ def _axis_base(group: PairGroup, classes: dict) -> BaseActionGroup:
     return BaseActionGroup(order, signature, orbits, "axis")
 
 
-def euler_oracle(group: PairGroup, base: Optional[BaseActionGroup] = None) -> Fraction:
+def euler_oracle(group: PairGroup, base: BaseActionGroup) -> Fraction:
     """-(rotation order)/(base degree)^2: covering naturality applied to
     the Hopf fibration, whose own Euler number is -1."""
-    if base is None:
-        base = base_group(group)
     n = phi_order(group)
     return Fraction(-n, base.order * base.order)
 
@@ -549,11 +548,8 @@ def _orbit_invariant(group, orbit, location):
     return _lattice_invariant(hnf, grid, location)
 
 
-def exceptional_fibers_oracle(group: PairGroup,
-                              base: Optional[BaseActionGroup] = None):
+def exceptional_fibers_oracle(group: PairGroup, base: BaseActionGroup):
     """One local invariant per singular-point orbit of the base."""
-    if base is None:
-        base = base_group(group)
     disc = base.signature.kind == DISC
     invariants = []
     for orbit in base.orbits:
@@ -580,8 +576,9 @@ def lens_oracle(group: PairGroup) -> TopologyReport:
     lens parameters.  The translations (0, v) fix the z2 = 0 core and the
     (u, 0) the z1 = 0 core; their counts are the singular components.
     """
-    if group.spec.family not in ("1", "1p"):
-        raise ValueError("the lens assembly applies to the abelian families")
+    if not _single_class_lattice(group):
+        raise ValueError("the lens assembly applies to groups with two "
+                         "cyclic factors")
     grid = group.grid
     h11, h12, h22 = _pole_hnf(group, False)
     _require(grid * grid // (h11 * h22) == phi_order(group), "torus translations repeat")
@@ -598,6 +595,11 @@ def lens_oracle(group: PairGroup) -> TopologyReport:
     if abs(p) == 1:
         return TopologyReport(THREE_SPHERE, singular_components=components)
     return lens_report(abs(p), q % abs(p), components)
+
+
+def _single_class_lattice(group: PairGroup) -> bool:
+    """Both factors cyclic: a lattice whose only flag class is the rotations."""
+    return group.lattice is not None and len(group.lattice.offsets) == 1
 
 
 def _solve_2d(b1, b2, target):
@@ -622,8 +624,9 @@ class OracleReport:
 
 
 def oracle_report(group: PairGroup) -> OracleReport:
-    """Base orbifold, Euler number, local invariants and (for abelian
-    families) the underlying space, all recomputed from the elements."""
+    """Base orbifold, Euler number, local invariants and (for groups with
+    two cyclic factors) the underlying space, all recomputed from the
+    group data."""
     base = base_group(group)
     euler = euler_oracle(group, base)
     invariants = tuple(exceptional_fibers_oracle(group, base))
@@ -631,7 +634,5 @@ def oracle_report(group: PairGroup) -> OracleReport:
     if base.signature.kind == DISC:
         xi = derive_xi(base.signature, invariants, euler)
     seifert = SeifertData(base.signature, invariants, euler, xi)
-    topology = None
-    if group.spec.family in ("1", "1p"):
-        topology = lens_oracle(group)
+    topology = lens_oracle(group) if _single_class_lattice(group) else None
     return OracleReport(seifert, topology, base.order)

@@ -8,17 +8,18 @@ congruence, and (for the abelian families) the underlying lens space up
 to homeomorphism.  Invariant lists are compared as multisets: which
 printed invariant sits at which equal-index cone point is not part of
 the data.
+
+A sweep maps compare_spec over the specs, in this process or over a
+pool of `workers` processes; both return the same ComparisonResult list.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 from . import engine
-from .engine import EngineReport, evaluate, somma_residue
+from .engine import evaluate, somma_residue
 from .groups import (
     ABELIAN_FAMILIES,
     DIHEDRAL_FAMILIES,
@@ -30,15 +31,13 @@ from .groups import (
     goursat_group,
     phi_order,
 )
-from .oracle import OracleReport, oracle_report
+from .oracle import oracle_report
 
 
 @dataclass
 class ComparisonResult:
     spec: FamilySpec
     differences: list
-    engine_report: Optional[EngineReport] = None
-    oracle_result: Optional[OracleReport] = None
 
     @property
     def ok(self) -> bool:
@@ -60,7 +59,7 @@ def _lens_key(report):
     return None
 
 
-def compare_spec(spec: FamilySpec, keep_reports: bool = False) -> ComparisonResult:
+def compare_spec(spec: FamilySpec) -> ComparisonResult:
     """Build the group, run both paths, and list every disagreement."""
     diffs = []
     eng = evaluate(spec)
@@ -106,25 +105,7 @@ def compare_spec(spec: FamilySpec, keep_reports: bool = False) -> ComparisonResu
             diffs.append(f"singular components: engine {comp_e}, "
                          f"oracle {comp_o}")
 
-    if diffs and spec.family in ("1", "1p", "11", "11p"):
-        diffs.append(_table_reading_diagnostic(spec, orc))
-
-    if keep_reports:
-        return ComparisonResult(spec, diffs, eng, orc)
     return ComparisonResult(spec, diffs)
-
-
-def _table_reading_diagnostic(spec: FamilySpec, orc: OracleReport) -> str:
-    """On an abelian/dihedral mismatch, also report the variant reading of
-    the derived-quantity box so the diff shows both candidates."""
-    try:
-        alt = evaluate(spec, reading="table")
-        alt_inv = invariant_multiset(alt.seifert)
-        agrees = alt_inv == invariant_multiset(orc.seifert)
-        return (f"table-variant reading gives invariants {alt_inv} "
-                f"({'matches' if agrees else 'does not match'} the oracle)")
-    except Exception as exc:  # the variant reading may not even be integral
-        return f"table-variant reading fails: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -161,32 +142,10 @@ def sweep_specs(max_order: int, families=None) -> list:
     return [row.spec for row in enumerate_specs(max_order, names)]
 
 
-def _compare_worker(args):
-    spec = FamilySpec(*args)
-    result = compare_spec(spec)
-    return args, result.differences
-
-
 def run_sweep(specs, workers: int = 1):
     """Compare every spec; deterministic result order regardless of pool."""
-    results = []
     if workers <= 1:
-        for spec in specs:
-            results.append(compare_spec(spec))
-        return results
-    packed = [(sp.family, sp.m, sp.n, sp.r, sp.s) for sp in specs]
+        return [compare_spec(spec) for spec in specs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(packed) // (workers * 8) or 1)
-        for args, diffs in pool.map(_compare_worker, packed, chunksize=chunk):
-            results.append(ComparisonResult(FamilySpec(*args), diffs))
-    return results
-
-
-def default_workers() -> int:
-    env = os.environ.get("ORBISEIF_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+        chunk = max(1, len(specs) // (workers * 8))
+        return list(pool.map(compare_spec, specs, chunksize=chunk))

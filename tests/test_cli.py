@@ -1,7 +1,9 @@
 """Command-line interface: output formats, round trips, exit codes."""
 
+import ast
 import json
 import os
+import pathlib
 
 from orbiseif import cli, verify
 from orbiseif.cli import MAX_VERIFY_ORDER, main, report_from_dict, report_json
@@ -171,25 +173,21 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_verify_rejects_more_workers_than_cpus(monkeypatch, capsys):
-    """A worker count above the CPU count, from --workers or from
-    ORBISEIF_WORKERS, exits with code 1 before any pool is created."""
+    """A worker count above the CPU count exits with code 1 before any
+    pool is created."""
     class NoPool:
         def __init__(self, *args, **kwargs):
             raise AssertionError("a process pool was created")
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("ORBISEIF_WORKERS", raising=False)
     code, _, err = run_cli(capsys, "verify", "--max-order", "8",
                            "--workers", "3")
     assert code == 1 and "3 workers requested" in err
-    monkeypatch.setenv("ORBISEIF_WORKERS", "3")
-    code, _, err = run_cli(capsys, "verify", "--max-order", "8")
-    assert code == 1 and "3 workers requested" in err
     # at the cap the sweep runs; one worker needs no pool
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setenv("ORBISEIF_WORKERS", "1")
-    code, out, _ = run_cli(capsys, "verify", "--max-order", "8")
+    code, out, _ = run_cli(capsys, "verify", "--max-order", "8",
+                           "--workers", "1")
     assert code == 0 and "all agree" in out
 
 
@@ -209,9 +207,10 @@ def test_verify_rejects_fewer_than_one_worker(monkeypatch, capsys):
 
 
 def test_verify_order_limit_fails_before_any_build(monkeypatch, capsys):
-    """A bound above MAX_VERIFY_ORDER, for `verify --max-order` or for the
-    group of `compute --verify`, exits with code 1 during argument
-    validation: nothing is enumerated, evaluated or built."""
+    """A bound above MAX_VERIFY_ORDER, for `verify --max-order`,
+    `enumerate --max-order` or the group of `compute --verify`, exits with
+    code 1 during argument validation: nothing is enumerated, evaluated
+    or built."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started for an oversized order")
 
@@ -220,10 +219,26 @@ def test_verify_order_limit_fails_before_any_build(monkeypatch, capsys):
                         (cli, "evaluate")):
         monkeypatch.setattr(owner, name, refuse)
     too_big = str(MAX_VERIFY_ORDER + 1)
-    code, _, err = run_cli(capsys, "verify", "--max-order", too_big)
-    assert code == 1 and str(MAX_VERIFY_ORDER) in err
+    for command in ("verify", "enumerate"):
+        code, out, err = run_cli(capsys, command, "--max-order", too_big)
+        assert code == 1 and out == "" and str(MAX_VERIFY_ORDER) in err
     # family 1 has rotation order 2*m*n*r
     code, _, err = run_cli(capsys, "compute", "--family", "1", "-m", "1",
                            "-n", "1", "-r", str(MAX_VERIFY_ORDER // 2 + 1),
                            "-s", "1", "--verify")
     assert code == 1 and str(MAX_VERIFY_ORDER) in err
+
+
+def test_no_module_reads_the_environment():
+    """Configuration comes from the command line only: no module of the
+    package reads os.environ or os.getenv."""
+    package = pathlib.Path(cli.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            readers += [(path.name, name) for name in names
+                        if name in ("environ", "environb", "getenv", "getenvb")]
+    assert readers == []

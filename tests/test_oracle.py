@@ -124,11 +124,20 @@ def test_base_group_abelian():
     assert base.signature == BaseSignature(SPHERE, (5, 5))
 
 
+def _euler(spec):
+    group = goursat_group(spec)
+    return euler_oracle(group, base_group(group))
+
+
+def _fibers(spec):
+    group = goursat_group(spec)
+    return exceptional_fibers_oracle(group, base_group(group))
+
+
 def test_euler_oracle_values():
-    assert euler_oracle(goursat_group(FamilySpec("9", m=1))) == F(-1, 30)
-    assert euler_oracle(goursat_group(FamilySpec("2", m=2, n=3))) == F(-2, 3)
-    assert euler_oracle(goursat_group(FamilySpec("1p", m=1, n=1, r=10, s=1))) \
-        == F(-1, 5)
+    assert _euler(FamilySpec("9", m=1)) == F(-1, 30)
+    assert _euler(FamilySpec("2", m=2, n=3)) == F(-2, 3)
+    assert _euler(FamilySpec("1p", m=1, n=1, r=10, s=1)) == F(-1, 5)
 
 
 # -- exceptional fibers -------------------------------------------------------------
@@ -138,18 +147,17 @@ def normalized_invs(invs):
 
 
 def test_exceptional_fibers_icosahedral():
-    invs = exceptional_fibers_oracle(goursat_group(FamilySpec("9", m=1)))
+    invs = _fibers(FamilySpec("9", m=1))
     assert normalized_invs(invs) == [(1, 2, 1), (1, 3, 1), (1, 5, 1)]
 
 
 def test_exceptional_fibers_even_parameter():
-    invs = exceptional_fibers_oracle(goursat_group(FamilySpec("2", m=2, n=3)))
+    invs = _fibers(FamilySpec("2", m=2, n=3))
     assert normalized_invs(invs) == [(0, 2, 2), (0, 2, 2), (2, 3, 1)]
 
 
 def test_exceptional_fibers_cyclic_quotient():
-    invs = exceptional_fibers_oracle(
-        goursat_group(FamilySpec("1p", m=1, n=1, r=10, s=1)))
+    invs = _fibers(FamilySpec("1p", m=1, n=1, r=10, s=1))
     assert normalized_invs(invs) == [(0, 5, 5), (1, 5, 1)]
 
 
@@ -169,6 +177,22 @@ def test_lens_oracle_trivial():
     top = lens_oracle(goursat_group(FamilySpec("1p", m=1, n=1, r=10, s=1)))
     assert top.underlying == THREE_SPHERE
     assert top.singular_components == (5,)
+
+
+def test_lens_assembly_is_chosen_from_the_group():
+    """The lens assembly takes exactly the lattices with one flag class,
+    the groups with two cyclic factors, whatever the family label."""
+    for spec in (FamilySpec("2bis", m=1, n=4), FamilySpec("9", m=1)):
+        with pytest.raises(ValueError, match="two cyclic factors"):
+            lens_oracle(goursat_group(spec))
+    single = 0
+    for spec in sweep_specs(60):
+        group = goursat_group(spec)
+        lattice = group.lattice
+        expected = lattice is not None and len(lattice.offsets) == 1
+        assert (oracle_report(group).topology is not None) == expected, spec
+        single += expected
+    assert single == len(sweep_specs(60, ["1", "1p"]))
 
 
 def test_lens_matrix_and_lattice_routes_agree():
@@ -422,14 +446,3 @@ def test_base_group_chi_times_order_is_two():
                  FamilySpec("18", m=2), FamilySpec("33p", m=3, n=5)):
         base = base_group(goursat_group(spec))
         assert _chi(base.signature) * base.order == 2
-
-
-def test_mismatch_diff_reports_the_variant_reading():
-    """On an abelian disagreement the diff also evaluates the variant
-    gcd pattern of the derived-quantity box, so both candidate readings
-    are visible (here invoked directly; the sweep itself never trips)."""
-    from orbiseif.verify import _table_reading_diagnostic
-    spec = FamilySpec("1p", m=1, n=3, r=4, s=3)
-    orc = oracle_report(goursat_group(spec))
-    note = _table_reading_diagnostic(spec, orc)
-    assert "table-variant reading" in note

@@ -12,7 +12,6 @@ from orbiseif.groups import (
 from orbiseif.verify import (
     ComparisonResult,
     compare_spec,
-    default_workers,
     resolve_families,
     run_sweep,
     sweep_specs,
@@ -38,33 +37,14 @@ def test_parallel_sweep_matches_serial():
     specs = sweep_specs(24, ["1", "2", "11p"])
     serial = run_sweep(specs, workers=1)
     parallel = run_sweep(specs, workers=2)
-    assert [(r.spec, r.differences) for r in serial] == \
-        [(r.spec, r.differences) for r in parallel]
+    assert serial == parallel
     assert all(r.ok for r in serial)
-
-
-def test_compare_keeps_reports_when_asked():
-    result = compare_spec(FamilySpec("10", m=1, n=3), keep_reports=True)
-    assert result.ok
-    assert result.engine_report is not None
-    assert result.oracle_result is not None
-    assert result.engine_report.seifert.euler == \
-        result.oracle_result.seifert.euler
-
-
-def test_default_workers_env(monkeypatch):
-    monkeypatch.delenv("ORBISEIF_WORKERS", raising=False)
-    assert default_workers() == 1
-    monkeypatch.setenv("ORBISEIF_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("ORBISEIF_WORKERS", "junk")
-    assert default_workers() == 1
 
 
 def test_verify_command_reports_mismatch_with_exit_2(monkeypatch, capsys):
     from orbiseif import cli
 
-    def fake_compare(spec, keep_reports=False):
+    def fake_compare(spec):
         return ComparisonResult(spec, ["synthetic difference"])
 
     monkeypatch.setattr(cli.verify_mod, "compare_spec", fake_compare)
