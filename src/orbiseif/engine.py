@@ -211,13 +211,14 @@ def lens_report(p: int, q: int, components=()) -> TopologyReport:
 # ---------------------------------------------------------------------------
 
 def _minimal_nu(a: int, bound: int, coprime_to: int) -> int:
-    """Least nu >= 1 with a*nu | bound and gcd(bound/(a*nu), coprime_to) = 1."""
-    nu = 1
-    while nu <= bound:
-        if bound % (a * nu) == 0 and math.gcd(bound // (a * nu), coprime_to) == 1:
-            return nu
-        nu += 1
-    raise InternalInconsistencyError("no admissible nu below the bound")
+    """Least nu >= 1 with a*nu | bound and gcd(bound/(a*nu), coprime_to) = 1:
+    the part of bound/a made of the primes it shares with coprime_to."""
+    if bound % a:
+        raise InternalInconsistencyError(f"{a} does not divide {bound}")
+    rest = bound // a
+    while (shared := math.gcd(rest, coprime_to)) > 1:
+        rest //= shared
+    return bound // a // rest
 
 
 def derived_quantities(spec: FamilySpec) -> DerivedQuantities:

@@ -164,9 +164,8 @@ def algebraic_group(group_id: StandardGroupId) -> list[GroupElement]:
     if kind in "TOI":
         return standard_group(group_id)
     if kind == "D" and order == 8:
-        return [quat_rational(*coords) for coords in (
-            (1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
-            (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1))]
+        # +-1, +-i, +-j, +-k lead T*, in the order the coset data follow
+        return _tetrahedral_elements()[:8]
     raise ValueError(f"no algebraic representation wired for {group_id}")
 
 
@@ -914,7 +913,6 @@ class EnumeratedSpec:
     spec: FamilySpec
     phi_order: int
     fibered: bool
-    label: str
 
 
 def _param_candidates(fam: Family, max_order: int):
@@ -973,6 +971,5 @@ def enumerate_specs(max_order: int, families=None) -> list[EnumeratedSpec]:
             violations, _ = validate(sp)
             if violations:
                 continue
-            rows.append(EnumeratedSpec(sp, fam.phi_order(sp), fam.fibered,
-                                       fam.label))
+            rows.append(EnumeratedSpec(sp, fam.phi_order(sp), fam.fibered))
     return rows

@@ -8,13 +8,12 @@ for T*, O* and I* right factors, over `PairGroup.grid`) and
   the quotient 2-orbifold off the fixed-point geometry,
 * gets the Euler number from the covering degrees (the Hopf fibration
   itself has Euler number -1),
-* recomputes every local invariant from the solid-torus quotient
-  homology: conjugate the fiber to the core at infinity, reduce the
-  now-diagonal stabilizer to integer torus translations, and push the
-  fiber class through the quotient matrices,
-* for a group with two cyclic factors, assembles the underlying lens
-  space from the lattice of boundary torus translations and the
-  meridian exchange.
+* conjugates each fiber to the core at infinity and reads its local
+  invariant in closed form off the Hermite normal form (h11, h12, h22)
+  of the stabilizer's torus translations,
+* for a group with two cyclic factors, reads the underlying lens space
+  L(h22/g, h12/g), g = gcd(h12, h22), off that normal form for the
+  rotation group.
 
 A group with two circle-type factors takes the lattice path: the induced
 isometries fall into four shapes (rotation about the poles, half turn
@@ -48,7 +47,6 @@ from .engine import (
     LocalInvariant,
     SeifertData,
     TopologyReport,
-    THREE_SPHERE,
     derive_xi,
     lens_report,
     modinv_pos,
@@ -57,97 +55,36 @@ from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldEl
 from .groups import PairGroup, _ext_gcd, _hnf, _require, phi_order
 from .quaternions import NotHopfPreservingError
 
-HOPF_FIBER = (1, 1)
 HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
-# boundary homology of solid torus quotients
+# local invariant of a fibered solid torus quotient
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TorusQuotientMap:
-    """Boundary homology of the quotient of a fibered solid torus.
-
-    Columns of `matrix` are the images of the meridian and longitude in
-    the (meridian', longitude') basis of the quotient torus; the map is
-    upper triangular and its determinant equals the order of the acting
-    cyclic group.  `core_fix` is the order of the subgroup fixing the
-    core pointwise, which is the singularity index the core acquires.
-    """
-
-    matrix: tuple
-    core_fix: int
-
-    def determinant(self) -> int:
-        return self.matrix[0][0] * self.matrix[1][1]
-
-    def image_of(self, p: int, q: int):
-        (m00, m01), (m10, m11) = self.matrix
-        _require(m10 == 0, "torus quotient matrix is not upper triangular")
-        return (m00 * p + m01 * q, m11 * q)
-
-    def compose_after(self, first: "TorusQuotientMap") -> "TorusQuotientMap":
-        (a, b), (_, d) = self.matrix
-        (e, f), (_, h) = first.matrix
-        return TorusQuotientMap(((a * e, a * f + b * h), (0, d * h)),
-                                self.core_fix * first.core_fix)
-
-
-def torus_quotient_map(d: int, e: int, g: int) -> TorusQuotientMap:
-    """Quotient of the solid torus by z1 -> e^(2 pi i g/e) z1,
-    z2 -> e^(2 pi i d/e) z2 (the core is the z1 = 0 circle).
-
-    The meridian multiplies by gcd(d, e) and the longitude picks up the
-    twist -g * dbar' where dbar' inverts d/gcd(d,e) modulo e/gcd(d,e);
-    when that modulus is 1 the inverse is defined to be 0 (the twist is
-    only defined modulo the modulus, and downstream slope arithmetic
-    never reads it in that case).
-    """
-    if e < 1 or math.gcd(math.gcd(abs(d), e), abs(g)) != 1:
-        raise ValueError(f"need gcd(d, e, g) = 1 and e >= 1, got {(d, e, g)}")
-    k = math.gcd(abs(d), e)
-    e_prime = e // k
-    d_prime = d // k
-    d_bar = 0 if e_prime == 1 else modinv_pos(d_prime, e_prime)
-    return TorusQuotientMap(((k, -g * d_bar), (0, e_prime)), k)
-
-
-def slope_invariant(tq: TorusQuotientMap, fiber=HOPF_FIBER,
-                    location: str = CONE) -> LocalInvariant:
-    """Local invariant of the quotient core from the image fiber slope.
-
-    The fiber class (p, q) maps to a possibly non-primitive class; the
-    reduced slope a/b inverts to abar/b, and both entries are scaled by
-    the core fix order so the invariant keeps the singularity index.
-    """
-    p, q = fiber
-    num, den = tq.image_of(p, q)
-    _require(math.gcd(p, q) == 1 and den >= 1, "fiber slope is not primitive")
-    c = math.gcd(abs(num), den)
-    a, b = num // c, den // c
-    a_bar = 0 if b == 1 else modinv_pos(a, b)
-    k = tq.core_fix
-    return LocalInvariant(a_bar * k, b * k, location)
-
 
 def _lattice_invariant(hnf, grid: int, location: str) -> LocalInvariant:
     """Local invariant of the core at infinity under a diagonal group.
 
     `hnf` is the Hermite normal form (h11, h12, h22) of the lattice of
     torus translations (u, v): an element rotates z1 by u/grid and z2 by
-    v/grid, and the core is the z1 circle (z2 = 0).  Quotient first by
-    the k = grid/h22 translations (0, v) that fix the core pointwise,
-    then by the residual group {(u, k*v)}, which acts freely on the core
-    and is cyclic of order e = grid/h11, generated by (h11, k*h12).
+    v/grid, and the core is the z1 circle (z2 = 0).  The quotient by the
+    k = grid/h22 translations (0, v) that fix the core pointwise
+    multiplies the meridian by k, so the Hopf fiber (1, 1) becomes (k, 1).
+    The residual group {(u, k*v)} is cyclic of order e = grid/h11, and
+    its generator (h11, k*h12) turns the core by 1/e and the normal disc
+    by t/e, t = k*h12/h11: it sends (p, q) to (p - t*q, e*q), the fiber
+    to (k - t, e).  With c = gcd(k - t, e) and b = e/c the invariant is
+    a/b, a*(k - t)/c = 1 mod b, both entries scaled by k, which keeps the
+    singularity index.
     """
     h11, h12, h22 = hnf
     k, e = grid // h22, grid // h11
-    twist = k * h12 % grid
-    _require(twist % h11 == 0, "residual generator is not on the grid")
-    pre = torus_quotient_map(0, k, 1)
-    main = torus_quotient_map(1, e, twist // h11)
-    return slope_invariant(main.compose_after(pre), HOPF_FIBER, location)
+    _require(k * h12 % h11 == 0, "residual generator is not on the grid")
+    num = k - k * h12 // h11
+    c = math.gcd(num, e)
+    b = e // c
+    a = 0 if b == 1 else modinv_pos(num // c, b)
+    return LocalInvariant(a * k, b * k, location)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +111,6 @@ class BaseActionGroup:
     order: int
     signature: BaseSignature
     orbits: list                   # SingularOrbit entries, deterministic order
-    mode: str                      # "circle" or "axis"
 
 
 def _check_chi(kind, cones, corners, order, signature):
@@ -340,7 +276,7 @@ def _circle_base(group: PairGroup, shapes: dict) -> BaseActionGroup:
     # exactly when its angle parameter is a half turn
     signature = _quotient_signature(bool(arots) or bool(refls),
                                     bool(refls) or half in arots, orbits, order)
-    return BaseActionGroup(order, signature, orbits, "circle")
+    return BaseActionGroup(order, signature, orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +417,7 @@ def _axis_base(group: PairGroup, classes: dict) -> BaseActionGroup:
 
     signature = _quotient_signature(bool(reversing_lines), bool(mirrors),
                                     orbits, order)
-    return BaseActionGroup(order, signature, orbits, "axis")
+    return BaseActionGroup(order, signature, orbits)
 
 
 def euler_oracle(group: PairGroup, base: BaseActionGroup) -> Fraction:
@@ -572,9 +508,12 @@ def lens_oracle(group: PairGroup) -> TopologyReport:
     torus translations of the rotation group, in Hermite normal form
     (h11, h12), (0, h22) over the grid (see _pole_hnf).  The meridians of
     the two quotient solid tori are the primitive vectors of M along the
-    axes, and expressing one in a basis extending the other reads off the
-    lens parameters.  The translations (0, v) fix the z2 = 0 core and the
-    (u, 0) the z1 = 0 core; their counts are the singular components.
+    axes, m = (h11*h22/g, 0) = (h22/g)*(h11, h12) - (h12/g)*(0, h22) and
+    (0, h22), g = gcd(h12, h22).  With x*h22/g - y*h12/g = 1, m and
+    w = -y*(h11, h12) + x*(0, h22) are a basis of M, and (0, h22) =
+    y*m + (h22/g)*w names L(h22/g, y) = L(h22/g, h12/g).  The (0, v)
+    fix the z2 = 0 core and the (u, 0) the z1 = 0 core; their counts are
+    the singular components.
     """
     if not _single_class_lattice(group):
         raise ValueError("the lens assembly applies to groups with two "
@@ -582,34 +521,15 @@ def lens_oracle(group: PairGroup) -> TopologyReport:
     grid = group.grid
     h11, h12, h22 = _pole_hnf(group, False)
     _require(grid * grid // (h11 * h22) == phi_order(group), "torus translations repeat")
-    b1, b2 = (h11, h12), (0, h22)
-    m1, m2 = (h11 * (h22 // math.gcd(h12, h22)), 0), b2
-    components = tuple(sorted(k for k in (grid // m1[0], grid // h22) if k > 1))
-    x1, y1 = _solve_2d(b1, b2, m1)
-    _require(math.gcd(x1, y1) == 1, "torus meridian is not primitive in the lattice")
-    _, uu, vv = _ext_gcd(x1, y1)
-    # (m1, w) is a lattice basis: the change matrix ((x1, -vv), (y1, uu))
-    # from (b1, b2) has determinant x1*uu + y1*vv = 1
-    w = (-vv * b1[0] + uu * b2[0], -vv * b1[1] + uu * b2[1])
-    q, p = _solve_2d(m1, w, m2)
-    if abs(p) == 1:
-        return TopologyReport(THREE_SPHERE, singular_components=components)
-    return lens_report(abs(p), q % abs(p), components)
+    g = math.gcd(h12, h22)
+    components = tuple(sorted(k for k in (grid // (h11 * (h22 // g)), grid // h22)
+                              if k > 1))
+    return lens_report(h22 // g, h12 // g, components)
 
 
 def _single_class_lattice(group: PairGroup) -> bool:
     """Both factors cyclic: a lattice whose only flag class is the rotations."""
     return group.lattice is not None and len(group.lattice.offsets) == 1
-
-
-def _solve_2d(b1, b2, target):
-    """Integer (x, y) with x*b1 + y*b2 = target."""
-    det = b1[0] * b2[1] - b1[1] * b2[0]
-    _require(det != 0, "lattice basis is degenerate")
-    x_num = target[0] * b2[1] - target[1] * b2[0]
-    y_num = b1[0] * target[1] - b1[1] * target[0]
-    _require(x_num % det == 0 and y_num % det == 0, "target is not in the lattice")
-    return x_num // det, y_num // det
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +540,6 @@ def _solve_2d(b1, b2, target):
 class OracleReport:
     seifert: SeifertData
     topology: Optional[TopologyReport]
-    base_order: int
 
 
 def oracle_report(group: PairGroup) -> OracleReport:
@@ -635,4 +554,4 @@ def oracle_report(group: PairGroup) -> OracleReport:
         xi = derive_xi(base.signature, invariants, euler)
     seifert = SeifertData(base.signature, invariants, euler, xi)
     topology = lens_oracle(group) if _single_class_lattice(group) else None
-    return OracleReport(seifert, topology, base.order)
+    return OracleReport(seifert, topology)

@@ -9,11 +9,25 @@ tests can check the structural formulas against every element.  The row
 builds at the end, the direct grid of the parameter families and the
 coset-by-coset gluing through quotient product tables, are the
 constructions the structural builds replaced.
+
+The solid-torus quotient-map algebra (`TorusQuotientMap`,
+`torus_quotient_map`, `slope_invariant`, `HOPF_FIBER`) is the reference
+route for the local invariants and the lens space: the oracle reads both
+in closed form off a Hermite normal form, and the tests compare those
+closed forms with the composed quotient maps.
 """
 
 import math
+from dataclasses import dataclass
 
-from orbiseif.engine import THREE_SPHERE, TopologyReport, lens_report, modinv_pos
+from orbiseif.engine import (
+    CONE,
+    THREE_SPHERE,
+    LocalInvariant,
+    TopologyReport,
+    lens_report,
+    modinv_pos,
+)
 from orbiseif.groups import (
     CosetGluing,
     StandardGroupId,
@@ -26,18 +40,77 @@ from orbiseif.groups import (
     get_family,
     phi_order,
 )
-from orbiseif.oracle import (
-    AROT,
-    FLIP,
-    HOPF_FIBER,
-    REFL,
-    ROT,
-    TorusQuotientMap,
-    _axis,
-    _rotation_key,
-    slope_invariant,
-    torus_quotient_map,
-)
+from orbiseif.oracle import AROT, FLIP, REFL, ROT, _axis, _rotation_key
+
+HOPF_FIBER = (1, 1)
+
+
+# -- boundary homology of solid torus quotients ---------------------------------
+
+@dataclass(frozen=True)
+class TorusQuotientMap:
+    """Boundary homology of the quotient of a fibered solid torus.
+
+    Columns of `matrix` are the images of the meridian and longitude in
+    the (meridian', longitude') basis of the quotient torus; the map is
+    upper triangular and its determinant equals the order of the acting
+    cyclic group.  `core_fix` is the order of the subgroup fixing the
+    core pointwise, which is the singularity index the core acquires.
+    """
+
+    matrix: tuple
+    core_fix: int
+
+    def determinant(self) -> int:
+        return self.matrix[0][0] * self.matrix[1][1]
+
+    def image_of(self, p: int, q: int):
+        (m00, m01), (m10, m11) = self.matrix
+        _require(m10 == 0, "torus quotient matrix is not upper triangular")
+        return (m00 * p + m01 * q, m11 * q)
+
+    def compose_after(self, first: "TorusQuotientMap") -> "TorusQuotientMap":
+        (a, b), (_, d) = self.matrix
+        (e, f), (_, h) = first.matrix
+        return TorusQuotientMap(((a * e, a * f + b * h), (0, d * h)),
+                                self.core_fix * first.core_fix)
+
+
+def torus_quotient_map(d: int, e: int, g: int) -> TorusQuotientMap:
+    """Quotient of the solid torus by z1 -> e^(2 pi i g/e) z1,
+    z2 -> e^(2 pi i d/e) z2 (the core is the z1 = 0 circle).
+
+    The meridian multiplies by gcd(d, e) and the longitude picks up the
+    twist -g * dbar' where dbar' inverts d/gcd(d,e) modulo e/gcd(d,e);
+    when that modulus is 1 the inverse is defined to be 0 (the twist is
+    only defined modulo the modulus, and downstream slope arithmetic
+    never reads it in that case).
+    """
+    if e < 1 or math.gcd(math.gcd(abs(d), e), abs(g)) != 1:
+        raise ValueError(f"need gcd(d, e, g) = 1 and e >= 1, got {(d, e, g)}")
+    k = math.gcd(abs(d), e)
+    e_prime = e // k
+    d_prime = d // k
+    d_bar = 0 if e_prime == 1 else modinv_pos(d_prime, e_prime)
+    return TorusQuotientMap(((k, -g * d_bar), (0, e_prime)), k)
+
+
+def slope_invariant(tq: TorusQuotientMap, fiber=HOPF_FIBER,
+                    location: str = CONE) -> LocalInvariant:
+    """Local invariant of the quotient core from the image fiber slope.
+
+    The fiber class (p, q) maps to a possibly non-primitive class; the
+    reduced slope a/b inverts to abar/b, and both entries are scaled by
+    the core fix order so the invariant keeps the singularity index.
+    """
+    p, q = fiber
+    num, den = tq.image_of(p, q)
+    _require(math.gcd(p, q) == 1 and den >= 1, "fiber slope is not primitive")
+    c = math.gcd(abs(num), den)
+    a, b = num // c, den // c
+    a_bar = 0 if b == 1 else modinv_pos(a, b)
+    k = tq.core_fix
+    return LocalInvariant(a_bar * k, b * k, location)
 
 
 IDENTITY_TORUS_MAP = TorusQuotientMap(((1, 0), (0, 1)), 1)

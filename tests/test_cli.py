@@ -9,7 +9,7 @@ from orbiseif import cli, verify
 from orbiseif.cli import MAX_VERIFY_ORDER, main, report_from_dict, report_json
 from orbiseif.engine import evaluate
 from orbiseif.groups import FamilySpec
-from test_oracle import _run_optimized
+from test_oracle import _run_optimized, _run_python
 
 
 def run_cli(capsys, *args):
@@ -227,6 +227,16 @@ def test_verify_order_limit_fails_before_any_build(monkeypatch, capsys):
                            "-n", "1", "-r", str(MAX_VERIFY_ORDER // 2 + 1),
                            "-s", "1", "--verify")
     assert code == 1 and str(MAX_VERIFY_ORDER) in err
+
+
+def test_compute_huge_parameter_returns_promptly():
+    """nu of the abelian box is read in closed form, not searched up to
+    n: a family-1 spec with n = 3**40 evaluates well inside 30 s."""
+    proc = _run_python("-m", "orbiseif.cli", "compute", "--family", "1",
+                       "-m", "1", "-n", str(3 ** 40), "-r", "4", "-s", "3",
+                       "--json", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["params"]["n"] == 3 ** 40
 
 
 def test_no_module_reads_the_environment():

@@ -1,5 +1,6 @@
 """Closed-form evaluator: derived quantities, table rows, data operations."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from orbiseif.engine import (
     InternalInconsistencyError,
     LocalInvariant,
     SeifertData,
+    _minimal_nu,
     derive_xi,
     derived_quantities,
     evaluate,
@@ -297,3 +299,33 @@ def test_integer_fiber_sum_matches_fractions(euler, invariants, xi):
     else:
         with pytest.raises(InternalInconsistencyError):
             derive_xi(data.base, data.invariants, euler)
+
+
+def _minimal_nu_by_search(a, bound, coprime_to):
+    """The linear search the closed form replaced, kept as its reference."""
+    nu = 1
+    while nu <= bound:
+        if bound % (a * nu) == 0 and math.gcd(bound // (a * nu), coprime_to) == 1:
+            return nu
+        nu += 1
+    raise InternalInconsistencyError("no admissible nu below the bound")
+
+
+def test_minimal_nu_matches_linear_search():
+    """The closed-form nu equals the least nu found by search on every
+    a <= 24, bound < 400 and 0 <= coprime_to < 30, and both raise when a
+    does not divide the bound."""
+    checked = 0
+    for a in range(1, 25):
+        for bound in range(1, 400):
+            for coprime_to in range(30):
+                try:
+                    want = _minimal_nu_by_search(a, bound, coprime_to)
+                except InternalInconsistencyError:
+                    with pytest.raises(InternalInconsistencyError):
+                        _minimal_nu(a, bound, coprime_to)
+                else:
+                    assert _minimal_nu(a, bound, coprime_to) == want, \
+                        (a, bound, coprime_to)
+                checked += 1
+    assert checked == 287280

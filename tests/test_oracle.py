@@ -47,8 +47,6 @@ from orbiseif.oracle import (
     _pole_hnf,
     lens_oracle,
     oracle_report,
-    slope_invariant,
-    torus_quotient_map,
 )
 from orbiseif.quaternions import CircleJElement, NotHopfPreservingError
 from orbiseif.verify import sweep_specs
@@ -62,6 +60,8 @@ from row_reference import (
     lens_by_matrices,
     pole_stab_vectors,
     row_shapes,
+    slope_invariant,
+    torus_quotient_map,
 )
 from test_quaternions import circle_to_quaternion
 
@@ -208,6 +208,29 @@ def test_lens_matrix_and_lattice_routes_agree():
         assert via_matrix.singular_components == via_lattice.singular_components
 
 
+def test_lattice_invariant_matches_quotient_map_composition():
+    """The closed form equals the composed solid-torus quotient maps,
+    pre-quotient by the k core-fixing translations, then the residual
+    cyclic group of order e with twist t, on every admissible Hermite
+    normal form over the grids 4, 8, ..., 120."""
+    checked = 0
+    for grid in range(4, 121, 4):
+        divisors = [d for d in range(1, grid + 1) if grid % d == 0]
+        for h11 in divisors:
+            for h22 in divisors:
+                k, e = grid // h22, grid // h11
+                for h12 in range(h22):
+                    if k * h12 % h11:
+                        continue
+                    twist = k * h12 % grid // h11
+                    composed = torus_quotient_map(1, e, twist).compose_after(
+                        torus_quotient_map(0, k, 1))
+                    assert _lattice_invariant((h11, h12, h22), grid, "cone") == \
+                        slope_invariant(composed, (1, 1), "cone"), (h11, h12, h22, grid)
+                    checked += 1
+    assert checked == 14448
+
+
 def test_lattice_oracle_matches_row_scan_reference():
     """On every circle-type group of order <= 120 the lattice formulas
     reproduce the row scans: the four shape sets, the base order,
@@ -341,11 +364,11 @@ def test_circle_and_axis_paths_agree():
     j_left_seen = False
     for spec in AXIS_CROSS_CHECK_SPECS:
         group = goursat_group(spec)
+        assert group.lattice is not None
         circle = base_group(group)
-        assert circle.mode == "circle"
         converted = _with_quaternion_right_factors(group)
+        assert converted.lattice is None and converted.gluing is not None
         axis = base_group(converted)
-        assert axis.mode == "axis"
         assert (axis.order, axis.signature) == (circle.order, circle.signature)
         inv_c = exceptional_fibers_oracle(group, circle)
         inv_a = exceptional_fibers_oracle(converted, axis)
@@ -372,14 +395,19 @@ def test_polyhedral_left_factor_is_not_hopf_preserving():
         base_group(swapped)
 
 
-def _run_optimized(*args):
-    """Run python -O with the package importable; return the process."""
+def _run_python(*args, timeout=600):
+    """Run python with the package importable; return the process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(orbiseif.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-O", *args], env=env,
-                          capture_output=True, text=True, timeout=600)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _run_optimized(*args):
+    """Run python -O with the package importable; return the process."""
+    return _run_python("-O", *args)
 
 
 def test_chi_check_survives_python_optimize():
@@ -395,6 +423,24 @@ def test_chi_check_survives_python_optimize():
         "except InternalInconsistencyError:\n"
         "    sys.exit(0)\n"
         "sys.exit('a wrong signature passed the chi check')\n")
+    proc = _run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lattice_invariant_check_survives_python_optimize():
+    """The residual generator check is the one self-check of the closed
+    form; (2, 1, 4) over grid 4 has k = 1 and k*h12 = 1 off h11 = 2."""
+    script = (
+        "import sys\n"
+        "from orbiseif.engine import InternalInconsistencyError\n"
+        "from orbiseif.oracle import _lattice_invariant\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "try:\n"
+        "    _lattice_invariant((2, 1, 4), 4, 'cone')\n"
+        "except InternalInconsistencyError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('an off-grid residual generator passed')\n")
     proc = _run_optimized("-c", script)
     assert proc.returncode == 0, proc.stderr
 

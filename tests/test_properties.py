@@ -16,8 +16,9 @@ from orbiseif.engine import (
     normalize,
 )
 from orbiseif.groups import FamilySpec, goursat_group
-from orbiseif.oracle import oracle_report, slope_invariant, torus_quotient_map
+from orbiseif.oracle import oracle_report
 from orbiseif.verify import invariant_multiset, sweep_specs
+from row_reference import slope_invariant, torus_quotient_map
 
 F = Fraction
 
