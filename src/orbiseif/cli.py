@@ -6,6 +6,16 @@ runs the closed-form/brute-force comparison sweep.  Output is plain
 text or JSON (`--json`); JSON is deterministic (stable key order and
 invariant ordering) and round-trips through the reader in this module.
 
+The JSON writer (`report_json` and the `--json` branches of `enumerate`
+and `verify`) builds the text directly from the result objects with two
+helpers: `_array` indents a list of already-encoded texts and `_object`
+a list of (key, text) pairs in sorted key order; an object with fixed
+keys is laid out once by `_object` as a %s template.  Strings go through
+the C escaper `json.encoder.encode_basestring_ascii` and ints through
+`int.__repr__`.  The text is byte for byte what `json.dumps` gives for
+the same document with a two-space indent and sorted keys, but no output
+goes through `json.dumps`, whose indenting encoder is pure Python.
+
 Exit codes: 0 success, 1 invalid parameters or arguments, 2 a
 verification mismatch, 3 unsupported family.
 """
@@ -13,10 +23,10 @@ verification mismatch, 3 unsupported family.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _str
 
 from .engine import (
     DISC,
@@ -59,6 +69,7 @@ _BASE_KIND_FROM_NAME = {v: k for k, v in _BASE_KIND_NAMES.items()}
 _TOP_KIND_NAMES = {THREE_SPHERE: "ThreeSphere", LENS: "LensSpace",
                    NOT_COMPUTED: "NotComputed"}
 _TOP_KIND_FROM_NAME = {v: k for k, v in _TOP_KIND_NAMES.items()}
+_int = int.__repr__
 
 
 # ---------------------------------------------------------------------------
@@ -70,40 +81,8 @@ def _sorted_invariants(seifert: SeifertData):
                   key=lambda v: (v.location, v.den, v.normalized_num, v.num))
 
 
-def report_to_dict(report: EngineReport, verification=None) -> dict:
-    seifert = report.seifert
-    doc = {
-        "family": report.spec.family,
-        "params": report.spec.params(),
-        "base": {
-            "kind": _BASE_KIND_NAMES[seifert.base.kind],
-            "cones": sorted(seifert.base.cones),
-            "corners": sorted(seifert.base.corners),
-            "xi": seifert.xi,
-        },
-        "euler": {"num": seifert.euler.numerator,
-                  "den": seifert.euler.denominator},
-        "invariants": [
-            {"num": v.num, "den": v.den, "normalizedNum": v.normalized_num,
-             "index": v.index, "location": v.location}
-            for v in _sorted_invariants(seifert)
-        ],
-        "underlying": {
-            "kind": _TOP_KIND_NAMES[report.topology.underlying],
-            "p": report.topology.p,
-            "q": report.topology.q,
-            "reason": report.topology.reason,
-        },
-        "singularComponents": sorted(report.topology.singular_components),
-        "provenance": report.provenance,
-    }
-    if verification is not None:
-        doc["verification"] = verification
-    return doc
-
-
 def report_from_dict(doc: dict) -> EngineReport:
-    """Inverse of report_to_dict (used for the round-trip guarantee)."""
+    """Inverse of `json.loads(report_json(r))` (the round-trip guarantee)."""
     params = {k: int(v) for k, v in doc["params"].items()}
     spec = FamilySpec(doc["family"], **params)
     base = BaseSignature(_BASE_KIND_FROM_NAME[doc["base"]["kind"]],
@@ -121,9 +100,106 @@ def report_from_dict(doc: dict) -> EngineReport:
     return EngineReport(spec, seifert, topology, doc["provenance"])
 
 
+# ---------------------------------------------------------------------------
+# JSON writer
+# ---------------------------------------------------------------------------
+# Every JSON output is built here, straight from the result objects, in
+# the stdlib's sorted two-space layout.  Members go in sorted key order,
+# and each nested text is built with the padding of its depth.  An object
+# whose keys are fixed is laid out once, by `_object` with a %s slot per
+# value, and filled per result with the % operator, which does not
+# rescan the inserted texts.
+
+def _array(texts, pad: str) -> str:
+    """Indented JSON array of already-encoded `texts`, closed at `pad`."""
+    if not texts:
+        return "[]"
+    inner = "\n  " + pad
+    return f"[{inner}{(',' + inner).join(texts)}\n{pad}]"
+
+
+def _object(pairs, pad: str) -> str:
+    """Indented JSON object of (key, encoded text) pairs, closed at `pad`.
+    The keys are plain ASCII names and are written as they are."""
+    if not pairs:
+        return "{}"
+    inner = "\n  " + pad
+    members = (',' + inner).join([f'"{k}": {v}' for k, v in pairs])
+    return f"{{{inner}{members}\n{pad}}}"
+
+
+def _template(keys, pad: str) -> str:
+    return _object([(k, "%s") for k in keys], pad)
+
+
+_REPORT_KEYS = ("base", "euler", "family", "invariants", "params",
+                "provenance", "singularComponents", "underlying")
+_REPORT = _template(_REPORT_KEYS, "")
+_VERIFIED_REPORT = _template(_REPORT_KEYS + ("verification",), "")
+_BASE = _template(("cones", "corners", "kind", "xi"), "  ")
+_EULER = _template(("den", "num"), "  ")
+_INVARIANT = _template(("den", "index", "location", "normalizedNum", "num"),
+                       "    ")
+_UNDERLYING = _template(("kind", "p", "q", "reason"), "  ")
+_VERIFICATION = _template(("differences", "ok"), "  ")
+_ENUMERATED = _template(("family", "fibered", "params", "phiOrder"), "  ")
+_SWEEP = _template(("checked", "mismatches"), "")
+_MISMATCH = _template(("differences", "spec"), "    ")
+
+
+def _scalar(value) -> str:
+    """JSON text of None, a bool, a str or an int."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _str(value)
+    return _int(value)
+
+
+def _ints(values, pad: str) -> str:
+    return _array(list(map(_int, values)), pad)
+
+
+def _strs(values, pad: str) -> str:
+    return _array(list(map(_str, values)), pad)
+
+
+def _params(spec: FamilySpec, pad: str) -> str:
+    return _object([(k, _int(v)) for k, v in sorted(spec.params().items())],
+                   pad)
+
+
 def report_json(report: EngineReport, verification=None) -> str:
-    return json.dumps(report_to_dict(report, verification),
-                      indent=2, sort_keys=True)
+    """The JSON document of `report`, with the optional `verification`
+    payload {"ok": bool, "differences": [str, ...]}."""
+    seifert, top = report.seifert, report.topology
+    base = seifert.base
+    invariants = [
+        _INVARIANT % (_int(v.den), _int(v.index), _str(v.location),
+                      _int(v.normalized_num), _int(v.num))
+        for v in _sorted_invariants(seifert)]
+    members = (
+        _BASE % (_ints(sorted(base.cones), "    "),
+                 _ints(sorted(base.corners), "    "),
+                 _str(_BASE_KIND_NAMES[base.kind]), _scalar(seifert.xi)),
+        _EULER % (_int(seifert.euler.denominator),
+                  _int(seifert.euler.numerator)),
+        _str(report.spec.family),
+        _array(invariants, "  "),
+        _params(report.spec, "  "),
+        _str(report.provenance),
+        _ints(sorted(top.singular_components), "  "),
+        _UNDERLYING % (_str(_TOP_KIND_NAMES[top.underlying]),
+                       _scalar(top.p), _scalar(top.q), _scalar(top.reason)))
+    if verification is None:
+        return _REPORT % members
+    return _VERIFIED_REPORT % (members + (_VERIFICATION % (
+        _strs(verification["differences"], "    "),
+        _scalar(verification["ok"])),))
 
 
 def _print_text_report(report: EngineReport, notes, out):
@@ -253,10 +329,11 @@ def _cmd_enumerate(args, out) -> int:
         return EXIT_INVALID
     rows = enumerate_specs(args.max_order, families)
     if args.json:
-        doc = [{"family": row.spec.family, "params": row.spec.params(),
-                "phiOrder": row.phi_order, "fibered": row.fibered}
-               for row in rows]
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
+        items = [_ENUMERATED % (_str(row.spec.family), _scalar(row.fibered),
+                                _params(row.spec, "    "),
+                                _int(row.phi_order))
+                 for row in rows]
+        print(_array(items, ""), file=out)
         return EXIT_OK
     print(f"{'family':>8} {'parameters':<28} {'|Phi(G)|':>9}  fibered", file=out)
     for row in rows:
@@ -294,11 +371,10 @@ def _cmd_verify(args, out) -> int:
     results = verify_mod.run_sweep(specs, workers=args.workers)
     mismatches = [res for res in results if not res.ok]
     if args.json:
-        doc = {"checked": len(results),
-               "mismatches": [{"spec": str(res.spec),
-                               "differences": res.differences}
-                              for res in mismatches]}
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
+        items = [_MISMATCH % (_strs(res.differences, "      "),
+                              _str(str(res.spec)))
+                 for res in mismatches]
+        print(_SWEEP % (_int(len(results)), _array(items, "  ")), file=out)
     else:
         for res in mismatches:
             print(f"MISMATCH {res.spec}", file=out)
