@@ -76,11 +76,6 @@ _int = int.__repr__
 # report serialization
 # ---------------------------------------------------------------------------
 
-def _sorted_invariants(seifert: SeifertData):
-    return sorted(seifert.invariants,
-                  key=lambda v: (v.location, v.den, v.normalized_num, v.num))
-
-
 def report_from_dict(doc: dict) -> EngineReport:
     """Inverse of `json.loads(report_json(r))` (the round-trip guarantee)."""
     params = {k: int(v) for k, v in doc["params"].items()}
@@ -175,13 +170,16 @@ def _params(spec: FamilySpec, pad: str) -> str:
 
 def report_json(report: EngineReport, verification=None) -> str:
     """The JSON document of `report`, with the optional `verification`
-    payload {"ok": bool, "differences": [str, ...]}."""
+    payload {"ok": bool, "differences": [str, ...]}.  The invariants are
+    written in the report's order; `evaluate`, `normalize` and
+    `flip_orientation` all return them in document order (location, den,
+    normalized num, num)."""
     seifert, top = report.seifert, report.topology
     base = seifert.base
     invariants = [
         _INVARIANT % (_int(v.den), _int(v.index), _str(v.location),
                       _int(v.normalized_num), _int(v.num))
-        for v in _sorted_invariants(seifert)]
+        for v in seifert.invariants]
     members = (
         _BASE % (_ints(sorted(base.cones), "    "),
                  _ints(sorted(base.corners), "    "),
@@ -213,7 +211,7 @@ def _print_text_report(report: EngineReport, notes, out):
     print(f"  base orbifold: {seifert.base}", file=out)
     invs = ", ".join(
         f"{v} ({v.location}, index {v.index})"
-        for v in _sorted_invariants(seifert))
+        for v in seifert.invariants)
     print(f"  local invariants: {invs if invs else 'none'}", file=out)
     if seifert.xi is not None:
         print(f"  boundary invariant xi: {seifert.xi}", file=out)
@@ -329,11 +327,17 @@ def _cmd_enumerate(args, out) -> int:
         return EXIT_INVALID
     rows = enumerate_specs(args.max_order, families)
     if args.json:
-        items = [_ENUMERATED % (_str(row.spec.family), _scalar(row.fibered),
-                                _params(row.spec, "    "),
-                                _int(row.phi_order))
-                 for row in rows]
-        print(_array(items, ""), file=out)
+        # the text of _array(items, ""), written one item at a time
+        if not rows:
+            print("[]", file=out)
+            return EXIT_OK
+        lead = "[\n  "
+        for row in rows:
+            out.write(lead + _ENUMERATED % (
+                _str(row.spec.family), _scalar(row.fibered),
+                _params(row.spec, "    "), _int(row.phi_order)))
+            lead = ",\n  "
+        out.write("\n]\n")
         return EXIT_OK
     print(f"{'family':>8} {'parameters':<28} {'|Phi(G)|':>9}  fibered", file=out)
     for row in rows:

@@ -293,8 +293,12 @@ def seifert_abelian(spec: FamilySpec) -> SeifertData:
         den = n * r
         nums = (dq.d * dq.f_bar * dq.e2 * dq.b2 * dq.h,
                 -dq.g * dq.f_bar * dq.e1 * dq.b1 * dq.h)
+    # in document order: both share den, so one comparison orders them
+    a, b = nums
+    if (a % den, a) > (b % den, b):
+        a, b = b, a
     base = BaseSignature(SPHERE, (den, den))
-    invariants = tuple(LocalInvariant(num, den, CONE) for num in nums)
+    invariants = (LocalInvariant(a, den, CONE), LocalInvariant(b, den, CONE))
     return SeifertData(base, invariants, Fraction(-2 * m, n * r))
 
 
@@ -316,8 +320,11 @@ def seifert_dihedral(spec: FamilySpec) -> SeifertData:
 
 
 def _row(euler, base, triples):
-    invariants = tuple(LocalInvariant(num, den, loc) for num, den, loc in triples)
-    return euler, base, invariants
+    """The row, its invariants in document order (location, den,
+    normalized num, num)."""
+    keys = sorted([(loc, den, num % den, num) for num, den, loc in triples])
+    return euler, base, tuple([LocalInvariant(num, den, loc)
+                               for loc, den, _, num in keys])
 
 
 def _table4_row(spec: FamilySpec):

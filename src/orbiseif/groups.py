@@ -10,7 +10,12 @@ The catalog below lists the families by identifier (primed families use
 the suffix "p", swapped families the suffix "bis").  For each family the
 gluing isomorphism is pinned by explicit generator images; whenever
 several choices of phi give conjugate groups, one fixed choice is made
-here and all downstream invariants are insensitive to it.
+here and all downstream invariants are insensitive to it.  Each family
+declares which parameters must be odd, even or above one (a family with
+the signature (m, n, r, s) also needs gcd(s, r) = 1); `validate` words
+its violations from these declarations, and `enumerate_specs` reads the
+same declarations to start each parameter at its least allowed value and
+step it over the allowed parity, so it produces only valid specs.
 
 When both factors are cyclic or binary dihedral, the group is kept as
 a lattice (RotationLattice): its rotation pairs, as integer angle pairs,
@@ -203,21 +208,39 @@ class GoursatData:
 
 @dataclass(frozen=True)
 class Family:
+    """One catalog family and the declared constraints on its parameters.
+
+    `params` is (), (m,), (m, n) or (m, n, r, s).  Every parameter is a
+    positive integer; those named in `odd` must be odd, those in `even`
+    even and those in `above_one` at least 2, each tuple listing
+    parameters other than s in signature order.  The signature
+    (m, n, r, s) also requires gcd(s, r) = 1.  `phi_order` increases in
+    each parameter and does not depend on s.
+    """
+
     name: str
     params: tuple
     fibered: bool
     phi_order: Callable[[FamilySpec], int]
-    conditions: Callable[[FamilySpec], list[str]] = lambda spec: []
     goursat: Optional[Callable[[FamilySpec], GoursatData]] = None
     label: str = ""
+    odd: tuple = ()
+    even: tuple = ()
+    above_one: tuple = ()
+
+    def start(self, p: str) -> int:
+        """Least allowed value of parameter p."""
+        if p in self.above_one:
+            return 3 if p in self.odd else 2
+        return 2 if p in self.even else 1
+
+    def step(self, p: str) -> int:
+        """Distance between consecutive allowed values of parameter p."""
+        return 2 if p in self.odd or p in self.even else 1
 
 
-def _needs_odd(value: int, name: str) -> list[str]:
-    return [] if value % 2 == 1 else [f"{name} must be odd"]
-
-
-def _coprime(s: int, r: int) -> list[str]:
-    return [] if math.gcd(s, r) == 1 else ["gcd(s,r)=1 fails"]
+# the signature whose last parameter s runs over the units mod r
+_WITH_UNITS = ("m", "n", "r", "s")
 
 
 def _g(left, lk, right, rk, gens=()):
@@ -238,7 +261,6 @@ def _register(fam: Family):
 _register(Family(
     "1", ("m", "n", "r", "s"), True,
     lambda sp: 2 * sp.m * sp.n * sp.r,
-    lambda sp: _coprime(sp.s, sp.r),
     lambda sp: _g(cyclic(2 * sp.m * sp.r), cyclic(2 * sp.m),
                   cyclic(2 * sp.n * sp.r), cyclic(2 * sp.n),
                   [(_z(2 * sp.m * sp.r), _z(2 * sp.n * sp.r, sp.s))]),
@@ -247,13 +269,10 @@ _register(Family(
 _register(Family(
     "1p", ("m", "n", "r", "s"), True,
     lambda sp: sp.m * sp.n * sp.r // 2,
-    lambda sp: (_coprime(sp.s, sp.r) + _needs_odd(sp.m, "m")
-                + _needs_odd(sp.n, "n")
-                + ([] if sp.r % 2 == 0 else ["r must be even"])),
     lambda sp: _g(cyclic(sp.m * sp.r), cyclic(sp.m),
                   cyclic(sp.n * sp.r), cyclic(sp.n),
                   [(_z(sp.m * sp.r), _z(sp.n * sp.r, sp.s))]),
-    "(Cmr/Cm, Cnr/Cn)_s"))
+    "(Cmr/Cm, Cnr/Cn)_s", odd=("m", "n"), even=("r",)))
 
 _register(Family(
     "2", ("m", "n"), True,
@@ -325,7 +344,6 @@ _register(Family(
 _register(Family(
     "11", ("m", "n", "r", "s"), True,
     lambda sp: 4 * sp.m * sp.n * sp.r,
-    lambda sp: _coprime(sp.s, sp.r),
     lambda sp: _g(binary_dihedral(4 * sp.m * sp.r), cyclic(2 * sp.m),
                   binary_dihedral(4 * sp.n * sp.r), cyclic(2 * sp.n),
                   [(_z(2 * sp.m * sp.r), _z(2 * sp.n * sp.r, sp.s)),
@@ -335,14 +353,11 @@ _register(Family(
 _register(Family(
     "11p", ("m", "n", "r", "s"), True,
     lambda sp: sp.m * sp.n * sp.r,
-    lambda sp: (_coprime(sp.s, sp.r) + _needs_odd(sp.m, "m")
-                + _needs_odd(sp.n, "n")
-                + ([] if sp.r % 2 == 0 else ["r must be even"])),
     lambda sp: _g(binary_dihedral(2 * sp.m * sp.r), cyclic(sp.m),
                   binary_dihedral(2 * sp.n * sp.r), cyclic(sp.n),
                   [(_z(sp.m * sp.r), _z(sp.n * sp.r, sp.s)),
                    (CIRCLE_J, CIRCLE_J)]),
-    "(D*2mr/Cm, D*2nr/Cn)_s"))
+    "(D*2mr/Cm, D*2nr/Cn)_s", odd=("m", "n"), even=("r",)))
 
 _register(Family(
     "12", ("m", "n"), True,
@@ -416,33 +431,27 @@ _register(Family(
 _register(Family(
     "33", ("m", "n"), True,
     lambda sp: 8 * sp.m * sp.n,
-    lambda sp: ([] if sp.m != 1 else ["m must differ from 1"])
-    + ([] if sp.n != 1 else ["n must differ from 1"]),
     # the exceptional gluing swaps the rotation coset and the j coset
     lambda sp: _g(binary_dihedral(8 * sp.m), cyclic(2 * sp.m),
                   binary_dihedral(8 * sp.n), cyclic(2 * sp.n),
                   [(_z(4 * sp.m), CIRCLE_J), (CIRCLE_J, _z(4 * sp.n))]),
-    "(D*8m/C2m, D*8n/C2n)_f"))
+    "(D*8m/C2m, D*8n/C2n)_f", above_one=("m", "n")))
 
 _register(Family(
     "33p", ("m", "n"), True,
     lambda sp: 4 * sp.m * sp.n,
-    lambda sp: (_needs_odd(sp.m, "m") + _needs_odd(sp.n, "n")
-                + ([] if sp.m != 1 else ["m must differ from 1"])
-                + ([] if sp.n != 1 else ["n must differ from 1"])),
     lambda sp: _g(binary_dihedral(8 * sp.m), cyclic(sp.m),
                   binary_dihedral(8 * sp.n), cyclic(sp.n),
                   [(_z(4 * sp.m), CIRCLE_J), (CIRCLE_J, _z(4 * sp.n))]),
-    "(D*8m/Cm, D*8n/Cn)_f"))
+    "(D*8m/Cm, D*8n/Cn)_f", odd=("m", "n"), above_one=("m", "n")))
 
 _register(Family(
     "34", ("m", "n"), True,
     lambda sp: 2 * sp.m * sp.n,
-    lambda sp: _needs_odd(sp.m, "m") + _needs_odd(sp.n, "n"),
     lambda sp: _g(cyclic(4 * sp.m), cyclic(sp.m),
                   binary_dihedral(4 * sp.n), cyclic(sp.n),
                   [(_z(4 * sp.m), CIRCLE_J)]),
-    "(C4m/Cm, D*4n/Cn)"))
+    "(C4m/Cm, D*4n/Cn)", odd=("m", "n")))
 
 _register(Family(
     "2bis", ("m", "n"), True,
@@ -470,11 +479,10 @@ _register(Family(
 _register(Family(
     "34bis", ("m", "n"), True,
     lambda sp: 2 * sp.m * sp.n,
-    lambda sp: _needs_odd(sp.m, "m") + _needs_odd(sp.n, "n"),
     lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(sp.m),
                   cyclic(4 * sp.n), cyclic(sp.n),
                   [(CIRCLE_J, _z(4 * sp.n))]),
-    "(D*4m/Cm, C4n/Cn)"))
+    "(D*4m/Cm, C4n/Cn)", odd=("m", "n")))
 
 # Families with two binary polyhedral factors preserve no fibration of the
 # 3-sphere; they are listed for enumeration only and cannot be built here.
@@ -537,7 +545,17 @@ def validate(spec: FamilySpec):
             violations.append(f"family {spec.family} does not take parameter {p}")
     if violations:
         return violations, notes
-    violations.extend(fam.conditions(spec))
+    if fam.params == _WITH_UNITS and math.gcd(spec.s, spec.r) != 1:
+        violations.append("gcd(s,r)=1 fails")
+    for p in fam.odd:
+        if getattr(spec, p) % 2 == 0:
+            violations.append(f"{p} must be odd")
+    for p in fam.even:
+        if getattr(spec, p) % 2 == 1:
+            violations.append(f"{p} must be even")
+    for p in fam.above_one:
+        if getattr(spec, p) == 1:
+            violations.append(f"{p} must differ from 1")
     if not violations and spec.family in ("1", "11") and spec.s % 2 == 0:
         notes.append(f"s={spec.s} is even; the conjugate representative "
                      f"s={spec.r - spec.s} is used in closed forms")
@@ -915,48 +933,48 @@ class EnumeratedSpec:
     fibered: bool
 
 
-def _param_candidates(fam: Family, max_order: int):
-    """All parameter tuples of the family with rotation order <= max_order."""
+def _family_rows(fam: Family, max_order: int, rows: list) -> None:
+    """Append the family's valid specs with rotation order <= max_order.
+
+    The parameters other than s run like an odometer, each from
+    fam.start(p) in steps of fam.step(p), and s runs over the units mod r.
+    Since phi_order increases in every parameter, a tuple above the bound
+    ends the innermost loop, and if the innermost parameter was at its
+    start, the loop around it ends too, and so on outwards.
+    """
+    name, order, fibered = fam.name, fam.phi_order, fam.fibered
     if not fam.params:
-        sp = FamilySpec(fam.name)
-        if fam.phi_order(sp) <= max_order:
-            yield sp
+        spec = FamilySpec(name)
+        k = order(spec)
+        if k <= max_order:
+            rows.append(EnumeratedSpec(spec, k, fibered))
         return
-
-    def order_of(**kw):
-        return fam.phi_order(FamilySpec(fam.name, **kw))
-
-    if fam.params == ("m",):
-        m = 1
-        while order_of(m=m) <= max_order:
-            yield FamilySpec(fam.name, m=m)
-            m += 1
-        return
-
-    if fam.params == ("m", "n"):
-        m = 1
-        while order_of(m=m, n=1) <= max_order:
-            n = 1
-            while order_of(m=m, n=n) <= max_order:
-                yield FamilySpec(fam.name, m=m, n=n)
-                n += 1
-            m += 1
-        return
-
-    if fam.params != ("m", "n", "r", "s"):
-        raise ValueError("family parameters must be (), (m,), (m, n) or (m, n, r, s)")
-    m = 1
-    while order_of(m=m, n=1, r=1, s=1) <= max_order:
-        n = 1
-        while order_of(m=m, n=n, r=1, s=1) <= max_order:
-            r = 1
-            while order_of(m=m, n=n, r=r, s=1) <= max_order:
-                for s in range(1, r + 1):
+    units = fam.params == _WITH_UNITS
+    names = fam.params[:3] if units else fam.params
+    starts = [fam.start(p) for p in names]
+    steps = [fam.step(p) for p in names]
+    values = starts.copy()
+    last = len(values) - 1
+    while True:
+        spec = FamilySpec(name, *values, 1) if units else FamilySpec(name, *values)
+        k = order(spec)
+        if k <= max_order:
+            rows.append(EnumeratedSpec(spec, k, fibered))
+            if units:
+                m, n, r = values
+                for s in range(2, r):
                     if math.gcd(s, r) == 1:
-                        yield FamilySpec(fam.name, m=m, n=n, r=r, s=s)
-                r += 1
-            n += 1
-        m += 1
+                        rows.append(EnumeratedSpec(FamilySpec(name, m, n, r, s),
+                                                   k, fibered))
+            values[last] += steps[last]
+            continue
+        i = last
+        while i >= 0 and values[i] == starts[i]:
+            i -= 1
+        if i <= 0:
+            return
+        values[i - 1] += steps[i - 1]
+        values[i:] = starts[i:]
 
 
 def enumerate_specs(max_order: int, families=None) -> list[EnumeratedSpec]:
@@ -966,10 +984,5 @@ def enumerate_specs(max_order: int, families=None) -> list[EnumeratedSpec]:
     names = FAMILY_ORDER if families is None else list(families)
     rows = []
     for name in names:
-        fam = get_family(name)
-        for sp in _param_candidates(fam, max_order):
-            violations, _ = validate(sp)
-            if violations:
-                continue
-            rows.append(EnumeratedSpec(sp, fam.phi_order(sp), fam.fibered))
+        _family_rows(get_family(name), max_order, rows)
     return rows

@@ -15,7 +15,6 @@ pool of `workers` processes; both return the same ComparisonResult list.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import engine
@@ -146,6 +145,9 @@ def run_sweep(specs, workers: int = 1):
     """Compare every spec; deterministic result order regardless of pool."""
     if workers <= 1:
         return [compare_spec(spec) for spec in specs]
+    # imported here: the pool machinery costs every import of the package
+    # about 20 ms, and a single-process sweep never uses it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(specs) // (workers * 8))
         return list(pool.map(compare_spec, specs, chunksize=chunk))

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, round trips, exit codes."""
 
 import ast
+import concurrent.futures
 import json
 import os
 import pathlib
@@ -181,7 +182,7 @@ def test_verify_rejects_more_workers_than_cpus(monkeypatch, capsys):
         def __init__(self, *args, **kwargs):
             raise AssertionError("a process pool was created")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, _, err = run_cli(capsys, "verify", "--max-order", "8",
                            "--workers", "3")
@@ -191,6 +192,13 @@ def test_verify_rejects_more_workers_than_cpus(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-order", "8",
                            "--workers", "1")
     assert code == 0 and "all agree" in out
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """The pool machinery is imported only by a sweep with workers."""
+    proc = _run_python("-c", "import sys, orbiseif.cli\n"
+                       "sys.exit('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_rejects_fewer_than_one_worker(monkeypatch, capsys):

@@ -12,6 +12,7 @@ from orbiseif.groups import (
     BINARY_ICOSAHEDRAL,
     BINARY_OCTAHEDRAL,
     BINARY_TETRAHEDRAL,
+    FAMILY_ORDER,
     TABLE4_FAMILIES,
     FamilySpec,
     UnsupportedFamilyError,
@@ -28,6 +29,7 @@ from orbiseif.groups import (
 )
 from orbiseif.quaternions import CircleJElement, PairElement, multiply
 from orbiseif.verify import run_sweep, sweep_specs
+from enumerate_reference import reference_enumerate
 from row_reference import coset_rows, direct_grid_rows
 from test_oracle import _run_optimized
 
@@ -110,6 +112,39 @@ def test_validate_even_s_reports_conjugate_replacement():
     assert violations == []
     assert notes and "s=1" in notes[0]
     assert normalized_s(FamilySpec("1", m=1, n=1, r=3, s=2)) == 1
+
+
+def test_family_declarations_are_well_formed():
+    """Every family takes a prefix-shaped signature, which positional
+    FamilySpec construction relies on, and its constraint tuples list
+    parameters other than s in signature order, the order of the
+    violation messages."""
+    for fam in groups.FAMILIES.values():
+        assert fam.params in ((), ("m",), ("m", "n"), ("m", "n", "r", "s"))
+        others = [p for p in fam.params if p != "s"]
+        for names in (fam.odd, fam.even, fam.above_one):
+            assert list(names) == [p for p in others if p in names], fam.name
+
+
+@pytest.mark.parametrize("family, params, expected", [
+    ("1p", (2, 1, 2, 1), ["m must be odd"]),
+    ("1p", (1, 1, 3, 1), ["r must be even"]),
+    ("1", (1, 1, 4, 2), ["gcd(s,r)=1 fails"]),
+    ("1p", (2, 2, 4, 2), ["gcd(s,r)=1 fails", "m must be odd",
+                          "n must be odd"]),
+    ("11p", (2, 2, 1, 1), ["m must be odd", "n must be odd",
+                           "r must be even"]),
+    ("33", (1, 1), ["m must differ from 1", "n must differ from 1"]),
+    ("33p", (2, 1), ["m must be odd", "n must differ from 1"]),
+    ("33p", (1, 1), ["m must differ from 1", "n must differ from 1"]),
+    ("34", (2, 3), ["m must be odd"]),
+    ("34bis", (1, 2), ["n must be odd"]),
+])
+def test_validate_lists_every_violation_in_order(family, params, expected):
+    """The full list: gcd(s, r) first, then odd, even and differ-from-1,
+    each in parameter order."""
+    spec = FamilySpec(family, *params)
+    assert validate(spec) == (expected, [])
 
 
 def test_validate_missing_and_extra_parameters():
@@ -442,6 +477,39 @@ def test_enumerate_family_1_small_bound():
     assert seen == want
     assert all(row.phi_order == 2 * row.spec.m * row.spec.n * row.spec.r
                for row in rows)
+
+
+@pytest.fixture(scope="module")
+def reference_rows_60():
+    return reference_enumerate(60)
+
+
+def test_enumerate_matches_the_candidate_filter_at_every_bound(
+        reference_rows_60):
+    """For every registered family and every bound 1..60, the stepped
+    loops give the rows of the filtered candidate loop, in its order."""
+    for name in FAMILY_ORDER:
+        family_rows = [row for row in reference_rows_60
+                       if row.spec.family == name]
+        for bound in range(1, 61):
+            assert enumerate_specs(bound, [name]) == [
+                row for row in family_rows if row.phi_order <= bound], \
+                (name, bound)
+
+
+# sha256 of repr((str(spec), phi_order, fibered)) over the rows of order
+# <= 480, joined by newlines, as the candidate filter enumerated them
+ROWS_480 = 242_623
+ROWS_480_DIGEST = \
+    "66b6cff4a2fd3a6e9af70fb56e380f7ee1503e6b169156a943b9b1fc10b1a753"
+
+
+def test_enumerate_480_matches_the_pinned_digest():
+    rows = enumerate_specs(480)
+    assert len(rows) == ROWS_480
+    text = "\n".join(repr((str(row.spec), row.phi_order, row.fibered))
+                     for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_480_DIGEST
 
 
 def test_enumerate_non_fibered_listing():

@@ -58,25 +58,19 @@ def _stdlib_text(report, verification=None):
                       indent=2, sort_keys=True)
 
 
-def _in_document_order(report):
-    """`report` with its lists in the order the document writes them."""
-    seifert, top = report.seifert, report.topology
+def _with_sorted_base(report):
+    """`report` with the base's cones and corners in ascending order, as
+    the document writes them; every other list is compared as it is."""
+    seifert = report.seifert
     base = BaseSignature(seifert.base.kind, tuple(sorted(seifert.base.cones)),
                          tuple(sorted(seifert.base.corners)))
-    invariants = tuple(sorted(seifert.invariants,
-                              key=lambda v: (v.location, v.den,
-                                             v.normalized_num, v.num)))
-    return EngineReport(
-        report.spec,
-        dataclasses.replace(seifert, base=base, invariants=invariants),
-        dataclasses.replace(top, singular_components=tuple(
-            sorted(top.singular_components))),
-        report.provenance)
+    return dataclasses.replace(
+        report, seifert=dataclasses.replace(seifert, base=base))
 
 
 def _check_round_trip(report, text, verification=None):
     back = report_from_dict(json.loads(text))
-    assert back == _in_document_order(report), text
+    assert back == _with_sorted_base(report), text
     assert report_json(back, verification) == text
 
 
@@ -84,7 +78,7 @@ def _check_round_trip(report, text, verification=None):
 def test_report_text_is_the_stdlib_text(reports, variant):
     """On all 15,887 fibered specs of order <= 120 the direct writer gives
     the stdlib's text of the reference document, and the text reads back
-    to the same report (its lists in document order)."""
+    to the same report, up to the order of the base's cones and corners."""
     for report in map(VARIANTS[variant], reports):
         text = report_json(report)
         assert text == _stdlib_text(report), report.spec
