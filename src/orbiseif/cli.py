@@ -9,12 +9,12 @@ invariant ordering) and round-trips through the reader in this module.
 The JSON writer (`report_json` and the `--json` branches of `enumerate`
 and `verify`) builds the text directly from the result objects with two
 helpers: `_array` indents a list of already-encoded texts and `_object`
-a list of (key, text) pairs in sorted key order; an object with fixed
-keys is laid out once by `_object` as a %s template.  Strings go through
-the C escaper `json.encoder.encode_basestring_ascii` and ints through
-`int.__repr__`.  The text is byte for byte what `json.dumps` gives for
-the same document with a two-space indent and sorted keys, but no output
-goes through `json.dumps`, whose indenting encoder is pure Python.
+a list of (key, text) pairs in sorted key order; a fixed-key object, and
+a report per shape, is laid out once by them as a %s template.  Strings
+go through the C escaper `json.encoder.encode_basestring_ascii` and ints
+through `int.__repr__`.  The text is byte for byte what `json.dumps`
+gives for the same document with a two-space indent and sorted keys,
+but no output goes through `json.dumps`'s pure-Python indenting encoder.
 
 Exit codes: 0 success, 1 invalid parameters or arguments, 2 a
 verification mismatch, 3 unsupported family.
@@ -26,6 +26,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _str
 
 from .engine import (
@@ -101,9 +102,9 @@ def report_from_dict(doc: dict) -> EngineReport:
 # Every JSON output is built here, straight from the result objects, in
 # the stdlib's sorted two-space layout.  Members go in sorted key order,
 # and each nested text is built with the padding of its depth.  An object
-# whose keys are fixed is laid out once, by `_object` with a %s slot per
-# value, and filled per result with the % operator, which does not
-# rescan the inserted texts.
+# whose keys are fixed, and a report of a given shape, is laid out once
+# with a %s slot per value and filled per result with the % operator,
+# which does not rescan the inserted texts.
 
 def _array(texts, pad: str) -> str:
     """Indented JSON array of already-encoded `texts`, closed at `pad`."""
@@ -123,15 +124,11 @@ def _object(pairs, pad: str) -> str:
     return f"{{{inner}{members}\n{pad}}}"
 
 
+@cache
 def _template(keys, pad: str) -> str:
     return _object([(k, "%s") for k in keys], pad)
 
 
-_REPORT_KEYS = ("base", "euler", "family", "invariants", "params",
-                "provenance", "singularComponents", "underlying")
-_REPORT = _template(_REPORT_KEYS, "")
-_VERIFIED_REPORT = _template(_REPORT_KEYS + ("verification",), "")
-_BASE = _template(("cones", "corners", "kind", "xi"), "  ")
 _EULER = _template(("den", "num"), "  ")
 _INVARIANT = _template(("den", "index", "location", "normalizedNum", "num"),
                        "    ")
@@ -155,49 +152,63 @@ def _scalar(value) -> str:
     return _int(value)
 
 
-def _ints(values, pad: str) -> str:
-    return _array(list(map(_int, values)), pad)
-
-
 def _strs(values, pad: str) -> str:
     return _array(list(map(_str, values)), pad)
 
 
 def _params(spec: FamilySpec, pad: str) -> str:
-    return _object([(k, _int(v)) for k, v in sorted(spec.params().items())],
-                   pad)
+    params = get_family(spec.family).params
+    return _template(params, pad) % tuple([_int(getattr(spec, p)) for p in params])
+
+
+@cache
+def _report_template(cones, corners, invariants, components, params,
+                     verified) -> str:
+    """The report layout of one shape: list lengths, parameter names and
+    whether a verification payload follows, each built on first use."""
+    base = _object([("cones", _array(["%s"] * cones, "    ")),
+                    ("corners", _array(["%s"] * corners, "    ")),
+                    ("kind", "%s"), ("xi", "%s")], "  ")
+    members = [("base", base), ("euler", _EULER), ("family", "%s"),
+               ("invariants", _array([_INVARIANT] * invariants, "  ")),
+               ("params", _template(params, "  ")), ("provenance", "%s"),
+               ("singularComponents", _array(["%s"] * components, "  ")),
+               ("underlying", _UNDERLYING)]
+    if verified:
+        members.append(("verification", "%s"))
+    return _object(members, "")
 
 
 def report_json(report: EngineReport, verification=None) -> str:
     """The JSON document of `report`, with the optional `verification`
-    payload {"ok": bool, "differences": [str, ...]}.  The invariants are
-    written in the report's order; `evaluate`, `normalize` and
-    `flip_orientation` all return them in document order (location, den,
-    normalized num, num)."""
-    seifert, top = report.seifert, report.topology
-    base = seifert.base
-    invariants = [
-        _INVARIANT % (_int(v.den), _int(v.index), _str(v.location),
-                      _int(v.normalized_num), _int(v.num))
-        for v in seifert.invariants]
-    members = (
-        _BASE % (_ints(sorted(base.cones), "    "),
-                 _ints(sorted(base.corners), "    "),
-                 _str(_BASE_KIND_NAMES[base.kind]), _scalar(seifert.xi)),
-        _EULER % (_int(seifert.euler.denominator),
-                  _int(seifert.euler.numerator)),
-        _str(report.spec.family),
-        _array(invariants, "  "),
-        _params(report.spec, "  "),
-        _str(report.provenance),
-        _ints(sorted(top.singular_components), "  "),
-        _UNDERLYING % (_str(_TOP_KIND_NAMES[top.underlying]),
-                       _scalar(top.p), _scalar(top.q), _scalar(top.reason)))
-    if verification is None:
-        return _REPORT % members
-    return _VERIFIED_REPORT % (members + (_VERIFICATION % (
-        _strs(verification["differences"], "    "),
-        _scalar(verification["ok"])),))
+    payload {"ok": bool, "differences": [str, ...]}, lists in the report's
+    order: `evaluate`, `normalize` and `flip_orientation` give invariants
+    by (location, den, normalized num, num) and the other lists ascending."""
+    spec, seifert, top = report.spec, report.seifert, report.topology
+    base, invariants = seifert.base, seifert.invariants
+    params = get_family(spec.family).params
+    template = _report_template(
+        len(base.cones), len(base.corners), len(invariants),
+        len(top.singular_components), params, verification is not None)
+    values = [*map(_int, base.cones), *map(_int, base.corners),
+              _str(_BASE_KIND_NAMES[base.kind]), _scalar(seifert.xi),
+              _int(seifert.euler.denominator), _int(seifert.euler.numerator),
+              _str(spec.family)]
+    for v in invariants:
+        values += (_int(v.den), _int(v.index), _str(v.location),
+                   _int(v.normalized_num), _int(v.num))
+    values += [_int(getattr(spec, p)) for p in params]
+    values += (_str(report.provenance),
+               *map(_int, top.singular_components),
+               _str(_TOP_KIND_NAMES[top.underlying]), _scalar(top.p),
+               _scalar(top.q), _scalar(top.reason))
+    if verification is not None:
+        values.append(_VERIFICATION % (
+            _strs(verification["differences"], "    "),
+            _scalar(verification["ok"])))
+    return template % tuple(values)
+
+
 
 
 def _print_text_report(report: EngineReport, notes, out):

@@ -18,7 +18,7 @@ geometric recomputation lives in the oracle module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -47,6 +47,12 @@ def _exact_div(num: int, den: int, what: str) -> int:
     if num % den != 0:
         raise InternalInconsistencyError(f"{what} = {num}/{den} is not an integer")
     return num // den
+
+
+def _raise_violations(spec: FamilySpec) -> None:
+    violations, _ = validate(spec)
+    if violations:
+        raise ValueError("; ".join(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +150,8 @@ class SeifertData:
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """The integer box shared by the abelian and dihedral families."""
+    """The integer box shared by the abelian and dihedral families; the
+    parity factors e1 and e2 of family 1 are 1 in family 1p."""
 
     h: int
     m_prime: int
@@ -227,16 +234,15 @@ def derived_quantities(spec: FamilySpec) -> DerivedQuantities:
     a = gcd(n'+s*m', n'-s*m', (2)m'n'r), the factor 2 for family 1, and
     b1, b2 are the gcds of (n'-s*m')/a and (n'+s*m')/a with (2)m'n'r/a.
     """
+    if spec.family not in ("1", "1p"):
+        raise ValueError("derived quantities exist only for families 1 and 1p")
+    _raise_violations(spec)
     return _derived_quantities_cached(spec)
 
 
 @lru_cache(maxsize=8192)
 def _derived_quantities_cached(spec: FamilySpec) -> DerivedQuantities:
-    if spec.family not in ("1", "1p"):
-        raise ValueError("derived quantities exist only for families 1 and 1p")
-    violations, _ = validate(spec)
-    if violations:
-        raise ValueError("; ".join(violations))
+    """The box of a valid family-1 or 1p spec."""
     m, n, r = spec.m, spec.n, spec.r
     s = normalized_s(spec)
     h = math.gcd(m, n)
@@ -250,26 +256,22 @@ def _derived_quantities_cached(spec: FamilySpec) -> DerivedQuantities:
     e1 = e2 = 1
     if spec.family == "1p":
         nu = _minimal_nu(a, 2 * np_, a // 2)
-        d = _exact_div(nu * nu * a * (np_ + s * mp) + 2 * np_ * mp * r,
-                       2 * a * nu * b2, "d")
-        g = _exact_div(nu * nu * a * (np_ - s * mp) - 2 * np_ * mp * r,
-                       2 * a * nu * b1, "g")
-        e = _exact_div(mp * np_ * r, 2 * b1 * b2, "e")
+    elif (mp * np_) % 2 == 0:
+        nu = _minimal_nu(a, np_, a)
     else:
-        if (mp * np_) % 2 == 0:
-            nu = _minimal_nu(a, np_, a)
-        else:
-            nu = _minimal_nu(a, 2 * np_, a // 2)
-            for which, b in (("1", b1), ("2", b2)):
-                if r % b != 0:
-                    raise InternalInconsistencyError(f"b{which} does not divide r")
-            e1 = 2 if (r // b1) % 2 == 0 else 1
-            e2 = 2 if (r // b2) % 2 == 0 else 1
-        d = _exact_div(nu * nu * a * (np_ + s * mp) + 2 * np_ * mp * r,
-                       e2 * a * nu * b2, "d")
-        g = _exact_div(nu * nu * a * (np_ - s * mp) - 2 * np_ * mp * r,
-                       e1 * a * nu * b1, "g")
-        e = _exact_div(2 * mp * np_ * r, e1 * e2 * b1 * b2, "e")
+        nu = _minimal_nu(a, 2 * np_, a // 2)
+        for which, b in (("1", b1), ("2", b2)):
+            if r % b != 0:
+                raise InternalInconsistencyError(f"b{which} does not divide r")
+        e1 = 2 if (r // b1) % 2 == 0 else 1
+        e2 = 2 if (r // b2) % 2 == 0 else 1
+    # family 1p divides d, g and e as family 1 does with e1 = e2 = 2
+    k1, k2 = (2, 2) if spec.family == "1p" else (e1, e2)
+    d = _exact_div(nu * nu * a * (np_ + s * mp) + 2 * np_ * mp * r,
+                   k2 * a * nu * b2, "d")
+    g = _exact_div(nu * nu * a * (np_ - s * mp) - 2 * np_ * mp * r,
+                   k1 * a * nu * b1, "g")
+    e = _exact_div(2 * mp * np_ * r, k1 * k2 * b1 * b2, "e")
 
     g_bar = modinv_pos(g, e)
     f_bar = modinv_pos(nu * s + r * (2 * np_ // (a * nu)), np_ * r)
@@ -281,20 +283,13 @@ def _derived_quantities_cached(spec: FamilySpec) -> DerivedQuantities:
 # family evaluators
 # ---------------------------------------------------------------------------
 
-def seifert_abelian(spec: FamilySpec) -> SeifertData:
+def seifert_abelian(spec: FamilySpec, dq: DerivedQuantities) -> SeifertData:
     """Families 1 and 1p: two exceptional fibers over a football base."""
-    dq = derived_quantities(spec)
     m, n, r = spec.m, spec.n, spec.r
-    if spec.family == "1p":
-        den = n * r // 2
-        nums = (dq.d * dq.f_bar * dq.b2 * dq.h,
-                -dq.g * dq.f_bar * dq.b1 * dq.h)
-    else:
-        den = n * r
-        nums = (dq.d * dq.f_bar * dq.e2 * dq.b2 * dq.h,
-                -dq.g * dq.f_bar * dq.e1 * dq.b1 * dq.h)
+    den = n * r // 2 if spec.family == "1p" else n * r
+    a = dq.d * dq.f_bar * dq.e2 * dq.b2 * dq.h
+    b = -dq.g * dq.f_bar * dq.e1 * dq.b1 * dq.h
     # in document order: both share den, so one comparison orders them
-    a, b = nums
     if (a % den, a) > (b % den, b):
         a, b = b, a
     base = BaseSignature(SPHERE, (den, den))
@@ -302,16 +297,14 @@ def seifert_abelian(spec: FamilySpec) -> SeifertData:
     return SeifertData(base, invariants, Fraction(-2 * m, n * r))
 
 
-def seifert_dihedral(spec: FamilySpec) -> SeifertData:
-    """Families 11 and 11p: the same data folded along a mirror circle.
+def seifert_dihedral(ab: SeifertData) -> SeifertData:
+    """Families 11 and 11p: the abelian data `ab` folded along a mirror circle.
 
     The base becomes a disc whose two corner reflectors carry the cone
     indices of the abelian quotient, the local invariants move to the
     corners unchanged, the Euler number halves, and xi is whatever value
     makes the invariant-sum congruence integral.
     """
-    abelian_spec = replace(spec, family={"11": "1", "11p": "1p"}[spec.family])
-    ab = seifert_abelian(abelian_spec)
     base = BaseSignature(DISC, (), ab.base.cones)
     invariants = tuple(LocalInvariant(v.num, v.den, CORNER) for v in ab.invariants)
     euler = ab.euler / 2
@@ -328,14 +321,14 @@ def _row(euler, base, triples):
 
 
 def _table4_row(spec: FamilySpec):
-    """Euler number, base and invariant list of the remaining families."""
+    """Euler number, base (indices ascending) and invariants of the other families."""
     fam, m, n = spec.family, spec.m, spec.n
 
     def sphere(*cones):
-        return BaseSignature(SPHERE, cones)
+        return BaseSignature(SPHERE, tuple(sorted(cones)))
 
     def disc(cones, corners):
-        return BaseSignature(DISC, tuple(cones), tuple(corners))
+        return BaseSignature(DISC, tuple(cones), tuple(sorted(corners)))
 
     def projective(*cones):
         return BaseSignature(PROJECTIVE, cones)
@@ -432,9 +425,7 @@ def _table4_row(spec: FamilySpec):
 
 
 def seifert_polyhedral(spec: FamilySpec) -> SeifertData:
-    violations, _ = validate(spec)
-    if violations:
-        raise ValueError("; ".join(violations))
+    """The table row of a valid spec of the remaining families."""
     euler, base, invariants = _table4_row(spec)
     xi = derive_xi(base, invariants, euler) if base.kind == DISC else None
     return SeifertData(base, invariants, euler, xi)
@@ -532,38 +523,33 @@ def _two_fiber_lens(pairs, euler):
     return p, q
 
 
-def underlying_space(d: SeifertData, spec: FamilySpec) -> TopologyReport:
+def underlying_space(d: SeifertData, spec: FamilySpec,
+                     dq: Optional[DerivedQuantities]) -> TopologyReport:
     """Underlying 3-manifold, where a closed-form rule exists.
 
-    Abelian families have an explicit lens space; dihedral bases with no
-    cone point give the 3-sphere; a disc with one cone point and a
-    2-sphere with at most two effective exceptional fibers are built
-    from two solid tori, hence lens spaces.  Everything else is
-    reported as not computed.
+    Abelian families have an explicit lens space, read off their box
+    `dq` (None for every other family); dihedral bases with no cone
+    point give the 3-sphere; a disc with one cone point and a 2-sphere
+    with at most two effective exceptional fibers are built from two
+    solid tori, hence lens spaces.  Everything else is reported as not
+    computed.
     """
-    components = tuple(singular_set(d, spec))
+    components = tuple(singular_set(d, spec, dq))
     if spec.family in ("1", "1p"):
-        dq = derived_quantities(spec)
         return lens_report(dq.e, (dq.d * dq.g_bar) % dq.e if dq.e > 1 else 0,
                            components)
     if spec.family in ("11", "11p"):
         return TopologyReport(THREE_SPHERE, singular_components=components)
 
-    nd = normalize(d)
-    if nd.base.kind == PROJECTIVE:
+    if d.base.kind == PROJECTIVE:
         return TopologyReport(NOT_COMPUTED, reason="projective base",
                               singular_components=components)
-    if nd.base.kind == DISC:
-        cone_invs = [v for v in d.invariants if v.location == CONE and v.den > 1]
-        if not cone_invs:
-            return TopologyReport(THREE_SPHERE, singular_components=components)
-        if len(cone_invs) > 1:
-            return TopologyReport(NOT_COMPUTED, reason="several cone points "
-                                  "on a mirror-boundary base",
-                                  singular_components=components)
-        v = cone_invs[0]
+    if d.base.kind == DISC:
+        # a disc row has at most one cone point, and document order puts
+        # its invariant first; an index-1 cone point leaves p = 1
+        v = d.invariants[0]
         g = math.gcd(v.num, v.den)
-        p = v.den // g
+        p = v.den // g if v.location == CONE else 1
         if p == 1:
             return TopologyReport(THREE_SPHERE, singular_components=components)
         # meridian of the complementary solid torus is a (x, p) curve for
@@ -572,7 +558,7 @@ def underlying_space(d: SeifertData, spec: FamilySpec) -> TopologyReport:
 
     # sphere base: the underlying manifold is Seifert fibered with one
     # exceptional fiber per nonvanishing normalized invariant
-    nonzero = [v for v in nd.invariants if v.normalized_num != 0]
+    nonzero = [v for v in d.invariants if v.normalized_num != 0]
     if len(nonzero) > 2:
         return TopologyReport(NOT_COMPUTED, reason="more than two exceptional "
                               "fibers in the underlying manifold",
@@ -587,14 +573,11 @@ def underlying_space(d: SeifertData, spec: FamilySpec) -> TopologyReport:
     return lens_report(p, q, components)
 
 
-def singular_set(d: SeifertData, spec: FamilySpec) -> list:
+def singular_set(d: SeifertData, spec: FamilySpec,
+                 dq: Optional[DerivedQuantities]) -> list:
     """Singularity indices of the exceptional fibers (index 1 dropped)."""
     if spec.family in ("1", "1p"):
-        dq = derived_quantities(spec)
-        if spec.family == "1p":
-            indices = [dq.b2 * dq.h, dq.b1 * dq.h]
-        else:
-            indices = [dq.e2 * dq.b2 * dq.h, dq.e1 * dq.b1 * dq.h]
+        indices = (dq.e2 * dq.b2 * dq.h, dq.e1 * dq.b1 * dq.h)
         return sorted(i for i in indices if i > 1)
     return sorted(v.index for v in d.invariants if v.index > 1)
 
@@ -612,17 +595,25 @@ class EngineReport:
 
 
 def evaluate(spec: FamilySpec) -> EngineReport:
+    """The report of a fibered spec, from one `validate` and, for families
+    1, 1p, 11 and 11p, one box lookup shared by every quantity."""
     fam = get_family(spec.family)
     if not fam.fibered:
         raise ValueError(f"family {spec.family} preserves no fibration")
-    if spec.family in ("1", "1p"):
-        seifert = seifert_abelian(spec)
-        provenance = f"abelian box, family {spec.family}"
-    elif spec.family in ("11", "11p"):
-        seifert = seifert_dihedral(spec)
-        provenance = f"dihedral fold of the abelian box, family {spec.family}"
+    _raise_violations(spec)
+    family, dq = spec.family, None
+    if family in ("1", "1p"):
+        dq = _derived_quantities_cached(spec)
+        seifert = seifert_abelian(spec, dq)
+        provenance = f"abelian box, family {family}"
+    elif family in ("11", "11p"):
+        abelian = FamilySpec("1" if family == "11" else "1p",
+                             spec.m, spec.n, spec.r, spec.s)
+        seifert = seifert_dihedral(seifert_abelian(
+            abelian, _derived_quantities_cached(abelian)))
+        provenance = f"dihedral fold of the abelian box, family {family}"
     else:
         seifert = seifert_polyhedral(spec)
-        provenance = f"invariant table row {spec.family}"
-    topology = underlying_space(seifert, spec)
+        provenance = f"invariant table row {family}"
+    topology = underlying_space(seifert, spec, dq)
     return EngineReport(spec, seifert, topology, provenance)

@@ -672,7 +672,7 @@ class PairGroup:
     lattice: Optional[RotationLattice] = None
     gluing: Optional[CosetGluing] = None
 
-    @property
+    @cached_property
     def order(self) -> int:
         lat, glue = self.lattice, self.gluing
         if lat is None:

@@ -66,8 +66,9 @@ def compare_spec(spec: FamilySpec) -> ComparisonResult:
     orc = oracle_report(group)
 
     formula_order = get_family(spec.family).phi_order(spec)
-    if phi_order(group) != formula_order:
-        diffs.append(f"group order {2 * phi_order(group)} != "
+    order = phi_order(group)
+    if order != formula_order:
+        diffs.append(f"group order {2 * order} != "
                      f"2 * {formula_order} from the order formula")
 
     sig_e = eng.seifert.base.normalized()

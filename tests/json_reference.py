@@ -4,9 +4,9 @@
 function here builds the same document as plain dicts and lists, so the
 tests can check that `report_json(r)` equals
 `json.dumps(reference_to_dict(r), indent=2, sort_keys=True)` byte for
-byte.  The invariant order is spelled out here: the writer keeps the
+byte.  The order of every list is spelled out here: the writer keeps the
 report's order, so the comparison also checks that the engine returns
-the invariants in document order.
+the invariants in document order and the other lists ascending.
 """
 
 from orbiseif.cli import _BASE_KIND_NAMES, _TOP_KIND_NAMES

@@ -16,8 +16,6 @@ from orbiseif.engine import (
     THREE_SPHERE,
     BaseSignature,
     evaluate,
-    seifert_abelian,
-    seifert_dihedral,
     seifert_polyhedral,
     somma_residue,
 )
@@ -37,6 +35,7 @@ from orbiseif.groups import (
 from orbiseif.oracle import lens_oracle
 from orbiseif.quaternions import multiply
 from orbiseif.verify import run_sweep, sweep_specs
+from test_engine import abelian_row, dihedral_row
 from test_properties import (
     coprimality_suite,
     flip_involution_suite,
@@ -186,9 +185,9 @@ def test_criterion_4_table4_sweep(table4_sweep):
 
 def _seifert_only(spec):
     if spec.family in ("1", "1p"):
-        return seifert_abelian(spec)
+        return abelian_row(spec)
     if spec.family in ("11", "11p"):
-        return seifert_dihedral(spec)
+        return dihedral_row(spec)
     return seifert_polyhedral(spec)
 
 

@@ -24,3 +24,4 @@ def test_benchmark_trace_hooks_exist():
         for attr in attrs:
             assert attr in vars(owner), name
     assert callable(engine._derived_quantities_cached.cache_info)
+    assert callable(engine._derived_quantities_cached.cache_clear)

@@ -1,6 +1,7 @@
 """Closed-form evaluator: derived quantities, table rows, data operations."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from orbiseif.engine import (
     InternalInconsistencyError,
     LocalInvariant,
     SeifertData,
+    _derived_quantities_cached,
     _minimal_nu,
+    _table4_row,
     derive_xi,
     derived_quantities,
     evaluate,
@@ -31,9 +34,26 @@ from orbiseif.engine import (
     somma_residue,
     underlying_space,
 )
-from orbiseif.groups import FamilySpec
+from orbiseif.groups import (
+    ABELIAN_FAMILIES,
+    DIHEDRAL_FAMILIES,
+    TABLE4_FAMILIES,
+    FamilySpec,
+)
+from orbiseif.verify import sweep_specs
 
 F = Fraction
+
+
+def abelian_row(spec):
+    return seifert_abelian(spec, derived_quantities(spec))
+
+
+def dihedral_row(spec):
+    """The fold of the family-1 or 1p row with the same parameters."""
+    abelian = FamilySpec("1" if spec.family == "11" else "1p",
+                         spec.m, spec.n, spec.r, spec.s)
+    return seifert_dihedral(abelian_row(abelian))
 
 
 def inv_multiset(seifert):
@@ -85,7 +105,7 @@ def test_derived_quantities_invariants():
 # -- abelian and dihedral rows ---------------------------------------------------
 
 def test_abelian_row_one_singular_fiber():
-    data = seifert_abelian(FamilySpec("1p", m=1, n=1, r=10, s=1))
+    data = abelian_row(FamilySpec("1p", m=1, n=1, r=10, s=1))
     assert data.base == BaseSignature(SPHERE, (5, 5))
     assert inv_multiset(data) == [(5, 5, CONE), (6, 5, CONE)]
     assert [v.index for v in sorted(data.invariants, key=lambda v: v.num)] == [5, 1]
@@ -93,14 +113,14 @@ def test_abelian_row_one_singular_fiber():
 
 
 def test_abelian_row_free_scalar_quotient():
-    data = seifert_abelian(FamilySpec("1p", m=3, n=1, r=2, s=1))
+    data = abelian_row(FamilySpec("1p", m=3, n=1, r=2, s=1))
     assert data.base.normalized() == BaseSignature(SPHERE)
     assert inv_multiset(data) == [(4, 1, CONE), (5, 1, CONE)]
     assert data.euler == -3
 
 
 def test_abelian_row_klein_action():
-    data = seifert_abelian(FamilySpec("1", m=1, n=1, r=2, s=1))
+    data = abelian_row(FamilySpec("1", m=1, n=1, r=2, s=1))
     assert data.base == BaseSignature(SPHERE, (2, 2))
     assert inv_multiset(data) == [(2, 2, CONE), (4, 2, CONE)]
     assert all(v.normalized_num == 0 and v.index == 2 for v in data.invariants)
@@ -108,7 +128,7 @@ def test_abelian_row_klein_action():
 
 
 def test_dihedral_row_folds_the_abelian_one():
-    data = seifert_dihedral(FamilySpec("11p", m=1, n=1, r=10, s=1))
+    data = dihedral_row(FamilySpec("11p", m=1, n=1, r=10, s=1))
     assert data.base == BaseSignature(DISC, (), (5, 5))
     assert inv_multiset(data) == [(5, 5, CORNER), (6, 5, CORNER)]
     assert data.euler == F(-1, 10)
@@ -116,13 +136,13 @@ def test_dihedral_row_folds_the_abelian_one():
 
 
 def test_dihedral_row_halves_euler():
-    data = seifert_dihedral(FamilySpec("11", m=1, n=1, r=2, s=1))
+    data = dihedral_row(FamilySpec("11", m=1, n=1, r=2, s=1))
     assert data.euler == F(-1, 2)
     assert data.base == BaseSignature(DISC, (), (2, 2))
 
 
 def test_dihedral_row_generic_parameters():
-    data = seifert_dihedral(FamilySpec("11", m=2, n=1, r=3, s=1))
+    data = dihedral_row(FamilySpec("11", m=2, n=1, r=3, s=1))
     assert data.euler == F(-2, 3)
     assert data.base == BaseSignature(DISC, (), (3, 3))
 
@@ -168,7 +188,7 @@ def test_normalize_representatives():
 
 
 def test_normalize_drops_trivial_entries_and_sorts():
-    data = seifert_abelian(FamilySpec("1p", m=3, n=1, r=2, s=1))
+    data = abelian_row(FamilySpec("1p", m=3, n=1, r=2, s=1))
     nd = normalize(data)
     assert nd.invariants == ()
     assert nd.base == BaseSignature(SPHERE)
@@ -185,7 +205,7 @@ def test_flip_orientation_rules():
 
 
 def test_flip_orientation_zero_invariants():
-    data = seifert_abelian(FamilySpec("1", m=1, n=1, r=2, s=1))
+    data = abelian_row(FamilySpec("1", m=1, n=1, r=2, s=1))
     flipped = flip_orientation(data)
     assert flipped.euler == 1
     assert all(v.normalized_num == 0 for v in flipped.invariants)
@@ -201,7 +221,7 @@ def test_flip_orientation_is_an_involution():
 
 def test_somma_examples():
     assert somma_residue(seifert_polyhedral(FamilySpec("9", m=1))) == 1
-    assert somma_residue(seifert_abelian(FamilySpec("1", m=1, n=1, r=2, s=1))) == 2
+    assert somma_residue(abelian_row(FamilySpec("1", m=1, n=1, r=2, s=1))) == 2
     bare = SeifertData(BaseSignature(SPHERE), (), F(-1))
     assert somma_residue(bare) == -1
 
@@ -210,42 +230,42 @@ def test_somma_examples():
 
 def test_underlying_projective_space():
     spec = FamilySpec("1", m=1, n=1, r=1, s=1)
-    top = underlying_space(seifert_abelian(spec), spec)
+    top = underlying_space(abelian_row(spec), spec, derived_quantities(spec))
     assert (top.underlying, top.p, top.q) == (LENS, 2, 1)
 
 
 def test_underlying_scalar_lens():
     spec = FamilySpec("1p", m=3, n=1, r=2, s=1)
-    top = underlying_space(seifert_abelian(spec), spec)
+    top = underlying_space(abelian_row(spec), spec, derived_quantities(spec))
     assert (top.underlying, top.p, top.q) == (LENS, 3, 1)
 
 
 def test_underlying_dihedral_is_the_sphere():
     for spec in (FamilySpec("11p", m=1, n=1, r=10, s=1),
                  FamilySpec("11", m=3, n=2, r=5, s=2)):
-        top = underlying_space(seifert_dihedral(spec), spec)
+        top = underlying_space(dihedral_row(spec), spec, None)
         assert top.underlying == THREE_SPHERE
 
 
 def test_underlying_example_rules_for_table_rows():
     spec = FamilySpec("2", m=2, n=3)
-    top = underlying_space(seifert_polyhedral(spec), spec)
+    top = underlying_space(seifert_polyhedral(spec), spec, None)
     assert (top.underlying, top.p, top.q) == (LENS, 2, 1)
     spec = FamilySpec("2", m=1, n=2)   # three effective fibers: prism type
-    top = underlying_space(seifert_polyhedral(spec), spec)
+    top = underlying_space(seifert_polyhedral(spec), spec, None)
     assert top.underlying == "not-computed"
     spec = FamilySpec("2bis", m=1, n=3)  # projective base
-    top = underlying_space(seifert_polyhedral(spec), spec)
+    top = underlying_space(seifert_polyhedral(spec), spec, None)
     assert top.underlying == "not-computed"
 
 
 def test_singular_sets():
     spec = FamilySpec("1p", m=1, n=1, r=10, s=1)
-    assert singular_set(seifert_abelian(spec), spec) == [5]
+    assert singular_set(abelian_row(spec), spec, derived_quantities(spec)) == [5]
     spec = FamilySpec("1", m=1, n=1, r=2, s=1)
-    assert singular_set(seifert_abelian(spec), spec) == [2, 2]
+    assert singular_set(abelian_row(spec), spec, derived_quantities(spec)) == [2, 2]
     spec = FamilySpec("2", m=1, n=2)
-    assert singular_set(seifert_polyhedral(spec), spec) == []
+    assert singular_set(seifert_polyhedral(spec), spec, None) == []
 
 
 def test_singular_indices_match_the_gcd_rule_for_abelian_rows():
@@ -255,9 +275,34 @@ def test_singular_indices_match_the_gcd_rule_for_abelian_rows():
                  FamilySpec("1", m=1, n=9, r=4, s=3),
                  FamilySpec("1p", m=3, n=9, r=4, s=3),
                  FamilySpec("1p", m=5, n=1, r=6, s=5)):
-        data = seifert_abelian(spec)
+        data = abelian_row(spec)
         from_invariants = sorted(v.index for v in data.invariants if v.index > 1)
-        assert singular_set(data, spec) == from_invariants
+        assert singular_set(data, spec, derived_quantities(spec)) == from_invariants
+
+
+def test_disc_rows_have_at_most_one_cone_point():
+    """`underlying_space` reads a disc row's one cone point, if any, as
+    the first invariant; no table-4 row of order <= 480 has two."""
+    counts = Counter()
+    for spec in sweep_specs(480, TABLE4_FAMILIES):
+        _, base, invariants = _table4_row(spec)
+        if base.kind == DISC:
+            counts[len(base.cones)] += 1
+            cones = [v for v in invariants if v.location == CONE]
+            assert list(invariants[:len(cones)]) == cones, spec
+    assert set(counts) == {0, 1} and sum(counts.values()) == 2433, counts
+
+
+def test_evaluate_looks_the_box_up_once():
+    """Each evaluate of a family-1, 1p, 11 or 11p spec makes exactly one
+    lookup in the box cache, whether it hits or misses."""
+    info = _derived_quantities_cached.cache_info
+    for spec in sweep_specs(60, ABELIAN_FAMILIES + DIHEDRAL_FAMILIES):
+        before = info()
+        evaluate(spec)
+        after = info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) \
+            == 1, spec
 
 
 # -- the integer invariant sum ---------------------------------------------------
