@@ -209,8 +209,6 @@ def report_json(report: EngineReport, verification=None) -> str:
     return template % tuple(values)
 
 
-
-
 def _print_text_report(report: EngineReport, notes, out):
     seifert = report.seifert
     spec = report.spec

@@ -123,10 +123,6 @@ class LocalInvariant:
     def index(self) -> int:
         return math.gcd(self.normalized_num, self.den)
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
     def normalized(self) -> "LocalInvariant":
         return LocalInvariant(self.normalized_num, self.den, self.location)
 

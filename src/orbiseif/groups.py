@@ -25,9 +25,11 @@ O* or I* right factor it is kept as coset data (CosetGluing): one left
 progression of integer angles per right coset of R_K, found by walking
 the right cosets along the generators.  The right cosets are built from
 the elements once per process, keyed by (right, right kernel), since
-they do not depend on the family parameters.  Circle angles are
-numerators over a common grid (see PairGroup), and the integer rows and
-explicit elements of every group are views built on demand.
+they do not depend on the family parameters.  A circle element
+e^(2 pi i num/den), times j when jflag is set, is the integer triple
+(jflag, num, den) in the catalog and (jflag, numerator over a common
+grid) in a built group (see PairGroup), whose integer rows are a view
+built on demand.
 Self-checks raise InternalInconsistencyError, so python -O keeps them.
 """
 
@@ -40,17 +42,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
-from .quaternions import (
-    CIRCLE_J,
-    AlgebraicQuaternion,
-    GroupElement,
-    PairElement,
-    _circle,
-    circle_root,
-    element_negate,
-    multiply,
-    quat_rational,
-)
+from .quaternions import AlgebraicQuaternion, element_negate, multiply, quat_rational
 
 
 class InternalInconsistencyError(ArithmeticError):
@@ -134,15 +126,10 @@ def _coset_union(base, multipliers):
     return list(seen)
 
 
-def standard_group(group_id: StandardGroupId) -> list[GroupElement]:
-    """Exact element list; circle representation for C and D* groups."""
-    kind, order = group_id.kind, group_id.order
-    if kind == "C":
-        return [_circle(k, order, False) for k in range(order)]
-    if kind == "D":
-        n = order // 2
-        rotations = [_circle(k, n, False) for k in range(n)]
-        return rotations + [_circle(k, n, True) for k in range(n)]
+def standard_group(group_id: StandardGroupId) -> list[AlgebraicQuaternion]:
+    """Exact element list of T*, O* or I*.  Cyclic and binary dihedral
+    groups are never listed: their elements are integer angle data."""
+    kind = group_id.kind
     if kind == "T":
         return _tetrahedral_elements()
     if kind == "O":
@@ -154,16 +141,12 @@ def standard_group(group_id: StandardGroupId) -> list[GroupElement]:
         for _ in range(4):
             powers.append(IOTA.multiply(powers[-1]))
         return _coset_union(t, powers)
-    raise ValueError(f"unknown group kind {kind}")
+    raise ValueError(f"standard_group lists T*, O* and I* only, not {group_id}")
 
 
-def algebraic_group(group_id: StandardGroupId) -> list[GroupElement]:
-    """Element list in the quaternion-coordinate representation.
-
-    Needed when a cyclic or binary dihedral group occurs as a kernel
-    inside a binary polyhedral group; only groups whose coordinates lie
-    in Q(sqrt2, sqrt5) are representable, which covers every kernel in
-    the catalog (D*8 and T* itself).
+def algebraic_group(group_id: StandardGroupId) -> list[AlgebraicQuaternion]:
+    """Element list in quaternion coordinates: T*, O* or I*, or D*8, the
+    one binary dihedral right kernel in the catalog (families 6 and 18).
     """
     kind, order = group_id.kind, group_id.order
     if kind in "TOI":
@@ -248,7 +231,11 @@ def _g(left, lk, right, rk, gens=()):
 
 
 def _z(k, power=1):
-    return circle_root(k, power)
+    """e^(2*pi*i*power/k) as the circle triple (jflag, num, den)."""
+    return False, power, k
+
+
+CIRCLE_J = (True, 0, 1)
 
 
 FAMILIES: dict[str, Family] = {}
@@ -659,8 +646,8 @@ class PairGroup:
     Circle angles are numerators over `grid`.  With a circle-type right
     factor the group is `lattice`, and a row is (left jflag, right jflag,
     left angle, right angle); with a T*, O* or I* right factor the group
-    is `gluing`, and a row is (left jflag, left angle, r).  `rows` and
-    `elements` are views built on first access; `order` builds neither.
+    is `gluing`, and a row is (left jflag, left angle, r).  `rows` is the
+    one explicit view, built on first access; `order` does not build it.
     """
 
     spec: FamilySpec
@@ -688,15 +675,6 @@ class PairGroup:
         grid, points = self.grid, self.lattice.points(self.grid)
         return [(jl, jr, (a + x) % grid, (b + y) % grid)
                 for jl, jr, a, b in self.lattice.offsets for x, y in points]
-
-    @cached_property
-    def elements(self) -> list[PairElement]:
-        """The rows as explicit pairs, built on first access."""
-        grid = self.grid
-        if self.lattice is None:
-            return [PairElement(_circle(a, grid, jl), r) for jl, a, r in self.rows]
-        return [PairElement(_circle(a, grid, jl), _circle(b, grid, jr))
-                for jl, jr, a, b in self.rows]
 
 
 def phi_order(group: PairGroup) -> int:
@@ -733,16 +711,18 @@ def _check_circle_factor(group: StandardGroupId, kernel: StandardGroupId):
 
 
 def _on_circle_grid(element, group: StandardGroupId, grid: int):
-    """(jflag, angle numerator over grid) of a circle element of group."""
-    num, den, jflag = element._key
+    """(jflag, angle numerator over grid) of a circle triple of group."""
+    jflag, num, den = element
     if _circle_period(group) % den or (jflag and group.kind != "D"):
         raise InternalInconsistencyError(f"{element} is not in {group}")
     return jflag, num * (grid // den)
 
 
 def _circle_times(x, y, grid: int):
-    """Product of (jflag, angle) parts over grid, by the rule of
-    CircleJElement.multiply: j*e^(2 pi i b) = e^(-2 pi i b)*j, j*j = -1."""
+    """Product of (jflag, angle) parts over grid.  A rotation x adds its
+    angle and keeps y's flag; as j*e^(2 pi i b) = e^(-2 pi i b)*j, a
+    j-type x subtracts b and flips the flag, and as j*j = -1 it adds half
+    a turn when y is j-type too."""
     (xj, a), (yj, b) = x, y
     if not xj:
         return yj, (a + b) % grid

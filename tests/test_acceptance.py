@@ -33,8 +33,8 @@ from orbiseif.groups import (
     standard_group,
 )
 from orbiseif.oracle import lens_oracle
-from orbiseif.quaternions import multiply
 from orbiseif.verify import run_sweep, sweep_specs
+from element_reference import multiply
 from test_engine import abelian_row, dihedral_row
 from test_properties import (
     coprimality_suite,

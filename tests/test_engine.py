@@ -312,7 +312,7 @@ def _fraction_sum(euler, invariants, xi):
     xi/2, one Fraction addition at a time."""
     total = euler + F(xi, 2)
     for v in invariants:
-        total += v.value if v.location == CONE else F(v.normalized_num, v.den) / 2
+        total += F(v.num, v.den) if v.location == CONE else F(v.normalized_num, v.den) / 2
     return total
 
 

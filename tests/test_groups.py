@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -27,8 +28,16 @@ from orbiseif.groups import (
     standard_group,
     validate,
 )
-from orbiseif.quaternions import CircleJElement, PairElement, multiply
+from orbiseif.quaternions import PairElement
 from orbiseif.verify import run_sweep, sweep_specs
+from element_reference import (
+    CircleJElement,
+    as_element,
+    element_negate,
+    elements,
+    multiply,
+    standard_elements,
+)
 from enumerate_reference import reference_enumerate
 from row_reference import coset_rows, direct_grid_rows
 from test_oracle import _run_optimized
@@ -39,13 +48,13 @@ F = Fraction
 # -- standard groups ----------------------------------------------------------
 
 def test_cyclic_four_is_the_fourth_roots():
-    got = set(standard_group(cyclic(4)))
+    got = set(standard_elements(cyclic(4)))
     want = {CircleJElement(F(k, 4), False) for k in range(4)}
     assert got == want
 
 
 def test_binary_dihedral_structure():
-    els = standard_group(binary_dihedral(12))
+    els = standard_elements(binary_dihedral(12))
     assert len(els) == 12
     assert sum(1 for e in els if e.jflag) == 6
     closed = {multiply(a, b) for a in els for b in els}
@@ -62,12 +71,19 @@ def test_polyhedral_orders(gid, order):
 
 
 def test_standard_group_returns_a_fresh_list():
-    for gid in (cyclic(6), binary_dihedral(8), BINARY_TETRAHEDRAL,
-                BINARY_OCTAHEDRAL, BINARY_ICOSAHEDRAL):
+    for gid in (BINARY_TETRAHEDRAL, BINARY_OCTAHEDRAL, BINARY_ICOSAHEDRAL):
         first = standard_group(gid)
         want = list(first)
         first.clear()
         assert standard_group(gid) == want
+
+
+def test_standard_group_lists_only_binary_polyhedral_groups():
+    """Cyclic and binary dihedral groups are integer angle data in the
+    package; asking for their element list is an error."""
+    for gid in (cyclic(6), binary_dihedral(8)):
+        with pytest.raises(ValueError, match=re.escape(f"not {gid}")):
+            standard_group(gid)
 
 
 def test_tetrahedral_and_octahedral_closure_exhaustive():
@@ -187,10 +203,11 @@ def test_goursat_closure_exhaustive_small():
     for spec in (FamilySpec("34", m=1, n=3), FamilySpec("1", m=1, n=1, r=4, s=1),
                  FamilySpec("10", m=1, n=1)):
         group = goursat_group(spec)
-        members = set(group.elements)
-        for a in group.elements:
+        pairs = elements(group)
+        members = set(pairs)
+        for a in pairs:
             assert a.inverse() in members
-            for b in group.elements:
+            for b in pairs:
                 assert a.multiply(b) in members
 
 
@@ -199,9 +216,10 @@ def test_goursat_closure_sampled_large():
     for spec in (FamilySpec("9", m=1), FamilySpec("19", m=1),
                  FamilySpec("11", m=2, n=1, r=3, s=1)):
         group = goursat_group(spec)
-        members = set(group.elements)
+        pairs = elements(group)
+        members = set(pairs)
         for _ in range(500):
-            a, b = rng.choice(group.elements), rng.choice(group.elements)
+            a, b = rng.choice(pairs), rng.choice(pairs)
             assert a.multiply(b) in members
 
 
@@ -215,13 +233,14 @@ def test_goursat_projection_and_kernel_consistency():
         group = goursat_group(spec)
         fam = get_family(spec.family)
         data = fam.goursat(spec)
-        lefts = {p.left for p in group.elements}
-        assert lefts == set(standard_group(data.left))
-        left_kernel = {p.left for p in group.elements if p.right.is_identity()}
-        assert left_kernel == set(standard_group(data.left_kernel))
-        right_kernel = {p.right for p in group.elements if p.left.is_identity()}
+        pairs = elements(group)
+        lefts = {p.left for p in pairs}
+        assert lefts == set(standard_elements(data.left))
+        left_kernel = {p.left for p in pairs if p.right.is_identity()}
+        assert left_kernel == set(standard_elements(data.left_kernel))
+        right_kernel = {p.right for p in pairs if p.left.is_identity()}
         want = (algebraic_group(data.right_kernel) if data.right.kind in "TOI"
-                else standard_group(data.right_kernel))
+                else standard_elements(data.right_kernel))
         assert right_kernel == set(want)
 
 
@@ -287,7 +306,7 @@ def _reference_goursat(data):
     """{(l, r) : phi(l L_K) = r R_K} with the cosets kept as frozensets:
     phi spreads from the seed by multiplying coset representatives and
     finding the product's coset by membership."""
-    build = algebraic_group if data.right.kind in "TOI" else standard_group
+    build = algebraic_group if data.right.kind in "TOI" else standard_elements
 
     def cosets(group, kernel):
         out = []
@@ -299,8 +318,8 @@ def _reference_goursat(data):
     def identity(group):
         return next(x for x in group if x.is_identity())
 
-    left, right = standard_group(data.left), build(data.right)
-    cl = cosets(left, standard_group(data.left_kernel))
+    left, right = standard_elements(data.left), build(data.right)
+    cl = cosets(left, standard_elements(data.left_kernel))
     cr = cosets(right, build(data.right_kernel))
 
     def find(cs, x):
@@ -310,7 +329,8 @@ def _reference_goursat(data):
         return find(cs, multiply(next(iter(a)), next(iter(b))))
 
     phi = {find(cl, identity(left)): find(cr, identity(right))}
-    phi.update((find(cl, gl), find(cr, gr)) for gl, gr in data.phi_generators)
+    phi.update((find(cl, as_element(gl)), find(cr, as_element(gr)))
+               for gl, gr in data.phi_generators)
     gens = list(phi.items())
     frontier = list(gens)
     while frontier:
@@ -326,8 +346,8 @@ def _reference_goursat(data):
 
 
 # one small spec of every family whose factors are both circle-type: the
-# lattice build, read through the `elements` view; 33 and 33p swap the
-# rotation and j cosets
+# lattice build, read through the reference `elements`; 33 and 33p swap
+# the rotation and j cosets
 CIRCLE_SPECS = [
     FamilySpec("1", m=2, n=1, r=3, s=2), FamilySpec("1p", m=1, n=3, r=4, s=3),
     FamilySpec("11", m=1, n=2, r=3, s=2), FamilySpec("11p", m=3, n=1, r=2, s=1),
@@ -350,8 +370,9 @@ CIRCLE_SPECS += [
 def test_polyhedral_goursat_matches_brute_force_cosets(spec):
     group = goursat_group(spec)
     reference = _reference_goursat(get_family(spec.family).goursat(spec))
-    assert len(group.elements) == len(reference)
-    assert set(group.elements) == reference
+    pairs = elements(group)
+    assert len(pairs) == len(reference)
+    assert set(pairs) == reference
 
 
 def test_fixed_factor_cache_stays_bounded():
@@ -364,21 +385,20 @@ def test_fixed_factor_cache_stays_bounded():
 
 
 def test_goursat_checks_survive_python_optimize():
-    """Kernels outside their factor and gluings that are not isomorphisms
-    of the quotients raise in the generator builds of both kinds of
-    right factor, under -O too."""
+    """Kernels outside their factor, circle generator images outside their
+    factor and gluings that are not isomorphisms of the quotients raise
+    in the generator builds of both kinds of right factor, under -O too."""
     script = (
         "import sys\n"
         "from orbiseif import engine, groups\n"
         "from orbiseif.groups import (BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL, "
-        "CIRCLE_J, OMEGA, SIGMA, GoursatData, binary_dihedral, circle_root, "
-        "cyclic)\n"
+        "CIRCLE_J, OMEGA, SIGMA, GoursatData, _z, binary_dihedral, cyclic)\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "if engine.InternalInconsistencyError is not "
         "groups.InternalInconsistencyError:\n"
         "    sys.exit('engine and groups raise different errors')\n"
-        "c4, c2, z4, minus = cyclic(4), cyclic(2), circle_root(4), circle_root(2)\n"
+        "c4, c2, z4, minus = cyclic(4), cyclic(2), _z(4), _z(2)\n"
         "o, t = BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL\n"
         "lattice, gluing = groups._circle_lattice, groups._coset_gluing\n"
         "for build, data, want in (\n"
@@ -398,7 +418,15 @@ def test_goursat_checks_survive_python_optimize():
         "                             ((CIRCLE_J, SIGMA),)), 'not injective'),\n"
         "        (gluing, GoursatData(c4, c2, o, t), 'do not span the quotient'),\n"
         "        (gluing, GoursatData(c4, cyclic(8), o, t),\n"
-        "         'C8 is not contained in C4')):\n"
+        "         'C8 is not contained in C4'),\n"
+        "        (lattice, GoursatData(c4, c2, c4, c2, ((_z(8), z4),)),\n"
+        "         '(False, 1, 8) is not in C4'),\n"
+        "        (gluing, GoursatData(c4, c2, o, t, ((_z(8), SIGMA),)),\n"
+        "         '(False, 1, 8) is not in C4'),\n"
+        "        (lattice, GoursatData(c4, c2, c4, c2, ((CIRCLE_J, z4),)),\n"
+        "         '(True, 0, 1) is not in C4'),\n"
+        "        (gluing, GoursatData(c4, c2, o, t, ((CIRCLE_J, SIGMA),)),\n"
+        "         '(True, 0, 1) is not in C4')):\n"
         "    try:\n"
         "        build(data, 8)\n"
         "    except engine.InternalInconsistencyError as exc:\n"
@@ -453,11 +481,9 @@ def test_contains_minus_one_pair():
     for spec in (FamilySpec("34", m=1, n=1), FamilySpec("1p", m=1, n=1, r=2, s=1),
                  FamilySpec("5", m=1)):
         group = goursat_group(spec)
-        minus = None
-        for p in group.elements:
-            if p.negate().is_identity():
-                minus = p
-        assert minus is not None
+        assert any(PairElement(element_negate(p.left),
+                               element_negate(p.right)).is_identity()
+                   for p in elements(group))
 
 
 # -- enumeration ----------------------------------------------------------------

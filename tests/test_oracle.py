@@ -48,7 +48,7 @@ from orbiseif.oracle import (
     lens_oracle,
     oracle_report,
 )
-from orbiseif.quaternions import CircleJElement, NotHopfPreservingError
+from orbiseif.quaternions import NotHopfPreservingError
 from orbiseif.verify import sweep_specs
 from row_reference import (
     axis_classes,
@@ -63,6 +63,7 @@ from row_reference import (
     slope_invariant,
     torus_quotient_map,
 )
+from element_reference import CircleJElement, elements
 from test_quaternions import circle_to_quaternion
 
 F = Fraction
@@ -375,7 +376,7 @@ def test_circle_and_axis_paths_agree():
         assert normalized_invs(inv_c) == normalized_invs(inv_a), spec
         assert sorted(v.location for v in inv_c) == \
             sorted(v.location for v in inv_a)
-        j_left_seen |= any(p.left.jflag for p in group.elements)
+        j_left_seen |= any(p.left.jflag for p in elements(group))
     assert j_left_seen
     # right factor D*8: three perpendicular half-turn axes whose orbits
     # the axis path does not separate, so it must refuse rather than guess

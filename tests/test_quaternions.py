@@ -17,16 +17,19 @@ from orbiseif.exactfield import QF_HALF_SQRT2, QuadFieldElement
 from orbiseif.groups import IOTA, SIGMA, FamilySpec, goursat_group, standard_group
 from orbiseif.groups import BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL
 from orbiseif.quaternions import (
-    CIRCLE_J,
     AlgebraicQuaternion,
-    CircleJElement,
     PairElement,
     RepresentationMismatchError,
+    quat_rational,
+)
+from element_reference import (
+    CIRCLE_J,
+    CircleJElement,
     _circle,
     circle_root,
     element_negate,
+    elements,
     multiply,
-    quat_rational,
 )
 
 F = Fraction
@@ -58,6 +61,8 @@ def test_circle_angle_addition():
 def test_mixed_representation_product_rejected():
     with pytest.raises(RepresentationMismatchError):
         multiply(QUAT_I, CIRCLE_J)
+    with pytest.raises(RepresentationMismatchError):
+        multiply(CIRCLE_J, QUAT_I)
 
 
 def test_inverse_of_i():
@@ -226,7 +231,8 @@ def test_equivariance_of_projection():
     rng = random.Random(5)
     for spec in SAMPLE_SPECS:
         group = goursat_group(spec)
-        for pair in rng.sample(group.elements, min(16, len(group.elements))):
+        pairs = elements(group)
+        for pair in rng.sample(pairs, min(16, len(pairs))):
             left, right = _as_quaternion_pair(pair)
             for h in (IOTA, SIGMA):
                 moved = multiply(multiply(left, h), inverse(right))
@@ -238,7 +244,8 @@ def test_induced_map_is_a_homomorphism():
     point = base_point(IOTA)
     for spec in SAMPLE_SPECS:
         group = goursat_group(spec)
+        pairs = elements(group)
         for _ in range(20):
-            g1, g2 = rng.choice(group.elements), rng.choice(group.elements)
+            g1, g2 = rng.choice(pairs), rng.choice(pairs)
             assert induced(g1.multiply(g2), point) == \
                 induced(g1, induced(g2, point))
