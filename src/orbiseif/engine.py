@@ -9,10 +9,12 @@ base has a mirror boundary, the Euler number, and, where known, the
 underlying 3-manifold.
 
 The abelian and dihedral families go through a box of derived integer
-quantities (a, b1, b2, nu, d, g, e and the modular inverses gbar, fbar);
-all remaining families are straight table rows with parity branches.
-Everything here is exact integer/rational arithmetic; the independent
-geometric recomputation lives in the oracle module.
+quantities (a, b1, b2, nu, d, g, e and the modular inverse fbar); all
+remaining families are straight table rows with parity branches.  The
+underlying 3-manifold and the singular set are read off the Seifert data
+alone, by one rule for every row.  Everything here is exact
+integer/rational arithmetic; the independent geometric recomputation
+lives in the oracle module.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Optional
 from .groups import (
     FamilySpec,
     InternalInconsistencyError,
-    _ext_gcd,
     get_family,
     normalized_s,
     validate,
@@ -39,8 +40,7 @@ def modinv_pos(x: int, modulus: int) -> int:
         return 1
     if math.gcd(x, modulus) != 1:
         raise InternalInconsistencyError(f"{x} is not invertible mod {modulus}")
-    r = pow(x % modulus, -1, modulus)
-    return r if r > 0 else r + modulus
+    return pow(x % modulus, -1, modulus)
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -159,7 +159,6 @@ class DerivedQuantities:
     d: int
     g: int
     e: int
-    g_bar: int
     f_bar: int
     e1: int = 1
     e2: int = 1
@@ -186,27 +185,20 @@ class TopologyReport:
         return f"not computed ({self.reason})"
 
 
-def canonical_lens(p: int, q: int):
-    """Lens parameters up to homeomorphism: q taken minimal in {+-q^+-1}.
-
-    Returns (THREE_SPHERE, None, None) for p = 1.
-    """
+def lens_report(p: int, q: int, components=()) -> TopologyReport:
+    """L(p, q) up to homeomorphism, q taken minimal in {+-q^+-1} mod p;
+    the 3-sphere for p = +-1."""
     p = abs(p)
     if p == 0:
         raise ValueError("lens parameter p must be nonzero")
     if p == 1:
-        return THREE_SPHERE, None, None
+        return TopologyReport(THREE_SPHERE, singular_components=tuple(components))
     q %= p
     if math.gcd(q, p) != 1:
         raise ValueError("lens parameters p and q must be coprime")
-    qinv = modinv_pos(q, p)
-    q_min = min(q, (-q) % p, qinv % p, (-qinv) % p)
-    return LENS, p, q_min
-
-
-def lens_report(p: int, q: int, components=()) -> TopologyReport:
-    kind, cp, cq = canonical_lens(p, q)
-    return TopologyReport(kind, cp, cq, singular_components=tuple(components))
+    qinv = pow(q, -1, p)
+    return TopologyReport(LENS, p, min(q, p - q, qinv, p - qinv),
+                          singular_components=tuple(components))
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +261,8 @@ def _derived_quantities_cached(spec: FamilySpec) -> DerivedQuantities:
                    k1 * a * nu * b1, "g")
     e = _exact_div(2 * mp * np_ * r, k1 * k2 * b1 * b2, "e")
 
-    g_bar = modinv_pos(g, e)
     f_bar = modinv_pos(nu * s + r * (2 * np_ // (a * nu)), np_ * r)
-    return DerivedQuantities(h, mp, np_, a, b1, b2, nu, d, g, e, g_bar, f_bar,
-                             e1, e2)
+    return DerivedQuantities(h, mp, np_, a, b1, b2, nu, d, g, e, f_bar, e1, e2)
 
 
 # ---------------------------------------------------------------------------
@@ -503,79 +493,64 @@ def _two_fiber_lens(pairs, euler):
     meridian in the basis of the first piece.
     """
     (a1, b1), (a2, b2) = pairs
-    b_int = -(euler + Fraction(b1, a1) + Fraction(b2, a2))
-    if b_int.denominator != 1:
+    # euler + b1/a1 + b2/a2 = total/den, an integer that beta'' absorbs
+    den = euler.denominator * a1 * a2
+    total = euler.numerator * a1 * a2 + (b1 * a2 + b2 * a1) * euler.denominator
+    if total % den:
         raise InternalInconsistencyError("Euler number inconsistent with invariants")
-    b2p = b2 + int(b_int) * a2
+    b2p = b2 - total // den * a2
     p = b1 * a2 + a1 * b2p
-    # x0, y0 with b1*y0 - a1*x0 = 1 exist since the pair is reduced
-    gcd, y0, x0neg = _ext_gcd(b1, a1)
-    if gcd != 1:
+    # y0, x0 with b1*y0 - a1*x0 = 1 exist since the pair is reduced
+    if math.gcd(b1, a1) != 1:
         raise InternalInconsistencyError(f"invariant pair ({a1}, {b1}) is not reduced")
-    x0 = -x0neg
+    y0 = pow(b1, -1, a1)
+    x0 = (b1 * y0 - 1) // a1
     q = -(b2p * y0 + a2 * x0)
     if p == 0:
         raise InternalInconsistencyError("two-fiber gluing gives p = 0")
     return p, q
 
 
-def underlying_space(d: SeifertData, spec: FamilySpec,
-                     dq: Optional[DerivedQuantities]) -> TopologyReport:
-    """Underlying 3-manifold, where a closed-form rule exists.
+def underlying_space(d: SeifertData) -> TopologyReport:
+    """Underlying 3-manifold, where a two-solid-torus rule applies.
 
-    Abelian families have an explicit lens space, read off their box
-    `dq` (None for every other family); dihedral bases with no cone
-    point give the 3-sphere; a disc with one cone point and a 2-sphere
-    with at most two effective exceptional fibers are built from two
-    solid tori, hence lens spaces.  Everything else is reported as not
-    computed.
+    One rule for every row, read off the Seifert data alone: each
+    invariant num/den leaves an exceptional fiber of multiplicity
+    den/gcd(num, den) in the underlying manifold.  A disc base has at
+    most one cone point, and a disc with a cone point of multiplicity p
+    gives a lens space of order p (the 3-sphere when p = 1 or there is
+    no cone point); a 2-sphere with at most two exceptional fibers is two
+    solid tori glued along their boundary, hence a lens space (P. Orlik,
+    Seifert Manifolds, LNM 291, 1972).  Projective bases and three or
+    more fibers are reported as not computed.
     """
-    components = tuple(singular_set(d, spec, dq))
-    if spec.family in ("1", "1p"):
-        return lens_report(dq.e, (dq.d * dq.g_bar) % dq.e if dq.e > 1 else 0,
-                           components)
-    if spec.family in ("11", "11p"):
-        return TopologyReport(THREE_SPHERE, singular_components=components)
-
+    # LocalInvariant.index of each, as gcd(num, den) = gcd(num mod den, den)
+    indices = [math.gcd(v.num, v.den) for v in d.invariants]
+    components = tuple(sorted([i for i in indices if i > 1]))
     if d.base.kind == PROJECTIVE:
         return TopologyReport(NOT_COMPUTED, reason="projective base",
                               singular_components=components)
     if d.base.kind == DISC:
-        # a disc row has at most one cone point, and document order puts
-        # its invariant first; an index-1 cone point leaves p = 1
-        v = d.invariants[0]
-        g = math.gcd(v.num, v.den)
-        p = v.den // g if v.location == CONE else 1
-        if p == 1:
-            return TopologyReport(THREE_SPHERE, singular_components=components)
+        # document order puts the one cone point's invariant first; the
         # meridian of the complementary solid torus is a (x, p) curve for
-        # x the inverse of the reduced numerator
-        return lens_report(p, modinv_pos((v.num // g) % p, p), components)
+        # x the inverse of the reduced numerator, and L(p, x) = L(p, 1/x)
+        v, g = d.invariants[0], indices[0]
+        p = v.den // g if v.location == CONE else 1
+        return lens_report(p, v.num // g, components)
 
-    # sphere base: the underlying manifold is Seifert fibered with one
-    # exceptional fiber per nonvanishing normalized invariant
-    nonzero = [v for v in d.invariants if v.normalized_num != 0]
-    if len(nonzero) > 2:
+    pairs = [(v.den // g, num // g) for v, g in zip(d.invariants, indices)
+             if (num := v.num % v.den)]
+    if len(pairs) > 2:
         return TopologyReport(NOT_COMPUTED, reason="more than two exceptional "
                               "fibers in the underlying manifold",
                               singular_components=components)
-    pairs = []
-    for v in nonzero:
-        g = math.gcd(v.normalized_num, v.den)
-        pairs.append((v.den // g, v.normalized_num // g))
-    while len(pairs) < 2:
-        pairs.append((1, 0))
-    p, q = _two_fiber_lens(pairs, d.euler)
-    return lens_report(p, q, components)
+    pairs += [(1, 0)] * (2 - len(pairs))
+    return lens_report(*_two_fiber_lens(pairs, d.euler), components)
 
 
-def singular_set(d: SeifertData, spec: FamilySpec,
-                 dq: Optional[DerivedQuantities]) -> list:
+def singular_set(d: SeifertData) -> list:
     """Singularity indices of the exceptional fibers (index 1 dropped)."""
-    if spec.family in ("1", "1p"):
-        indices = (dq.e2 * dq.b2 * dq.h, dq.e1 * dq.b1 * dq.h)
-        return sorted(i for i in indices if i > 1)
-    return sorted(v.index for v in d.invariants if v.index > 1)
+    return list(underlying_space(d).singular_components)
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +567,14 @@ class EngineReport:
 
 def evaluate(spec: FamilySpec) -> EngineReport:
     """The report of a fibered spec, from one `validate` and, for families
-    1, 1p, 11 and 11p, one box lookup shared by every quantity."""
+    1, 1p, 11 and 11p, one box lookup."""
     fam = get_family(spec.family)
     if not fam.fibered:
         raise ValueError(f"family {spec.family} preserves no fibration")
     _raise_violations(spec)
-    family, dq = spec.family, None
+    family = spec.family
     if family in ("1", "1p"):
-        dq = _derived_quantities_cached(spec)
-        seifert = seifert_abelian(spec, dq)
+        seifert = seifert_abelian(spec, _derived_quantities_cached(spec))
         provenance = f"abelian box, family {family}"
     elif family in ("11", "11p"):
         abelian = FamilySpec("1" if family == "11" else "1p",
@@ -611,5 +585,5 @@ def evaluate(spec: FamilySpec) -> EngineReport:
     else:
         seifert = seifert_polyhedral(spec)
         provenance = f"invariant table row {family}"
-    topology = underlying_space(seifert, spec, dq)
+    topology = underlying_space(seifert)
     return EngineReport(spec, seifert, topology, provenance)

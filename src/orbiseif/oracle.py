@@ -342,22 +342,22 @@ def _perpendicular(line_a: int, line_b: int) -> bool:
     return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]).is_zero()
 
 
-def _rotation_key(r):
-    """Exact key of r up to sign: r and -r induce the same rotation."""
-    negated = tuple((-a, b, -c, d, -e, f, -g, h)
-                    for a, b, c, d, e, f, g, h in r._key)
-    return min(r._key, negated)
-
-
 def _base_group_axis(group: PairGroup) -> BaseActionGroup:
     """Base action of a group whose right factors lie in T*, O* or I*,
-    from the at most 2*|R| classes (left jflag, right factor up to sign)."""
+    from the at most 2*|R| classes (left jflag, right factor up to sign).
+
+    A class is keyed by (jflag, line, sign * t mod 1) from _axis, with
+    sign * t mod 1 as an integer over 60 (t has denominator 1-5): r and
+    -r, which has 1 - t and -sign, induce the same rotation and share the
+    key, and distinct rotations about one line get distinct keys.
+    """
     classes = {}
     for jflag, _, coset in group.gluing.parts():
         for r in coset:
-            key = (jflag, _rotation_key(r))
+            t, line, sign = axis = _axis(r)
+            key = (jflag, line, sign * t.numerator * (60 // t.denominator) % 60)
             if key not in classes:
-                classes[key] = (jflag,) + _axis(r)
+                classes[key] = (jflag,) + axis
     return _axis_base(group, classes)
 
 

@@ -128,17 +128,15 @@ def resolve_families(tokens) -> list:
         else:
             get_family(token)
             names.append(token)
-    seen = []
-    for name in names:
-        if name not in seen:
-            seen.append(name)
-    return seen
+    return list(dict.fromkeys(names))
 
 
 def sweep_specs(max_order: int, families=None) -> list:
-    """Every buildable spec of the given fibered families below the bound."""
-    names = [f for f in (families or FIBERED_FAMILIES)
-             if get_family(f).fibered]
+    """Every buildable spec of the given fibered families (all of them
+    when `families` is None) below the bound."""
+    if families is None:
+        families = FIBERED_FAMILIES
+    names = [f for f in families if get_family(f).fibered]
     return [row.spec for row in enumerate_specs(max_order, names)]
 
 

@@ -15,6 +15,11 @@ The solid-torus quotient-map algebra (`TorusQuotientMap`,
 route for the local invariants and the lens space: the oracle reads both
 in closed form off a Hermite normal form, and the tests compare those
 closed forms with the composed quotient maps.
+
+`box_topology` keeps the source's closed forms for the lens space and
+singular set of families 1 and 1p, read off the engine's integer box;
+the engine reads both off the Seifert data by the rule it uses for every
+row, and a test holds the two equal.
 """
 
 import math
@@ -40,7 +45,7 @@ from orbiseif.groups import (
     get_family,
     phi_order,
 )
-from orbiseif.oracle import AROT, FLIP, REFL, ROT, _axis, _rotation_key
+from orbiseif.oracle import AROT, FLIP, REFL, ROT, _axis
 
 HOPF_FIBER = (1, 1)
 
@@ -196,6 +201,13 @@ def invariant_from_int_vectors(vectors, grid, location):
 
 # -- the axis path: T*, O* and I* right factors ---------------------------------
 
+def _rotation_key(r):
+    """Exact key of r up to sign: r and -r induce the same rotation."""
+    negated = tuple((-a, b, -c, d, -e, f, -g, h)
+                    for a, b, c, d, e, f, g, h in r._key)
+    return min(r._key, negated)
+
+
 def axis_classes(group):
     """(jflag, t, line, sign) per class of rows (l, r) inducing the same
     base isometry, keyed by the left jflag and r up to sign."""
@@ -271,6 +283,17 @@ def lens_by_matrices(group):
     assert math.gcd(g, e) == 1 and math.gcd(d, e) == 1
     # meridian of the second quotient torus = -(g*dbar) mu' + e lambda'
     return lens_report(e, (-g * modinv_pos(d, e)) % e, components)
+
+
+# -- the lens space and singular set, by the abelian box ------------------------------
+
+def box_topology(dq):
+    """Underlying space and singular set of a family-1 or 1p quotient by
+    the source's box formulas: the lens space L(e, d*gbar), gbar the
+    inverse of g mod e, and the singular components e2*b2*h and e1*b1*h."""
+    components = sorted(k for k in (dq.e2 * dq.b2 * dq.h, dq.e1 * dq.b1 * dq.h)
+                        if k > 1)
+    return lens_report(dq.e, dq.d * modinv_pos(dq.g, dq.e), components)
 
 
 # -- the row builds the lattice and coset gluing replaced -------------------------

@@ -22,10 +22,12 @@ from orbiseif.engine import (
     _derived_quantities_cached,
     _minimal_nu,
     _table4_row,
+    _two_fiber_lens,
     derive_xi,
     derived_quantities,
     evaluate,
     flip_orientation,
+    modinv_pos,
     normalize,
     seifert_abelian,
     seifert_dihedral,
@@ -41,6 +43,8 @@ from orbiseif.groups import (
     FamilySpec,
 )
 from orbiseif.verify import sweep_specs
+from row_reference import box_topology
+from test_oracle import _run_optimized
 
 F = Fraction
 
@@ -77,7 +81,7 @@ def test_derived_quantities_family_1p_scalar_quotient():
     dq = derived_quantities(FamilySpec("1p", m=3, n=1, r=2, s=1))
     assert (dq.a, dq.b1, dq.b2, dq.nu) == (2, 1, 1, 1)
     assert (dq.d, dq.g, dq.e) == (5, -4, 3)
-    assert (dq.g_bar, dq.f_bar) == (2, 1)
+    assert (modinv_pos(dq.g, dq.e), dq.f_bar) == (2, 1)
 
 
 def test_derived_quantities_family_1_klein_case():
@@ -94,7 +98,7 @@ def test_derived_quantities_invariants():
                  FamilySpec("1", m=4, n=1, r=6, s=1)):
         dq = derived_quantities(spec)
         assert math.gcd(dq.b1, dq.b2) == 1
-        assert (dq.g * dq.g_bar) % dq.e in (1 % dq.e,)
+        assert (dq.g * modinv_pos(dq.g, dq.e)) % dq.e in (1 % dq.e,)
     # the reduction-constant identity in its proved scope (odd parameters)
     for spec in (FamilySpec("1p", m=3, n=9, r=4, s=3),
                  FamilySpec("1p", m=1, n=15, r=2, s=1)):
@@ -229,55 +233,69 @@ def test_somma_examples():
 # -- underlying space and singular set --------------------------------------------
 
 def test_underlying_projective_space():
-    spec = FamilySpec("1", m=1, n=1, r=1, s=1)
-    top = underlying_space(abelian_row(spec), spec, derived_quantities(spec))
+    top = underlying_space(abelian_row(FamilySpec("1", m=1, n=1, r=1, s=1)))
     assert (top.underlying, top.p, top.q) == (LENS, 2, 1)
 
 
 def test_underlying_scalar_lens():
-    spec = FamilySpec("1p", m=3, n=1, r=2, s=1)
-    top = underlying_space(abelian_row(spec), spec, derived_quantities(spec))
+    top = underlying_space(abelian_row(FamilySpec("1p", m=3, n=1, r=2, s=1)))
     assert (top.underlying, top.p, top.q) == (LENS, 3, 1)
 
 
 def test_underlying_dihedral_is_the_sphere():
     for spec in (FamilySpec("11p", m=1, n=1, r=10, s=1),
                  FamilySpec("11", m=3, n=2, r=5, s=2)):
-        top = underlying_space(dihedral_row(spec), spec, None)
-        assert top.underlying == THREE_SPHERE
+        assert underlying_space(dihedral_row(spec)).underlying == THREE_SPHERE
 
 
 def test_underlying_example_rules_for_table_rows():
-    spec = FamilySpec("2", m=2, n=3)
-    top = underlying_space(seifert_polyhedral(spec), spec, None)
+    top = underlying_space(seifert_polyhedral(FamilySpec("2", m=2, n=3)))
     assert (top.underlying, top.p, top.q) == (LENS, 2, 1)
-    spec = FamilySpec("2", m=1, n=2)   # three effective fibers: prism type
-    top = underlying_space(seifert_polyhedral(spec), spec, None)
+    # three effective fibers: prism type
+    top = underlying_space(seifert_polyhedral(FamilySpec("2", m=1, n=2)))
     assert top.underlying == "not-computed"
-    spec = FamilySpec("2bis", m=1, n=3)  # projective base
-    top = underlying_space(seifert_polyhedral(spec), spec, None)
+    # projective base
+    top = underlying_space(seifert_polyhedral(FamilySpec("2bis", m=1, n=3)))
     assert top.underlying == "not-computed"
 
 
 def test_singular_sets():
-    spec = FamilySpec("1p", m=1, n=1, r=10, s=1)
-    assert singular_set(abelian_row(spec), spec, derived_quantities(spec)) == [5]
-    spec = FamilySpec("1", m=1, n=1, r=2, s=1)
-    assert singular_set(abelian_row(spec), spec, derived_quantities(spec)) == [2, 2]
-    spec = FamilySpec("2", m=1, n=2)
-    assert singular_set(seifert_polyhedral(spec), spec, None) == []
+    assert singular_set(abelian_row(FamilySpec("1p", m=1, n=1, r=10, s=1))) == [5]
+    assert singular_set(abelian_row(FamilySpec("1", m=1, n=1, r=2, s=1))) == [2, 2]
+    assert singular_set(seifert_polyhedral(FamilySpec("2", m=1, n=2))) == []
 
 
-def test_singular_indices_match_the_gcd_rule_for_abelian_rows():
-    """The printed component indices equal gcd(p mod q, q) of the printed
-    invariants, across a parameter sample."""
-    for spec in (FamilySpec("1", m=2, n=3, r=5, s=2),
-                 FamilySpec("1", m=1, n=9, r=4, s=3),
-                 FamilySpec("1p", m=3, n=9, r=4, s=3),
-                 FamilySpec("1p", m=5, n=1, r=6, s=5)):
-        data = abelian_row(spec)
-        from_invariants = sorted(v.index for v in data.invariants if v.index > 1)
-        assert singular_set(data, spec, derived_quantities(spec)) == from_invariants
+def test_abelian_topology_matches_the_box_formulas():
+    """The lens space and singular components that the two-solid-torus
+    and gcd rules read off the printed data equal the source's box
+    formulas L(e, d*gbar) and (e2*b2*h, e1*b1*h), on every family-1 and
+    1p spec of order <= 240."""
+    specs = sweep_specs(240, ABELIAN_FAMILIES)
+    for spec in specs:
+        assert evaluate(spec).topology == box_topology(derived_quantities(spec)), spec
+    assert len(specs) == 47633
+
+
+def test_two_fiber_lens_checks_survive_python_optimize():
+    """An Euler number that leaves a fractional beta'', a pair that is not
+    reduced and a gluing with p = 0 each raise under -O."""
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from orbiseif.engine import InternalInconsistencyError, _two_fiber_lens\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "cases = [(((2, 1), (1, 0)), Fraction(0)),\n"
+        "         (((4, 2), (1, 0)), Fraction(-1, 2)),\n"
+        "         (((1, 0), (1, 0)), Fraction(0))]\n"
+        "for pairs, euler in cases:\n"
+        "    try:\n"
+        "        _two_fiber_lens(pairs, euler)\n"
+        "    except InternalInconsistencyError:\n"
+        "        continue\n"
+        "    sys.exit(f'{pairs}, {euler} passed the two-fiber checks')\n")
+    proc = _run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_disc_rows_have_at_most_one_cone_point():

@@ -97,8 +97,9 @@ def representative_independence_suite() -> int:
         # f_bar -> f_bar + n'r shifts each numerator by a multiple of den
         assert (dq.d * shift * scale_d) % den == 0
         assert (dq.g * shift * scale_g) % den == 0
-        # g_bar -> g_bar + e leaves the lens class d*g_bar mod e alone
-        assert (dq.d * (dq.g_bar + dq.e)) % dq.e == (dq.d * dq.g_bar) % dq.e
+        # gbar -> gbar + e leaves the lens class d*gbar mod e alone
+        g_bar = modinv_pos(dq.g, dq.e)
+        assert (dq.d * (g_bar + dq.e)) % dq.e == (dq.d * g_bar) % dq.e
         checked += 1
     # a_bar -> a_bar + b inside the slope invariant
     for d, e, g in [(1, 5, 0), (2, 4, 1), (3, 9, 2), (5, 12, 7), (0, 1, 1)]:

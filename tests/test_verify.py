@@ -4,6 +4,7 @@ import pytest
 
 from orbiseif import verify
 from orbiseif.groups import (
+    FIBERED_FAMILIES,
     CosetGluing,
     FamilySpec,
     RotationLattice,
@@ -23,6 +24,8 @@ def test_resolve_families_aliases_and_dedup():
     assert resolve_families(["dihedral", "11"]) == ["11", "11p"]
     assert "9" in resolve_families(["table4"])
     assert "1" in resolve_families(["all"])
+    assert resolve_families(["11p", "dihedral", "1p", "abelian"]) \
+        == ["11p", "11", "1p", "1"]
     with pytest.raises(UnsupportedFamilyError):
         resolve_families(["nope"])
 
@@ -31,6 +34,14 @@ def test_sweep_specs_only_lists_buildable_groups():
     specs = sweep_specs(12, ["1", "9"])
     assert all(sp.family in ("1", "9") for sp in specs)
     assert all(sp.family != "9" for sp in specs)   # order 120 exceeds bound
+
+
+def test_sweep_specs_of_no_family_is_empty():
+    """An empty family list sweeps nothing, as `enumerate_specs` does;
+    only None means every fibered family."""
+    assert sweep_specs(30, []) == []
+    assert sweep_specs(30) == sweep_specs(30, FIBERED_FAMILIES)
+    assert len(sweep_specs(30)) == 1079
 
 
 def test_parallel_sweep_matches_serial():
