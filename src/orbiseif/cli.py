@@ -330,7 +330,7 @@ def _cmd_enumerate(args, out) -> int:
         return EXIT_INVALID
     try:
         families = (verify_mod.resolve_families(args.families.split(","))
-                    if args.families else FAMILY_ORDER)
+                    if args.families is not None else FAMILY_ORDER)
     except UnsupportedFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

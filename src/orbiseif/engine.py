@@ -10,7 +10,9 @@ underlying 3-manifold.
 
 The abelian and dihedral families go through a box of derived integer
 quantities (a, b1, b2, nu, d, g, e and the modular inverse fbar); all
-remaining families are straight table rows with parity branches.  The
+remaining families are straight table rows with parity branches, each
+row listing its Euler number and invariants once: the base has a cone
+point or corner reflector at the denominator of each invariant.  The
 underlying 3-manifold and the singular set are read off the Seifert data
 alone, by one rule for every row.  Everything here is exact
 integer/rational arithmetic; the independent geometric recomputation
@@ -47,12 +49,6 @@ def _exact_div(num: int, den: int, what: str) -> int:
     if num % den != 0:
         raise InternalInconsistencyError(f"{what} = {num}/{den} is not an integer")
     return num // den
-
-
-def _raise_violations(spec: FamilySpec) -> None:
-    violations, _ = validate(spec)
-    if violations:
-        raise ValueError("; ".join(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +212,14 @@ def _minimal_nu(a: int, bound: int, coprime_to: int) -> int:
     return bound // a // rest
 
 
-def derived_quantities(spec: FamilySpec) -> DerivedQuantities:
-    """The integer box for families 1 and 1p (s already made odd for 1).
+@lru_cache(maxsize=8192)
+def _derived_quantities_cached(spec: FamilySpec) -> DerivedQuantities:
+    """The integer box of a valid family-1 or 1p spec (s already made odd
+    for 1).
 
     a = gcd(n'+s*m', n'-s*m', (2)m'n'r), the factor 2 for family 1, and
     b1, b2 are the gcds of (n'-s*m')/a and (n'+s*m')/a with (2)m'n'r/a.
     """
-    if spec.family not in ("1", "1p"):
-        raise ValueError("derived quantities exist only for families 1 and 1p")
-    _raise_violations(spec)
-    return _derived_quantities_cached(spec)
-
-
-@lru_cache(maxsize=8192)
-def _derived_quantities_cached(spec: FamilySpec) -> DerivedQuantities:
-    """The box of a valid family-1 or 1p spec."""
     m, n, r = spec.m, spec.n, spec.r
     s = normalized_s(spec)
     h = math.gcd(m, n)
@@ -294,127 +283,107 @@ def seifert_dihedral(ab: SeifertData) -> SeifertData:
     base = BaseSignature(DISC, (), ab.base.cones)
     invariants = tuple(LocalInvariant(v.num, v.den, CORNER) for v in ab.invariants)
     euler = ab.euler / 2
-    xi = derive_xi(base, invariants, euler)
+    xi = derive_xi(invariants, euler)
     return SeifertData(base, invariants, euler, xi)
 
 
-def _row(euler, base, triples):
-    """The row, its invariants in document order (location, den,
-    normalized num, num)."""
+def _row(kind, euler, triples) -> SeifertData:
+    """The row's data: invariants in document order (location, den,
+    normalized num, num), a cone point or corner reflector at the
+    denominator of each invariant, by location, and xi on a disc."""
     keys = sorted([(loc, den, num % den, num) for num, den, loc in triples])
-    return euler, base, tuple([LocalInvariant(num, den, loc)
-                               for loc, den, _, num in keys])
-
-
-def _table4_row(spec: FamilySpec):
-    """Euler number, base (indices ascending) and invariants of the other families."""
-    fam, m, n = spec.family, spec.m, spec.n
-
-    def sphere(*cones):
-        return BaseSignature(SPHERE, tuple(sorted(cones)))
-
-    def disc(cones, corners):
-        return BaseSignature(DISC, tuple(cones), tuple(sorted(corners)))
-
-    def projective(*cones):
-        return BaseSignature(PROJECTIVE, cones)
-
-    if fam == "2":
-        return _row(Fraction(-m, n), sphere(2, 2, n),
-                    [(m, n, CONE), (m, 2, CONE), (m, 2, CONE)])
-    if fam == "3":
-        return _row(Fraction(-m, n), sphere(2, 2, n),
-                    [(m, n, CONE), (m + 1, 2, CONE), (m + 1, 2, CONE)])
-    if fam == "4":
-        return _row(Fraction(-m, 2 * n), sphere(2, 2, 2 * n),
-                    [(m + n, 2 * n, CONE), (m, 2, CONE), (m + 1, 2, CONE)])
-    if fam == "34":
-        # (m+n)/2 is exact: both parameters are odd in this family
-        return _row(Fraction(-m, 2 * n), sphere(2, 2, n),
-                    [((m + n) // 2, n, CONE), (m, 2, CONE), (m + 1, 2, CONE)])
-    if fam == "5":
-        return _row(Fraction(-m, 6), sphere(2, 3, 3),
-                    [(m, 2, CONE), (m, 3, CONE), (m, 3, CONE)])
-    if fam == "6":
-        return _row(Fraction(-m, 6), sphere(2, 3, 3),
-                    [(m, 2, CONE), (m + 1, 3, CONE), (m + 2, 3, CONE)])
-    if fam == "7":
-        return _row(Fraction(-m, 12), sphere(2, 3, 4),
-                    [(m, 2, CONE), (m, 3, CONE), (m, 4, CONE)])
-    if fam == "8":
-        return _row(Fraction(-m, 12), sphere(2, 3, 4),
-                    [(m + 1, 2, CONE), (m, 3, CONE), (m + 2, 4, CONE)])
-    if fam == "9":
-        return _row(Fraction(-m, 30), sphere(2, 3, 5),
-                    [(m, 2, CONE), (m, 3, CONE), (m, 5, CONE)])
-    if fam == "10":
-        if n % 2 == 0:
-            return _row(Fraction(-m, 2 * n), disc((), (2, 2, n)),
-                        [(m, n, CORNER), (m, 2, CORNER), (m, 2, CORNER)])
-        return _row(Fraction(-m, 2 * n), disc((2,), (n,)),
-                    [(m, 2, CONE), (m, n, CORNER)])
-    if fam == "13bis":
-        if n % 2 == 1:
-            return _row(Fraction(-m, 2 * n), disc((), (2, 2, n)),
-                        [(m, n, CORNER), (m, 2, CORNER), (m, 2, CORNER)])
-        return _row(Fraction(-m, 2 * n), disc((2,), (n,)),
-                    [(m, 2, CONE), (m, n, CORNER)])
-    if fam == "13":
-        if n % 2 == 0:
-            return _row(Fraction(-m, 2 * n), disc((), (2, 2, n)),
-                        [(m, n, CORNER), (m + 1, 2, CORNER), (m + 1, 2, CORNER)])
-        return _row(Fraction(-m, 2 * n), disc((2,), (n,)),
-                    [(m + 1, 2, CONE), (m, n, CORNER)])
-    if fam == "33":
-        if n % 2 == 1:
-            return _row(Fraction(-m, 2 * n), disc((), (2, 2, n)),
-                        [(m, n, CORNER), (m + 1, 2, CORNER), (m + 1, 2, CORNER)])
-        return _row(Fraction(-m, 2 * n), disc((2,), (n,)),
-                    [(m + 1, 2, CONE), (m, n, CORNER)])
-    if fam == "12":
-        return _row(Fraction(-m, 4 * n), disc((), (2, 2, 2 * n)),
-                    [(m + n, 2 * n, CORNER), (m, 2, CORNER), (m + 1, 2, CORNER)])
-    if fam == "33p":
-        return _row(Fraction(-m, 4 * n), disc((), (2, 2, n)),
-                    [((m + n) // 2, n, CORNER), (m, 2, CORNER), (m + 1, 2, CORNER)])
-    if fam == "14":
-        return _row(Fraction(-m, 12), disc((3,), (2,)),
-                    [(m, 3, CONE), (m, 2, CORNER)])
-    if fam == "16":
-        return _row(Fraction(-m, 12), disc((), (2, 3, 3)),
-                    [(m, 2, CORNER), (m, 3, CORNER), (m, 3, CORNER)])
-    if fam == "18":
-        return _row(Fraction(-m, 12), disc((), (2, 3, 3)),
-                    [(m, 2, CORNER), (m + 1, 3, CORNER), (m + 2, 3, CORNER)])
-    if fam == "15":
-        return _row(Fraction(-m, 24), disc((), (2, 3, 4)),
-                    [(m, 2, CORNER), (m, 3, CORNER), (m, 4, CORNER)])
-    if fam == "17":
-        return _row(Fraction(-m, 24), disc((), (2, 3, 4)),
-                    [(m + 1, 2, CORNER), (m, 3, CORNER), (m + 2, 4, CORNER)])
-    if fam == "19":
-        return _row(Fraction(-m, 60), disc((), (2, 3, 5)),
-                    [(m, 2, CORNER), (m, 3, CORNER), (m, 5, CORNER)])
-    if fam == "2bis":
-        base = disc((n,), ()) if n % 2 == 0 else projective(n)
-        return _row(Fraction(-m, n), base, [(m, n, CONE)])
-    if fam == "3bis":
-        base = disc((n,), ()) if n % 2 == 1 else projective(n)
-        return _row(Fraction(-m, n), base, [(m, n, CONE)])
-    if fam == "4bis":
-        return _row(Fraction(-m, 2 * n), disc((2 * n,), ()),
-                    [(m + n, 2 * n, CONE)])
-    if fam == "34bis":
-        return _row(Fraction(-m, 2 * n), disc((n,), ()),
-                    [((m + n) // 2, n, CONE)])
-    raise ValueError(f"family {fam} has no table row")
+    invariants = tuple([LocalInvariant(num, den, loc) for loc, den, _, num in keys])
+    base = BaseSignature(kind, tuple([den for loc, den, _, _ in keys if loc == CONE]),
+                         tuple([den for loc, den, _, _ in keys if loc == CORNER]))
+    xi = derive_xi(invariants, euler) if kind == DISC else None
+    return SeifertData(base, invariants, euler, xi)
 
 
 def seifert_polyhedral(spec: FamilySpec) -> SeifertData:
     """The table row of a valid spec of the remaining families."""
-    euler, base, invariants = _table4_row(spec)
-    xi = derive_xi(base, invariants, euler) if base.kind == DISC else None
-    return SeifertData(base, invariants, euler, xi)
+    fam, m, n = spec.family, spec.m, spec.n
+    if fam == "2":
+        return _row(SPHERE, Fraction(-m, n),
+                    [(m, n, CONE), (m, 2, CONE), (m, 2, CONE)])
+    if fam == "3":
+        return _row(SPHERE, Fraction(-m, n),
+                    [(m, n, CONE), (m + 1, 2, CONE), (m + 1, 2, CONE)])
+    if fam == "4":
+        return _row(SPHERE, Fraction(-m, 2 * n),
+                    [(m + n, 2 * n, CONE), (m, 2, CONE), (m + 1, 2, CONE)])
+    if fam == "34":
+        # (m+n)/2 is exact: both parameters are odd in this family
+        return _row(SPHERE, Fraction(-m, 2 * n),
+                    [((m + n) // 2, n, CONE), (m, 2, CONE), (m + 1, 2, CONE)])
+    if fam == "5":
+        return _row(SPHERE, Fraction(-m, 6),
+                    [(m, 2, CONE), (m, 3, CONE), (m, 3, CONE)])
+    if fam == "6":
+        return _row(SPHERE, Fraction(-m, 6),
+                    [(m, 2, CONE), (m + 1, 3, CONE), (m + 2, 3, CONE)])
+    if fam == "7":
+        return _row(SPHERE, Fraction(-m, 12),
+                    [(m, 2, CONE), (m, 3, CONE), (m, 4, CONE)])
+    if fam == "8":
+        return _row(SPHERE, Fraction(-m, 12),
+                    [(m + 1, 2, CONE), (m, 3, CONE), (m + 2, 4, CONE)])
+    if fam == "9":
+        return _row(SPHERE, Fraction(-m, 30),
+                    [(m, 2, CONE), (m, 3, CONE), (m, 5, CONE)])
+    if fam == "10":
+        if n % 2 == 0:
+            return _row(DISC, Fraction(-m, 2 * n),
+                        [(m, n, CORNER), (m, 2, CORNER), (m, 2, CORNER)])
+        return _row(DISC, Fraction(-m, 2 * n), [(m, 2, CONE), (m, n, CORNER)])
+    if fam == "13bis":
+        if n % 2 == 1:
+            return _row(DISC, Fraction(-m, 2 * n),
+                        [(m, n, CORNER), (m, 2, CORNER), (m, 2, CORNER)])
+        return _row(DISC, Fraction(-m, 2 * n), [(m, 2, CONE), (m, n, CORNER)])
+    if fam == "13":
+        if n % 2 == 0:
+            return _row(DISC, Fraction(-m, 2 * n),
+                        [(m, n, CORNER), (m + 1, 2, CORNER), (m + 1, 2, CORNER)])
+        return _row(DISC, Fraction(-m, 2 * n), [(m + 1, 2, CONE), (m, n, CORNER)])
+    if fam == "33":
+        if n % 2 == 1:
+            return _row(DISC, Fraction(-m, 2 * n),
+                        [(m, n, CORNER), (m + 1, 2, CORNER), (m + 1, 2, CORNER)])
+        return _row(DISC, Fraction(-m, 2 * n), [(m + 1, 2, CONE), (m, n, CORNER)])
+    if fam == "12":
+        return _row(DISC, Fraction(-m, 4 * n),
+                    [(m + n, 2 * n, CORNER), (m, 2, CORNER), (m + 1, 2, CORNER)])
+    if fam == "33p":
+        return _row(DISC, Fraction(-m, 4 * n),
+                    [((m + n) // 2, n, CORNER), (m, 2, CORNER), (m + 1, 2, CORNER)])
+    if fam == "14":
+        return _row(DISC, Fraction(-m, 12), [(m, 3, CONE), (m, 2, CORNER)])
+    if fam == "16":
+        return _row(DISC, Fraction(-m, 12),
+                    [(m, 2, CORNER), (m, 3, CORNER), (m, 3, CORNER)])
+    if fam == "18":
+        return _row(DISC, Fraction(-m, 12),
+                    [(m, 2, CORNER), (m + 1, 3, CORNER), (m + 2, 3, CORNER)])
+    if fam == "15":
+        return _row(DISC, Fraction(-m, 24),
+                    [(m, 2, CORNER), (m, 3, CORNER), (m, 4, CORNER)])
+    if fam == "17":
+        return _row(DISC, Fraction(-m, 24),
+                    [(m + 1, 2, CORNER), (m, 3, CORNER), (m + 2, 4, CORNER)])
+    if fam == "19":
+        return _row(DISC, Fraction(-m, 60),
+                    [(m, 2, CORNER), (m, 3, CORNER), (m, 5, CORNER)])
+    if fam == "2bis":
+        return _row(DISC if n % 2 == 0 else PROJECTIVE, Fraction(-m, n),
+                    [(m, n, CONE)])
+    if fam == "3bis":
+        return _row(DISC if n % 2 == 1 else PROJECTIVE, Fraction(-m, n),
+                    [(m, n, CONE)])
+    if fam == "4bis":
+        return _row(DISC, Fraction(-m, 2 * n), [(m + n, 2 * n, CONE)])
+    if fam == "34bis":
+        return _row(DISC, Fraction(-m, 2 * n), [((m + n) // 2, n, CONE)])
+    raise ValueError(f"family {fam} has no table row")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +400,7 @@ def _fiber_sum(euler, invariants, xi=0) -> Fraction:
     return Fraction(total, 2 * lcm)
 
 
-def derive_xi(base, invariants, euler) -> int:
+def derive_xi(invariants, euler) -> int:
     """The boundary invariant forced by integrality of the invariant sum."""
     den = _fiber_sum(euler, invariants).denominator
     if den > 2:
@@ -475,7 +444,7 @@ def flip_orientation(d: SeifertData) -> SeifertData:
         LocalInvariant((-v.num) % v.den, v.den, v.location)
         for v in nd.invariants)
     euler = -nd.euler
-    xi = derive_xi(nd.base, invariants, euler) if nd.base.kind == DISC else None
+    xi = derive_xi(invariants, euler) if nd.base.kind == DISC else None
     return SeifertData(nd.base, invariants, euler, xi)
 
 
@@ -548,11 +517,6 @@ def underlying_space(d: SeifertData) -> TopologyReport:
     return lens_report(*_two_fiber_lens(pairs, d.euler), components)
 
 
-def singular_set(d: SeifertData) -> list:
-    """Singularity indices of the exceptional fibers (index 1 dropped)."""
-    return list(underlying_space(d).singular_components)
-
-
 # ---------------------------------------------------------------------------
 # one-stop evaluation
 # ---------------------------------------------------------------------------
@@ -571,7 +535,9 @@ def evaluate(spec: FamilySpec) -> EngineReport:
     fam = get_family(spec.family)
     if not fam.fibered:
         raise ValueError(f"family {spec.family} preserves no fibration")
-    _raise_violations(spec)
+    violations, _ = validate(spec)
+    if violations:
+        raise ValueError("; ".join(violations))
     family = spec.family
     if family in ("1", "1p"):
         seifert = seifert_abelian(spec, _derived_quantities_cached(spec))

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
@@ -198,18 +198,22 @@ class Family:
     even and those in `above_one` at least 2, each tuple listing
     parameters other than s in signature order.  The signature
     (m, n, r, s) also requires gcd(s, r) = 1.  `phi_order` increases in
-    each parameter and does not depend on s.
+    each parameter and does not depend on s.  Exactly the fibered families
+    have a `goursat` builder.
     """
 
     name: str
     params: tuple
-    fibered: bool
     phi_order: Callable[[FamilySpec], int]
     goursat: Optional[Callable[[FamilySpec], GoursatData]] = None
     label: str = ""
     odd: tuple = ()
     even: tuple = ()
     above_one: tuple = ()
+
+    @property
+    def fibered(self) -> bool:
+        return self.goursat is not None
 
     def start(self, p: str) -> int:
         """Least allowed value of parameter p."""
@@ -238,6 +242,7 @@ def _z(k, power=1):
 CIRCLE_J = (True, 0, 1)
 
 
+# registered in catalog order, which FAMILY_ORDER and enumeration follow
 FAMILIES: dict[str, Family] = {}
 
 
@@ -246,7 +251,7 @@ def _register(fam: Family):
 
 
 _register(Family(
-    "1", ("m", "n", "r", "s"), True,
+    "1", ("m", "n", "r", "s"),
     lambda sp: 2 * sp.m * sp.n * sp.r,
     lambda sp: _g(cyclic(2 * sp.m * sp.r), cyclic(2 * sp.m),
                   cyclic(2 * sp.n * sp.r), cyclic(2 * sp.n),
@@ -254,7 +259,7 @@ _register(Family(
     "(C2mr/C2m, C2nr/C2n)_s"))
 
 _register(Family(
-    "1p", ("m", "n", "r", "s"), True,
+    "1p", ("m", "n", "r", "s"),
     lambda sp: sp.m * sp.n * sp.r // 2,
     lambda sp: _g(cyclic(sp.m * sp.r), cyclic(sp.m),
                   cyclic(sp.n * sp.r), cyclic(sp.n),
@@ -262,14 +267,14 @@ _register(Family(
     "(Cmr/Cm, Cnr/Cn)_s", odd=("m", "n"), even=("r",)))
 
 _register(Family(
-    "2", ("m", "n"), True,
+    "2", ("m", "n"),
     lambda sp: 4 * sp.m * sp.n,
     goursat=lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
                           binary_dihedral(4 * sp.n), binary_dihedral(4 * sp.n)),
     label="(C2m/C2m, D*4n/D*4n)"))
 
 _register(Family(
-    "3", ("m", "n"), True,
+    "3", ("m", "n"),
     lambda sp: 4 * sp.m * sp.n,
     goursat=lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
                           binary_dihedral(4 * sp.n), cyclic(2 * sp.n),
@@ -277,7 +282,7 @@ _register(Family(
     label="(C4m/C2m, D*4n/C2n)"))
 
 _register(Family(
-    "4", ("m", "n"), True,
+    "4", ("m", "n"),
     lambda sp: 8 * sp.m * sp.n,
     goursat=lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
                           binary_dihedral(8 * sp.n), binary_dihedral(4 * sp.n),
@@ -285,14 +290,14 @@ _register(Family(
     label="(C4m/C2m, D*8n/D*4n)"))
 
 _register(Family(
-    "5", ("m",), True,
+    "5", ("m",),
     lambda sp: 24 * sp.m,
     goursat=lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
                           BINARY_TETRAHEDRAL, BINARY_TETRAHEDRAL),
     label="(C2m/C2m, T*/T*)"))
 
 _register(Family(
-    "6", ("m",), True,
+    "6", ("m",),
     lambda sp: 24 * sp.m,
     goursat=lambda sp: _g(cyclic(6 * sp.m), cyclic(2 * sp.m),
                           BINARY_TETRAHEDRAL, binary_dihedral(8),
@@ -300,14 +305,14 @@ _register(Family(
     label="(C6m/C2m, T*/D*8)"))
 
 _register(Family(
-    "7", ("m",), True,
+    "7", ("m",),
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_OCTAHEDRAL),
     label="(C2m/C2m, O*/O*)"))
 
 _register(Family(
-    "8", ("m",), True,
+    "8", ("m",),
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
@@ -315,21 +320,21 @@ _register(Family(
     label="(C4m/C2m, O*/T*)"))
 
 _register(Family(
-    "9", ("m",), True,
+    "9", ("m",),
     lambda sp: 120 * sp.m,
     goursat=lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
                           BINARY_ICOSAHEDRAL, BINARY_ICOSAHEDRAL),
     label="(C2m/C2m, I*/I*)"))
 
 _register(Family(
-    "10", ("m", "n"), True,
+    "10", ("m", "n"),
     lambda sp: 8 * sp.m * sp.n,
     goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
                           binary_dihedral(4 * sp.n), binary_dihedral(4 * sp.n)),
     label="(D*4m/D*4m, D*4n/D*4n)"))
 
 _register(Family(
-    "11", ("m", "n", "r", "s"), True,
+    "11", ("m", "n", "r", "s"),
     lambda sp: 4 * sp.m * sp.n * sp.r,
     lambda sp: _g(binary_dihedral(4 * sp.m * sp.r), cyclic(2 * sp.m),
                   binary_dihedral(4 * sp.n * sp.r), cyclic(2 * sp.n),
@@ -338,7 +343,7 @@ _register(Family(
     "(D*4mr/C2m, D*4nr/C2n)_s"))
 
 _register(Family(
-    "11p", ("m", "n", "r", "s"), True,
+    "11p", ("m", "n", "r", "s"),
     lambda sp: sp.m * sp.n * sp.r,
     lambda sp: _g(binary_dihedral(2 * sp.m * sp.r), cyclic(sp.m),
                   binary_dihedral(2 * sp.n * sp.r), cyclic(sp.n),
@@ -347,7 +352,7 @@ _register(Family(
     "(D*2mr/Cm, D*2nr/Cn)_s", odd=("m", "n"), even=("r",)))
 
 _register(Family(
-    "12", ("m", "n"), True,
+    "12", ("m", "n"),
     lambda sp: 16 * sp.m * sp.n,
     goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
                           binary_dihedral(8 * sp.n), binary_dihedral(4 * sp.n),
@@ -355,7 +360,7 @@ _register(Family(
     label="(D*8m/D*4m, D*8n/D*4n)"))
 
 _register(Family(
-    "13", ("m", "n"), True,
+    "13", ("m", "n"),
     lambda sp: 8 * sp.m * sp.n,
     goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
                           binary_dihedral(4 * sp.n), cyclic(2 * sp.n),
@@ -363,29 +368,21 @@ _register(Family(
     label="(D*8m/D*4m, D*4n/C2n)"))
 
 _register(Family(
-    "13bis", ("m", "n"), True,
-    lambda sp: 8 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
-                          binary_dihedral(8 * sp.n), binary_dihedral(4 * sp.n),
-                          [(CIRCLE_J, _z(4 * sp.n))]),
-    label="(D*4m/C2m, D*8n/D*4n)"))
-
-_register(Family(
-    "14", ("m",), True,
+    "14", ("m",),
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
                           BINARY_TETRAHEDRAL, BINARY_TETRAHEDRAL),
     label="(D*4m/D*4m, T*/T*)"))
 
 _register(Family(
-    "15", ("m",), True,
+    "15", ("m",),
     lambda sp: 96 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_OCTAHEDRAL),
     label="(D*4m/D*4m, O*/O*)"))
 
 _register(Family(
-    "16", ("m",), True,
+    "16", ("m",),
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
@@ -393,7 +390,7 @@ _register(Family(
     label="(D*4m/C2m, O*/T*)"))
 
 _register(Family(
-    "17", ("m",), True,
+    "17", ("m",),
     lambda sp: 96 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
@@ -401,7 +398,7 @@ _register(Family(
     label="(D*8m/D*4m, O*/T*)"))
 
 _register(Family(
-    "18", ("m",), True,
+    "18", ("m",),
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(12 * sp.m), cyclic(2 * sp.m),
                           BINARY_OCTAHEDRAL, binary_dihedral(8),
@@ -409,67 +406,11 @@ _register(Family(
     label="(D*12m/C2m, O*/D*8)"))
 
 _register(Family(
-    "19", ("m",), True,
+    "19", ("m",),
     lambda sp: 240 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
                           BINARY_ICOSAHEDRAL, BINARY_ICOSAHEDRAL),
     label="(D*4m/D*4m, I*/I*)"))
-
-_register(Family(
-    "33", ("m", "n"), True,
-    lambda sp: 8 * sp.m * sp.n,
-    # the exceptional gluing swaps the rotation coset and the j coset
-    lambda sp: _g(binary_dihedral(8 * sp.m), cyclic(2 * sp.m),
-                  binary_dihedral(8 * sp.n), cyclic(2 * sp.n),
-                  [(_z(4 * sp.m), CIRCLE_J), (CIRCLE_J, _z(4 * sp.n))]),
-    "(D*8m/C2m, D*8n/C2n)_f", above_one=("m", "n")))
-
-_register(Family(
-    "33p", ("m", "n"), True,
-    lambda sp: 4 * sp.m * sp.n,
-    lambda sp: _g(binary_dihedral(8 * sp.m), cyclic(sp.m),
-                  binary_dihedral(8 * sp.n), cyclic(sp.n),
-                  [(_z(4 * sp.m), CIRCLE_J), (CIRCLE_J, _z(4 * sp.n))]),
-    "(D*8m/Cm, D*8n/Cn)_f", odd=("m", "n"), above_one=("m", "n")))
-
-_register(Family(
-    "34", ("m", "n"), True,
-    lambda sp: 2 * sp.m * sp.n,
-    lambda sp: _g(cyclic(4 * sp.m), cyclic(sp.m),
-                  binary_dihedral(4 * sp.n), cyclic(sp.n),
-                  [(_z(4 * sp.m), CIRCLE_J)]),
-    "(C4m/Cm, D*4n/Cn)", odd=("m", "n")))
-
-_register(Family(
-    "2bis", ("m", "n"), True,
-    lambda sp: 4 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
-                          cyclic(2 * sp.n), cyclic(2 * sp.n)),
-    label="(D*4m/D*4m, C2n/C2n)"))
-
-_register(Family(
-    "3bis", ("m", "n"), True,
-    lambda sp: 4 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
-                          cyclic(4 * sp.n), cyclic(2 * sp.n),
-                          [(CIRCLE_J, _z(4 * sp.n))]),
-    label="(D*4m/C2m, C4n/C2n)"))
-
-_register(Family(
-    "4bis", ("m", "n"), True,
-    lambda sp: 8 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
-                          cyclic(4 * sp.n), cyclic(2 * sp.n),
-                          [(_z(4 * sp.m), _z(4 * sp.n))]),
-    label="(D*8m/D*4m, C4n/C2n)"))
-
-_register(Family(
-    "34bis", ("m", "n"), True,
-    lambda sp: 2 * sp.m * sp.n,
-    lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(sp.m),
-                  cyclic(4 * sp.n), cyclic(sp.n),
-                  [(CIRCLE_J, _z(4 * sp.n))]),
-    "(D*4m/Cm, C4n/Cn)", odd=("m", "n")))
 
 # Families with two binary polyhedral factors preserve no fibration of the
 # 3-sphere; they are listed for enumeration only and cannot be built here.
@@ -485,14 +426,73 @@ _NON_FIBERED = [
     ("32", 120, "(I*/C2, I*/C2)_f"), ("32p", 60, "(I*/C1, I*/C1)_f"),
 ]
 for _name, _order, _label in _NON_FIBERED:
-    _register(Family(_name, (), False, lambda sp, o=_order: o, label=_label))
+    _register(Family(_name, (), lambda sp, o=_order: o, label=_label))
 
-FAMILY_ORDER = ["1", "1p"] + [str(k) for k in range(2, 11)] + ["11", "11p"] \
-    + [str(k) for k in range(12, 21)] + ["21", "21p", "22", "23", "24", "25",
-    "26", "26p", "26pp", "27", "28", "29", "30", "31", "31p", "32", "32p",
-    "33", "33p", "34", "2bis", "3bis", "4bis", "13bis", "34bis"]
-if set(FAMILY_ORDER) != set(FAMILIES):
-    raise ValueError("FAMILY_ORDER must list exactly the registered families")
+_register(Family(
+    "33", ("m", "n"),
+    lambda sp: 8 * sp.m * sp.n,
+    # the exceptional gluing swaps the rotation coset and the j coset
+    lambda sp: _g(binary_dihedral(8 * sp.m), cyclic(2 * sp.m),
+                  binary_dihedral(8 * sp.n), cyclic(2 * sp.n),
+                  [(_z(4 * sp.m), CIRCLE_J), (CIRCLE_J, _z(4 * sp.n))]),
+    "(D*8m/C2m, D*8n/C2n)_f", above_one=("m", "n")))
+
+_register(Family(
+    "33p", ("m", "n"),
+    lambda sp: 4 * sp.m * sp.n,
+    lambda sp: _g(binary_dihedral(8 * sp.m), cyclic(sp.m),
+                  binary_dihedral(8 * sp.n), cyclic(sp.n),
+                  [(_z(4 * sp.m), CIRCLE_J), (CIRCLE_J, _z(4 * sp.n))]),
+    "(D*8m/Cm, D*8n/Cn)_f", odd=("m", "n"), above_one=("m", "n")))
+
+_register(Family(
+    "34", ("m", "n"),
+    lambda sp: 2 * sp.m * sp.n,
+    lambda sp: _g(cyclic(4 * sp.m), cyclic(sp.m),
+                  binary_dihedral(4 * sp.n), cyclic(sp.n),
+                  [(_z(4 * sp.m), CIRCLE_J)]),
+    "(C4m/Cm, D*4n/Cn)", odd=("m", "n")))
+
+_register(Family(
+    "2bis", ("m", "n"),
+    lambda sp: 4 * sp.m * sp.n,
+    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
+                          cyclic(2 * sp.n), cyclic(2 * sp.n)),
+    label="(D*4m/D*4m, C2n/C2n)"))
+
+_register(Family(
+    "3bis", ("m", "n"),
+    lambda sp: 4 * sp.m * sp.n,
+    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
+                          cyclic(4 * sp.n), cyclic(2 * sp.n),
+                          [(CIRCLE_J, _z(4 * sp.n))]),
+    label="(D*4m/C2m, C4n/C2n)"))
+
+_register(Family(
+    "4bis", ("m", "n"),
+    lambda sp: 8 * sp.m * sp.n,
+    goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
+                          cyclic(4 * sp.n), cyclic(2 * sp.n),
+                          [(_z(4 * sp.m), _z(4 * sp.n))]),
+    label="(D*8m/D*4m, C4n/C2n)"))
+
+_register(Family(
+    "13bis", ("m", "n"),
+    lambda sp: 8 * sp.m * sp.n,
+    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
+                          binary_dihedral(8 * sp.n), binary_dihedral(4 * sp.n),
+                          [(CIRCLE_J, _z(4 * sp.n))]),
+    label="(D*4m/C2m, D*8n/D*4n)"))
+
+_register(Family(
+    "34bis", ("m", "n"),
+    lambda sp: 2 * sp.m * sp.n,
+    lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(sp.m),
+                  cyclic(4 * sp.n), cyclic(sp.n),
+                  [(CIRCLE_J, _z(4 * sp.n))]),
+    "(D*4m/Cm, C4n/Cn)", odd=("m", "n")))
+
+FAMILY_ORDER = list(FAMILIES)
 
 TABLE4_FAMILIES = [str(k) for k in range(2, 11)] + [str(k) for k in range(12, 20)] \
     + ["33", "33p", "34", "2bis", "3bis", "4bis", "13bis", "34bis"]
@@ -729,21 +729,15 @@ def _circle_times(x, y, grid: int):
     return not yj, (a - b + (grid // 2 if yj else 0)) % grid
 
 
-# (right, right_kernel) -> _Quotient for the binary polyhedral right
-# factors, filled on first use.  They do not depend on the family
-# parameters, and a Q(sqrt2, sqrt5) product costs about a millisecond, so
-# each is built once per process: the catalog has six keys.
-_FIXED_FACTORS: dict = {}
-
-
+# Cached per (right, right_kernel): the coset data of a binary polyhedral
+# right factor does not depend on the family parameters, and a
+# Q(sqrt2, sqrt5) product costs about a millisecond, so each is built
+# once per process; the catalog has six keys.
+@cache
 def _polyhedral_quotient(group_id: StandardGroupId,
                          kernel_id: StandardGroupId) -> _Quotient:
     """Coset data of a T*, O* or I* factor, from its elements in
     quaternion coordinates; each coset is the tuple (l*k for k in K)."""
-    key = (group_id, kernel_id)
-    quotient = _FIXED_FACTORS.get(key)
-    if quotient is not None:
-        return quotient
     elements = algebraic_group(group_id)
     kernel = elements if kernel_id == group_id else algebraic_group(kernel_id)
     members = set(elements)
@@ -768,10 +762,8 @@ def _polyhedral_quotient(group_id: StandardGroupId,
         _require(element in index, f"{element} is not in {group_id}")
         return index[element]
 
-    quotient = _FIXED_FACTORS[key] = _Quotient(
-        coset_of, tuple(cosets), table, index[identity],
-        index[element_negate(identity)])
-    return quotient
+    return _Quotient(coset_of, tuple(cosets), table, index[identity],
+                     index[element_negate(identity)])
 
 
 def _circle_lattice(data: GoursatData, grid: int) -> RotationLattice:
@@ -876,7 +868,7 @@ def goursat_group(spec: FamilySpec) -> PairGroup:
     """The group {(l, r) : phi(l L_K) = r R_K}, as lattice data when both
     factors are circle-type and as coset data otherwise."""
     fam = get_family(spec.family)
-    if not fam.fibered or fam.goursat is None:
+    if fam.goursat is None:
         raise UnsupportedFamilyError(
             f"family {spec.family} preserves no fibration and is not built")
     violations, _ = validate(spec)

@@ -23,10 +23,10 @@ and every stabilizer is a 2x2 integer lattice in Hermite normal form,
 so no row is listed.  A group with a T*, O* or I* right factor takes
 the axis path, exact in Q(sqrt2, sqrt5), once per right element and
 left progression: a base point is a unit vector of Im H, kept as an
-oriented line; r = cos(pi t) + sin(pi t) u rotates the base by 2 pi t
-about the line of u, with t looked up from the exact value of Re r, and
-orbits and stabilizers follow from incidences of those lines.  No float
-and no numeric tolerance is used anywhere.
+oriented line; r = cos(pi t/60) + sin(pi t/60) u rotates the base by
+2 pi t/60 about the line of u, with the integer t looked up from the
+exact value of Re r, and orbits and stabilizers follow from incidences
+of those lines.  No float and no numeric tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from .engine import (
 from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
 from .groups import PairGroup, _ext_gcd, _hnf, _require, phi_order
 from .quaternions import NotHopfPreservingError
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -285,26 +283,27 @@ def _circle_base(group: PairGroup, shapes: dict) -> BaseActionGroup:
 #
 # The fiber through h lies over the point h^-1 i h of the unit sphere in
 # Im H.  A pair (l, r) moves that point P to r P r^-1, or to -r P r^-1
-# when l is j-type.  For r = cos(pi t) + sin(pi t) u this is the rotation
-# by 2 pi t about the line of u, composed with the antipode for j-type l.
+# when l is j-type.  For r = cos(pi t/60) + sin(pi t/60) u this is the
+# rotation by 2 pi t/60 about the line of u, composed with the antipode
+# for j-type l.
 # A point is kept as (line, sign): sign times the stored direction of a
 # line, all in Q(sqrt2, sqrt5).
 
 # Every element of T*, O* and I* has order 1-6, 8 or 10, so its real part
-# is cos(pi t) for one of these t (Conway & Smith, On Quaternions and
-# Octonions, 2003, ch. 3).
+# is cos(pi t/60) for one of these integers t in [0, 60] (Conway & Smith,
+# On Quaternions and Octonions, 2003, ch. 3).
 _HALF_ANGLE = {
-    QuadFieldElement(1): Fraction(0),
-    QF_HALF_TAU: Fraction(1, 5),                  # (1 + sqrt5)/4
-    QF_HALF_SQRT2: Fraction(1, 4),
-    QuadFieldElement(HALF): Fraction(1, 3),
-    QF_HALF_TAU_INV: Fraction(2, 5),              # (sqrt5 - 1)/4
-    QuadFieldElement(0): HALF,
-    -QF_HALF_TAU_INV: Fraction(3, 5),
-    QuadFieldElement(-HALF): Fraction(2, 3),
-    -QF_HALF_SQRT2: Fraction(3, 4),
-    -QF_HALF_TAU: Fraction(4, 5),
-    QuadFieldElement(-1): Fraction(1),
+    QuadFieldElement(1): 0,
+    QF_HALF_TAU: 12,                              # (1 + sqrt5)/4
+    QF_HALF_SQRT2: 15,
+    QuadFieldElement(Fraction(1, 2)): 20,
+    QF_HALF_TAU_INV: 24,                          # (sqrt5 - 1)/4
+    QuadFieldElement(0): 30,
+    -QF_HALF_TAU_INV: 36,
+    QuadFieldElement(Fraction(-1, 2)): 40,
+    -QF_HALF_SQRT2: 45,
+    -QF_HALF_TAU: 48,
+    QuadFieldElement(-1): 60,
 }
 
 # Memo tables of pure functions of the elements: what the oracle computes
@@ -315,15 +314,15 @@ _LINE_DIRECTIONS = []    # index -> direction
 
 @lru_cache(maxsize=None)
 def _axis(r):
-    """(t, line, sign) with r = cos(pi t) + sin(pi t) * sign * u / |u| for
-    the stored direction u of the line; the line is None for r = +-1.
+    """(t, line, sign) with r = cos(pi t/60) + sin(pi t/60) * sign * u / |u|
+    for the stored direction u of the line; the line is None for r = +-1.
 
     Cached per element, since the field inverse that normalizes the
     direction costs far more than a dictionary lookup.
     """
     t = _HALF_ANGLE.get(r.w)
-    _require(t is not None, f"real part of {r} is not a tabulated cos(pi t)")
-    if t == 0 or t == 1:
+    _require(t is not None, f"real part of {r} is not a tabulated cos(pi t/60)")
+    if t == 0 or t == 60:
         return t, None, 0
     v = (r.x, r.y, r.z)
     pivot = next(c for c in v if not c.is_zero())
@@ -346,16 +345,15 @@ def _base_group_axis(group: PairGroup) -> BaseActionGroup:
     """Base action of a group whose right factors lie in T*, O* or I*,
     from the at most 2*|R| classes (left jflag, right factor up to sign).
 
-    A class is keyed by (jflag, line, sign * t mod 1) from _axis, with
-    sign * t mod 1 as an integer over 60 (t has denominator 1-5): r and
-    -r, which has 1 - t and -sign, induce the same rotation and share the
+    A class is keyed by (jflag, line, sign * t mod 60) from _axis: r and
+    -r, which has 60 - t and -sign, induce the same rotation and share the
     key, and distinct rotations about one line get distinct keys.
     """
     classes = {}
     for jflag, _, coset in group.gluing.parts():
         for r in coset:
             t, line, sign = axis = _axis(r)
-            key = (jflag, line, sign * t.numerator * (60 // t.denominator) % 60)
+            key = (jflag, line, sign * t % 60)
             if key not in classes:
                 classes[key] = (jflag,) + axis
     return _axis_base(group, classes)
@@ -383,11 +381,11 @@ def _axis_base(group: PairGroup, classes: dict) -> BaseActionGroup:
             # -R fixes no point unless R is a half turn, when it is the
             # reflection in the plane normal to the axis
             reversing_lines.add(line)
-            if t == HALF:
+            if t == 30:
                 mirrors.append(line)
         elif line is not None:
             stabilizer[line] = stabilizer.get(line, 1) + 1
-            if t == HALF:
+            if t == 30:
                 half_turns.append(line)
 
     lines_of_order = {}
@@ -399,17 +397,17 @@ def _axis_base(group: PairGroup, classes: dict) -> BaseActionGroup:
                      for line in lines}
         # each line carries two points, whose stabilizer has order q,
         # doubled on a mirror; summing |Stab| / |G| counts the orbits
-        count = Fraction(sum(2 * q * (1 + on_mirror[line]) for line in lines),
-                         order)
+        count, rest = divmod(sum(2 * q * (1 + on_mirror[line]) for line in lines),
+                             order)
         line = lines[0]
-        if count == 1:
+        if (count, rest) == (1, 0):
             signs = (1,)
         else:
             # P goes to -P under a rotation half turn about an axis normal
             # to P, or under the antipode composed with a rotation fixing P
             swapped = (None in reversing_lines or line in reversing_lines
                        or any(_perpendicular(line, h) for h in half_turns))
-            _require(count == 2 and not swapped,
+            _require((count, rest) == (2, 0) and not swapped,
                      f"orbits of the order-{q} points are not resolved")
             signs = (1, -1)
         orbits.extend(SingularOrbit(q, on_mirror[line], ("axis", line, sign))
@@ -437,16 +435,16 @@ def _axis_hnf(group: PairGroup, line: int, sign: int):
     axis-path point P = sign * u, conjugated to the core at infinity.
 
     A unit w with w P w^-1 = i carries that fiber to the core, and turns
-    a right factor cos(pi t) + sin(pi t) v with v = +-P into
-    cos(pi t) +- i sin(pi t), so beta = +-t/2 with the sign of v . P.
-    The tabulated t have denominators 1-5, so t/2 lies on the grid of
-    120ths, and the left angles are lifted from the group's grid.  An r
-    on the line of P meets one left progression alpha + (grid/period)*Z
-    per right coset, which translates by (alpha - beta, alpha + beta) and
-    the kernel step.  The span of those is the stabilizer's translations
-    when its index is half the pair count: (l, r), (-l, -r) act alike.
-    Only orientation-preserving pairs enter: at a corner reflector the
-    local invariant is by definition that of the index-two cyclic part.
+    a right factor cos(pi t/60) + sin(pi t/60) v with v = +-P into
+    cos(pi t/60) +- i sin(pi t/60), so beta = +-t/120 with the sign of
+    v . P, on the grid of 120ths, and the left angles are lifted from the
+    group's grid.  An r on the line of P meets one left progression
+    alpha + (grid/period)*Z per right coset, which translates by
+    (alpha - beta, alpha + beta) and the kernel step.  The span of those
+    is the stabilizer's translations when its index is half the pair
+    count: (l, r), (-l, -r) act alike.  Only orientation-preserving
+    pairs enter: at a corner reflector the local invariant is by
+    definition that of the index-two cyclic part.
     """
     gluing = group.gluing
     grid = math.lcm(120, group.grid)
@@ -464,7 +462,7 @@ def _axis_hnf(group: PairGroup, line: int, sign: int):
             else:
                 continue
             alpha = a * lift
-            beta = direction * t.numerator * (grid // (2 * t.denominator))
+            beta = direction * t * (grid // 120)
             vectors.append((alpha - beta, alpha + beta))
     h11, _, h22 = hnf = _hnf(vectors + [(step, step)], grid)
     _require(len(vectors) * gluing.period * h11 * h22 == 2 * grid * grid,
@@ -549,9 +547,7 @@ def oracle_report(group: PairGroup) -> OracleReport:
     base = base_group(group)
     euler = euler_oracle(group, base)
     invariants = tuple(exceptional_fibers_oracle(group, base))
-    xi = None
-    if base.signature.kind == DISC:
-        xi = derive_xi(base.signature, invariants, euler)
+    xi = derive_xi(invariants, euler) if base.signature.kind == DISC else None
     seifert = SeifertData(base.signature, invariants, euler, xi)
     topology = lens_oracle(group) if _single_class_lattice(group) else None
     return OracleReport(seifert, topology)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import engine
 from .engine import evaluate, somma_residue
 from .groups import (
     ABELIAN_FAMILIES,
@@ -48,14 +47,6 @@ def invariant_multiset(seifert):
     dropping the trivial denominator-1 entries over smooth base points."""
     return tuple(sorted((v.location, v.den, v.normalized_num, v.index)
                         for v in seifert.invariants if v.den > 1))
-
-
-def _lens_key(report):
-    if report.underlying == engine.THREE_SPHERE:
-        return ("lens", 1, 0)
-    if report.underlying == engine.LENS:
-        return ("lens", report.p, report.q)
-    return None
 
 
 def compare_spec(spec: FamilySpec) -> ComparisonResult:
@@ -93,14 +84,12 @@ def compare_spec(spec: FamilySpec) -> ComparisonResult:
         if residue.denominator != 1:
             diffs.append(f"{name} invariant sum {residue} is not an integer")
 
-    if orc.topology is not None:
-        key_e = _lens_key(eng.topology)
-        key_o = _lens_key(orc.topology)
-        if key_e != key_o:
-            diffs.append(f"underlying space: engine {eng.topology}, "
-                         f"oracle {orc.topology}")
-        comp_e = tuple(sorted(eng.topology.singular_components))
-        comp_o = tuple(sorted(orc.topology.singular_components))
+    top_e, top_o = eng.topology, orc.topology
+    if top_o is not None:
+        if ((top_e.underlying, top_e.p, top_e.q)
+                != (top_o.underlying, top_o.p, top_o.q)):
+            diffs.append(f"underlying space: engine {top_e}, oracle {top_o}")
+        comp_e, comp_o = top_e.singular_components, top_o.singular_components
         if comp_e != comp_o:
             diffs.append(f"singular components: engine {comp_e}, "
                          f"oracle {comp_o}")

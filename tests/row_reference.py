@@ -237,7 +237,7 @@ def axis_stab_vectors(group, line, sign):
         else:
             continue
         alpha = a * lift
-        beta = direction * t.numerator * (grid // (2 * t.denominator))
+        beta = direction * t * (grid // 120)
         vectors.add(((alpha - beta) % grid, (alpha + beta) % grid))
     return grid, vectors
 

@@ -174,6 +174,17 @@ def test_enumerate_invalid_bound(capsys):
     assert code == 1
 
 
+def test_empty_family_selection_is_rejected(capsys):
+    """An empty --families names no family: enumerate and verify both
+    reject it instead of falling back to every family."""
+    for command in ("enumerate", "verify"):
+        code, out, err = run_cli(capsys, command, "--max-order", "10",
+                                 "--families", "")
+        assert code == 1, command
+        assert out == "", command
+        assert "unknown family identifier ''" in err, command
+
+
 def test_verify_small_run_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-order", "16",
                            "--families", "abelian,dihedral")

@@ -1,7 +1,6 @@
 """Closed-form evaluator: derived quantities, table rows, data operations."""
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,10 +20,8 @@ from orbiseif.engine import (
     SeifertData,
     _derived_quantities_cached,
     _minimal_nu,
-    _table4_row,
     _two_fiber_lens,
     derive_xi,
-    derived_quantities,
     evaluate,
     flip_orientation,
     modinv_pos,
@@ -32,14 +29,13 @@ from orbiseif.engine import (
     seifert_abelian,
     seifert_dihedral,
     seifert_polyhedral,
-    singular_set,
     somma_residue,
     underlying_space,
 )
 from orbiseif.groups import (
     ABELIAN_FAMILIES,
     DIHEDRAL_FAMILIES,
-    TABLE4_FAMILIES,
+    FIBERED_FAMILIES,
     FamilySpec,
 )
 from orbiseif.verify import sweep_specs
@@ -50,7 +46,7 @@ F = Fraction
 
 
 def abelian_row(spec):
-    return seifert_abelian(spec, derived_quantities(spec))
+    return seifert_abelian(spec, _derived_quantities_cached(spec))
 
 
 def dihedral_row(spec):
@@ -72,20 +68,20 @@ def norm_multiset(seifert):
 # -- derived quantities --------------------------------------------------------
 
 def test_derived_quantities_family_1p_long_cyclic():
-    dq = derived_quantities(FamilySpec("1p", m=1, n=1, r=10, s=1))
+    dq = _derived_quantities_cached(FamilySpec("1p", m=1, n=1, r=10, s=1))
     assert (dq.a, dq.b1, dq.b2, dq.nu) == (2, 5, 1, 1)
     assert (dq.d, dq.g, dq.e) == (6, -1, 1)
 
 
 def test_derived_quantities_family_1p_scalar_quotient():
-    dq = derived_quantities(FamilySpec("1p", m=3, n=1, r=2, s=1))
+    dq = _derived_quantities_cached(FamilySpec("1p", m=3, n=1, r=2, s=1))
     assert (dq.a, dq.b1, dq.b2, dq.nu) == (2, 1, 1, 1)
     assert (dq.d, dq.g, dq.e) == (5, -4, 3)
     assert (modinv_pos(dq.g, dq.e), dq.f_bar) == (2, 1)
 
 
 def test_derived_quantities_family_1_klein_case():
-    dq = derived_quantities(FamilySpec("1", m=1, n=1, r=2, s=1))
+    dq = _derived_quantities_cached(FamilySpec("1", m=1, n=1, r=2, s=1))
     assert (dq.a, dq.b1, dq.b2, dq.nu) == (2, 2, 1, 1)
     assert (dq.e1, dq.e2) == (1, 2)
     assert (dq.d, dq.g, dq.e) == (2, -1, 1)
@@ -96,13 +92,13 @@ def test_derived_quantities_invariants():
     for spec in (FamilySpec("1", m=2, n=3, r=5, s=2),
                  FamilySpec("1p", m=3, n=9, r=4, s=3),
                  FamilySpec("1", m=4, n=1, r=6, s=1)):
-        dq = derived_quantities(spec)
+        dq = _derived_quantities_cached(spec)
         assert math.gcd(dq.b1, dq.b2) == 1
         assert (dq.g * modinv_pos(dq.g, dq.e)) % dq.e in (1 % dq.e,)
     # the reduction-constant identity in its proved scope (odd parameters)
     for spec in (FamilySpec("1p", m=3, n=9, r=4, s=3),
                  FamilySpec("1p", m=1, n=15, r=2, s=1)):
-        dq = derived_quantities(spec)
+        dq = _derived_quantities_cached(spec)
         assert math.gcd(dq.e, dq.d * dq.b2 - dq.g * dq.b1) == dq.m_prime
 
 
@@ -260,9 +256,11 @@ def test_underlying_example_rules_for_table_rows():
 
 
 def test_singular_sets():
-    assert singular_set(abelian_row(FamilySpec("1p", m=1, n=1, r=10, s=1))) == [5]
-    assert singular_set(abelian_row(FamilySpec("1", m=1, n=1, r=2, s=1))) == [2, 2]
-    assert singular_set(seifert_polyhedral(FamilySpec("2", m=1, n=2))) == []
+    def components(data):
+        return underlying_space(data).singular_components
+    assert components(abelian_row(FamilySpec("1p", m=1, n=1, r=10, s=1))) == (5,)
+    assert components(abelian_row(FamilySpec("1", m=1, n=1, r=2, s=1))) == (2, 2)
+    assert components(seifert_polyhedral(FamilySpec("2", m=1, n=2))) == ()
 
 
 def test_abelian_topology_matches_the_box_formulas():
@@ -272,7 +270,8 @@ def test_abelian_topology_matches_the_box_formulas():
     1p spec of order <= 240."""
     specs = sweep_specs(240, ABELIAN_FAMILIES)
     for spec in specs:
-        assert evaluate(spec).topology == box_topology(derived_quantities(spec)), spec
+        dq = _derived_quantities_cached(spec)
+        assert evaluate(spec).topology == box_topology(dq), spec
     assert len(specs) == 47633
 
 
@@ -298,17 +297,27 @@ def test_two_fiber_lens_checks_survive_python_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_disc_rows_have_at_most_one_cone_point():
-    """`underlying_space` reads a disc row's one cone point, if any, as
-    the first invariant; no table-4 row of order <= 480 has two."""
-    counts = Counter()
-    for spec in sweep_specs(480, TABLE4_FAMILIES):
-        _, base, invariants = _table4_row(spec)
+def test_row_bases_are_the_invariant_denominators():
+    """Every evaluated row, the hand-built abelian and dihedral bases and
+    the index-1 entries included, has a cone point at the denominator of
+    each cone invariant and a corner reflector at that of each corner
+    one, in document order.  `underlying_space` reads a disc row's one
+    cone point, if any, as the first invariant; no row of order <= 240
+    (every table branch occurs there) has two."""
+    specs = sweep_specs(240, FIBERED_FAMILIES)
+    discs = 0
+    for spec in specs:
+        seifert = evaluate(spec).seifert
+        base, invariants = seifert.base, seifert.invariants
+        cones = [v.den for v in invariants if v.location == CONE]
+        assert list(base.cones) == cones, spec
+        assert list(base.corners) == [v.den for v in invariants
+                                      if v.location == CORNER], spec
         if base.kind == DISC:
-            counts[len(base.cones)] += 1
-            cones = [v for v in invariants if v.location == CONE]
-            assert list(invariants[:len(cones)]) == cones, spec
-    assert set(counts) == {0, 1} and sum(counts.values()) == 2433, counts
+            discs += 1
+            assert len(cones) <= 1, spec
+            assert all(v.location == CONE for v in invariants[:len(cones)]), spec
+    assert (len(specs), discs) == (61761, 13011)
 
 
 def test_evaluate_looks_the_box_up_once():
@@ -358,10 +367,10 @@ def test_integer_fiber_sum_matches_fractions(euler, invariants, xi):
     integral = [x for x in (0, 1)
                 if _fraction_sum(euler, invariants, x).denominator == 1]
     if integral:
-        assert derive_xi(data.base, data.invariants, euler) == integral[0]
+        assert derive_xi(data.invariants, euler) == integral[0]
     else:
         with pytest.raises(InternalInconsistencyError):
-            derive_xi(data.base, data.invariants, euler)
+            derive_xi(data.invariants, euler)
 
 
 def _minimal_nu_by_search(a, bound, coprime_to):

@@ -320,13 +320,16 @@ def test_oracle_report_klein_action():
 
 
 def test_polyhedral_real_parts_are_tabulated_cosines():
-    """Re r = cos(pi t) for a tabulated t on every element of T*, O*, I*.
-    Each entry c = cos(pi k/n) satisfies the Chebyshev identity
-    T_n(c) = (-1)^k exactly, and the entries decrease as t grows."""
+    """Re r = cos(pi t/60) for a tabulated integer t on every element of
+    T*, O*, I*.  Each entry c = cos(pi k/n), k/n = t/60 in lowest terms,
+    satisfies the Chebyshev identity T_n(c) = (-1)^k exactly, and the
+    entries decrease as t grows."""
     for gid in (BINARY_TETRAHEDRAL, BINARY_OCTAHEDRAL, BINARY_ICOSAHEDRAL):
         assert all(r.w in _HALF_ANGLE for r in standard_group(gid))
     assert len(_HALF_ANGLE) == 11
-    for c, t in _HALF_ANGLE.items():
+    assert all(isinstance(t, int) and 0 <= t <= 60 for t in _HALF_ANGLE.values())
+    for c, sixtieths in _HALF_ANGLE.items():
+        t = F(sixtieths, 60)
         previous, current = QuadFieldElement(1), c     # T_0, T_1
         for _ in range(t.denominator - 1):
             previous, current = current, 2 * c * current - previous

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from orbiseif.engine import (
-    derived_quantities,
+    _derived_quantities_cached,
     evaluate,
     flip_orientation,
     modinv_pos,
@@ -60,7 +60,7 @@ def coprimality_suite(max_order: int = 240) -> int:
     """
     checked = 0
     for spec in sweep_specs(max_order, ["1", "1p"]):
-        dq = derived_quantities(spec)
+        dq = _derived_quantities_cached(spec)
         assert math.gcd(dq.b1, dq.b2) == 1
         assert math.gcd(dq.a, dq.m_prime) == 1
         reduction = math.gcd(dq.e, dq.d * dq.b2 - dq.g * dq.b1)
@@ -88,7 +88,7 @@ def representative_independence_suite() -> int:
              FamilySpec("1p", m=3, n=1, r=4, s=3),
              FamilySpec("1p", m=1, n=9, r=2, s=1)]
     for spec in specs:
-        dq = derived_quantities(spec)
+        dq = _derived_quantities_cached(spec)
         half = 1 if spec.family == "1p" else 2
         den = spec.n * spec.r * half // 2
         scale_d = dq.e2 * dq.b2 * dq.h if spec.family == "1" else dq.b2 * dq.h
