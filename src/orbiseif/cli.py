@@ -23,6 +23,7 @@ verification mismatch, 3 unsupported family.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from fractions import Fraction
@@ -37,13 +38,12 @@ from .engine import (
     SPHERE,
     THREE_SPHERE,
     EngineReport,
-    SeifertData,
-    BaseSignature,
-    LocalInvariant,
-    TopologyReport,
+    _row,
     evaluate,
     flip_orientation,
     normalize,
+    somma_residue,
+    underlying_space,
 )
 from .groups import (
     FamilySpec,
@@ -51,6 +51,7 @@ from .groups import (
     UnsupportedFamilyError,
     enumerate_specs,
     get_family,
+    require_fibered,
     validate,
 )
 from . import verify as verify_mod
@@ -69,7 +70,6 @@ _BASE_KIND_NAMES = {SPHERE: "Sphere", DISC: "Disc", PROJECTIVE: "ProjectivePlane
 _BASE_KIND_FROM_NAME = {v: k for k, v in _BASE_KIND_NAMES.items()}
 _TOP_KIND_NAMES = {THREE_SPHERE: "ThreeSphere", LENS: "LensSpace",
                    NOT_COMPUTED: "NotComputed"}
-_TOP_KIND_FROM_NAME = {v: k for k, v in _TOP_KIND_NAMES.items()}
 _int = int.__repr__
 
 
@@ -78,22 +78,34 @@ _int = int.__repr__
 # ---------------------------------------------------------------------------
 
 def report_from_dict(doc: dict) -> EngineReport:
-    """Inverse of `json.loads(report_json(r))` (the round-trip guarantee)."""
-    params = {k: int(v) for k, v in doc["params"].items()}
-    spec = FamilySpec(doc["family"], **params)
-    base = BaseSignature(_BASE_KIND_FROM_NAME[doc["base"]["kind"]],
-                         tuple(doc["base"]["cones"]),
-                         tuple(doc["base"]["corners"]))
-    invariants = tuple(LocalInvariant(v["num"], v["den"], v["location"])
-                       for v in doc["invariants"])
-    seifert = SeifertData(base, invariants,
-                          Fraction(doc["euler"]["num"], doc["euler"]["den"]),
-                          doc["base"]["xi"])
-    topology = TopologyReport(_TOP_KIND_FROM_NAME[doc["underlying"]["kind"]],
-                              doc["underlying"]["p"], doc["underlying"]["q"],
-                              doc["underlying"]["reason"],
-                              tuple(doc["singularComponents"]))
-    return EngineReport(spec, seifert, topology, doc["provenance"])
+    """Inverse of `json.loads(report_json(r))` (the round-trip guarantee).
+
+    The engine's one builder, `_row`, rebuilds the Seifert data from the
+    base kind, Euler number and invariants, `underlying_space` the
+    topology.  A ValueError rejects an invalid or non-fibered spec, a
+    fractional invariant sum and a document (its `verification` member
+    aside) that differs from the rebuilt report's.
+    """
+    try:
+        spec = FamilySpec(doc["family"],
+                          **{k: int(v) for k, v in doc["params"].items()})
+        require_fibered(spec)
+        seifert = _row(_BASE_KIND_FROM_NAME[doc["base"]["kind"]],
+                       Fraction(doc["euler"]["num"], doc["euler"]["den"]),
+                       [(v["num"], v["den"], v["location"])
+                        for v in doc["invariants"]])
+        if somma_residue(seifert).denominator != 1:
+            raise ValueError(f"the invariant sum of {spec} is not an integer")
+        report = EngineReport(spec, seifert, underlying_space(seifert),
+                              doc["provenance"])
+        rebuilt = json.loads(report_json(report))
+    except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"malformed report: {exc!r}") from exc
+    fields = sorted(doc.keys() - rebuilt.keys() - {"verification"}) + [
+        k for k in sorted(rebuilt) if doc.get(k) != rebuilt[k]]
+    if fields:
+        raise ValueError(f"report of {spec} differs from its rebuild in {fields}")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +335,25 @@ def _cmd_compute(args, out) -> int:
     return exit_code
 
 
-def _cmd_enumerate(args, out) -> int:
+def _selected_families(args):
+    """The families `--families` names, every family when it is absent,
+    once `--max-order` is in range; None after an error on stderr."""
     if not 1 <= args.max_order <= MAX_VERIFY_ORDER:
         print(f"error: --max-order must lie in 1..{MAX_VERIFY_ORDER}",
               file=sys.stderr)
-        return EXIT_INVALID
+        return None
+    if args.families is None:
+        return FAMILY_ORDER
     try:
-        families = (verify_mod.resolve_families(args.families.split(","))
-                    if args.families is not None else FAMILY_ORDER)
+        return verify_mod.resolve_families(args.families.split(","))
     except UnsupportedFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_enumerate(args, out) -> int:
+    families = _selected_families(args)
+    if families is None:
         return EXIT_INVALID
     rows = enumerate_specs(args.max_order, families)
     if args.json:
@@ -358,14 +379,8 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if not 1 <= args.max_order <= MAX_VERIFY_ORDER:
-        print(f"error: --max-order must lie in 1..{MAX_VERIFY_ORDER}",
-              file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        families = verify_mod.resolve_families(args.families.split(","))
-    except UnsupportedFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    families = _selected_families(args)
+    if families is None:
         return EXIT_INVALID
     families = [f for f in families if get_family(f).fibered]
     if not families:

@@ -10,13 +10,16 @@ underlying 3-manifold.
 
 The abelian and dihedral families go through a box of derived integer
 quantities (a, b1, b2, nu, d, g, e and the modular inverse fbar); all
-remaining families are straight table rows with parity branches, each
-row listing its Euler number and invariants once: the base has a cone
-point or corner reflector at the denominator of each invariant.  The
-underlying 3-manifold and the singular set are read off the Seifert data
-alone, by one rule for every row.  Everything here is exact
-integer/rational arithmetic; the independent geometric recomputation
-lives in the oracle module.
+remaining families are straight table rows with parity branches.  Every
+row lists its Euler number and invariants once and hands them to `_row`,
+the one builder of SeifertData, which also builds `normalize`,
+`flip_orientation` and the JSON reader's data: it puts the invariants in
+document order, a cone point or corner reflector of the base at the
+denominator of each invariant, and derives xi on a disc from the sum
+congruence.  The underlying 3-manifold and the singular set are read off
+the Seifert data alone, by one rule for every row.  Everything here is
+exact integer/rational arithmetic; the independent geometric
+recomputation lives in the oracle module, which assembles its own data.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from typing import Optional
 from .groups import (
     FamilySpec,
     InternalInconsistencyError,
-    get_family,
     normalized_s,
-    validate,
+    require_fibered,
 )
 
 
@@ -118,9 +120,6 @@ class LocalInvariant:
     @property
     def index(self) -> int:
         return math.gcd(self.normalized_num, self.den)
-
-    def normalized(self) -> "LocalInvariant":
-        return LocalInvariant(self.normalized_num, self.den, self.location)
 
     def __str__(self):
         return f"{self.num}/{self.den}"
@@ -258,45 +257,37 @@ def _derived_quantities_cached(spec: FamilySpec) -> DerivedQuantities:
 # family evaluators
 # ---------------------------------------------------------------------------
 
-def seifert_abelian(spec: FamilySpec, dq: DerivedQuantities) -> SeifertData:
-    """Families 1 and 1p: two exceptional fibers over a football base."""
+def _row(kind, euler, triples) -> SeifertData:
+    """The one builder of SeifertData, from the base kind, the Euler
+    number and (num, den, location) triples: invariants in document order
+    (location, den, normalized num, num), a cone point or corner
+    reflector at the denominator of each invariant, by location, and xi
+    from the sum congruence on a disc."""
+    invariants, cones, corners = [], [], []
+    for loc, den, _, num in sorted([(loc, den, num % den, num)
+                                    for num, den, loc in triples]):
+        invariants.append(LocalInvariant(num, den, loc))
+        (cones if loc == CONE else corners).append(den)
+    xi = derive_xi(invariants, euler) if kind == DISC else None
+    return SeifertData(BaseSignature(kind, tuple(cones), tuple(corners)),
+                       tuple(invariants), euler, xi)
+
+
+def seifert_box(spec: FamilySpec, dq: DerivedQuantities) -> SeifertData:
+    """Families 1 and 1p: two exceptional fibers over a football base.
+
+    Families 11 and 11p, with `dq` the box of the family-1 or 1p spec of
+    the same parameters, fold it along a mirror circle: the same
+    invariants sit at two corner reflectors of a disc, the Euler number
+    halves, and xi makes the invariant-sum congruence integral.
+    """
     m, n, r = spec.m, spec.n, spec.r
-    den = n * r // 2 if spec.family == "1p" else n * r
+    den = n * r // 2 if spec.family in ("1p", "11p") else n * r
     a = dq.d * dq.f_bar * dq.e2 * dq.b2 * dq.h
     b = -dq.g * dq.f_bar * dq.e1 * dq.b1 * dq.h
-    # in document order: both share den, so one comparison orders them
-    if (a % den, a) > (b % den, b):
-        a, b = b, a
-    base = BaseSignature(SPHERE, (den, den))
-    invariants = (LocalInvariant(a, den, CONE), LocalInvariant(b, den, CONE))
-    return SeifertData(base, invariants, Fraction(-2 * m, n * r))
-
-
-def seifert_dihedral(ab: SeifertData) -> SeifertData:
-    """Families 11 and 11p: the abelian data `ab` folded along a mirror circle.
-
-    The base becomes a disc whose two corner reflectors carry the cone
-    indices of the abelian quotient, the local invariants move to the
-    corners unchanged, the Euler number halves, and xi is whatever value
-    makes the invariant-sum congruence integral.
-    """
-    base = BaseSignature(DISC, (), ab.base.cones)
-    invariants = tuple(LocalInvariant(v.num, v.den, CORNER) for v in ab.invariants)
-    euler = ab.euler / 2
-    xi = derive_xi(invariants, euler)
-    return SeifertData(base, invariants, euler, xi)
-
-
-def _row(kind, euler, triples) -> SeifertData:
-    """The row's data: invariants in document order (location, den,
-    normalized num, num), a cone point or corner reflector at the
-    denominator of each invariant, by location, and xi on a disc."""
-    keys = sorted([(loc, den, num % den, num) for num, den, loc in triples])
-    invariants = tuple([LocalInvariant(num, den, loc) for loc, den, _, num in keys])
-    base = BaseSignature(kind, tuple([den for loc, den, _, _ in keys if loc == CONE]),
-                         tuple([den for loc, den, _, _ in keys if loc == CORNER]))
-    xi = derive_xi(invariants, euler) if kind == DISC else None
-    return SeifertData(base, invariants, euler, xi)
+    if spec.family in ("1", "1p"):
+        return _row(SPHERE, Fraction(-2 * m, n * r), [(a, den, CONE), (b, den, CONE)])
+    return _row(DISC, Fraction(-m, n * r), [(a, den, CORNER), (b, den, CORNER)])
 
 
 def seifert_polyhedral(spec: FamilySpec) -> SeifertData:
@@ -420,32 +411,24 @@ def somma_residue(d: SeifertData) -> Fraction:
     return _fiber_sum(d.euler, d.invariants, d.xi or 0)
 
 
-def _sort_invariants(invariants):
-    return tuple(sorted(invariants, key=lambda v: (v.location, v.den, v.num)))
-
-
 def normalize(d: SeifertData) -> SeifertData:
     """Invariants replaced by representatives in [0, den); trivial entries
     (denominator 1, which mark fibers over smooth base points) dropped,
-    matching the index-1 drop in the base signature."""
-    invariants = _sort_invariants(v.normalized() for v in d.invariants
-                                  if v.den > 1)
-    return SeifertData(d.base.normalized(), invariants, d.euler, d.xi)
+    with their index-1 points of the base."""
+    return _row(d.base.kind, d.euler,
+                [(v.num % v.den, v.den, v.location) for v in d.invariants
+                 if v.den > 1])
 
 
 def flip_orientation(d: SeifertData) -> SeifertData:
-    """Mirror data: Euler number negated, normalized p/q -> (q-p)/q.
+    """Mirror data of normalize(d): Euler number negated, p/q -> (q-p)/q.
 
     xi is re-derived from the congruence, so the flip is an involution
     on normalized data.
     """
-    nd = normalize(d)
-    invariants = _sort_invariants(
-        LocalInvariant((-v.num) % v.den, v.den, v.location)
-        for v in nd.invariants)
-    euler = -nd.euler
-    xi = derive_xi(invariants, euler) if nd.base.kind == DISC else None
-    return SeifertData(nd.base, invariants, euler, xi)
+    return _row(d.base.kind, -d.euler,
+                [(-v.num % v.den, v.den, v.location) for v in d.invariants
+                 if v.den > 1])
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +486,10 @@ def underlying_space(d: SeifertData) -> TopologyReport:
         # document order puts the one cone point's invariant first; the
         # meridian of the complementary solid torus is a (x, p) curve for
         # x the inverse of the reduced numerator, and L(p, x) = L(p, 1/x)
+        if not d.base.cones:
+            return lens_report(1, 0, components)
         v, g = d.invariants[0], indices[0]
-        p = v.den // g if v.location == CONE else 1
-        return lens_report(p, v.num // g, components)
+        return lens_report(v.den // g, v.num // g, components)
 
     pairs = [(v.den // g, num // g) for v, g in zip(d.invariants, indices)
              if (num := v.num % v.den)]
@@ -530,23 +514,17 @@ class EngineReport:
 
 
 def evaluate(spec: FamilySpec) -> EngineReport:
-    """The report of a fibered spec, from one `validate` and, for families
-    1, 1p, 11 and 11p, one box lookup."""
-    fam = get_family(spec.family)
-    if not fam.fibered:
-        raise ValueError(f"family {spec.family} preserves no fibration")
-    violations, _ = validate(spec)
-    if violations:
-        raise ValueError("; ".join(violations))
+    """The report of a fibered spec, from one `require_fibered` and, for
+    families 1, 1p, 11 and 11p, one box lookup."""
+    require_fibered(spec)
     family = spec.family
     if family in ("1", "1p"):
-        seifert = seifert_abelian(spec, _derived_quantities_cached(spec))
+        seifert = seifert_box(spec, _derived_quantities_cached(spec))
         provenance = f"abelian box, family {family}"
     elif family in ("11", "11p"):
         abelian = FamilySpec("1" if family == "11" else "1p",
                              spec.m, spec.n, spec.r, spec.s)
-        seifert = seifert_dihedral(seifert_abelian(
-            abelian, _derived_quantities_cached(abelian)))
+        seifert = seifert_box(spec, _derived_quantities_cached(abelian))
         provenance = f"dihedral fold of the abelian box, family {family}"
     else:
         seifert = seifert_polyhedral(spec)

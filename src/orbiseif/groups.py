@@ -549,6 +549,19 @@ def validate(spec: FamilySpec):
     return violations, notes
 
 
+def require_fibered(spec: FamilySpec) -> Family:
+    """The family of a spec the engine and the group builder take: an
+    UnsupportedFamilyError for an unknown or non-fibered family, a
+    ValueError naming the violations for an invalid spec."""
+    fam = get_family(spec.family)
+    if not fam.fibered:
+        raise UnsupportedFamilyError(f"family {spec.family} preserves no fibration")
+    violations, _ = validate(spec)
+    if violations:
+        raise ValueError(f"invalid {spec}: " + "; ".join(violations))
+    return fam
+
+
 def normalized_s(spec: FamilySpec) -> int:
     """Odd representative of s for families 1 and 11 (s -> r-s if even)."""
     if spec.family in ("1", "11") and spec.s % 2 == 0:
@@ -867,15 +880,7 @@ def _coset_gluing(data: GoursatData, grid: int) -> CosetGluing:
 def goursat_group(spec: FamilySpec) -> PairGroup:
     """The group {(l, r) : phi(l L_K) = r R_K}, as lattice data when both
     factors are circle-type and as coset data otherwise."""
-    fam = get_family(spec.family)
-    if fam.goursat is None:
-        raise UnsupportedFamilyError(
-            f"family {spec.family} preserves no fibration and is not built")
-    violations, _ = validate(spec)
-    if violations:
-        raise ValueError(f"invalid {spec}: " + "; ".join(violations))
-
-    data = fam.goursat(spec)
+    data = require_fibered(spec).goursat(spec)
     _require(data.left.order * data.right_kernel.order
              == data.right.order * data.left_kernel.order,
              "quotients have different orders")

@@ -16,7 +16,6 @@ from orbiseif.engine import (
     THREE_SPHERE,
     BaseSignature,
     evaluate,
-    seifert_polyhedral,
     somma_residue,
 )
 from orbiseif.groups import (
@@ -35,7 +34,6 @@ from orbiseif.groups import (
 from orbiseif.oracle import lens_oracle
 from orbiseif.verify import run_sweep, sweep_specs
 from element_reference import multiply
-from test_engine import abelian_row, dihedral_row
 from test_properties import (
     coprimality_suite,
     flip_involution_suite,
@@ -183,19 +181,11 @@ def test_criterion_4_table4_sweep(table4_sweep):
             f"across {len(families)} families agree")
 
 
-def _seifert_only(spec):
-    if spec.family in ("1", "1p"):
-        return abelian_row(spec)
-    if spec.family in ("11", "11p"):
-        return dihedral_row(spec)
-    return seifert_polyhedral(spec)
-
-
 def test_criterion_5_somma_integrality(abelian_sweep, dihedral_sweep,
                                        table4_sweep):
     all_specs = abelian_sweep[0] + dihedral_sweep[0] + table4_sweep[0]
     for spec in all_specs:
-        residue = somma_residue(_seifert_only(spec))
+        residue = somma_residue(evaluate(spec).seifert)
         assert residue.denominator == 1, spec
     _report("criterion 5",
             f"invariant-sum congruence integral for all {len(all_specs)} "

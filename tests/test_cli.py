@@ -74,9 +74,13 @@ def test_json_round_trip_and_determinism(capsys):
 
 
 def test_malformed_report_rejected_under_python_optimize():
-    """The data-model checks on a JSON report are raised errors, not
-    asserts, so python -O still rejects an out-of-range xi or a zero
-    invariant denominator."""
+    """The reader rebuilds every derived field and checks the spec with
+    raised errors, not asserts, so python -O still rejects, as a
+    ValueError, each of these reports: xi out of range or flipped, a zero
+    invariant denominator, base cones that are not the invariant
+    denominators, missing or empty params, a non-fibered family,
+    invariants out of document order, a wrong index, and an Euler number
+    that leaves the invariant sum fractional on a disc and on a sphere."""
     script = (
         "import sys\n"
         "import json\n"
@@ -87,19 +91,40 @@ def test_malformed_report_rejected_under_python_optimize():
         "    sys.exit('not running under -O')\n"
         "def disc_doc():\n"
         "    doc = json.loads(report_json(evaluate(FamilySpec('10', m=1, n=3))))\n"
-        "    if doc['base']['kind'] != 'Disc':\n"
-        "        sys.exit('family 10 no longer has a disc base')\n"
+        "    if doc['base']['kind'] != 'Disc' or len(doc['invariants']) != 2:\n"
+        "        sys.exit('family 10 no longer has two invariants on a disc')\n"
         "    return doc\n"
-        "bad_xi = disc_doc()\n"
-        "bad_xi['base']['xi'] = 2\n"
-        "zero_den = disc_doc()\n"
-        "zero_den['invariants'][0]['den'] = 0\n"
-        "for doc in (bad_xi, zero_den):\n"
+        "def sphere_doc():\n"
+        "    return json.loads(report_json(evaluate(FamilySpec('9', m=1))))\n"
+        "cases = {}\n"
+        "cases['xi 2'] = doc = disc_doc()\n"
+        "doc['base']['xi'] = 2\n"
+        "cases['xi flipped'] = doc = disc_doc()\n"
+        "doc['base']['xi'] = 1 - doc['base']['xi']\n"
+        "cases['den 0'] = doc = disc_doc()\n"
+        "doc['invariants'][0]['den'] = 0\n"
+        "cases['cones'] = doc = disc_doc()\n"
+        "doc['base']['cones'] = [7]\n"
+        "cases['no params'] = doc = disc_doc()\n"
+        "del doc['params']\n"
+        "cases['empty params'] = doc = disc_doc()\n"
+        "doc['params'] = {}\n"
+        "cases['non-fibered'] = doc = disc_doc()\n"
+        "doc['family'], doc['params'] = '20', {}\n"
+        "cases['order'] = doc = disc_doc()\n"
+        "doc['invariants'].reverse()\n"
+        "cases['index'] = doc = disc_doc()\n"
+        "doc['invariants'][0]['index'] += 1\n"
+        "cases['disc euler'] = doc = disc_doc()\n"
+        "doc['euler'] = {'num': 1, 'den': 7}\n"
+        "cases['sphere euler'] = doc = sphere_doc()\n"
+        "doc['euler'] = {'num': -1, 'den': 29}\n"
+        "for name, doc in cases.items():\n"
         "    try:\n"
         "        report_from_dict(doc)\n"
         "    except ValueError:\n"
         "        continue\n"
-        "    sys.exit('a malformed report was accepted')\n")
+        "    sys.exit(f'the malformed report {name!r} was accepted')\n")
     proc = _run_optimized("-c", script)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -304,3 +329,22 @@ def test_no_module_reads_the_environment():
             readers += [(path.name, name) for name in names
                         if name in ("environ", "environb", "getenv", "getenvb")]
     assert readers == []
+
+
+def test_seifert_data_has_one_builder():
+    """In the engine and the command line, SeifertData is constructed in
+    `engine._row` only."""
+    package = pathlib.Path(cli.__file__).parent
+    sites = []
+    for path in (package / "engine.py", package / "cli.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        builder = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_row"]
+        inside = {id(node) for def_ in builder for node in ast.walk(def_)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "SeifertData" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                sites.append((path.name, node.lineno, id(node) in inside))
+    assert [site for site in sites if not site[2]] == []
+    assert [name for name, _, _ in sites] == ["engine.py"]

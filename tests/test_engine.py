@@ -26,8 +26,7 @@ from orbiseif.engine import (
     flip_orientation,
     modinv_pos,
     normalize,
-    seifert_abelian,
-    seifert_dihedral,
+    seifert_box,
     seifert_polyhedral,
     somma_residue,
     underlying_space,
@@ -45,15 +44,20 @@ from test_oracle import _run_optimized
 F = Fraction
 
 
+def abelian_spec(spec):
+    """The family-1 or 1p spec with the parameters of a family-11 or 11p one."""
+    return FamilySpec("1" if spec.family == "11" else "1p",
+                      spec.m, spec.n, spec.r, spec.s)
+
+
 def abelian_row(spec):
-    return seifert_abelian(spec, _derived_quantities_cached(spec))
+    return seifert_box(spec, _derived_quantities_cached(spec))
 
 
 def dihedral_row(spec):
-    """The fold of the family-1 or 1p row with the same parameters."""
-    abelian = FamilySpec("1" if spec.family == "11" else "1p",
-                         spec.m, spec.n, spec.r, spec.s)
-    return seifert_dihedral(abelian_row(abelian))
+    """The row of a family-11 or 11p spec, read off the box of the family-1
+    or 1p spec with the same parameters."""
+    return seifert_box(spec, _derived_quantities_cached(abelian_spec(spec)))
 
 
 def inv_multiset(seifert):
@@ -133,6 +137,21 @@ def test_dihedral_row_folds_the_abelian_one():
     assert inv_multiset(data) == [(5, 5, CORNER), (6, 5, CORNER)]
     assert data.euler == F(-1, 10)
     assert data.xi == 0
+
+
+def test_dihedral_rows_fold_the_abelian_ones():
+    """On every family-11 and 11p spec of order <= 240 the row is the
+    family-1 or 1p row with the same parameters folded along a mirror
+    circle: its cone points become corner reflectors carrying the same
+    invariants, in the same order, and the Euler number halves."""
+    specs = sweep_specs(240, DIHEDRAL_FAMILIES)
+    for spec in specs:
+        folded, abelian = dihedral_row(spec), abelian_row(abelian_spec(spec))
+        assert folded.base == BaseSignature(DISC, (), abelian.base.cones), spec
+        assert [(v.num, v.den, v.location) for v in folded.invariants] == \
+            [(v.num, v.den, CORNER) for v in abelian.invariants], spec
+        assert folded.euler == abelian.euler / 2, spec
+    assert len(specs) == 11973
 
 
 def test_dihedral_row_halves_euler():
@@ -253,6 +272,28 @@ def test_underlying_example_rules_for_table_rows():
     # projective base
     top = underlying_space(seifert_polyhedral(FamilySpec("2bis", m=1, n=3)))
     assert top.underlying == "not-computed"
+
+
+def test_underlying_space_of_a_disc_without_invariants():
+    """A disc row whose invariants all have denominator 1 normalizes to a
+    disc with no cone point, and so to the 3-sphere of the plain row."""
+    data = evaluate(FamilySpec("11", m=1, n=1, r=1, s=1)).seifert
+    assert normalize(data).invariants == flip_orientation(data).invariants == ()
+    for form in (data, normalize(data), flip_orientation(data)):
+        assert underlying_space(form).underlying == THREE_SPHERE
+
+
+def test_underlying_space_reads_every_form_alike():
+    """On every fibered spec of order <= 240 the underlying space and
+    singular set of the normalized and mirrored data equal those that
+    `evaluate` reads off the plain data."""
+    specs = sweep_specs(240, FIBERED_FAMILIES)
+    for spec in specs:
+        report = evaluate(spec)
+        for form in (normalize, flip_orientation):
+            assert underlying_space(form(report.seifert)) == report.topology, \
+                (spec, form.__name__)
+    assert len(specs) == 61761
 
 
 def test_singular_sets():

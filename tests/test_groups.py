@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from orbiseif import groups
+from orbiseif.engine import evaluate
 from orbiseif.groups import (
     BINARY_ICOSAHEDRAL,
     BINARY_OCTAHEDRAL,
@@ -178,6 +179,26 @@ def test_unknown_family_rejected():
 def test_non_fibered_family_not_buildable():
     with pytest.raises(UnsupportedFamilyError):
         goursat_group(FamilySpec("20"))
+
+
+@pytest.mark.parametrize("entry", [goursat_group, evaluate],
+                         ids=["goursat_group", "evaluate"])
+def test_entry_points_reject_a_spec_alike(entry):
+    """The group builder and the engine share one entry check: the same
+    exception type and message for an unknown family, a non-fibered one
+    and an invalid spec."""
+    cases = [(FamilySpec("99x"), UnsupportedFamilyError,
+              "unknown family identifier '99x'"),
+             (FamilySpec("20"), UnsupportedFamilyError,
+              "family 20 preserves no fibration"),
+             (FamilySpec("1p", m=2, n=1, r=2, s=1), ValueError,
+              "invalid 1p(m=2,n=1,r=2,s=1): m must be odd"),
+             (FamilySpec("9"), ValueError,
+              "invalid 9(): family 9 requires parameter m")]
+    for spec, error, message in cases:
+        with pytest.raises(ValueError) as caught:
+            entry(spec)
+        assert (type(caught.value), str(caught.value)) == (error, message), spec
 
 
 # -- Goursat construction -----------------------------------------------------
