@@ -65,7 +65,11 @@ CONE = "cone"
 CORNER = "corner"
 
 
-@dataclass(frozen=True)
+# Result records are slotted dataclasses, equal and hashed by value, and
+# no code assigns a field after construction (an AST scan in the tests
+# holds that); frozen=True would enforce it at run time at about 1 us a
+# record.  The specs and group ids that key caches stay frozen.
+@dataclass(slots=True, unsafe_hash=True)
 class BaseSignature:
     kind: str
     cones: tuple = ()
@@ -77,11 +81,15 @@ class BaseSignature:
         if self.corners and self.kind != DISC:
             raise ValueError("only a disc base has corner reflectors")
 
+    def canonical(self) -> tuple:
+        """(kind, cones, corners), indices sorted, index-1 cone points and
+        corner reflectors dropped: the data of normalized(), unbuilt."""
+        return (self.kind, tuple(sorted([c for c in self.cones if c > 1])),
+                tuple(sorted([c for c in self.corners if c > 1])))
+
     def normalized(self) -> "BaseSignature":
         """Indices sorted, index-1 cone points and corner reflectors dropped."""
-        return BaseSignature(self.kind,
-                             tuple(sorted(c for c in self.cones if c > 1)),
-                             tuple(sorted(c for c in self.corners if c > 1)))
+        return BaseSignature(*self.canonical())
 
     def __str__(self):
         cones = ",".join(str(c) for c in self.cones)
@@ -93,7 +101,7 @@ class BaseSignature:
         return f"D2({cones};{corners})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LocalInvariant:
     """Non-normalized local invariant num/den of one exceptional fiber.
 
@@ -125,7 +133,7 @@ class LocalInvariant:
         return f"{self.num}/{self.den}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SeifertData:
     base: BaseSignature
     invariants: tuple
@@ -139,7 +147,7 @@ class SeifertData:
             raise ValueError("xi must be 0 or 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DerivedQuantities:
     """The integer box shared by the abelian and dihedral families; the
     parity factors e1 and e2 of family 1 are 1 in family 1p."""
@@ -164,7 +172,7 @@ LENS = "lens"
 NOT_COMPUTED = "not-computed"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TopologyReport:
     underlying: str
     p: Optional[int] = None
@@ -505,7 +513,7 @@ def underlying_space(d: SeifertData) -> TopologyReport:
 # one-stop evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EngineReport:
     spec: FamilySpec
     seifert: SeifertData

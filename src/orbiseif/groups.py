@@ -178,7 +178,7 @@ class FamilySpec:
         return f"{self.family}({inner})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GoursatData:
     left: StandardGroupId
     left_kernel: StandardGroupId
@@ -597,7 +597,16 @@ def _hnf(vectors, grid: int):
     return h11, h12, h22
 
 
-@dataclass(frozen=True)
+def _hnf_reduce(hnf, a: int, b: int):
+    """The representative of (a, b) + Lambda with 0 <= a < h11,
+    0 <= b < h22, Lambda the lattice of the normal form `hnf`; it is
+    (0, 0) exactly on Lambda."""
+    h11, h12, h22 = hnf
+    x = a // h11
+    return a - x * h11, (b - x * h12) % h22
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class RotationLattice:
     """A group with two circle-type factors, as integer lattice data.
 
@@ -606,19 +615,13 @@ class RotationLattice:
     its Hermite normal form (see _hnf).  Each flag class (left jflag, right
     jflag) is one coset x_f + Lambda, as a rotation keeps the flags of what
     it multiplies; `offsets` holds one reduced (jl, jr, a, b) per class
-    (see reduce), the rotation class (False, False, 0, 0) first.
+    (see _hnf_reduce), the rotation class (False, False, 0, 0) first.
     """
 
     h11: int
     h12: int
     h22: int
     offsets: tuple
-
-    def reduce(self, a: int, b: int):
-        """The representative of (a, b) + Lambda with 0 <= a < h11,
-        0 <= b < h22; it is (0, 0) exactly on Lambda."""
-        x = a // self.h11
-        return a - x * self.h11, (b - x * self.h12) % self.h22
 
     def points(self, grid: int):
         """Lambda modulo grid, as (a, b) pairs with 0 <= a, b < grid."""
@@ -627,7 +630,7 @@ class RotationLattice:
                 for b in range(x * h12 % h22, grid, h22)]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CosetGluing:
     """A group with a T*, O* or I* right factor, as Goursat coset data:
     the cosets r*R_K (`right_cosets`, tuples of quaternions) and, one per
@@ -696,7 +699,7 @@ def phi_order(group: PairGroup) -> int:
     return group.order // 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class _Quotient:
     """A factor R of a Goursat 5-tuple with its kernel K, as coset data."""
 
@@ -816,11 +819,9 @@ def _circle_lattice(data: GoursatData, grid: int) -> RotationLattice:
             # t*s*rep(t*s)^-1 has the angles of t*s minus those of the rep
             rep = reps.setdefault((kl, kr), (c, d))
             vectors.append((c - rep[0], d - rep[1]))
-    h11, h12, h22 = _hnf(vectors, grid)
-    lattice = RotationLattice(h11, h12, h22, ())
-    offsets = tuple((jl, jr) + lattice.reduce(*reps[jl, jr]) for jl, jr in flags)
-    lattice = RotationLattice(h11, h12, h22, offsets)
-    _require(lattice.reduce(grid // 2, grid // 2) == (0, 0),
+    hnf = h11, h12, h22 = _hnf(vectors, grid)
+    offsets = tuple((jl, jr) + _hnf_reduce(hnf, *reps[jl, jr]) for jl, jr in flags)
+    _require(_hnf_reduce(hnf, grid // 2, grid // 2) == (0, 0),
              "(-1, -1) must belong to every catalog group")
 
     # (1, r) for rotations r: b in h22*Z; (l, 1): a in h11*h22/gcd(h12, h22)*Z.
@@ -834,7 +835,7 @@ def _circle_lattice(data: GoursatData, grid: int) -> RotationLattice:
              "generator images do not extend to a homomorphism")
     _require(left_kernel == data.left_kernel.order,
              "gluing isomorphism is not injective")
-    return lattice
+    return RotationLattice(h11, h12, h22, offsets)
 
 
 def _coset_gluing(data: GoursatData, grid: int) -> CosetGluing:
@@ -903,7 +904,7 @@ def goursat_group(spec: FamilySpec) -> PairGroup:
 # enumeration below an order bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EnumeratedSpec:
     spec: FamilySpec
     phi_order: int

@@ -89,7 +89,7 @@ def _lattice_invariant(hnf, grid: int, location: str) -> LocalInvariant:
 # the induced action on the base sphere: common data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SingularOrbit:
     """One equivalence class of singular base points.
 
@@ -104,7 +104,7 @@ class SingularOrbit:
     position: tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class BaseActionGroup:
     order: int
     signature: BaseSignature
@@ -534,7 +534,7 @@ def _single_class_lattice(group: PairGroup) -> bool:
 # the full report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OracleReport:
     seifert: SeifertData
     topology: Optional[TopologyReport]

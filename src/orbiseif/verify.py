@@ -32,7 +32,7 @@ from .groups import (
 from .oracle import oracle_report
 
 
-@dataclass
+@dataclass(slots=True)
 class ComparisonResult:
     spec: FamilySpec
     differences: list
@@ -62,10 +62,10 @@ def compare_spec(spec: FamilySpec) -> ComparisonResult:
         diffs.append(f"group order {2 * order} != "
                      f"2 * {formula_order} from the order formula")
 
-    sig_e = eng.seifert.base.normalized()
-    sig_o = orc.seifert.base.normalized()
-    if sig_e != sig_o:
-        diffs.append(f"base signature: engine {sig_e}, oracle {sig_o}")
+    base_e, base_o = eng.seifert.base, orc.seifert.base
+    if base_e.canonical() != base_o.canonical():
+        diffs.append(f"base signature: engine {base_e.normalized()}, "
+                     f"oracle {base_o.normalized()}")
 
     if eng.seifert.euler != orc.seifert.euler:
         diffs.append(f"euler: engine {eng.seifert.euler}, "

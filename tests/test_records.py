@@ -1,0 +1,148 @@
+"""Result records: their construction checks, and no assignment after
+construction anywhere in the package.
+
+The records are slotted dataclasses without `frozen`, so nothing at run
+time refuses `record.field = value`; the AST scan below refuses it
+statically instead."""
+
+import ast
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+import orbiseif
+from orbiseif.engine import (
+    CONE,
+    CORNER,
+    DISC,
+    PROJECTIVE,
+    SPHERE,
+    BaseSignature,
+    LocalInvariant,
+    SeifertData,
+)
+from orbiseif.groups import StandardGroupId
+from test_oracle import _run_optimized
+
+# Each expression breaks one rule a record checks when it is built.
+INVALID_RECORDS = [
+    "BaseSignature('torus')",
+    "BaseSignature(SPHERE, (2,), (3,))",
+    "BaseSignature(PROJECTIVE, (), (2,))",
+    "LocalInvariant(1, 0)",
+    "LocalInvariant(1, -2)",
+    "LocalInvariant(1, 2, 'edge')",
+    "SeifertData(BaseSignature(DISC), (), Fraction(-1, 2))",
+    "SeifertData(BaseSignature(SPHERE), (), Fraction(-1), 0)",
+    "SeifertData(BaseSignature(PROJECTIVE), (), Fraction(-1), 1)",
+    "SeifertData(BaseSignature(DISC), (), Fraction(-1, 2), 2)",
+    "StandardGroupId('Q', 4)",
+    "StandardGroupId('D', 6)",
+    "StandardGroupId('T', 48)",
+    "StandardGroupId('I', 60)",
+]
+
+NAMESPACE = {"BaseSignature": BaseSignature, "LocalInvariant": LocalInvariant,
+             "SeifertData": SeifertData, "StandardGroupId": StandardGroupId,
+             "Fraction": Fraction, "SPHERE": SPHERE, "DISC": DISC,
+             "PROJECTIVE": PROJECTIVE}
+
+
+@pytest.mark.parametrize("expression", INVALID_RECORDS)
+def test_invalid_record_is_refused(expression):
+    with pytest.raises(ValueError):
+        eval(expression, NAMESPACE)
+
+
+def test_valid_records_are_built():
+    disc = BaseSignature(DISC, (3,), (2, 2))
+    assert SeifertData(disc, (LocalInvariant(1, 3, CONE),
+                              LocalInvariant(1, 2, CORNER)),
+                       Fraction(-1, 6), 1).xi == 1
+    assert SeifertData(BaseSignature(SPHERE), (), Fraction(-1)).xi is None
+    assert str(StandardGroupId("D", 8)) == "D*8"
+
+
+def test_record_checks_survive_python_optimize():
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from orbiseif.engine import (DISC, PROJECTIVE, SPHERE, BaseSignature,\n"
+        "                             LocalInvariant, SeifertData)\n"
+        "from orbiseif.groups import StandardGroupId\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        f"for expression in {INVALID_RECORDS!r}:\n"
+        "    try:\n"
+        "        eval(expression)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    sys.exit(f'{expression} was built')\n")
+    proc = _run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# no attribute store outside the constructors that need one
+# ---------------------------------------------------------------------------
+
+# (module, enclosing function, stored attribute or setter)
+ALLOWED_STORES = {
+    # the group is built before its lattice or coset data, which need
+    # its grid
+    ("groups.py", "goursat_group", "group.gluing"),
+    ("groups.py", "goursat_group", "group.lattice"),
+    # immutable classes that refuse __setattr__ set their slots once
+    ("exactfield.py", "QuadFieldElement.__init__", "object.__setattr__"),
+    ("quaternions.py", "AlgebraicQuaternion.__init__", "object.__setattr__"),
+}
+
+_SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def attribute_stores(source: str, module: str):
+    """(module, enclosing qualified name, target) of every attribute
+    assignment or deletion and every setattr-style call in `source`."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            found.append((module, scope, ast.unparse(node)))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _SETTERS:
+                found.append((module, scope, ast.unparse(func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source, module), "")
+    return found
+
+
+def test_attribute_store_scan_sees_every_form():
+    source = ("def f(report, name):\n"
+              "    report.seifert = None\n"
+              "    report.a, (report.b, x) = 1, (2, 3)\n"
+              "    report.count += 1\n"
+              "    del report.topology\n"
+              "    for report.i in range(2):\n"
+              "        pass\n"
+              "    setattr(report, name, 1)\n"
+              "    object.__setattr__(report, name, 1)\n")
+    assert [target for _, _, target in attribute_stores(source, "m.py")] == [
+        "report.seifert", "report.a", "report.b", "report.count",
+        "report.topology", "report.i", "setattr", "object.__setattr__"]
+
+
+def test_no_attribute_is_assigned_after_construction():
+    """Only the allowlisted places store attributes, and each of them
+    still does (else the scan, or the list, is stale)."""
+    package = pathlib.Path(orbiseif.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        found.update(attribute_stores(path.read_text(), path.name))
+    assert found == ALLOWED_STORES

@@ -1,10 +1,15 @@
 """Sweep driver: family aliases, parallel determinism, mismatch reporting."""
 
+import dataclasses
+
 import pytest
 
-from orbiseif import verify
+from orbiseif import engine, oracle, verify
+from orbiseif.engine import DISC, BaseSignature, evaluate
 from orbiseif.groups import (
+    DIHEDRAL_FAMILIES,
     FIBERED_FAMILIES,
+    TABLE4_FAMILIES,
     CosetGluing,
     FamilySpec,
     RotationLattice,
@@ -71,6 +76,26 @@ def test_verify_command_reports_mismatch_with_exit_2(monkeypatch, capsys):
     assert "DISAGREES" in out
 
 
+@pytest.mark.parametrize("kind, cones, corners, difference", [
+    ("sphere", (3, 1, 2, 2), (), None),
+    ("sphere", (3, 1, 2), (), "base signature: engine S2(2,3), oracle S2(2,2,3)"),
+    ("disc", (2, 2, 3), (), "base signature: engine D2(2,2,3;), oracle S2(2,2,3)"),
+])
+def test_base_signatures_compare_up_to_order_and_index_one(
+        monkeypatch, kind, cones, corners, difference):
+    """The bases are compared as `normalized()` leaves them, and a
+    mismatch is worded with the normalized signatures."""
+    spec = FamilySpec("2", m=1, n=3)
+    report = evaluate(spec)
+    base = BaseSignature(kind, cones, corners)
+    seifert = dataclasses.replace(report.seifert, base=base,
+                                  xi=0 if kind == DISC else None)
+    monkeypatch.setattr(verify, "evaluate",
+                        lambda _: dataclasses.replace(report, seifert=seifert))
+    found = [d for d in compare_spec(spec).differences if d.startswith("base")]
+    assert found == ([difference] if difference else [])
+
+
 def test_large_circle_groups_are_checked_without_rows(monkeypatch):
     """Groups of a million elements and more pass compare_spec from their
     lattice or coset data alone: the rows are not built, and reading the
@@ -101,3 +126,28 @@ def test_large_circle_groups_are_checked_without_rows(monkeypatch):
     assert [group.order >= 10 ** 6 for group in built] == [True] * len(specs)
     for group in built:
         assert "rows" not in vars(group)
+
+
+def test_invariant_sum_check_catches_a_wrong_xi_on_both_sides(monkeypatch):
+    """Engine and oracle both take xi from `derive_xi`, so a fault there
+    gives both sides the same wrong xi and the xi comparison agrees; the
+    invariant-sum check is what reports it, on every disc row of the
+    dihedral and table-4 families."""
+    specs = [spec for spec in sweep_specs(60, DIHEDRAL_FAMILIES + TABLE4_FAMILIES)
+             if evaluate(spec).seifert.base.kind == DISC]
+    assert {"11", "11p"} <= {spec.family for spec in specs}
+    assert {spec.family for spec in specs} & set(TABLE4_FAMILIES)
+    derive_xi = engine.derive_xi
+
+    def other_xi(invariants, euler):
+        return 1 - derive_xi(invariants, euler)
+
+    monkeypatch.setattr(engine, "derive_xi", other_xi)
+    monkeypatch.setattr(oracle, "derive_xi", other_xi)
+    for spec in specs:
+        differences = compare_spec(spec).differences
+        for side in ("engine", "oracle"):
+            assert any(d.startswith(f"{side} invariant sum ")
+                       and d.endswith(" is not an integer")
+                       for d in differences), (spec, differences)
+        assert not any(d.startswith("xi:") for d in differences), spec
