@@ -50,10 +50,12 @@ class InternalInconsistencyError(ArithmeticError):
     group or quotient is not what its construction promises."""
 
 
-def _require(condition: bool, message: str) -> None:
-    """Self-check that, unlike assert, survives python -O."""
+def _require(condition: bool, message: str, *args) -> None:
+    """Self-check that, unlike assert, survives python -O.  With `args`
+    the message is `message.format(*args)`, built only when the check
+    fails."""
     if not condition:
-        raise InternalInconsistencyError(message)
+        raise InternalInconsistencyError(message.format(*args) if args else message)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +760,7 @@ def _polyhedral_quotient(group_id: StandardGroupId,
     kernel = elements if kernel_id == group_id else algebraic_group(kernel_id)
     members = set(elements)
     _require(all(k in members for k in kernel),
-             f"{kernel_id} is not contained in {group_id}")
+             "{} is not contained in {}", kernel_id, group_id)
     index = {}
     cosets = []
     for el in elements:
@@ -775,7 +777,7 @@ def _polyhedral_quotient(group_id: StandardGroupId,
     table = tuple(tuple(index[multiply(a, b)] for b in reps) for a in reps)
 
     def coset_of(element):
-        _require(element in index, f"{element} is not in {group_id}")
+        _require(element in index, "{} is not in {}", element, group_id)
         return index[element]
 
     return _Quotient(coset_of, tuple(cosets), table, index[identity],

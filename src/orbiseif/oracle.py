@@ -20,13 +20,14 @@ isometries fall into four shapes (rotation about the poles, half turn
 about an equatorial axis, the antipode composed with a polar rotation,
 and reflection in a meridian), each an arithmetic progression of angles,
 and every stabilizer is a 2x2 integer lattice in Hermite normal form,
-so no row is listed.  A group with a T*, O* or I* right factor takes
-the axis path, exact in Q(sqrt2, sqrt5), once per right element and
-left progression: a base point is a unit vector of Im H, kept as an
-oriented line; r = cos(pi t/60) + sin(pi t/60) u rotates the base by
-2 pi t/60 about the line of u, with the integer t looked up from the
-exact value of Re r, and orbits and stabilizers follow from incidences
-of those lines.  No float and no numeric tolerance is used anywhere.
+so no row is listed, and the base action costs the same at every group
+order.  A group with a T*, O* or I* right factor takes the axis path,
+exact in Q(sqrt2, sqrt5): a base point is a unit vector of Im H, kept
+as an oriented line; r = cos(pi t/60) + sin(pi t/60) u rotates the base
+by 2 pi t/60 about the line of u, with the integer t looked up from the
+exact value of Re r, once per right coset tuple and process, and orbits
+and stabilizers follow from incidences of those lines, in integers per
+left progression.  No float and no numeric tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .engine import (
     modinv_pos,
 )
 from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
-from .groups import PairGroup, _ext_gcd, _hnf, _require, phi_order
+from .groups import CosetGluing, PairGroup, _ext_gcd, _hnf, _require, phi_order
 from .quaternions import NotHopfPreservingError
 
 
@@ -120,7 +121,7 @@ def _check_chi(kind, cones, corners, order, signature):
     chi_2l -= sum(2 * (lcm - lcm // q) for q in cones)
     chi_2l -= sum(lcm - lcm // q for q in corners)
     _require(chi_2l * order == 4 * lcm,
-             f"quotient signature {signature} fails chi*order=2")
+             "quotient signature {} fails chi*order=2", signature)
 
 
 def _quotient_signature(has_reversing: bool, has_reflection: bool,
@@ -169,10 +170,11 @@ ROT, FLIP, AROT, REFL = 0, 1, 2, 3
 
 
 def _circle_shapes(group: PairGroup) -> dict:
-    """Shape -> set of angle parameters c, as progressions over the grid.
+    """Shape -> set of angle parameters c, as a progression over the grid.
     A pair (jl, jr, a, b) induces the shape 2*jl + jr with c = -2b; over a
     flag class x_f + Lambda, b runs through b_f + gcd(h12, h22)*Z, so c
-    runs from -2*b_f in steps of gcd(grid, 2*gcd(h12, h22))."""
+    runs from -2*b_f in steps of s = gcd(grid, 2*gcd(h12, h22)), one even
+    step for all four shapes, each starting below s."""
     lat, grid = group.lattice, group.grid
     step = math.gcd(grid, 2 * math.gcd(lat.h12, lat.h22))
     shapes = dict.fromkeys((ROT, FLIP, AROT, REFL), range(0))
@@ -226,7 +228,9 @@ def _equator_hnf(group: PairGroup, point: int):
 
 
 def _circle_base(group: PairGroup, shapes: dict) -> BaseActionGroup:
-    """Base action from the four shape sets of a circle-type group."""
+    """Base action from the four shape progressions of a circle-type
+    group, which share one step s (see _circle_shapes): a fixed number of
+    integer operations, whatever the order of the group."""
     grid = group.grid
     half = grid // 2
     # induced map: rot lam -> e^(2 pi i c) lam, flip lam -> -e^(2 pi i c)/lam,
@@ -237,7 +241,7 @@ def _circle_base(group: PairGroup, shapes: dict) -> BaseActionGroup:
     rots, flips, arots, refls = (shapes[ROT], shapes[FLIP],
                                  shapes[AROT], shapes[REFL])
     _require(0 in rots, "no identity class")
-    r0 = len(rots)
+    r0, s = len(rots), rots.step
 
     orbits = []
 
@@ -248,25 +252,27 @@ def _circle_base(group: PairGroup, shapes: dict) -> BaseActionGroup:
             orbits.append(SingularOrbit(r0, bool(refls), ("pole", swap)))
 
     if flips:
-        # equatorial half-turn axes; flip(c) fixes the two unit-circle
-        # points with 2a = c + half
-        points = {(c // 2 + grid // 4 + t) % grid for c in flips for t in (0, half)}
-        # translations induced on the equator circle by the whole group
-        translations = set(rots) | {(c + half) % grid for c in arots}
-        step = grid // len(translations)
-        _require(all(t % step == 0 for t in translations),
-                 "equator translations are not cyclic")
-        anti = {(c + half) % grid for c in flips} | set(refls)
-        kappa = min(anti)
+        # translations induced on the equator circle by the whole group:
+        # s*Z, joined by shift + s*Z from the antipode-rotations, cyclic
+        # exactly when shift is a multiple of their spacing
+        shift = (arots.start + half) % s if arots else 0
+        step = s // 2 if shift else s
+        _require(shift % step == 0, "equator translations are not cyclic")
+        # orientation-reversing maps of the equator, a -> kappa - a + step*Z
+        kappa = min([(flips.start + half) % s, *refls[:1]])
 
         def orbit_key(a):
             return min(a % step, (kappa - a) % step)
 
+        # equatorial half-turn axes; flip(c) fixes the two unit-circle
+        # points with 2a = c + half, so the points are p0 + (s/2)*Z, and
+        # an orbit's least point is one of the two below s
+        p0 = (flips.start // 2 + grid // 4) % (s // 2)
         grouped = {}
-        for a in sorted(points):
-            grouped.setdefault(orbit_key(a), []).append(a)
+        for a in range(p0, s, s // 2):
+            grouped.setdefault(orbit_key(a), a)
         for key in sorted(grouped):
-            a = grouped[key][0]
+            a = grouped[key]
             mirrored = ((2 * a) % grid in refls) or (half in arots)
             orbits.append(SingularOrbit(2, mirrored, ("equator", a)))
 
@@ -321,7 +327,7 @@ def _axis(r):
     direction costs far more than a dictionary lookup.
     """
     t = _HALF_ANGLE.get(r.w)
-    _require(t is not None, f"real part of {r} is not a tabulated cos(pi t/60)")
+    _require(t is not None, "real part of {} is not a tabulated cos(pi t/60)", r)
     if t == 0 or t == 60:
         return t, None, 0
     v = (r.x, r.y, r.z)
@@ -341,21 +347,56 @@ def _perpendicular(line_a: int, line_b: int) -> bool:
     return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]).is_zero()
 
 
+# id(right_cosets) -> (right_cosets, {id(coset): _CosetAxes}).  The entry
+# holds the coset tuple, so no other tuple can take its id; the catalog's
+# gluings share the six coset tuples of groups._polyhedral_quotient, so
+# each is read once per process.
+_COSET_AXES = {}
+
+
+@dataclass(slots=True)
+class _CosetAxes:
+    """The _axis data of one right coset.  `classes[jflag]` maps (jflag,
+    line, sign * t mod 60) to the (jflag, t, line, sign) of its first
+    element r: r and -r, which has 60 - t and -sign, induce the same
+    rotation and share the key, and distinct rotations about one line get
+    distinct keys.  `turns` maps None to the t of the elements +-1 and a
+    line to the sign * t of the elements on it."""
+
+    classes: tuple
+    turns: dict
+
+
+def _coset_axes(gluing: CosetGluing) -> dict:
+    """id(coset) -> _CosetAxes for the right cosets of a gluing, built
+    once per coset tuple."""
+    cosets = gluing.right_cosets
+    entry = _COSET_AXES.get(id(cosets))
+    if entry is None:
+        by_coset = {}
+        for coset in cosets:
+            classes, turns = ({}, {}), {}
+            for r in coset:
+                t, line, sign = _axis(r)
+                for jflag in (False, True):
+                    classes[jflag].setdefault((jflag, line, sign * t % 60),
+                                              (jflag, t, line, sign))
+                turns.setdefault(line, []).append(t if line is None else sign * t)
+            by_coset[id(coset)] = _CosetAxes(classes, turns)
+        entry = _COSET_AXES[id(cosets)] = (cosets, by_coset)
+    return entry[1]
+
+
 def _base_group_axis(group: PairGroup) -> BaseActionGroup:
     """Base action of a group whose right factors lie in T*, O* or I*,
-    from the at most 2*|R| classes (left jflag, right factor up to sign).
-
-    A class is keyed by (jflag, line, sign * t mod 60) from _axis: r and
-    -r, which has 60 - t and -sign, induce the same rotation and share the
-    key, and distinct rotations about one line get distinct keys.
-    """
+    from the at most 2*|R| classes (left jflag, right factor up to sign),
+    keyed as in _CosetAxes."""
+    gluing = group.gluing
+    axes = _coset_axes(gluing)
     classes = {}
-    for jflag, _, coset in group.gluing.parts():
-        for r in coset:
-            t, line, sign = axis = _axis(r)
-            key = (jflag, line, sign * t % 60)
-            if key not in classes:
-                classes[key] = (jflag,) + axis
+    for jflag, _, coset in gluing.parts():
+        for key, axis in axes[id(coset)].classes[jflag].items():
+            classes.setdefault(key, axis)
     return _axis_base(group, classes)
 
 
@@ -408,7 +449,7 @@ def _axis_base(group: PairGroup, classes: dict) -> BaseActionGroup:
             swapped = (None in reversing_lines or line in reversing_lines
                        or any(_perpendicular(line, h) for h in half_turns))
             _require((count, rest) == (2, 0) and not swapped,
-                     f"orbits of the order-{q} points are not resolved")
+                     "orbits of the order-{} points are not resolved", q)
             signs = (1, -1)
         orbits.extend(SingularOrbit(q, on_mirror[line], ("axis", line, sign))
                       for sign in signs)
@@ -448,21 +489,16 @@ def _axis_hnf(group: PairGroup, line: int, sign: int):
     """
     gluing = group.gluing
     grid = math.lcm(120, group.grid)
-    lift, step = grid // group.grid, grid // gluing.period
+    lift, step, unit = grid // group.grid, grid // gluing.period, grid // 120
+    axes = _coset_axes(gluing)
     vectors = []
     for jflag, a, coset in gluing.parts():
         if jflag:
             continue
-        for r in coset:
-            t, r_line, r_sign = _axis(r)
-            if r_line is None:
-                direction = 1
-            elif r_line == line:
-                direction = r_sign * sign
-            else:
-                continue
-            alpha = a * lift
-            beta = direction * t * (grid // 120)
+        turns = axes[id(coset)].turns
+        alpha = a * lift
+        for t in (*turns.get(None, ()), *(sign * t for t in turns.get(line, ()))):
+            beta = t * unit
             vectors.append((alpha - beta, alpha + beta))
     h11, _, h22 = hnf = _hnf(vectors + [(step, step)], grid)
     _require(len(vectors) * gluing.period * h11 * h22 == 2 * grid * grid,

@@ -10,6 +10,10 @@ builds at the end, the direct grid of the parameter families and the
 coset-by-coset gluing through quotient product tables, are the
 constructions the structural builds replaced.
 
+`circle_base_by_sets` is the base action of a circle-type group read
+off the shape sets one angle at a time; the oracle reads the same off
+the shape progressions in a fixed number of steps.
+
 The solid-torus quotient-map algebra (`TorusQuotientMap`,
 `torus_quotient_map`, `slope_invariant`, `HOPF_FIBER`) is the reference
 route for the local invariants and the lens space: the oracle reads both
@@ -45,7 +49,16 @@ from orbiseif.groups import (
     get_family,
     phi_order,
 )
-from orbiseif.oracle import AROT, FLIP, REFL, ROT, _axis
+from orbiseif.oracle import (
+    AROT,
+    FLIP,
+    REFL,
+    ROT,
+    BaseActionGroup,
+    SingularOrbit,
+    _axis,
+    _quotient_signature,
+)
 
 HOPF_FIBER = (1, 1)
 
@@ -137,6 +150,52 @@ def row_shapes(group):
     for jl, jr, _, b in group.rows:
         shapes[2 * jl + jr].add((-2 * b) % grid)
     return shapes
+
+
+def circle_base_by_sets(group, shapes):
+    """Base action from the four shape sets of a circle-type group, one
+    angle and one fixed point at a time: the set-based computation that
+    oracle._circle_base does on progressions."""
+    grid = group.grid
+    half = grid // 2
+    order = sum(len(cs) for cs in shapes.values())
+    _require(phi_order(group) % order == 0, "base order does not divide |G|/2")
+
+    rots, flips, arots, refls = (shapes[ROT], shapes[FLIP],
+                                 shapes[AROT], shapes[REFL])
+    _require(0 in rots, "no identity class")
+    r0 = len(rots)
+
+    orbits = []
+
+    if r0 >= 2:
+        for swap in [False] if flips or arots else [False, True]:
+            orbits.append(SingularOrbit(r0, bool(refls), ("pole", swap)))
+
+    if flips:
+        # flip(c) fixes the two unit-circle points with 2a = c + half
+        points = {(c // 2 + grid // 4 + t) % grid for c in flips for t in (0, half)}
+        translations = set(rots) | {(c + half) % grid for c in arots}
+        step = grid // len(translations)
+        _require(all(t % step == 0 for t in translations),
+                 "equator translations are not cyclic")
+        anti = {(c + half) % grid for c in flips} | set(refls)
+        kappa = min(anti)
+
+        def orbit_key(a):
+            return min(a % step, (kappa - a) % step)
+
+        grouped = {}
+        for a in sorted(points):
+            grouped.setdefault(orbit_key(a), []).append(a)
+        for key in sorted(grouped):
+            a = grouped[key][0]
+            mirrored = ((2 * a) % grid in refls) or (half in arots)
+            orbits.append(SingularOrbit(2, mirrored, ("equator", a)))
+
+    signature = _quotient_signature(bool(arots) or bool(refls),
+                                    bool(refls) or half in arots, orbits, order)
+    return BaseActionGroup(order, signature, orbits)
 
 
 def pole_stab_vectors(rows, grid, swap):

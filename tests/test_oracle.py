@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,21 +27,24 @@ from orbiseif.groups import (
     BINARY_TETRAHEDRAL,
     FIBERED_FAMILIES,
     TABLE4_FAMILIES,
+    CosetGluing,
     FamilySpec,
     PairGroup,
     _hnf,
+    _polyhedral_quotient,
     goursat_group,
     standard_group,
 )
 from orbiseif.oracle import (
+    _COSET_AXES,
     _HALF_ANGLE,
+    _axis,
     _axis_base,
     _axis_hnf,
     _check_chi,
     base_group,
     euler_oracle,
     exceptional_fibers_oracle,
-    _circle_base,
     _circle_shapes,
     _equator_hnf,
     _lattice_invariant,
@@ -48,11 +52,12 @@ from orbiseif.oracle import (
     lens_oracle,
     oracle_report,
 )
-from orbiseif.quaternions import NotHopfPreservingError
-from orbiseif.verify import sweep_specs
+from orbiseif.quaternions import NotHopfPreservingError, quat_rational
+from orbiseif.verify import compare_spec, sweep_specs
 from row_reference import (
     axis_classes,
     axis_stab_vectors,
+    circle_base_by_sets,
     equator_stab_vectors,
     gluing_by_right_element,
     invariant_from_int_vectors,
@@ -248,7 +253,7 @@ def test_lattice_oracle_matches_row_scan_reference():
         lattice_shapes = _circle_shapes(group)
         assert {k: set(v) for k, v in lattice_shapes.items()} == shapes, spec
         base = base_group(group)
-        by_rows = _circle_base(group, shapes)
+        by_rows = circle_base_by_sets(group, shapes)
         assert (base.order, base.signature, base.orbits) == \
             (by_rows.order, by_rows.signature, by_rows.orbits), spec
         for orbit in base.orbits:
@@ -267,6 +272,106 @@ def test_lattice_oracle_matches_row_scan_reference():
             assert lens_oracle(group) == lens_by_matrices(group), spec
         checked += 1
     assert (checked, orbits) == (15864, 31235)
+
+
+def test_circle_base_on_progressions_matches_set_reference():
+    """On every lattice group of the table-4 families of order <= 960,
+    whose flip progressions are the longest, the progression arithmetic
+    gives the base order, signature and orbits of the set-based reference
+    fed the same shapes as sets."""
+    checked = 0
+    for spec in sweep_specs(960, TABLE4_FAMILIES):
+        group = goursat_group(spec)
+        if group.lattice is None:
+            continue
+        shapes = {k: set(v) for k, v in _circle_shapes(group).items()}
+        base, by_sets = base_group(group), circle_base_by_sets(group, shapes)
+        assert (base.order, base.signature, base.orbits) == \
+            (by_sets.order, by_sets.signature, by_sets.orbits), spec
+        checked += 1
+    assert checked == 11117
+
+
+def test_circle_oracle_memory_does_not_grow_with_the_order():
+    """The lattice oracle lists no angle: a group of order 4,000,004 is
+    built and read in a few kilobytes."""
+    spec = FamilySpec("34", m=1, n=10**6 + 1)
+    tracemalloc.start()
+    try:
+        group = goursat_group(spec)
+        oracle_report(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 4_000_004
+    assert peak < 64 * 1024, peak
+    assert compare_spec(spec).ok
+
+
+def test_axis_memo_is_keyed_by_the_cosets():
+    """Two gluings with the same factor ids but other coset tuples, the
+    cosets, their elements and the offsets in reverse order, each get the
+    base action and stabilizer normal forms of the row scans."""
+    group = _with_quaternion_right_factors(goursat_group(FamilySpec("2bis", m=1, n=4)))
+    glue = group.gluing
+    flipped = PairGroup(group.spec, group.grid, group.left, group.left_kernel,
+                        group.right, group.right_kernel,
+                        gluing=CosetGluing(glue.period, glue.dihedral, glue.offsets[::-1],
+                                           tuple(c[::-1] for c in glue.right_cosets[::-1])))
+    for g in (group, flipped):
+        base = base_group(g)
+        by_rows = _axis_base(g, axis_classes(g))
+        assert (base.order, base.signature, base.orbits) == \
+            (by_rows.order, by_rows.signature, by_rows.orbits)
+        for orbit in base.orbits:
+            _, line, sign = orbit.position
+            grid, vectors = axis_stab_vectors(g, line, sign)
+            assert _axis_hnf(g, line, sign) == (grid, _hnf(vectors, grid))
+    assert {id(group.gluing.right_cosets), id(flipped.gluing.right_cosets)} <= \
+        _COSET_AXES.keys()
+
+
+def test_axis_memo_holds_one_entry_per_catalog_coset_tuple():
+    """Catalog gluings share the coset tuples of the six (right factor,
+    kernel) pairs, so one sweep fills the memo with six entries."""
+    tuples = {}
+    for spec in sweep_specs(150, TABLE4_FAMILIES):
+        group = goursat_group(spec)
+        if group.gluing is not None:
+            base_group(group)
+            tuples[id(group.gluing.right_cosets)] = group.gluing.right_cosets
+    assert len(tuples) == 6
+    assert all(_COSET_AXES[key][0] is cosets for key, cosets in tuples.items())
+
+
+def _raised_message(fn, *args):
+    with pytest.raises(InternalInconsistencyError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_failed_self_checks_keep_their_messages():
+    """The messages that are only formatted once a check fails read as
+    they did when they were formatted on every call."""
+    sig = BaseSignature(SPHERE, (2, 3))
+    assert _raised_message(_check_chi, SPHERE, (2, 3), (), 60, sig) == \
+        f"quotient signature {sig} fails chi*order=2"
+    r = quat_rational(F(1, 3), 0, 0, 0)
+    assert _raised_message(_axis, r) == \
+        f"real part of {r} is not a tabulated cos(pi t/60)"
+    assert _raised_message(_polyhedral_quotient, BINARY_TETRAHEDRAL,
+                           BINARY_ICOSAHEDRAL) == \
+        f"{BINARY_ICOSAHEDRAL} is not contained in {BINARY_TETRAHEDRAL}"
+    coset_of = _polyhedral_quotient(BINARY_TETRAHEDRAL, BINARY_TETRAHEDRAL).coset_of
+    tetrahedral = set(standard_group(BINARY_TETRAHEDRAL))
+    outside = next(x for x in standard_group(BINARY_ICOSAHEDRAL)
+                   if x not in tetrahedral)
+    assert _raised_message(coset_of, outside) == \
+        f"{outside} is not in {BINARY_TETRAHEDRAL}"
+    unresolved = _with_quaternion_right_factors(
+        goursat_group(FamilySpec("2", m=1, n=2)))
+    assert _raised_message(base_group, unresolved) == \
+        "orbits of the order-2 points are not resolved"
 
 
 def test_axis_oracle_matches_row_scan_reference():
