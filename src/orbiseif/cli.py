@@ -50,6 +50,7 @@ from .groups import (
     FAMILY_ORDER,
     UnsupportedFamilyError,
     enumerate_specs,
+    fibered_family,
     get_family,
     require_fibered,
     validate,
@@ -285,14 +286,9 @@ def _build_parser():
 
 def _cmd_compute(args, out) -> int:
     try:
-        fam = get_family(args.family)
+        fam = fibered_family(args.family)
     except UnsupportedFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    if not fam.fibered:
-        print(f"error: family {args.family} preserves no fibration; "
-              "its quotients carry no induced Seifert data here",
-              file=sys.stderr)
         return EXIT_UNSUPPORTED
 
     spec = FamilySpec(args.family, m=args.m, n=args.n, r=args.r, s=args.s)

@@ -389,19 +389,21 @@ def seifert_polyhedral(spec: FamilySpec) -> SeifertData:
 # generic operations on SeifertData
 # ---------------------------------------------------------------------------
 
-def _fiber_sum(euler, invariants, xi=0) -> Fraction:
+def _fiber_sum(euler, invariants, xi=0):
     """Euler number + cone invariants + half the normalized corner ones
-    + xi/2, summed as integers over 2L, L the lcm of the denominators."""
+    + xi/2, as the integer pair (total, 2L) of the sum total/(2L), L the
+    lcm of the denominators."""
     lcm = math.lcm(euler.denominator, *(v.den for v in invariants))
     total = 2 * euler.numerator * (lcm // euler.denominator) + xi * lcm
     for v in invariants:
         total += (2 * v.num if v.location == CONE else v.normalized_num) * (lcm // v.den)
-    return Fraction(total, 2 * lcm)
+    return total, 2 * lcm
 
 
 def derive_xi(invariants, euler) -> int:
     """The boundary invariant forced by integrality of the invariant sum."""
-    den = _fiber_sum(euler, invariants).denominator
+    total, den = _fiber_sum(euler, invariants)
+    den //= math.gcd(total, den)
     if den > 2:
         raise InternalInconsistencyError("no xi in {0,1} makes the sum integral")
     return den - 1
@@ -416,7 +418,7 @@ def somma_residue(d: SeifertData) -> Fraction:
     only the normalized form gives a residue that is well defined mod 1.
     The result must be an integer for every valid family.
     """
-    return _fiber_sum(d.euler, d.invariants, d.xi or 0)
+    return Fraction(*_fiber_sum(d.euler, d.invariants, d.xi or 0))
 
 
 def normalize(d: SeifertData) -> SeifertData:

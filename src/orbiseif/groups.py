@@ -90,10 +90,16 @@ class StandardGroupId:
         return {"T": "T*", "O": "O*", "I": "I*"}[self.kind]
 
 
+# One shared id per argument: catalog constants, bounded by the distinct
+# orders a process builds, like the keys of _polyhedral_quotient.  An id
+# is checked when it is first built, and a malformed one is not cached,
+# so it raises on every call.
+@cache
 def cyclic(n: int) -> StandardGroupId:
     return StandardGroupId("C", n)
 
 
+@cache
 def binary_dihedral(order: int) -> StandardGroupId:
     return StandardGroupId("D", order)
 
@@ -521,20 +527,24 @@ def validate(spec: FamilySpec):
     note and used by the closed-form evaluator.
     """
     fam = get_family(spec.family)
+    values = (spec.m, spec.n, spec.r, spec.s)
+    # every signature is a prefix of _WITH_UNITS, so one pass in that
+    # order lists the missing or nonpositive parameters before the extras
+    declared = len(fam.params)
     violations: list[str] = []
-    notes: list[str] = []
-    for p in fam.params:
-        v = getattr(spec, p)
-        if v is None:
-            violations.append(f"family {spec.family} requires parameter {p}")
+    for i, v in enumerate(values):
+        if i >= declared:
+            if v is not None:
+                violations.append(f"family {spec.family} does not take "
+                                  f"parameter {_WITH_UNITS[i]}")
+        elif v is None:
+            violations.append(f"family {spec.family} requires parameter "
+                              f"{_WITH_UNITS[i]}")
         elif v < 1:
-            violations.append(f"parameter {p} must be a positive integer")
-    for p in ("m", "n", "r", "s"):
-        if p not in fam.params and getattr(spec, p) is not None:
-            violations.append(f"family {spec.family} does not take parameter {p}")
+            violations.append(f"parameter {_WITH_UNITS[i]} must be a positive integer")
     if violations:
-        return violations, notes
-    if fam.params == _WITH_UNITS and math.gcd(spec.s, spec.r) != 1:
+        return violations, []
+    if declared == 4 and math.gcd(spec.s, spec.r) != 1:
         violations.append("gcd(s,r)=1 fails")
     for p in fam.odd:
         if getattr(spec, p) % 2 == 0:
@@ -545,19 +555,26 @@ def validate(spec: FamilySpec):
     for p in fam.above_one:
         if getattr(spec, p) == 1:
             violations.append(f"{p} must differ from 1")
-    if not violations and spec.family in ("1", "11") and spec.s % 2 == 0:
-        notes.append(f"s={spec.s} is even; the conjugate representative "
-                     f"s={spec.r - spec.s} is used in closed forms")
-    return violations, notes
+    if violations or spec.family not in ("1", "11") or spec.s % 2:
+        return violations, []
+    return violations, [f"s={spec.s} is even; the conjugate representative "
+                        f"s={spec.r - spec.s} is used in closed forms"]
+
+
+def fibered_family(name: str) -> Family:
+    """The family of a fibered identifier: an UnsupportedFamilyError for
+    an unknown or non-fibered one."""
+    fam = get_family(name)
+    if not fam.fibered:
+        raise UnsupportedFamilyError(f"family {name} preserves no fibration")
+    return fam
 
 
 def require_fibered(spec: FamilySpec) -> Family:
     """The family of a spec the engine and the group builder take: an
     UnsupportedFamilyError for an unknown or non-fibered family, a
     ValueError naming the violations for an invalid spec."""
-    fam = get_family(spec.family)
-    if not fam.fibered:
-        raise UnsupportedFamilyError(f"family {spec.family} preserves no fibration")
+    fam = fibered_family(spec.family)
     violations, _ = validate(spec)
     if violations:
         raise ValueError(f"invalid {spec}: " + "; ".join(violations))
@@ -786,31 +803,32 @@ def _polyhedral_quotient(group_id: StandardGroupId,
 
 def _circle_lattice(data: GoursatData, grid: int) -> RotationLattice:
     """The group generated by L_K x 1, 1 x R_K and the generator pairs of
-    phi, as lattice data.  Walking the flag classes from the rotation
-    class, each product t*s of a class representative t and a generator s
-    opens a class or gives the rotation pair t*s*rep(t*s)^-1; by
-    Schreier's lemma those pairs span Lambda.  The closure is the Goursat
-    group exactly when its kernels are L_K and R_K and its order is
-    |L|*|R_K| (checked by the caller): a larger right kernel means the
-    images do not extend to a homomorphism, a larger left one that phi is
-    not injective."""
+    phi, as lattice data.  A kernel rotation keeps every flag class and
+    gives the rotation pair +-(its angle) in each, so the rotations of
+    L_K x 1 and 1 x R_K enter Lambda once, as (grid/period(L_K), 0) and
+    (0, grid/period(R_K)).  Walking the flag classes from the rotation
+    class along the j-type kernel generators and the generator pairs,
+    each product t*s of a class representative t and a generator s opens
+    a class or gives the rotation pair t*s*rep(t*s)^-1; by Schreier's
+    lemma those pairs and the kernel rotations span Lambda.  The closure
+    is the Goursat group exactly when its kernels are L_K and R_K and its
+    order is |L|*|R_K| (checked by the caller): a larger right kernel
+    means the images do not extend to a homomorphism, a larger left one
+    that phi is not injective."""
     for group, kernel in ((data.left, data.left_kernel),
                           (data.right, data.right_kernel)):
         _check_circle_factor(group, kernel)
-    one = (False, 0)
-
-    def kernel_gens(kernel):
-        rotation = (False, grid // _circle_period(kernel))
-        return (rotation, (True, 0)) if kernel.kind == "D" else (rotation,)
-
-    gens = [(x, one) for x in kernel_gens(data.left_kernel)]
-    gens += [(one, y) for y in kernel_gens(data.right_kernel)]
+    one, j = (False, 0), (True, 0)
+    gens = [(j, one)] if data.left_kernel.kind == "D" else []
+    if data.right_kernel.kind == "D":
+        gens.append((one, j))
     gens += [(_on_circle_grid(l, data.left, grid), _on_circle_grid(r, data.right, grid))
              for l, r in data.phi_generators]
 
     reps = {(False, False): (0, 0)}
     flags = [(False, False)]
-    vectors = []
+    vectors = {(grid // _circle_period(data.left_kernel), 0),
+               (0, grid // _circle_period(data.right_kernel))}
     for jl, jr in flags:          # grows while it is walked
         a, b = reps[jl, jr]
         for x, y in gens:
@@ -820,7 +838,8 @@ def _circle_lattice(data: GoursatData, grid: int) -> RotationLattice:
                 flags.append((kl, kr))
             # t*s*rep(t*s)^-1 has the angles of t*s minus those of the rep
             rep = reps.setdefault((kl, kr), (c, d))
-            vectors.append((c - rep[0], d - rep[1]))
+            vectors.add((c - rep[0], d - rep[1]))
+    vectors.discard((0, 0))
     hnf = h11, h12, h22 = _hnf(vectors, grid)
     offsets = tuple((jl, jr) + _hnf_reduce(hnf, *reps[jl, jr]) for jl, jr in flags)
     _require(_hnf_reduce(hnf, grid // 2, grid // 2) == (0, 0),

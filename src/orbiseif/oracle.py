@@ -506,29 +506,38 @@ def _axis_hnf(group: PairGroup, line: int, sign: int):
     return grid, hnf
 
 
-def _orbit_invariant(group, orbit, location):
+def _orbit_hnf(group, orbit):
+    """(grid, Hermite normal form) of the torus translations of the
+    stabilizer of an orbit's representative fiber."""
     kind, *where = orbit.position
-    grid = group.grid
     if kind == "axis":
-        grid, hnf = _axis_hnf(group, *where)
-    elif kind == "pole":
-        hnf = _pole_hnf(group, where[0])
-    else:
-        hnf = _equator_hnf(group, where[0])
-    return _lattice_invariant(hnf, grid, location)
+        return _axis_hnf(group, *where)
+    if kind == "pole":
+        return group.grid, _pole_hnf(group, where[0])
+    return group.grid, _equator_hnf(group, where[0])
+
+
+def _fiber_pass(group: PairGroup, base: BaseActionGroup):
+    """One local invariant per singular-point orbit of the base, and the
+    stabilizer HNF of the core at infinity when it heads an orbit (None
+    otherwise), which the lens space reads too."""
+    disc = base.signature.kind == DISC
+    invariants, pole = [], None
+    for orbit in base.orbits:
+        location = CORNER if (disc and orbit.corner) else CONE
+        grid, hnf = _orbit_hnf(group, orbit)
+        if orbit.position == ("pole", False):
+            pole = hnf
+        inv = _lattice_invariant(hnf, grid, location)
+        _require(inv.den == orbit.rotation_order,
+                 "invariant denominator must match the base cone index")
+        invariants.append(inv)
+    return invariants, pole
 
 
 def exceptional_fibers_oracle(group: PairGroup, base: BaseActionGroup):
     """One local invariant per singular-point orbit of the base."""
-    disc = base.signature.kind == DISC
-    invariants = []
-    for orbit in base.orbits:
-        location = CORNER if (disc and orbit.corner) else CONE
-        inv = _orbit_invariant(group, orbit, location)
-        _require(inv.den == orbit.rotation_order,
-                 "invariant denominator must match the base cone index")
-        invariants.append(inv)
-    return invariants
+    return _fiber_pass(group, base)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +561,13 @@ def lens_oracle(group: PairGroup) -> TopologyReport:
     if not _single_class_lattice(group):
         raise ValueError("the lens assembly applies to groups with two "
                          "cyclic factors")
+    return _lens(group, _pole_hnf(group, False))
+
+
+def _lens(group: PairGroup, hnf) -> TopologyReport:
+    """lens_oracle's lens space from the normal form M of _pole_hnf."""
     grid = group.grid
-    h11, h12, h22 = _pole_hnf(group, False)
+    h11, h12, h22 = hnf
     _require(grid * grid // (h11 * h22) == phi_order(group), "torus translations repeat")
     g = math.gcd(h12, h22)
     components = tuple(sorted(k for k in (grid // (h11 * (h22 // g)), grid // h22)
@@ -579,11 +593,14 @@ class OracleReport:
 def oracle_report(group: PairGroup) -> OracleReport:
     """Base orbifold, Euler number, local invariants and (for groups with
     two cyclic factors) the underlying space, all recomputed from the
-    group data."""
+    group data.  The lens space reuses the pole stabilizer of the fiber
+    pass, or builds it when no pole is singular."""
     base = base_group(group)
     euler = euler_oracle(group, base)
-    invariants = tuple(exceptional_fibers_oracle(group, base))
+    invariants, pole = _fiber_pass(group, base)
     xi = derive_xi(invariants, euler) if base.signature.kind == DISC else None
-    seifert = SeifertData(base.signature, invariants, euler, xi)
-    topology = lens_oracle(group) if _single_class_lattice(group) else None
+    seifert = SeifertData(base.signature, tuple(invariants), euler, xi)
+    topology = None
+    if _single_class_lattice(group):
+        topology = _lens(group, pole or _pole_hnf(group, False))
     return OracleReport(seifert, topology)

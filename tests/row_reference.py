@@ -10,6 +10,10 @@ builds at the end, the direct grid of the parameter families and the
 coset-by-coset gluing through quotient product tables, are the
 constructions the structural builds replaced.
 
+`circle_lattice_by_full_walk` is the Schreier walk of the lattice build
+along every kernel generator, rotations included; the library enters
+the kernel rotations once, as vectors, and walks only the rest.
+
 `circle_base_by_sets` is the base action of a circle-type group read
 off the shape sets one angle at a time; the oracle reads the same off
 the shape progressions in a fixed number of steps.
@@ -44,6 +48,8 @@ from orbiseif.groups import (
     _check_circle_factor,
     _circle_period,
     _circle_times,
+    _hnf,
+    _hnf_reduce,
     _on_circle_grid,
     _require,
     get_family,
@@ -139,6 +145,41 @@ def lattice_points(hnf, grid):
     h11, h12, h22 = hnf
     return {(x * h11 % grid, b) for x in range(grid // h11)
             for b in range(x * h12 % h22, grid, h22)}
+
+
+# -- the lattice build -----------------------------------------------------------
+
+def circle_lattice_by_full_walk(data, grid):
+    """(h11, h12, h22, offsets) of the group generated by L_K x 1, 1 x R_K
+    and the generator pairs of phi: the flag classes walked from the
+    rotation class along every kernel generator and generator pair, each
+    product t*s of a class representative t and a generator s opening a
+    class or giving the Schreier vector t*s*rep(t*s)^-1."""
+    one = (False, 0)
+
+    def kernel_gens(kernel):
+        rotation = (False, grid // _circle_period(kernel))
+        return (rotation, (True, 0)) if kernel.kind == "D" else (rotation,)
+
+    gens = [(x, one) for x in kernel_gens(data.left_kernel)]
+    gens += [(one, y) for y in kernel_gens(data.right_kernel)]
+    gens += [(_on_circle_grid(l, data.left, grid), _on_circle_grid(r, data.right, grid))
+             for l, r in data.phi_generators]
+    reps = {(False, False): (0, 0)}
+    flags = [(False, False)]
+    vectors = []
+    for jl, jr in flags:
+        a, b = reps[jl, jr]
+        for x, y in gens:
+            (kl, c), (kr, d) = (_circle_times((jl, a), x, grid),
+                                _circle_times((jr, b), y, grid))
+            if (kl, kr) not in reps:
+                flags.append((kl, kr))
+            rep = reps.setdefault((kl, kr), (c, d))
+            vectors.append((c - rep[0], d - rep[1]))
+    hnf = _hnf(vectors, grid)
+    return hnf + (tuple((jl, jr) + _hnf_reduce(hnf, *reps[jl, jr])
+                        for jl, jr in flags),)
 
 
 # -- the base action -----------------------------------------------------------

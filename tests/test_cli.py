@@ -11,7 +11,7 @@ import tracemalloc
 from orbiseif import cli, verify
 from orbiseif.cli import MAX_VERIFY_ORDER, main, report_from_dict, report_json
 from orbiseif.engine import evaluate
-from orbiseif.groups import FamilySpec
+from orbiseif.groups import FamilySpec, UnsupportedFamilyError, require_fibered
 from test_oracle import _run_optimized, _run_python
 
 
@@ -51,6 +51,19 @@ def test_compute_unsupported_family_exit_3(capsys):
     assert "no fibration" in err
     code, _, _ = run_cli(capsys, "compute", "--family", "nonsense")
     assert code == 3
+
+
+def test_compute_non_fibered_family_uses_the_entry_check_wording(capsys):
+    """compute words a non-fibered family as the engine's entry check
+    does, and exits 3."""
+    code, _, err = run_cli(capsys, "compute", "--family", "20")
+    assert (code, err) == (3, "error: family 20 preserves no fibration\n")
+    try:
+        require_fibered(FamilySpec("20"))
+    except UnsupportedFamilyError as exc:
+        assert err == f"error: {exc}\n"
+    else:
+        raise AssertionError("family 20 passed the entry check")
 
 
 def test_compute_with_verification(capsys):

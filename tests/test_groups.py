@@ -17,6 +17,7 @@ from orbiseif.groups import (
     FAMILY_ORDER,
     TABLE4_FAMILIES,
     FamilySpec,
+    StandardGroupId,
     UnsupportedFamilyError,
     algebraic_group,
     binary_dihedral,
@@ -40,7 +41,7 @@ from element_reference import (
     standard_elements,
 )
 from enumerate_reference import reference_enumerate
-from row_reference import coset_rows, direct_grid_rows
+from row_reference import circle_lattice_by_full_walk, coset_rows, direct_grid_rows
 from test_oracle import _run_optimized
 
 F = Fraction
@@ -60,6 +61,17 @@ def test_binary_dihedral_structure():
     assert sum(1 for e in els if e.jflag) == 6
     closed = {multiply(a, b) for a in els for b in els}
     assert closed == set(els)
+
+
+def test_circle_ids_are_shared_per_order():
+    """cyclic and binary_dihedral return one id per argument, and a
+    malformed id is not kept: it raises on every call."""
+    assert cyclic(12) is cyclic(12)
+    assert binary_dihedral(8) is binary_dihedral(8)
+    assert cyclic(8) == StandardGroupId("C", 8)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            binary_dihedral(6)
 
 
 @pytest.mark.parametrize("gid,order", [
@@ -303,6 +315,24 @@ def test_row_view_matches_the_row_build_digest():
             count += 1
     assert count == 15864
     assert digest.hexdigest()[:16] == "5508e155f9b61fd5"
+
+
+def test_lattice_build_matches_the_full_walk():
+    """Entering the kernel rotations once, as vectors, and walking only
+    the j-type kernel generators and the generator pairs gives the normal
+    form and the offsets of the walk along every generator, on every
+    circle-type group of order <= 240."""
+    count = 0
+    for spec in sweep_specs(240):
+        data = get_family(spec.family).goursat(spec)
+        if data.right.kind not in "CD":
+            continue
+        group = goursat_group(spec)
+        lat = group.lattice
+        assert (lat.h11, lat.h12, lat.h22, lat.offsets) == \
+            circle_lattice_by_full_walk(data, group.grid), spec
+        count += 1
+    assert count == 61709
 
 
 def test_polyhedral_row_view_matches_the_row_build_digest():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,20 @@ def test_lens_matrix_and_lattice_routes_agree():
         assert (via_matrix.underlying, via_matrix.p, via_matrix.q) == \
             (via_lattice.underlying, via_lattice.p, via_lattice.q), spec
         assert via_matrix.singular_components == via_lattice.singular_components
+
+
+def test_report_lens_is_the_lens_oracle():
+    """oracle_report reads the lens space off the pole stabilizer of its
+    fiber pass, or builds that stabilizer when no pole is singular; both
+    ways give lens_oracle's report on every group with two cyclic
+    factors of order <= 240."""
+    reused = Counter()
+    for spec in sweep_specs(240, ["1", "1p"]):
+        group = goursat_group(spec)
+        assert oracle_report(group).topology == lens_oracle(group), spec
+        reused[any(o.position == ("pole", False)
+                   for o in base_group(group).orbits)] += 1
+    assert reused == {True: 47393, False: 240}
 
 
 def test_lattice_invariant_matches_quotient_map_composition():

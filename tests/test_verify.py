@@ -1,6 +1,7 @@
 """Sweep driver: family aliases, parallel determinism, mismatch reporting."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -151,3 +152,45 @@ def test_invariant_sum_check_catches_a_wrong_xi_on_both_sides(monkeypatch):
                        and d.endswith(" is not an integer")
                        for d in differences), (spec, differences)
         assert not any(d.startswith("xi:") for d in differences), spec
+
+
+def test_invariant_sum_mismatch_text_names_the_sum(monkeypatch):
+    """The integrality test runs on integers; a failing sum is still
+    printed as its reduced fraction."""
+    spec = FamilySpec("1", m=1, n=3, r=4, s=1)
+    evaluate_spec = verify.evaluate
+
+    def half_off(spec):
+        report = evaluate_spec(spec)
+        seifert = report.seifert
+        euler = seifert.euler - engine.somma_residue(seifert) + Fraction(1, 2)
+        return dataclasses.replace(
+            report, seifert=dataclasses.replace(seifert, euler=euler))
+
+    monkeypatch.setattr(verify, "evaluate", half_off)
+    differences = compare_spec(spec).differences
+    assert "engine invariant sum 1/2 is not an integer" in differences
+    assert not any(d.startswith("oracle invariant sum") for d in differences)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("1", m=1, n=3, r=4, s=1),      # sphere, lens
+    FamilySpec("11p", m=1, n=3, r=4, s=1),    # disc, corners
+    FamilySpec("12", m=1, n=9),               # disc, equator orbits
+    FamilySpec("8", m=1),                     # O* right factor
+], ids=str)
+def test_agreeing_comparison_builds_only_the_euler_numbers(monkeypatch, spec):
+    """A warm compare_spec that agrees builds two Fractions, the Euler
+    numbers of the engine and the oracle: xi and the invariant sums are
+    read off integer pairs."""
+    assert compare_spec(spec).ok
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    assert compare_spec(spec).ok
+    assert len(built) == 2, built
