@@ -36,7 +36,7 @@ Self-checks raise InternalInconsistencyError, so python -O keeps them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Optional
@@ -681,8 +681,10 @@ class PairGroup:
     Circle angles are numerators over `grid`.  With a circle-type right
     factor the group is `lattice`, and a row is (left jflag, right jflag,
     left angle, right angle); with a T*, O* or I* right factor the group
-    is `gluing`, and a row is (left jflag, left angle, r).  `rows` is the
-    one explicit view, built on first access; `order` does not build it.
+    is `gluing`, and a row is (left jflag, left angle, r).  `order` is
+    read off the lattice or gluing when the group is made; `rows` is the
+    one explicit view, built on first access, and `order` does not build
+    it.
     """
 
     spec: FamilySpec
@@ -693,14 +695,15 @@ class PairGroup:
     right_kernel: StandardGroupId
     lattice: Optional[RotationLattice] = None
     gluing: Optional[CosetGluing] = None
+    order: int = field(init=False)
 
-    @cached_property
-    def order(self) -> int:
+    def __post_init__(self):
         lat, glue = self.lattice, self.gluing
         if lat is None:
-            return (sum(map(len, glue.right_cosets)) * glue.period
-                    * (1 + glue.dihedral))
-        return self.grid ** 2 // (lat.h11 * lat.h22) * len(lat.offsets)
+            self.order = (sum(map(len, glue.right_cosets)) * glue.period
+                          * (1 + glue.dihedral))
+        else:
+            self.order = self.grid ** 2 // (lat.h11 * lat.h22) * len(lat.offsets)
 
     @cached_property
     def rows(self) -> list:
@@ -734,21 +737,22 @@ def _circle_period(group_id: StandardGroupId) -> int:
     return group_id.order if group_id.kind == "C" else group_id.order // 2
 
 
-def _check_circle_factor(group: StandardGroupId, kernel: StandardGroupId):
-    """The period of a C or D* factor: even, so that -1 lies in it, and a
-    multiple of its kernel's, whose j-type elements it must have."""
-    period, k = _circle_period(group), _circle_period(kernel)
-    if period % k or (kernel.kind == "D" and group.kind != "D"):
+def _check_circle_factor(group: StandardGroupId, kernel: StandardGroupId,
+                         period: int, kernel_period: int) -> None:
+    """A C or D* factor of period `period` over a kernel of period
+    `kernel_period`: the period is even, so that -1 lies in the factor,
+    and a multiple of its kernel's, whose j-type elements it must have."""
+    if period % kernel_period or (kernel.kind == "D" and group.kind != "D"):
         raise InternalInconsistencyError(f"{kernel} is not contained in {group}")
     if period % 2:
         raise InternalInconsistencyError(f"-1 is not in {group}")
-    return period
 
 
-def _on_circle_grid(element, group: StandardGroupId, grid: int):
-    """(jflag, angle numerator over grid) of a circle triple of group."""
+def _on_circle_grid(element, group: StandardGroupId, period: int, grid: int):
+    """(jflag, angle numerator over grid) of a circle triple of group,
+    whose period is `period`."""
     jflag, num, den = element
-    if _circle_period(group) % den or (jflag and group.kind != "D"):
+    if period % den or (jflag and group.kind != "D"):
         raise InternalInconsistencyError(f"{element} is not in {group}")
     return jflag, num * (grid // den)
 
@@ -801,34 +805,40 @@ def _polyhedral_quotient(group_id: StandardGroupId,
                      index[element_negate(identity)])
 
 
-def _circle_lattice(data: GoursatData, grid: int) -> RotationLattice:
-    """The group generated by L_K x 1, 1 x R_K and the generator pairs of
-    phi, as lattice data.  A kernel rotation keeps every flag class and
-    gives the rotation pair +-(its angle) in each, so the rotations of
-    L_K x 1 and 1 x R_K enter Lambda once, as (grid/period(L_K), 0) and
-    (0, grid/period(R_K)).  Walking the flag classes from the rotation
-    class along the j-type kernel generators and the generator pairs,
-    each product t*s of a class representative t and a generator s opens
-    a class or gives the rotation pair t*s*rep(t*s)^-1; by Schreier's
-    lemma those pairs and the kernel rotations span Lambda.  The closure
-    is the Goursat group exactly when its kernels are L_K and R_K and its
-    order is |L|*|R_K| (checked by the caller): a larger right kernel
-    means the images do not extend to a homomorphism, a larger left one
-    that phi is not injective."""
-    for group, kernel in ((data.left, data.left_kernel),
-                          (data.right, data.right_kernel)):
-        _check_circle_factor(group, kernel)
+def _circle_lattice(data: GoursatData):
+    """(grid, lattice data) of the group generated by L_K x 1, 1 x R_K
+    and the generator pairs of phi, on grid = lcm(4, period(L),
+    period(R)); each of the four factor periods is read once.  A kernel
+    rotation keeps every flag class and gives the rotation pair +-(its
+    angle) in each, so the rotations of L_K x 1 and 1 x R_K enter Lambda
+    once, as (grid/period(L_K), 0) and (0, grid/period(R_K)).  Walking
+    the flag classes from the rotation class along the j-type kernel
+    generators and the generator pairs, each product t*s of a class
+    representative t and a generator s opens a class or gives the
+    rotation pair t*s*rep(t*s)^-1; by Schreier's lemma those pairs and
+    the kernel rotations span Lambda.  The closure is the Goursat group
+    exactly when its kernels are L_K and R_K and its order is |L|*|R_K|
+    (checked by the caller): a larger right kernel means the images do
+    not extend to a homomorphism, a larger left one that phi is not
+    injective."""
+    left, right = data.left, data.right
+    left_period, right_period = _circle_period(left), _circle_period(right)
+    left_k = _circle_period(data.left_kernel)
+    right_k = _circle_period(data.right_kernel)
+    _check_circle_factor(left, data.left_kernel, left_period, left_k)
+    _check_circle_factor(right, data.right_kernel, right_period, right_k)
+    grid = math.lcm(4, left_period, right_period)
     one, j = (False, 0), (True, 0)
     gens = [(j, one)] if data.left_kernel.kind == "D" else []
     if data.right_kernel.kind == "D":
         gens.append((one, j))
-    gens += [(_on_circle_grid(l, data.left, grid), _on_circle_grid(r, data.right, grid))
+    gens += [(_on_circle_grid(l, left, left_period, grid),
+              _on_circle_grid(r, right, right_period, grid))
              for l, r in data.phi_generators]
 
     reps = {(False, False): (0, 0)}
     flags = [(False, False)]
-    vectors = {(grid // _circle_period(data.left_kernel), 0),
-               (0, grid // _circle_period(data.right_kernel))}
+    vectors = {(grid // left_k, 0), (0, grid // right_k)}
     for jl, jr in flags:          # grows while it is walked
         a, b = reps[jl, jr]
         for x, y in gens:
@@ -841,35 +851,37 @@ def _circle_lattice(data: GoursatData, grid: int) -> RotationLattice:
             vectors.add((c - rep[0], d - rep[1]))
     vectors.discard((0, 0))
     hnf = h11, h12, h22 = _hnf(vectors, grid)
-    offsets = tuple((jl, jr) + _hnf_reduce(hnf, *reps[jl, jr]) for jl, jr in flags)
+    offsets = tuple([(jl, jr) + _hnf_reduce(hnf, *reps[jl, jr]) for jl, jr in flags])
     _require(_hnf_reduce(hnf, grid // 2, grid // 2) == (0, 0),
              "(-1, -1) must belong to every catalog group")
 
     # (1, r) for rotations r: b in h22*Z; (l, 1): a in h11*h22/gcd(h12, h22)*Z.
     # A j-type class adds a kernel coset when its a (resp. b) can reach 0.
     g = math.gcd(h12, h22)
-    right_kernel = grid // h22 * (1 + any(
-        not jl and jr and a == 0 for jl, jr, a, _ in offsets))
-    left_kernel = grid // (h11 * (h22 // g)) * (1 + any(
-        jl and not jr and b % g == 0 for jl, jr, _, b in offsets))
+    right_kernel = grid // h22 * (1 + any([
+        not jl and jr and a == 0 for jl, jr, a, _ in offsets]))
+    left_kernel = grid // (h11 * (h22 // g)) * (1 + any([
+        jl and not jr and b % g == 0 for jl, jr, _, b in offsets]))
     _require(right_kernel == data.right_kernel.order,
              "generator images do not extend to a homomorphism")
     _require(left_kernel == data.left_kernel.order,
              "gluing isomorphism is not injective")
-    return RotationLattice(h11, h12, h22, offsets)
+    return grid, RotationLattice(h11, h12, h22, offsets)
 
 
-def _coset_gluing(data: GoursatData, grid: int) -> CosetGluing:
-    """The coset of L_K glued to each right coset of R_K, for a T*, O* or
-    I* right factor.  Walking the right cosets from R_K, the product c*s
+def _coset_gluing(data: GoursatData):
+    """(grid, coset data) of the group for a T*, O* or I* right factor,
+    on grid = lcm(4, period(L)): the coset of L_K glued to each right
+    coset of R_K.  Walking the right cosets from R_K, the product c*s
     of a coset c and a generator pair (l, s) is glued to t*l for the
     offset t of c, so the gluing is multiplicative along every generator
     edge, a homomorphism from R/R_K.  It inverts phi once it reaches
     every right coset and glues no left coset twice (the quotients have
     equal orders, checked by the caller)."""
-    _check_circle_factor(data.left, data.left_kernel)
+    left_period, period = _circle_period(data.left), _circle_period(data.left_kernel)
+    _check_circle_factor(data.left, data.left_kernel, left_period, period)
+    grid = math.lcm(4, left_period)
     right = _polyhedral_quotient(data.right, data.right_kernel)
-    period = _circle_period(data.left_kernel)
     dihedral = data.left_kernel.kind == "D"
 
     def reduced(jflag, a):
@@ -877,7 +889,7 @@ def _coset_gluing(data: GoursatData, grid: int) -> CosetGluing:
         # multiple of the step, so a binary dihedral L_K joins the jflags
         return not dihedral and jflag, a % (grid // period)
 
-    gens = [(_on_circle_grid(l, data.left, grid), right.coset_of(r))
+    gens = [(_on_circle_grid(l, data.left, left_period, grid), right.coset_of(r))
             for l, r in data.phi_generators]
     offsets = {right.identity: (False, 0)}
     reached = [right.identity]
@@ -895,8 +907,9 @@ def _coset_gluing(data: GoursatData, grid: int) -> CosetGluing:
              "gluing isomorphism is not injective")
     _require(offsets[right.minus_one] == reduced(False, grid // 2),
              "(-1, -1) must belong to every catalog group")
-    return CosetGluing(period, dihedral,
-                       tuple(offsets[c] for c in range(len(offsets))), right.cosets)
+    return grid, CosetGluing(period, dihedral,
+                             tuple([offsets[c] for c in range(len(offsets))]),
+                             right.cosets)
 
 
 def goursat_group(spec: FamilySpec) -> PairGroup:
@@ -906,15 +919,13 @@ def goursat_group(spec: FamilySpec) -> PairGroup:
     _require(data.left.order * data.right_kernel.order
              == data.right.order * data.left_kernel.order,
              "quotients have different orders")
-    polyhedral = data.right.kind in "TOI"
-    grid = math.lcm(4, _circle_period(data.left),
-                    1 if polyhedral else _circle_period(data.right))
-    group = PairGroup(spec, grid, data.left, data.left_kernel, data.right,
-                      data.right_kernel)
-    if polyhedral:
-        group.gluing = _coset_gluing(data, grid)
+    lattice = gluing = None
+    if data.right.kind in "TOI":
+        grid, gluing = _coset_gluing(data)
     else:
-        group.lattice = _circle_lattice(data, grid)
+        grid, lattice = _circle_lattice(data)
+    group = PairGroup(spec, grid, data.left, data.left_kernel, data.right,
+                      data.right_kernel, lattice, gluing)
     if group.order != data.left.order * data.right_kernel.order:
         raise InternalInconsistencyError(
             f"{spec} has {group.order} elements, not |L| * |R_K|")

@@ -118,8 +118,8 @@ def _check_chi(kind, cones, corners, order, signature):
     L the lcm of the cone and corner orders."""
     lcm = math.lcm(*cones, *corners)
     chi_2l = 2 * lcm * (2 if kind == SPHERE else 1)
-    chi_2l -= sum(2 * (lcm - lcm // q) for q in cones)
-    chi_2l -= sum(lcm - lcm // q for q in corners)
+    chi_2l -= sum([2 * (lcm - lcm // q) for q in cones])
+    chi_2l -= sum([lcm - lcm // q for q in corners])
     _require(chi_2l * order == 4 * lcm,
              "quotient signature {} fails chi*order=2", signature)
 
@@ -135,10 +135,10 @@ def _quotient_signature(has_reversing: bool, has_reflection: bool,
     else:
         kind = PROJECTIVE
     disc = kind == DISC
-    cones = tuple(sorted(o.rotation_order for o in orbits
-                         if not (disc and o.corner)))
-    corners = tuple(sorted(o.rotation_order for o in orbits
-                           if disc and o.corner))
+    cones = tuple(sorted([o.rotation_order for o in orbits
+                          if not (disc and o.corner)]))
+    corners = tuple(sorted([o.rotation_order for o in orbits
+                            if disc and o.corner]))
     signature = BaseSignature(kind, cones, corners)
     _check_chi(kind, cones, corners, order, signature)
     return signature
@@ -216,7 +216,7 @@ def _equator_hnf(group: PairGroup, point: int):
     kernel = [(x0 * h11, x0 * h12 + z0 * h22), (0, math.lcm(h22, half))]
     # the b of the (False, True) class run through b_f + g*Z; solve for
     # g*y = grid/4 - point - b_f mod half and move a by the same y
-    _, _, a_f, b_f = next(o for o in lat.offsets if not o[0] and o[1])
+    _, _, a_f, b_f = [o for o in lat.offsets if not o[0] and o[1]][0]
     g, s, _ = _ext_gcd(h12, h22)
     target, g3 = grid // 4 - point - b_f, math.gcd(g, half)
     _require(target % g3 == 0, "no half turn fixes the equator point")
@@ -235,7 +235,7 @@ def _circle_base(group: PairGroup, shapes: dict) -> BaseActionGroup:
     half = grid // 2
     # induced map: rot lam -> e^(2 pi i c) lam, flip lam -> -e^(2 pi i c)/lam,
     # arot lam -> -e^(2 pi i c)/conj(lam), refl lam -> e^(2 pi i c) conj(lam)
-    order = sum(len(cs) for cs in shapes.values())
+    order = sum(map(len, shapes.values()))
     _require(phi_order(group) % order == 0, "base order does not divide |G|/2")
 
     rots, flips, arots, refls = (shapes[ROT], shapes[FLIP],
@@ -347,10 +347,11 @@ def _perpendicular(line_a: int, line_b: int) -> bool:
     return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]).is_zero()
 
 
-# id(right_cosets) -> (right_cosets, {id(coset): _CosetAxes}).  The entry
-# holds the coset tuple, so no other tuple can take its id; the catalog's
-# gluings share the six coset tuples of groups._polyhedral_quotient, so
-# each is read once per process.
+# id(right_cosets) -> (right_cosets, {id(coset): _CosetAxes}, {coset
+# pattern: BaseActionGroup}).  The entry holds the coset tuple, so no
+# other tuple can take its id; the catalog's gluings share the six coset
+# tuples of groups._polyhedral_quotient, so each is read once per
+# process, and each has a few patterns (see _base_group_axis).
 _COSET_AXES = {}
 
 
@@ -367,9 +368,9 @@ class _CosetAxes:
     turns: dict
 
 
-def _coset_axes(gluing: CosetGluing) -> dict:
-    """id(coset) -> _CosetAxes for the right cosets of a gluing, built
-    once per coset tuple."""
+def _coset_axes(gluing: CosetGluing) -> tuple:
+    """The _COSET_AXES entry of the right cosets of a gluing, its
+    id(coset) -> _CosetAxes built once per coset tuple."""
     cosets = gluing.right_cosets
     entry = _COSET_AXES.get(id(cosets))
     if entry is None:
@@ -383,21 +384,35 @@ def _coset_axes(gluing: CosetGluing) -> dict:
                                               (jflag, t, line, sign))
                 turns.setdefault(line, []).append(t if line is None else sign * t)
             by_coset[id(coset)] = _CosetAxes(classes, turns)
-        entry = _COSET_AXES[id(cosets)] = (cosets, by_coset)
-    return entry[1]
+        entry = _COSET_AXES[id(cosets)] = (cosets, by_coset, {})
+    return entry
 
 
 def _base_group_axis(group: PairGroup) -> BaseActionGroup:
     """Base action of a group whose right factors lie in T*, O* or I*,
     from the at most 2*|R| classes (left jflag, right factor up to sign),
-    keyed as in _CosetAxes."""
+    keyed as in _CosetAxes.
+
+    The classes depend only on the coset pattern: the right coset tuple,
+    whether L_K is binary dihedral, and the left jflag glued to each
+    right coset.  So _axis_base runs once per pattern and process, and
+    every group gets its own copy of the result after its own order
+    check."""
     gluing = group.gluing
-    axes = _coset_axes(gluing)
-    classes = {}
-    for jflag, _, coset in gluing.parts():
-        for key, axis in axes[id(coset)].classes[jflag].items():
-            classes.setdefault(key, axis)
-    return _axis_base(group, classes)
+    _, axes, bases = _coset_axes(gluing)
+    pattern = (gluing.dihedral, tuple([jflag for jflag, _ in gluing.offsets]))
+    base = bases.get(pattern)
+    if base is None:
+        classes = {}
+        for jflag, _, coset in gluing.parts():
+            for key, axis in axes[id(coset)].classes[jflag].items():
+                classes.setdefault(key, axis)
+        base = bases[pattern] = _axis_base(group, classes)
+    else:
+        _require(phi_order(group) % base.order == 0, "base order does not divide |G|/2")
+    return BaseActionGroup(base.order, base.signature,
+                           [SingularOrbit(o.rotation_order, o.corner, o.position)
+                            for o in base.orbits])
 
 
 def _axis_base(group: PairGroup, classes: dict) -> BaseActionGroup:
@@ -490,14 +505,14 @@ def _axis_hnf(group: PairGroup, line: int, sign: int):
     gluing = group.gluing
     grid = math.lcm(120, group.grid)
     lift, step, unit = grid // group.grid, grid // gluing.period, grid // 120
-    axes = _coset_axes(gluing)
+    axes = _coset_axes(gluing)[1]
     vectors = []
     for jflag, a, coset in gluing.parts():
         if jflag:
             continue
         turns = axes[id(coset)].turns
         alpha = a * lift
-        for t in (*turns.get(None, ()), *(sign * t for t in turns.get(line, ()))):
+        for t in (*turns.get(None, ()), *[sign * t for t in turns.get(line, ())]):
             beta = t * unit
             vectors.append((alpha - beta, alpha + beta))
     h11, _, h22 = hnf = _hnf(vectors + [(step, step)], grid)
@@ -570,8 +585,8 @@ def _lens(group: PairGroup, hnf) -> TopologyReport:
     h11, h12, h22 = hnf
     _require(grid * grid // (h11 * h22) == phi_order(group), "torus translations repeat")
     g = math.gcd(h12, h22)
-    components = tuple(sorted(k for k in (grid // (h11 * (h22 // g)), grid // h22)
-                              if k > 1))
+    components = tuple(sorted([k for k in (grid // (h11 * (h22 // g)), grid // h22)
+                               if k > 1]))
     return lens_report(h22 // g, h12 // g, components)
 
 

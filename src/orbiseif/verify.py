@@ -49,6 +49,15 @@ def invariant_multiset(seifert):
                         for v in seifert.invariants if v.den > 1))
 
 
+def _invariant_keys(invariants) -> list:
+    """The sorted (location, denominator, normalized numerator) keys of
+    the invariants with denominator above 1: equal exactly when the
+    invariant multisets are, since the index is a function of the
+    denominator and the normalized numerator."""
+    return sorted([(v.location, v.den, v.num % v.den) for v in invariants
+                   if v.den > 1])
+
+
 def compare_spec(spec: FamilySpec) -> ComparisonResult:
     """Build the group, run both paths, and list every disagreement."""
     diffs = []
@@ -71,10 +80,9 @@ def compare_spec(spec: FamilySpec) -> ComparisonResult:
         diffs.append(f"euler: engine {eng.seifert.euler}, "
                      f"oracle {orc.seifert.euler}")
 
-    inv_e = invariant_multiset(eng.seifert)
-    inv_o = invariant_multiset(orc.seifert)
-    if inv_e != inv_o:
-        diffs.append(f"invariants: engine {inv_e}, oracle {inv_o}")
+    if _invariant_keys(eng.seifert.invariants) != _invariant_keys(orc.seifert.invariants):
+        diffs.append(f"invariants: engine {invariant_multiset(eng.seifert)}, "
+                     f"oracle {invariant_multiset(orc.seifert)}")
 
     if eng.seifert.xi != orc.seifert.xi:
         diffs.append(f"xi: engine {eng.seifert.xi}, oracle {orc.seifert.xi}")

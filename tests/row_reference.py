@@ -163,7 +163,8 @@ def circle_lattice_by_full_walk(data, grid):
 
     gens = [(x, one) for x in kernel_gens(data.left_kernel)]
     gens += [(one, y) for y in kernel_gens(data.right_kernel)]
-    gens += [(_on_circle_grid(l, data.left, grid), _on_circle_grid(r, data.right, grid))
+    gens += [(_on_circle_grid(l, data.left, _circle_period(data.left), grid),
+              _on_circle_grid(r, data.right, _circle_period(data.right), grid))
              for l, r in data.phi_generators]
     reps = {(False, False): (0, 0)}
     flags = [(False, False)]
@@ -412,16 +413,17 @@ def _circle_quotient(group: StandardGroupId, kernel: StandardGroupId,
     over `grid`, and the product table comes from the representatives
     by _circle_times.
     """
-    period = _check_circle_factor(group, kernel)
+    period, kernel_period = _circle_period(group), _circle_period(kernel)
+    _check_circle_factor(group, kernel, period, kernel_period)
     dihedral_kernel = kernel.kind == "D"
-    q = period // _circle_period(kernel)
+    q = period // kernel_period
     j_base = 0 if dihedral_kernel else q
 
     def index(jflag, a):
         return (j_base if jflag else 0) + a % q
 
     def coset_of(element):
-        return index(*_on_circle_grid(element, group, period))
+        return index(*_on_circle_grid(element, group, period, period))
 
     reps = [(False, c) for c in range(q)]
     if group.kind == "D" and not dihedral_kernel:

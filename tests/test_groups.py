@@ -478,7 +478,7 @@ def test_goursat_checks_survive_python_optimize():
         "        (gluing, GoursatData(c4, c2, o, t, ((CIRCLE_J, SIGMA),)),\n"
         "         '(True, 0, 1) is not in C4')):\n"
         "    try:\n"
-        "        build(data, 8)\n"
+        "        build(data)\n"
         "    except engine.InternalInconsistencyError as exc:\n"
         "        if want not in str(exc):\n"
         "            sys.exit(str(exc))\n"

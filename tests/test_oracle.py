@@ -359,6 +359,37 @@ def test_axis_memo_holds_one_entry_per_catalog_coset_tuple():
     assert all(_COSET_AXES[key][0] is cosets for key, cosets in tuples.items())
 
 
+def _memoized_bases():
+    return sum(len(bases) for _, _, bases in _COSET_AXES.values())
+
+
+def test_axis_base_memo_matches_the_row_classes():
+    """On every group with a T*, O* or I* right factor of order <= 960 the
+    base action equals _axis_base on the classes of the row scan, both
+    for the first group of its coset pattern, which fills the memo, and
+    for the later ones, which read it; every call returns fresh records."""
+    for _, _, bases in _COSET_AXES.values():
+        bases.clear()
+    first = later = 0
+    for spec in sweep_specs(960, TABLE4_FAMILIES):
+        group = goursat_group(spec)
+        if group.gluing is None:
+            continue
+        before = _memoized_bases()
+        base = base_group(group)
+        if _memoized_bases() > before:
+            first += 1
+        else:
+            later += 1
+        by_rows = _axis_base(group, axis_classes(group))
+        assert (base.order, base.signature, base.orbits) == \
+            (by_rows.order, by_rows.signature, by_rows.orbits), spec
+        again = base_group(group)
+        assert again is not base and again.orbits is not base.orbits
+        assert all(a is not b for a, b in zip(again.orbits, base.orbits))
+    assert (first, later) == (11, 201)
+
+
 def _raised_message(fn, *args):
     with pytest.raises(InternalInconsistencyError) as info:
         fn(*args)

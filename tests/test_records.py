@@ -89,10 +89,8 @@ def test_record_checks_survive_python_optimize():
 
 # (module, enclosing function, stored attribute or setter)
 ALLOWED_STORES = {
-    # the group is built before its lattice or coset data, which need
-    # its grid
-    ("groups.py", "goursat_group", "group.gluing"),
-    ("groups.py", "goursat_group", "group.lattice"),
+    # a built group reads its order off its lattice or coset data once
+    ("groups.py", "PairGroup.__post_init__", "self.order"),
     # immutable classes that refuse __setattr__ set their slots once
     ("exactfield.py", "QuadFieldElement.__init__", "object.__setattr__"),
     ("quaternions.py", "AlgebraicQuaternion.__init__", "object.__setattr__"),

@@ -1,12 +1,15 @@
 """Sweep driver: family aliases, parallel determinism, mismatch reporting."""
 
 import dataclasses
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orbiseif
 from orbiseif import engine, oracle, verify
-from orbiseif.engine import DISC, BaseSignature, evaluate
+from orbiseif.engine import DISC, BaseSignature, LocalInvariant, evaluate
 from orbiseif.groups import (
     DIHEDRAL_FAMILIES,
     FIBERED_FAMILIES,
@@ -194,3 +197,65 @@ def test_agreeing_comparison_builds_only_the_euler_numbers(monkeypatch, spec):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     assert compare_spec(spec).ok
     assert len(built) == 2, built
+
+
+@pytest.mark.parametrize("spec, bound", [
+    (FamilySpec("1", m=1, n=3, r=4, s=1), 131),
+    (FamilySpec("11p", m=1, n=3, r=4, s=1), 152),
+    (FamilySpec("12", m=1, n=9), 201),
+    (FamilySpec("8", m=1), 161),
+], ids=str)
+def test_agreeing_comparison_enters_a_bounded_number_of_functions(spec, bound):
+    """A warm agreeing compare_spec enters at most `bound` Python
+    functions of the package, counted as profiler call events (each
+    comprehension call and each generator resumption counts), so per-spec
+    work that was removed stays removed without timing anything."""
+    package = os.path.dirname(orbiseif.__file__) + os.sep
+    assert compare_spec(spec).ok
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = compare_spec(spec)
+    finally:
+        sys.setprofile(previous)
+    assert result.ok
+    assert calls <= bound, calls
+
+
+@pytest.mark.parametrize("spec, text", [
+    (FamilySpec("1", m=1, n=3, r=4, s=1),
+     "invariants: engine (('cone', 12, 5, 1), ('cone', 12, 10, 2)), "
+     "oracle (('cone', 12, 4, 4), ('cone', 12, 10, 2))"),
+    (FamilySpec("11p", m=1, n=3, r=4, s=1),
+     "invariants: engine (('corner', 6, 3, 3), ('corner', 6, 5, 1)), "
+     "oracle (('corner', 6, 2, 2), ('corner', 6, 5, 1))"),
+], ids=str)
+def test_invariant_mismatch_is_worded_from_the_full_multisets(monkeypatch, spec, text):
+    """The invariants are compared on integer keys and worded from
+    invariant_multiset: a first engine numerator off by one gives the
+    full (location, denominator, normalized numerator, index) text, and
+    one shifted by its denominator normalizes to the same invariant, so
+    the comparison agrees."""
+    evaluate_spec = verify.evaluate
+    shift = 0
+
+    def shifted(spec):
+        report = evaluate_spec(spec)
+        first, *rest = report.seifert.invariants
+        moved = LocalInvariant(first.num + shift, first.den, first.location)
+        return dataclasses.replace(report, seifert=dataclasses.replace(
+            report.seifert, invariants=(moved, *rest)))
+
+    monkeypatch.setattr(verify, "evaluate", shifted)
+    shift = 1
+    found = [d for d in compare_spec(spec).differences if d.startswith("invariants")]
+    assert found == [text]
+    shift = evaluate_spec(spec).seifert.invariants[0].den
+    assert compare_spec(spec).ok
