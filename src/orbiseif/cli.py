@@ -29,6 +29,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _str
+from math import gcd
 
 from .engine import (
     DISC,
@@ -197,24 +198,28 @@ def report_json(report: EngineReport, verification=None) -> str:
     payload {"ok": bool, "differences": [str, ...]}, lists in the report's
     order: `evaluate`, `normalize` and `flip_orientation` give invariants
     by (location, den, normalized num, num) and the other lists ascending."""
+    # ints go into the %s slots as they are: "%s" % i is int.__repr__(i)
     spec, seifert, top = report.spec, report.seifert, report.topology
     base, invariants = seifert.base, seifert.invariants
     params = get_family(spec.family).params
     template = _report_template(
         len(base.cones), len(base.corners), len(invariants),
         len(top.singular_components), params, verification is not None)
-    values = [*map(_int, base.cones), *map(_int, base.corners),
-              _str(_BASE_KIND_NAMES[base.kind]), _scalar(seifert.xi),
-              _int(seifert.euler.denominator), _int(seifert.euler.numerator),
+    xi, euler = seifert.xi, seifert.euler
+    values = [*base.cones, *base.corners, _str(_BASE_KIND_NAMES[base.kind]),
+              "null" if xi is None else xi, euler.denominator, euler.numerator,
               _str(spec.family)]
     for v in invariants:
-        values += (_int(v.den), _int(v.index), _str(v.location),
-                   _int(v.normalized_num), _int(v.num))
-    values += [_int(getattr(spec, p)) for p in params]
-    values += (_str(report.provenance),
-               *map(_int, top.singular_components),
-               _str(_TOP_KIND_NAMES[top.underlying]), _scalar(top.p),
-               _scalar(top.q), _scalar(top.reason))
+        num, den = v.num, v.den
+        normalized = num % den
+        values += (den, gcd(normalized, den), _str(v.location), normalized, num)
+    # every signature is a prefix of (m, n, r, s)
+    values += (spec.m, spec.n, spec.r, spec.s)[:len(params)]
+    p, q, reason = top.p, top.q, top.reason
+    values += (_str(report.provenance), *top.singular_components,
+               _str(_TOP_KIND_NAMES[top.underlying]),
+               "null" if p is None else p, "null" if q is None else q,
+               "null" if reason is None else _str(reason))
     if verification is not None:
         values.append(_VERIFICATION % (
             _strs(verification["differences"], "    "),

@@ -31,6 +31,9 @@ from functools import lru_cache
 from typing import Optional
 
 from .groups import (
+    ABELIAN_FAMILIES,
+    DIHEDRAL_FAMILIES,
+    FIBERED_FAMILIES,
     FamilySpec,
     InternalInconsistencyError,
     normalized_s,
@@ -68,7 +71,7 @@ CORNER = "corner"
 # Result records are slotted dataclasses, equal and hashed by value, and
 # no code assigns a field after construction (an AST scan in the tests
 # holds that); frozen=True would enforce it at run time at about 1 us a
-# record.  The specs and group ids that key caches stay frozen.
+# record.  The specs and the group ids stay frozen; the group ids key caches.
 @dataclass(slots=True, unsafe_hash=True)
 class BaseSignature:
     kind: str
@@ -219,26 +222,32 @@ def _minimal_nu(a: int, bound: int, coprime_to: int) -> int:
     return bound // a // rest
 
 
-@lru_cache(maxsize=8192)
+# Computed afresh on every call: a sweep meets most boxes once, so a
+# cache held megabytes for few hits.  maxsize=0 caches nothing and counts
+# each call as a miss; the name and its cache_info and cache_clear stay
+# because the benchmark reads them on every pass.
+@lru_cache(maxsize=0)
 def _derived_quantities_cached(spec: FamilySpec) -> DerivedQuantities:
-    """The integer box of a valid family-1 or 1p spec (s already made odd
-    for 1).
+    """The integer box of a valid family-1, 1p, 11 or 11p spec (s made
+    odd for 1 and 11); families 11 and 11p share the box of 1 and 1p.
 
-    a = gcd(n'+s*m', n'-s*m', (2)m'n'r), the factor 2 for family 1, and
-    b1, b2 are the gcds of (n'-s*m')/a and (n'+s*m')/a with (2)m'n'r/a.
+    a = gcd(n'+s*m', n'-s*m', (2)m'n'r), the factor 2 for families 1 and
+    11, and b1, b2 are the gcds of (n'-s*m')/a and (n'+s*m')/a with
+    (2)m'n'r/a.
     """
     m, n, r = spec.m, spec.n, spec.r
     s = normalized_s(spec)
+    primed = spec.family in ("1p", "11p")
     h = math.gcd(m, n)
     mp, np_ = m // h, n // h
-    double = 2 if spec.family == "1" else 1
+    double = 1 if primed else 2
     big = double * mp * np_ * r
     a = math.gcd(np_ + s * mp, np_ - s * mp, big)
     b1 = math.gcd((np_ - s * mp) // a, big // a)
     b2 = math.gcd((np_ + s * mp) // a, big // a)
 
     e1 = e2 = 1
-    if spec.family == "1p":
+    if primed:
         nu = _minimal_nu(a, 2 * np_, a // 2)
     elif (mp * np_) % 2 == 0:
         nu = _minimal_nu(a, np_, a)
@@ -250,7 +259,7 @@ def _derived_quantities_cached(spec: FamilySpec) -> DerivedQuantities:
         e1 = 2 if (r // b1) % 2 == 0 else 1
         e2 = 2 if (r // b2) % 2 == 0 else 1
     # family 1p divides d, g and e as family 1 does with e1 = e2 = 2
-    k1, k2 = (2, 2) if spec.family == "1p" else (e1, e2)
+    k1, k2 = (2, 2) if primed else (e1, e2)
     d = _exact_div(nu * nu * a * (np_ + s * mp) + 2 * np_ * mp * r,
                    k2 * a * nu * b2, "d")
     g = _exact_div(nu * nu * a * (np_ - s * mp) - 2 * np_ * mp * r,
@@ -284,8 +293,8 @@ def _row(kind, euler, triples) -> SeifertData:
 def seifert_box(spec: FamilySpec, dq: DerivedQuantities) -> SeifertData:
     """Families 1 and 1p: two exceptional fibers over a football base.
 
-    Families 11 and 11p, with `dq` the box of the family-1 or 1p spec of
-    the same parameters, fold it along a mirror circle: the same
+    Families 11 and 11p, whose box `dq` is that of the family-1 or 1p
+    spec of the same parameters, fold it along a mirror circle: the same
     invariants sit at two corner reflectors of a disc, the Euler number
     halves, and xi makes the invariant-sum congruence integral.
     """
@@ -393,10 +402,10 @@ def _fiber_sum(euler, invariants, xi=0):
     """Euler number + cone invariants + half the normalized corner ones
     + xi/2, as the integer pair (total, 2L) of the sum total/(2L), L the
     lcm of the denominators."""
-    lcm = math.lcm(euler.denominator, *(v.den for v in invariants))
+    lcm = math.lcm(euler.denominator, *[v.den for v in invariants])
     total = 2 * euler.numerator * (lcm // euler.denominator) + xi * lcm
     for v in invariants:
-        total += (2 * v.num if v.location == CONE else v.normalized_num) * (lcm // v.den)
+        total += (2 * v.num if v.location == CONE else v.num % v.den) * (lcm // v.den)
     return total, 2 * lcm
 
 
@@ -486,9 +495,16 @@ def underlying_space(d: SeifertData) -> TopologyReport:
     Seifert Manifolds, LNM 291, 1972).  Projective bases and three or
     more fibers are reported as not computed.
     """
-    # LocalInvariant.index of each, as gcd(num, den) = gcd(num mod den, den)
-    indices = [math.gcd(v.num, v.den) for v in d.invariants]
-    components = tuple(sorted([i for i in indices if i > 1]))
+    # LocalInvariant.index of each, as gcd(num, den) = gcd(num mod den, den),
+    # and the reduced (multiplicity, numerator) of each nontrivial one
+    components, pairs = [], []
+    for v in d.invariants:
+        g = math.gcd(v.num, v.den)
+        if g > 1:
+            components.append(g)
+        if num := v.num % v.den:
+            pairs.append((v.den // g, num // g))
+    components = tuple(sorted(components))
     if d.base.kind == PROJECTIVE:
         return TopologyReport(NOT_COMPUTED, reason="projective base",
                               singular_components=components)
@@ -498,11 +514,10 @@ def underlying_space(d: SeifertData) -> TopologyReport:
         # x the inverse of the reduced numerator, and L(p, x) = L(p, 1/x)
         if not d.base.cones:
             return lens_report(1, 0, components)
-        v, g = d.invariants[0], indices[0]
+        v = d.invariants[0]
+        g = math.gcd(v.num, v.den)
         return lens_report(v.den // g, v.num // g, components)
 
-    pairs = [(v.den // g, num // g) for v, g in zip(d.invariants, indices)
-             if (num := v.num % v.den)]
     if len(pairs) > 2:
         return TopologyReport(NOT_COMPUTED, reason="more than two exceptional "
                               "fibers in the underlying manifold",
@@ -523,21 +538,22 @@ class EngineReport:
     provenance: str
 
 
+_BOX_FAMILIES = (*ABELIAN_FAMILIES, *DIHEDRAL_FAMILIES)
+_PROVENANCE = {
+    **{f: f"invariant table row {f}" for f in FIBERED_FAMILIES},
+    **{f: f"abelian box, family {f}" for f in ABELIAN_FAMILIES},
+    **{f: f"dihedral fold of the abelian box, family {f}"
+       for f in DIHEDRAL_FAMILIES},
+}
+
+
 def evaluate(spec: FamilySpec) -> EngineReport:
     """The report of a fibered spec, from one `require_fibered` and, for
-    families 1, 1p, 11 and 11p, one box lookup."""
+    families 1, 1p, 11 and 11p, one box computation."""
     require_fibered(spec)
-    family = spec.family
-    if family in ("1", "1p"):
+    if spec.family in _BOX_FAMILIES:
         seifert = seifert_box(spec, _derived_quantities_cached(spec))
-        provenance = f"abelian box, family {family}"
-    elif family in ("11", "11p"):
-        abelian = FamilySpec("1" if family == "11" else "1p",
-                             spec.m, spec.n, spec.r, spec.s)
-        seifert = seifert_box(spec, _derived_quantities_cached(abelian))
-        provenance = f"dihedral fold of the abelian box, family {family}"
     else:
         seifert = seifert_polyhedral(spec)
-        provenance = f"invariant table row {family}"
-    topology = underlying_space(seifert)
-    return EngineReport(spec, seifert, topology, provenance)
+    return EngineReport(spec, seifert, underlying_space(seifert),
+                        _PROVENANCE[spec.family])

@@ -526,7 +526,15 @@ def validate(spec: FamilySpec):
     conjugate groups, so the odd representative r-s is reported as a
     note and used by the closed-form evaluator.
     """
-    fam = get_family(spec.family)
+    violations = _violations(spec, get_family(spec.family))
+    if violations or spec.family not in ("1", "11") or spec.s % 2:
+        return violations, []
+    return violations, [f"s={spec.s} is even; the conjugate representative "
+                        f"s={spec.r - spec.s} is used in closed forms"]
+
+
+def _violations(spec: FamilySpec, fam: Family) -> list:
+    """The violations of `validate`, for the family `fam` of the spec."""
     values = (spec.m, spec.n, spec.r, spec.s)
     # every signature is a prefix of _WITH_UNITS, so one pass in that
     # order lists the missing or nonpositive parameters before the extras
@@ -543,7 +551,7 @@ def validate(spec: FamilySpec):
         elif v < 1:
             violations.append(f"parameter {_WITH_UNITS[i]} must be a positive integer")
     if violations:
-        return violations, []
+        return violations
     if declared == 4 and math.gcd(spec.s, spec.r) != 1:
         violations.append("gcd(s,r)=1 fails")
     for p in fam.odd:
@@ -555,10 +563,7 @@ def validate(spec: FamilySpec):
     for p in fam.above_one:
         if getattr(spec, p) == 1:
             violations.append(f"{p} must differ from 1")
-    if violations or spec.family not in ("1", "11") or spec.s % 2:
-        return violations, []
-    return violations, [f"s={spec.s} is even; the conjugate representative "
-                        f"s={spec.r - spec.s} is used in closed forms"]
+    return violations
 
 
 def fibered_family(name: str) -> Family:
@@ -575,7 +580,7 @@ def require_fibered(spec: FamilySpec) -> Family:
     UnsupportedFamilyError for an unknown or non-fibered family, a
     ValueError naming the violations for an invalid spec."""
     fam = fibered_family(spec.family)
-    violations, _ = validate(spec)
+    violations = _violations(spec, fam)
     if violations:
         raise ValueError(f"invalid {spec}: " + "; ".join(violations))
     return fam

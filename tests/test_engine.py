@@ -363,7 +363,7 @@ def test_row_bases_are_the_invariant_denominators():
 
 def test_evaluate_looks_the_box_up_once():
     """Each evaluate of a family-1, 1p, 11 or 11p spec makes exactly one
-    lookup in the box cache, whether it hits or misses."""
+    call to the box, counted by its cache as a hit or a miss."""
     info = _derived_quantities_cached.cache_info
     for spec in sweep_specs(60, ABELIAN_FAMILIES + DIHEDRAL_FAMILIES):
         before = info()
@@ -371,6 +371,44 @@ def test_evaluate_looks_the_box_up_once():
         after = info()
         assert (after.hits + after.misses) - (before.hits + before.misses) \
             == 1, spec
+
+
+def test_dihedral_box_is_the_abelian_box():
+    """The box of a family-11 or 11p spec, read off the spec itself,
+    equals the box of the family-1 or 1p spec with the same parameters,
+    on every 11 and 11p spec of order <= 240."""
+    specs = sweep_specs(240, DIHEDRAL_FAMILIES)
+    for spec in specs:
+        assert _derived_quantities_cached(spec) == \
+            _derived_quantities_cached(abelian_spec(spec)), spec
+    assert {spec.family for spec in specs} == set(DIHEDRAL_FAMILIES)
+
+
+def test_evaluate_builds_no_spec(monkeypatch):
+    """evaluate of a family-11 or 11p spec constructs no FamilySpec: the
+    box takes the spec itself."""
+    specs = sweep_specs(60, DIHEDRAL_FAMILIES)
+    built = []
+    init = FamilySpec.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FamilySpec, "__init__", counted)
+    for spec in specs:
+        evaluate(spec)
+    assert built == []
+    FamilySpec("8", m=1)
+    assert built == [("8",)]
+
+
+def test_engine_keeps_no_box_between_calls():
+    """After evaluate over every box spec of order <= 60 the box cache
+    holds nothing: the engine keeps nothing per spec between calls."""
+    for spec in sweep_specs(60, ABELIAN_FAMILIES + DIHEDRAL_FAMILIES):
+        evaluate(spec)
+    assert _derived_quantities_cached.cache_info().currsize == 0
 
 
 # -- the integer invariant sum ---------------------------------------------------

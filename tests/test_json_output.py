@@ -20,8 +20,10 @@ from orbiseif.engine import (
     flip_orientation,
     normalize,
 )
+from orbiseif.groups import FamilySpec
 from orbiseif.verify import ComparisonResult, sweep_specs
 from json_reference import reference_to_dict
+from test_verify import package_calls
 
 # sha256 of the texts `_pinned_texts` lists, joined by newlines, as the
 # stdlib encoder wrote them from the reference document
@@ -119,6 +121,23 @@ def _assert_stdlib_layout(out):
                      if pair[0] != pair[1]), min(len(got), len(want)))
         pytest.fail(f"line {line + 1}: {got[line:line + 1]} != "
                     f"{want[line:line + 1]}")
+
+
+@pytest.mark.parametrize("spec, bound", [
+    (FamilySpec("1", m=1, n=3, r=4, s=1), 25),
+    (FamilySpec("11p", m=1, n=3, r=4, s=1), 27),
+    (FamilySpec("12", m=1, n=9), 21),
+    (FamilySpec("8", m=1), 19),
+], ids=str)
+def test_tabulated_report_enters_a_bounded_number_of_functions(spec, bound):
+    """A warm `report_json(evaluate(spec))`, the work of one tabulated
+    spec, enters at most `bound` Python functions of the package: the
+    writer makes no call per value and the engine builds no throwaway
+    spec, without timing anything."""
+    text = report_json(evaluate(spec))
+    again, calls = package_calls(lambda: report_json(evaluate(spec)))
+    assert again == text
+    assert calls <= bound, calls
 
 
 @pytest.mark.parametrize("args", [
