@@ -11,10 +11,13 @@ and `verify`) builds the text directly from the result objects with two
 helpers: `_array` indents a list of already-encoded texts and `_object`
 a list of (key, text) pairs in sorted key order; a fixed-key object, and
 a report per shape, is laid out once by them as a %s template.  Strings
-go through the C escaper `json.encoder.encode_basestring_ascii` and ints
-through `int.__repr__`.  The text is byte for byte what `json.dumps`
-gives for the same document with a two-space indent and sorted keys,
-but no output goes through `json.dumps`'s pure-Python indenting encoder.
+go through `_json.encode_basestring_ascii`, the C escaper that CPython's
+`json.encoder` uses as well, and ints through `int.__repr__`.  The text
+is byte for byte what `json.dumps` gives for the same document with a
+two-space indent and sorted keys, but no output goes through
+`json.dumps`'s pure-Python indenting encoder.  `argparse` and `json` are
+imported only by the functions that use them (`_build_parser` and
+`report_from_dict`), so importing this module loads neither.
 
 Exit codes: 0 success, 1 invalid parameters or arguments, 2 a
 verification mismatch, 3 unsupported family.
@@ -22,13 +25,11 @@ verification mismatch, 3 unsupported family.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from _json import encode_basestring_ascii as _str
 from fractions import Fraction
 from functools import cache
-from json.encoder import encode_basestring_ascii as _str
 from math import gcd
 
 from .engine import (
@@ -88,6 +89,8 @@ def report_from_dict(doc: dict) -> EngineReport:
     fractional invariant sum and a document (its `verification` member
     aside) that differs from the rebuilt report's.
     """
+    import json
+
     try:
         spec = FamilySpec(doc["family"],
                           **{k: int(v) for k, v in doc["params"].items()})
@@ -254,6 +257,8 @@ def _print_text_report(report: EngineReport, notes, out):
 # ---------------------------------------------------------------------------
 
 def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="orbiseif",
         description="Seifert invariants of spherical 3-orbifold quotients")

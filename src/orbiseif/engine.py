@@ -71,7 +71,8 @@ CORNER = "corner"
 # Result records are slotted dataclasses, equal and hashed by value, and
 # no code assigns a field after construction (an AST scan in the tests
 # holds that); frozen=True would enforce it at run time at about 1 us a
-# record.  The specs and the group ids stay frozen; the group ids key caches.
+# record.  The specs are slotted the same way; the group ids stay frozen
+# because they key caches.
 @dataclass(slots=True, unsafe_hash=True)
 class BaseSignature:
     kind: str

@@ -169,7 +169,7 @@ def algebraic_group(group_id: StandardGroupId) -> list[AlgebraicQuaternion]:
 # family specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FamilySpec:
     family: str
     m: Optional[int] = None

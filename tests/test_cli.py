@@ -281,6 +281,19 @@ def test_import_leaves_the_process_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_argparse_and_json_unloaded():
+    """`argparse` is imported only to parse a command line and `json` only
+    to read a report back; the writer needs neither."""
+    proc = _run_python("-c", "import sys, orbiseif, orbiseif.cli, orbiseif.verify\n"
+                       "print(sorted({'argparse', 'json'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_writer_escapes_strings_as_the_json_module_does():
+    assert cli._str is json.encoder.encode_basestring_ascii
+
+
 def test_verify_rejects_fewer_than_one_worker(monkeypatch, capsys):
     """--workers below 1 exits with code 1 before anything is enumerated,
     like a count above the CPU cap."""

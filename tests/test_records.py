@@ -1,12 +1,14 @@
-"""Result records: their construction checks, and no assignment after
-construction anywhere in the package.
+"""Result records and family specs: their construction checks, the spec
+record's shape, and no assignment after construction anywhere in the
+package.
 
-The records are slotted dataclasses without `frozen`, so nothing at run
-time refuses `record.field = value`; the AST scan below refuses it
-statically instead."""
+The result records and `FamilySpec` are slotted dataclasses without
+`frozen`, so nothing at run time refuses `record.field = value`; the AST
+scan below refuses it statically instead."""
 
 import ast
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from orbiseif.engine import (
     LocalInvariant,
     SeifertData,
 )
-from orbiseif.groups import StandardGroupId
+from orbiseif.groups import FamilySpec, StandardGroupId, enumerate_specs
 from test_oracle import _run_optimized
 
 # Each expression breaks one rule a record checks when it is built.
@@ -81,6 +83,45 @@ def test_record_checks_survive_python_optimize():
         "    sys.exit(f'{expression} was built')\n")
     proc = _run_optimized("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the spec record
+# ---------------------------------------------------------------------------
+
+def test_spec_is_slotted_and_keeps_its_text():
+    spec = FamilySpec("1", 1, 3, 4, 1)
+    assert not hasattr(spec, "__dict__")
+    assert repr(spec) == "FamilySpec(family='1', m=1, n=3, r=4, s=1)"
+    assert str(spec) == "1(m=1,n=3,r=4,s=1)"
+    assert str(FamilySpec("8", m=1)) == "8(m=1)"
+    assert FamilySpec("8", m=1).params() == {"m": 1}
+
+
+def test_specs_are_equal_and_hashed_by_value():
+    first = FamilySpec("11p", m=1, n=3, r=4, s=1)
+    second = FamilySpec("11p", 1, 3, 4, 1)
+    other = FamilySpec("11p", m=1, n=3, r=4, s=3)
+    assert first is not second and first == second != other
+    assert hash(first) == hash(second)
+    assert {first: "a"}[second] == "a"
+    assert {first, second, other} == {second, other}
+
+
+# On CPython 3.11 the rows of enumerate_specs(240) take 138.8 bytes each
+# with slotted specs and 178.8 with frozen ones, which carry a __dict__.
+ENUMERATE_BYTES_PER_ROW = 146
+
+
+def test_enumerated_rows_stay_small():
+    enumerate_specs(8)  # whatever a first call sets up is not per row
+    tracemalloc.start()
+    try:
+        rows = enumerate_specs(240)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert allocated / len(rows) < ENUMERATE_BYTES_PER_ROW
 
 
 # ---------------------------------------------------------------------------
