@@ -357,6 +357,17 @@ def _selected_families(args):
         return None
 
 
+_ENUMERATED_HEAD = "%8s %-28s %9s  fibered\n" % ("family", "parameters", "|Phi(G)|")
+_ENUMERATED_TEXT = "%8s %-28s %9d  %s\n"
+
+
+@cache
+def _params_text(params) -> str:
+    """The `enumerate` text of a parameter signature, "m=%d,n=%d" and so
+    on; every signature is a prefix of (m, n, r, s)."""
+    return ",".join([f"{p}=%d" for p in params])
+
+
 def _cmd_enumerate(args, out) -> int:
     families = _selected_families(args)
     if families is None:
@@ -375,12 +386,16 @@ def _cmd_enumerate(args, out) -> int:
             lead = ",\n  "
         out.write("\n]\n")
         return EXIT_OK
-    print(f"{'family':>8} {'parameters':<28} {'|Phi(G)|':>9}  fibered", file=out)
+    write = out.write
+    write(_ENUMERATED_HEAD)
     for row in rows:
-        params = ",".join(f"{k}={v}" for k, v in row.spec.params().items())
-        print(f"{row.spec.family:>8} {params:<28} {row.phi_order:>9}  "
-              f"{'yes' if row.fibered else 'no'}", file=out)
-    print(f"total: {len(rows)} groups", file=out)
+        spec = row.spec
+        params = get_family(spec.family).params
+        write(_ENUMERATED_TEXT % (
+            spec.family,
+            _params_text(params) % (spec.m, spec.n, spec.r, spec.s)[:len(params)],
+            row.phi_order, "yes" if row.fibered else "no"))
+    write(f"total: {len(rows)} groups\n")
     return EXIT_OK
 
 

@@ -28,8 +28,8 @@ the elements once per process, keyed by (right, right kernel), since
 they do not depend on the family parameters.  A circle element
 e^(2 pi i num/den), times j when jflag is set, is the integer triple
 (jflag, num, den) in the catalog and (jflag, numerator over a common
-grid) in a built group (see PairGroup), whose integer rows are a view
-built on demand.
+grid) in a built group (see PairGroup).  A built group is its lattice or
+its coset data and nothing else: it lists no pairs.
 Self-checks raise InternalInconsistencyError, so python -O keeps them.
 """
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Optional
 
 from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
@@ -134,22 +134,28 @@ def _coset_union(base, multipliers):
     return list(seen)
 
 
-def standard_group(group_id: StandardGroupId) -> list[AlgebraicQuaternion]:
-    """Exact element list of T*, O* or I*.  Cyclic and binary dihedral
-    groups are never listed: their elements are integer angle data."""
-    kind = group_id.kind
+# A Q(sqrt2, sqrt5) product is slow, so each of T*, O* and I* is listed
+# once per process; there are three keys.
+@cache
+def _polyhedral_elements(kind: str) -> tuple:
+    t = _tetrahedral_elements()
     if kind == "T":
-        return _tetrahedral_elements()
+        return tuple(t)
     if kind == "O":
-        t = _tetrahedral_elements()
-        return _coset_union(t, [quat_rational(1, 0, 0, 0), SIGMA])
-    if kind == "I":
-        t = _tetrahedral_elements()
-        powers = [quat_rational(1, 0, 0, 0)]
-        for _ in range(4):
-            powers.append(IOTA.multiply(powers[-1]))
-        return _coset_union(t, powers)
-    raise ValueError(f"standard_group lists T*, O* and I* only, not {group_id}")
+        return tuple(_coset_union(t, [quat_rational(1, 0, 0, 0), SIGMA]))
+    powers = [quat_rational(1, 0, 0, 0)]
+    for _ in range(4):
+        powers.append(IOTA.multiply(powers[-1]))
+    return tuple(_coset_union(t, powers))
+
+
+def standard_group(group_id: StandardGroupId) -> list[AlgebraicQuaternion]:
+    """Exact element list of T*, O* or I*, a fresh list on every call.
+    Cyclic and binary dihedral groups are never listed: their elements
+    are integer angle data."""
+    if group_id.kind not in _POLYHEDRAL_ORDERS:
+        raise ValueError(f"standard_group lists T*, O* and I* only, not {group_id}")
+    return list(_polyhedral_elements(group_id.kind))
 
 
 def algebraic_group(group_id: StandardGroupId) -> list[AlgebraicQuaternion]:
@@ -161,7 +167,7 @@ def algebraic_group(group_id: StandardGroupId) -> list[AlgebraicQuaternion]:
         return standard_group(group_id)
     if kind == "D" and order == 8:
         # +-1, +-i, +-j, +-k lead T*, in the order the coset data follow
-        return _tetrahedral_elements()[:8]
+        return standard_group(BINARY_TETRAHEDRAL)[:8]
     raise ValueError(f"no algebraic representation wired for {group_id}")
 
 
@@ -647,12 +653,6 @@ class RotationLattice:
     h22: int
     offsets: tuple
 
-    def points(self, grid: int):
-        """Lambda modulo grid, as (a, b) pairs with 0 <= a, b < grid."""
-        h11, h12, h22 = self.h11, self.h12, self.h22
-        return [(x * h11, b) for x in range(grid // h11)
-                for b in range(x * h12 % h22, grid, h22)]
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class CosetGluing:
@@ -673,23 +673,13 @@ class CosetGluing:
             for jflag in (False, True) if self.dihedral else (jl,):
                 yield jflag, a, coset
 
-    def rows(self, grid: int):
-        """Every pair as a row (left jflag, left angle, r)."""
-        return [(jflag, x, r) for jflag, a, coset in self.parts()
-                for x in range(a, grid, grid // self.period) for r in coset]
 
-
-@dataclass
+@dataclass(slots=True)
 class PairGroup:
-    """A built group, one integer row per pair (l, r) on demand.
-
-    Circle angles are numerators over `grid`.  With a circle-type right
-    factor the group is `lattice`, and a row is (left jflag, right jflag,
-    left angle, right angle); with a T*, O* or I* right factor the group
-    is `gluing`, and a row is (left jflag, left angle, r).  `order` is
-    read off the lattice or gluing when the group is made; `rows` is the
-    one explicit view, built on first access, and `order` does not build
-    it.
+    """A built group: its factor ids and, on a grid of circle angle
+    numerators, its structure.  With a circle-type right factor that is
+    `lattice`, with a T*, O* or I* right factor `gluing`; the other is
+    None.  `order` is read off that structure when the group is made.
     """
 
     spec: FamilySpec
@@ -709,15 +699,6 @@ class PairGroup:
                           * (1 + glue.dihedral))
         else:
             self.order = self.grid ** 2 // (lat.h11 * lat.h22) * len(lat.offsets)
-
-    @cached_property
-    def rows(self) -> list:
-        """Every pair as an integer row, built on first access."""
-        if self.lattice is None:
-            return self.gluing.rows(self.grid)
-        grid, points = self.grid, self.lattice.points(self.grid)
-        return [(jl, jr, (a + x) % grid, (b + y) % grid)
-                for jl, jr, a, b in self.lattice.offsets for x, y in points]
 
 
 def phi_order(group: PairGroup) -> int:
@@ -781,14 +762,16 @@ def _circle_times(x, y, grid: int):
 def _polyhedral_quotient(group_id: StandardGroupId,
                          kernel_id: StandardGroupId) -> _Quotient:
     """Coset data of a T*, O* or I* factor, from its elements in
-    quaternion coordinates; each coset is the tuple (l*k for k in K)."""
+    quaternion coordinates; each coset is the tuple (l*k for k in K),
+    the first one K itself."""
     elements = algebraic_group(group_id)
     kernel = elements if kernel_id == group_id else algebraic_group(kernel_id)
     members = set(elements)
     _require(all(k in members for k in kernel),
              "{} is not contained in {}", kernel_id, group_id)
-    index = {}
-    cosets = []
+    # the coset of an element of K is K, so it is not multiplied out
+    index = dict.fromkeys(kernel, 0)
+    cosets = [tuple(kernel)]
     for el in elements:
         if el in index:
             continue

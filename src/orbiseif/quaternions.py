@@ -16,14 +16,8 @@ integer (jflag, angle numerator) pairs over a common grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactfield import QF_ONE, QuadFieldElement
-
-
-class RepresentationMismatchError(TypeError):
-    """Product of an element that is not an AlgebraicQuaternion was
-    requested."""
+from .exactfield import QuadFieldElement
 
 
 class NotHopfPreservingError(ValueError):
@@ -70,21 +64,6 @@ class AlgebraicQuaternion:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         )
 
-    def norm_squared(self) -> Fraction:
-        n = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-        if n.b != 0 or n.c != 0 or n.d != 0:
-            raise ArithmeticError(f"squared norm of {self} is not rational")
-        return n.a
-
-    def inverse(self) -> "AlgebraicQuaternion":
-        # Unit quaternion: inverse is the conjugate.
-        if self.norm_squared() != 1:
-            raise ArithmeticError(f"{self} is not a unit quaternion")
-        return AlgebraicQuaternion(self.w, -self.x, -self.y, -self.z)
-
-    def is_identity(self) -> bool:
-        return self.w == QF_ONE and self.x.is_zero() and self.y.is_zero() and self.z.is_zero()
-
 
 def quat_rational(w, x, y, z) -> AlgebraicQuaternion:
     return AlgebraicQuaternion(QuadFieldElement(w), QuadFieldElement(x),
@@ -92,11 +71,8 @@ def quat_rational(w, x, y, z) -> AlgebraicQuaternion:
 
 
 def multiply(a: AlgebraicQuaternion, b: AlgebraicQuaternion) -> AlgebraicQuaternion:
-    """Exact quaternion product; any other operand is an error."""
-    if isinstance(a, AlgebraicQuaternion) and isinstance(b, AlgebraicQuaternion):
-        return a.multiply(b)
-    raise RepresentationMismatchError(
-        f"cannot multiply {type(a).__name__} by {type(b).__name__}")
+    """Exact quaternion product."""
+    return a.multiply(b)
 
 
 def element_negate(a: AlgebraicQuaternion) -> AlgebraicQuaternion:
@@ -110,8 +86,8 @@ def element_negate(a: AlgebraicQuaternion) -> AlgebraicQuaternion:
 @dataclass(frozen=True)
 class PairElement:
     """(p, q) in S^3 x S^3 acting by h -> p*h*q^-1; each factor brings
-    its own multiply, inverse and is_identity.  The package builds no
-    pairs itself: the tests build them from the rows of a group."""
+    its own multiply.  The package builds no pairs itself: the tests
+    build them from the rows of a group."""
 
     left: object
     right: object
@@ -119,9 +95,3 @@ class PairElement:
     def multiply(self, other: "PairElement") -> "PairElement":
         return PairElement(self.left.multiply(other.left),
                            self.right.multiply(other.right))
-
-    def inverse(self) -> "PairElement":
-        return PairElement(self.left.inverse(), self.right.inverse())
-
-    def is_identity(self) -> bool:
-        return self.left.is_identity() and self.right.is_identity()

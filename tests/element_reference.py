@@ -4,8 +4,13 @@ The package keeps a cyclic or binary dihedral element e^(2*pi*i*t), or
 e^(2*pi*i*t)*j, only as integer angle data.  Here it is an object again,
 CircleJElement, with its own product rule, so tests can list the
 elements of a group and multiply them without the package's integer
-rules.  `elements(group)` turns the rows of a built group into such
-pairs.
+rules.  `elements(group)` turns the rows of a built group (see
+`row_reference.group_rows`) into such pairs.
+
+The package multiplies quaternions and pairs and nothing more.  The
+algebra only tests use, `inverse`, `is_identity` and `norm_squared`, is
+here as functions that take a circle element, a quaternion or a pair,
+and `multiply` is the one product that takes either kind of factor.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import math
 from fractions import Fraction
 
 from orbiseif import groups, quaternions
-from orbiseif.quaternions import PairElement
+from orbiseif.exactfield import QF_ONE
+from orbiseif.quaternions import AlgebraicQuaternion, PairElement
+from row_reference import group_rows
 
 
 class CircleJElement:
@@ -99,12 +106,46 @@ def circle_root(k: int, power: int = 1) -> CircleJElement:
 CIRCLE_J = _circle(0, 1, True)
 
 
+class RepresentationMismatchError(TypeError):
+    """Product of a circle element and a quaternion was requested."""
+
+
 def multiply(a, b):
     """Exact product of two circle elements or two quaternions; a mixed
     product raises RepresentationMismatchError."""
     if isinstance(a, CircleJElement) and isinstance(b, CircleJElement):
         return a.multiply(b)
-    return quaternions.multiply(a, b)
+    if isinstance(a, AlgebraicQuaternion) and isinstance(b, AlgebraicQuaternion):
+        return quaternions.multiply(a, b)
+    raise RepresentationMismatchError(
+        f"cannot multiply {type(a).__name__} by {type(b).__name__}")
+
+
+def norm_squared(q: AlgebraicQuaternion) -> Fraction:
+    n = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
+    if n.b != 0 or n.c != 0 or n.d != 0:
+        raise ArithmeticError(f"squared norm of {q} is not rational")
+    return n.a
+
+
+def inverse(a):
+    """Inverse of a circle element, a unit quaternion or a pair."""
+    if isinstance(a, PairElement):
+        return PairElement(inverse(a.left), inverse(a.right))
+    if isinstance(a, CircleJElement):
+        return a.inverse()
+    # unit quaternion: the inverse is the conjugate
+    if norm_squared(a) != 1:
+        raise ArithmeticError(f"{a} is not a unit quaternion")
+    return AlgebraicQuaternion(a.w, -a.x, -a.y, -a.z)
+
+
+def is_identity(a) -> bool:
+    if isinstance(a, PairElement):
+        return is_identity(a.left) and is_identity(a.right)
+    if isinstance(a, CircleJElement):
+        return a.is_identity()
+    return a.w == QF_ONE and a.x.is_zero() and a.y.is_zero() and a.z.is_zero()
 
 
 def element_negate(a):
@@ -138,8 +179,8 @@ def as_element(image):
 
 def elements(group) -> list[PairElement]:
     """The rows of a built group as explicit pairs."""
-    grid = group.grid
+    grid, rows = group.grid, group_rows(group)
     if group.lattice is None:
-        return [PairElement(_circle(a, grid, jl), r) for jl, a, r in group.rows]
+        return [PairElement(_circle(a, grid, jl), r) for jl, a, r in rows]
     return [PairElement(_circle(a, grid, jl), _circle(b, grid, jr))
-            for jl, jr, a, b in group.rows]
+            for jl, jr, a, b in rows]

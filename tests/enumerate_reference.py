@@ -5,6 +5,10 @@ values.  The loop here proposes every positive tuple below the order
 bound instead, with s over 1..r, and keeps the ones `validate` accepts,
 so the tests can check that the stepped loops skip no valid spec and
 keep the catalog order.
+
+`enumerate_text` lays rows out as `orbiseif enumerate` prints them, with
+the f-strings the command used before it wrote each row with one %
+format.
 """
 
 from orbiseif.groups import (
@@ -64,3 +68,14 @@ def reference_enumerate(max_order: int, families=None) -> list:
                 rows.append(EnumeratedSpec(spec, fam.phi_order(spec),
                                            fam.fibered))
     return rows
+
+
+def enumerate_text(rows) -> str:
+    """The text output of `orbiseif enumerate` for `rows`."""
+    lines = [f"{'family':>8} {'parameters':<28} {'|Phi(G)|':>9}  fibered"]
+    for row in rows:
+        params = ",".join(f"{k}={v}" for k, v in row.spec.params().items())
+        lines.append(f"{row.spec.family:>8} {params:<28} {row.phi_order:>9}  "
+                     f"{'yes' if row.fibered else 'no'}")
+    lines.append(f"total: {len(rows)} groups")
+    return "\n".join(lines) + "\n"

@@ -2,13 +2,14 @@
 
 The library keeps a group with two circle-type factors as lattice data
 (`PairGroup.lattice`), and one with a T*, O* or I* right factor as coset
-data (`PairGroup.gluing`), and reads every oracle quantity off that
-structure.  The functions here are the row scans that did the same work
-before: they read `PairGroup.rows`, one integer row per element, so the
-tests can check the structural formulas against every element.  The row
-builds at the end, the direct grid of the parameter families and the
-coset-by-coset gluing through quotient product tables, are the
-constructions the structural builds replaced.
+data (`PairGroup.gluing`), reads every oracle quantity off that
+structure, and never lists its elements.  `group_rows` lists them here,
+one integer row per element, and the functions below are the row scans
+that did the oracle's work before, so the tests can check the
+structural formulas against every element.  The row builds at the end,
+the direct grid of the parameter families and the coset-by-coset gluing
+through quotient product tables, are the constructions the structural
+builds replaced.
 
 `circle_lattice_by_full_walk` is the Schreier walk of the lattice build
 along every kernel generator, rotations included; the library enters
@@ -65,6 +66,7 @@ from orbiseif.oracle import (
     _axis,
     _quotient_signature,
 )
+from orbiseif.quaternions import quat_rational
 
 HOPF_FIBER = (1, 1)
 
@@ -147,6 +149,27 @@ def lattice_points(hnf, grid):
             for b in range(x * h12 % h22, grid, h22)}
 
 
+# -- the rows of a built group ----------------------------------------------------
+
+def gluing_rows(gluing, grid):
+    """Every pair of coset data as a row (left jflag, left angle, r)."""
+    return [(jflag, x, r) for jflag, a, coset in gluing.parts()
+            for x in range(a, grid, grid // gluing.period) for r in coset]
+
+
+def group_rows(group):
+    """Every pair of a built group as an integer row over its grid: (left
+    jflag, right jflag, left angle, right angle) for lattice data, (left
+    jflag, left angle, r) for coset data.  A lattice lists its flag
+    classes in offset order, each over its points in ascending order."""
+    grid, lat = group.grid, group.lattice
+    if lat is None:
+        return gluing_rows(group.gluing, grid)
+    points = sorted(lattice_points((lat.h11, lat.h12, lat.h22), grid))
+    return [(jl, jr, (a + x) % grid, (b + y) % grid)
+            for jl, jr, a, b in lat.offsets for x, y in points]
+
+
 # -- the lattice build -----------------------------------------------------------
 
 def circle_lattice_by_full_walk(data, grid):
@@ -189,7 +212,7 @@ def row_shapes(group):
     """Shape -> set of angle parameters c = -2b, one row at a time."""
     grid = group.grid
     shapes = {ROT: set(), FLIP: set(), AROT: set(), REFL: set()}
-    for jl, jr, _, b in group.rows:
+    for jl, jr, _, b in group_rows(group):
         shapes[2 * jl + jr].add((-2 * b) % grid)
     return shapes
 
@@ -313,7 +336,7 @@ def axis_classes(group):
     """(jflag, t, line, sign) per class of rows (l, r) inducing the same
     base isometry, keyed by the left jflag and r up to sign."""
     classes = {}
-    for jl, _, r in group.rows:
+    for jl, _, r in group_rows(group):
         key = (jl, _rotation_key(r))
         if key not in classes:
             classes[key] = (jl,) + _axis(r)
@@ -327,7 +350,7 @@ def axis_stab_vectors(group, line, sign):
     grid = math.lcm(120, group.grid)
     lift = grid // group.grid
     vectors = set()
-    for jl, a, r in group.rows:
+    for jl, a, r in group_rows(group):
         if jl:
             continue
         t, r_line, r_sign = _axis(r)
@@ -350,13 +373,13 @@ def gluing_by_right_element(rows, grid):
     lefts = {}
     for jl, a, r in rows:
         lefts.setdefault(r, []).append((jl, a))
-    kernel = next(ls for r, ls in lefts.items() if r.is_identity())
+    kernel = lefts[quat_rational(1, 0, 0, 0)]
     period = sum(1 for jl, _ in kernel if not jl)
     step = grid // period
     gluing = CosetGluing(period, any(jl for jl, _ in kernel),
                          tuple((ls[0][0], ls[0][1] % step) for ls in lefts.values()),
                          tuple((r,) for r in lefts))
-    assert len(rows) == len(set(rows)) and set(gluing.rows(grid)) == set(rows)
+    assert len(rows) == len(set(rows)) and set(gluing_rows(gluing, grid)) == set(rows)
     return gluing
 
 
@@ -367,7 +390,7 @@ def lens_by_matrices(group):
     torus quotient matrices and the meridian/longitude exchange, over the
     explicit translations of every rotation pair."""
     grid = group.grid
-    vectors = pole_stab_vectors(group.rows, grid, False)
+    vectors = pole_stab_vectors(group_rows(group), grid, False)
     assert len(vectors) == phi_order(group)
     k1 = sum(1 for u, v in vectors if v == 0)   # fix the z1 = 0 core pointwise
     k2 = sum(1 for u, v in vectors if u == 0)   # fix the z2 = 0 core pointwise

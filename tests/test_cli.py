@@ -6,12 +6,14 @@ import gc
 import json
 import os
 import pathlib
+import sys
 import tracemalloc
 
 from orbiseif import cli, verify
 from orbiseif.cli import MAX_VERIFY_ORDER, main, report_from_dict, report_json
 from orbiseif.engine import evaluate
 from orbiseif.groups import FamilySpec, UnsupportedFamilyError, require_fibered
+from enumerate_reference import enumerate_text, reference_enumerate
 from test_oracle import _run_optimized, _run_python
 
 
@@ -181,6 +183,28 @@ def test_enumerate_bounds_and_fibered_flags(capsys):
 class _Discard:
     def write(self, text):
         return len(text)
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_enumerate_text_is_written_one_line_at_a_time(monkeypatch):
+    """`enumerate` writes each line of its text, header and total
+    included, with one write, and the lines are those of the f-string
+    layout, over every family at order 60, non-fibered rows included."""
+    rows = reference_enumerate(60)
+    assert {row.fibered for row in rows} == {True, False}
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate", "--max-order", "60"]) == 0
+    assert "".join(out.writes) == enumerate_text(rows)
+    assert len(out.writes) == len(rows) + 2
 
 
 def test_enumerate_json_keeps_nothing_behind():

@@ -30,18 +30,25 @@ from orbiseif.groups import (
     standard_group,
     validate,
 )
-from orbiseif.quaternions import PairElement
+from orbiseif.quaternions import AlgebraicQuaternion, PairElement
 from orbiseif.verify import run_sweep, sweep_specs
 from element_reference import (
     CircleJElement,
     as_element,
     element_negate,
     elements,
+    inverse,
+    is_identity,
     multiply,
     standard_elements,
 )
 from enumerate_reference import reference_enumerate
-from row_reference import circle_lattice_by_full_walk, coset_rows, direct_grid_rows
+from row_reference import (
+    circle_lattice_by_full_walk,
+    coset_rows,
+    direct_grid_rows,
+    group_rows,
+)
 from test_oracle import _run_optimized
 
 F = Fraction
@@ -116,7 +123,7 @@ def test_icosahedral_closure_sampled():
         a, b = rng.choice(els), rng.choice(els)
         assert a.multiply(b) in group
     for el in els:
-        assert el.inverse() in group
+        assert inverse(el) in group
 
 
 # -- validation ---------------------------------------------------------------
@@ -239,7 +246,7 @@ def test_goursat_closure_exhaustive_small():
         pairs = elements(group)
         members = set(pairs)
         for a in pairs:
-            assert a.inverse() in members
+            assert inverse(a) in members
             for b in pairs:
                 assert a.multiply(b) in members
 
@@ -269,9 +276,9 @@ def test_goursat_projection_and_kernel_consistency():
         pairs = elements(group)
         lefts = {p.left for p in pairs}
         assert lefts == set(standard_elements(data.left))
-        left_kernel = {p.left for p in pairs if p.right.is_identity()}
+        left_kernel = {p.left for p in pairs if is_identity(p.right)}
         assert left_kernel == set(standard_elements(data.left_kernel))
-        right_kernel = {p.right for p in pairs if p.left.is_identity()}
+        right_kernel = {p.right for p in pairs if is_identity(p.left)}
         want = (algebraic_group(data.right_kernel) if data.right.kind in "TOI"
                 else standard_elements(data.right_kernel))
         assert right_kernel == set(want)
@@ -292,13 +299,13 @@ def test_grid_construction_matches_generic_cosets():
         spec = FamilySpec(fam, **kw)
         group = goursat_group(spec)
         grid, rows = direct_grid_rows(spec)
-        assert (group.grid, sorted(group.rows)) == (grid, sorted(rows))
+        assert (group.grid, sorted(group_rows(group))) == (grid, sorted(rows))
     specs = [sp for sp in sweep_specs(48) if _circle_type(sp)]
     assert len(specs) == 2696
     for spec in specs:
         group = goursat_group(spec)
         grid, rows = coset_rows(spec)
-        assert (group.grid, sorted(group.rows)) == (grid, sorted(rows)), spec
+        assert (group.grid, sorted(group_rows(group))) == (grid, sorted(rows)), spec
         assert group.order == len(rows)
 
 
@@ -311,7 +318,7 @@ def test_row_view_matches_the_row_build_digest():
     for spec in sweep_specs(120):
         if _circle_type(spec):
             group = goursat_group(spec)
-            digest.update(repr((str(spec), group.grid, sorted(group.rows))).encode())
+            digest.update(repr((str(spec), group.grid, sorted(group_rows(group)))).encode())
             count += 1
     assert count == 15864
     assert digest.hexdigest()[:16] == "5508e155f9b61fd5"
@@ -344,7 +351,7 @@ def test_polyhedral_row_view_matches_the_row_build_digest():
     for spec in sweep_specs(480, TABLE4_FAMILIES):
         if not _circle_type(spec):
             group = goursat_group(spec)
-            keys = sorted((jl, a, r._key) for jl, a, r in group.rows)
+            keys = sorted((jl, a, r._key) for jl, a, r in group_rows(group))
             digest.update(repr((str(spec), group.grid, keys)).encode())
             count += 1
             rows += len(keys)
@@ -367,7 +374,7 @@ def _reference_goursat(data):
         return out
 
     def identity(group):
-        return next(x for x in group if x.is_identity())
+        return next(x for x in group if is_identity(x))
 
     left, right = standard_elements(data.left), build(data.right)
     cl = cosets(left, standard_elements(data.left_kernel))
@@ -527,12 +534,44 @@ def test_table4_builds_form_no_product_once_warm(monkeypatch):
     assert made == dict.fromkeys(TABLE4_FAMILIES, 0)
 
 
+def test_cold_polyhedral_fill_counts_its_products(monkeypatch):
+    """A fresh fill of the six catalog quotients lists each of T*, O* and
+    I* once and does not multiply out the coset of the kernel, which is
+    the kernel: 132 products go through groups.multiply, and with the
+    listings of O* (48) and I* (124) the fill forms 304 quaternion
+    products in all."""
+    keys = set()
+    for fam in TABLE4_FAMILIES:
+        data = get_family(fam).goursat(enumerate_specs(240, [fam])[0].spec)
+        if data.right.kind in "TOI":
+            keys.add((data.right, data.right_kernel))
+    assert len(keys) == 6
+    groups._polyhedral_quotient.cache_clear()
+    groups._polyhedral_elements.cache_clear()
+    calls = Counter()
+
+    def counted(name, original):
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        return count
+
+    monkeypatch.setattr(groups, "multiply",
+                        counted("groups.multiply", groups.multiply))
+    monkeypatch.setattr(AlgebraicQuaternion, "multiply",
+                        counted("quaternion", AlgebraicQuaternion.multiply))
+    for right, kernel in sorted(keys, key=str):
+        groups._polyhedral_quotient(right, kernel)
+    assert calls == {"groups.multiply": 132, "quaternion": 304}
+    assert groups._polyhedral_elements.cache_info().currsize == 3
+
+
 def test_contains_minus_one_pair():
     for spec in (FamilySpec("34", m=1, n=1), FamilySpec("1p", m=1, n=1, r=2, s=1),
                  FamilySpec("5", m=1)):
         group = goursat_group(spec)
-        assert any(PairElement(element_negate(p.left),
-                               element_negate(p.right)).is_identity()
+        assert any(is_identity(PairElement(element_negate(p.left),
+                                           element_negate(p.right)))
                    for p in elements(group))
 
 

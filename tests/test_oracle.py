@@ -61,6 +61,7 @@ from row_reference import (
     circle_base_by_sets,
     equator_stab_vectors,
     gluing_by_right_element,
+    group_rows,
     invariant_from_int_vectors,
     lattice_points,
     lens_by_matrices,
@@ -271,13 +272,14 @@ def test_lattice_oracle_matches_row_scan_reference():
         by_rows = circle_base_by_sets(group, shapes)
         assert (base.order, base.signature, base.orbits) == \
             (by_rows.order, by_rows.signature, by_rows.orbits), spec
+        rows = group_rows(group)
         for orbit in base.orbits:
             kind, where = orbit.position
             if kind == "pole":
-                vectors = pole_stab_vectors(group.rows, grid, where)
+                vectors = pole_stab_vectors(rows, grid, where)
                 hnf = _pole_hnf(group, where)
             else:
-                vectors = equator_stab_vectors(group.rows, grid, where)
+                vectors = equator_stab_vectors(rows, grid, where)
                 hnf = _equator_hnf(group, where)
             assert lattice_points(hnf, grid) == vectors, (spec, orbit)
             assert _lattice_invariant(hnf, grid, "cone") == \
@@ -494,7 +496,7 @@ def _with_quaternion_right_factors(group):
     glued by right element, so the oracle takes the axis path."""
     grid = group.grid
     rows = [(jl, a, circle_to_quaternion(CircleJElement(F(b, grid), jr)))
-            for jl, jr, a, b in group.rows]
+            for jl, jr, a, b in group_rows(group)]
     return PairGroup(group.spec, grid, group.left, group.left_kernel,
                      group.right, group.right_kernel,
                      gluing=gluing_by_right_element(rows, grid))

@@ -1,10 +1,10 @@
-"""Result records and family specs: their construction checks, the spec
-record's shape, and no assignment after construction anywhere in the
-package.
+"""Result records, family specs and built groups: their construction
+checks, the shape of the spec and group records, and no assignment after
+construction anywhere in the package.
 
-The result records and `FamilySpec` are slotted dataclasses without
-`frozen`, so nothing at run time refuses `record.field = value`; the AST
-scan below refuses it statically instead."""
+The result records, `FamilySpec` and `PairGroup` are slotted dataclasses
+without `frozen`, so nothing at run time refuses `record.field = value`;
+the AST scan below refuses it statically instead."""
 
 import ast
 import pathlib
@@ -24,7 +24,7 @@ from orbiseif.engine import (
     LocalInvariant,
     SeifertData,
 )
-from orbiseif.groups import FamilySpec, StandardGroupId, enumerate_specs
+from orbiseif.groups import FamilySpec, StandardGroupId, enumerate_specs, goursat_group
 from test_oracle import _run_optimized
 
 # Each expression breaks one rule a record checks when it is built.
@@ -86,7 +86,7 @@ def test_record_checks_survive_python_optimize():
 
 
 # ---------------------------------------------------------------------------
-# the spec record
+# the spec and group records
 # ---------------------------------------------------------------------------
 
 def test_spec_is_slotted_and_keeps_its_text():
@@ -106,6 +106,15 @@ def test_specs_are_equal_and_hashed_by_value():
     assert hash(first) == hash(second)
     assert {first: "a"}[second] == "a"
     assert {first, second, other} == {second, other}
+
+
+def test_built_group_is_slotted():
+    """A built group holds its factor ids, its lattice or coset data and
+    its order, and no instance dict to hang a derived view on."""
+    for spec in (FamilySpec("1", 1, 3, 4, 1), FamilySpec("8", m=1)):
+        group = goursat_group(spec)
+        assert not hasattr(group, "__dict__")
+        assert (group.lattice is None) != (group.gluing is None)
 
 
 # On CPython 3.11 the rows of enumerate_specs(240) take 138.8 bytes each
