@@ -560,6 +560,8 @@ def _violations(spec: FamilySpec, fam: Family) -> list:
         return violations
     if declared == 4 and math.gcd(spec.s, spec.r) != 1:
         violations.append("gcd(s,r)=1 fails")
+    if declared == 4 and spec.s >= max(spec.r, 2):    # the catalog's range
+        violations.append(f"s must lie in 1..{max(spec.r - 1, 1)}")
     for p in fam.odd:
         if getattr(spec, p) % 2 == 0:
             violations.append(f"{p} must be odd")

@@ -25,9 +25,11 @@ order.  A group with a T*, O* or I* right factor takes the axis path,
 exact in Q(sqrt2, sqrt5): a base point is a unit vector of Im H, kept
 as an oriented line; r = cos(pi t/60) + sin(pi t/60) u rotates the base
 by 2 pi t/60 about the line of u, with the integer t looked up from the
-exact value of Re r, once per right coset tuple and process, and orbits
-and stabilizers follow from incidences of those lines, in integers per
-left progression.  No float and no numeric tolerance is used anywhere.
+exact value of Re r, once per right coset tuple and process; every
+coordinate of r is such a cosine, so the sign and reciprocal that orient
+and scale u are table entries too.  Orbits and stabilizers follow from
+incidences of those lines, in integers per left progression.  No float
+and no numeric tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -296,8 +298,11 @@ def _circle_base(group: PairGroup, shapes: dict) -> BaseActionGroup:
 # line, all in Q(sqrt2, sqrt5).
 
 # Every element of T*, O* and I* has order 1-6, 8 or 10, so its real part
-# is cos(pi t/60) for one of these integers t in [0, 60] (Conway & Smith,
-# On Quaternions and Octonions, 2003, ch. 3).
+# is cos(pi t/60) for one of these integers t in [0, 60].  In the standard
+# coordinates (Conway & Smith, On Quaternions and Octonions, 2003, ch. 3)
+# so is every other coordinate: each is 0, +-1, +-1/2, +-sqrt2/2 or
+# +-(sqrt5 +- 1)/4.  A nonzero coordinate cos(pi t/60) is positive
+# exactly when t < 30, and _RECIPROCAL[t] is its exact reciprocal.
 _HALF_ANGLE = {
     QuadFieldElement(1): 0,
     QF_HALF_TAU: 12,                              # (1 + sqrt5)/4
@@ -311,6 +316,14 @@ _HALF_ANGLE = {
     -QF_HALF_TAU: 48,
     QuadFieldElement(-1): 60,
 }
+_RECIPROCAL = {                                   # 1/cos(pi t/60) for t < 30
+    0: QuadFieldElement(1),
+    12: QuadFieldElement(-1, 0, 1),               # sqrt5 - 1
+    15: QuadFieldElement(0, 1),                   # sqrt2
+    20: QuadFieldElement(2),
+    24: QuadFieldElement(1, 0, 1),                # sqrt5 + 1
+}
+_RECIPROCAL.update({60 - t: -x for t, x in _RECIPROCAL.items()})
 
 # Memo tables of pure functions of the elements: what the oracle computes
 # does not depend on which groups were seen before.
@@ -323,8 +336,10 @@ def _axis(r):
     """(t, line, sign) with r = cos(pi t/60) + sin(pi t/60) * sign * u / |u|
     for the stored direction u of the line; the line is None for r = +-1.
 
-    Cached per element, since the field inverse that normalizes the
-    direction costs far more than a dictionary lookup.
+    The direction is the vector part of r divided by its first nonzero
+    coordinate, the pivot, and sign is the sign of the pivot; both are
+    read off the pivot's cosine table entry.  Cached per element, since
+    the three field products cost far more than a dictionary lookup.
     """
     t = _HALF_ANGLE.get(r.w)
     _require(t is not None, "real part of {} is not a tabulated cos(pi t/60)", r)
@@ -332,13 +347,15 @@ def _axis(r):
         return t, None, 0
     v = (r.x, r.y, r.z)
     pivot = next(c for c in v if not c.is_zero())
-    scale = pivot.inverse()
+    t_p = _HALF_ANGLE.get(pivot)
+    _require(t_p is not None, "coordinate {} of {} is not a tabulated cosine", pivot, r)
+    scale = _RECIPROCAL[t_p]
     direction = tuple(c * scale for c in v)
     line = _LINES.get(direction)
     if line is None:
         line = _LINES[direction] = len(_LINE_DIRECTIONS)
         _LINE_DIRECTIONS.append(direction)
-    return t, line, pivot.sign()
+    return t, line, 1 if t_p < 30 else -1
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,8 @@ octahedral and icosahedral groups, the only factors listed element by
 element.  Cyclic and binary dihedral factors never are: the group
 machinery keeps their elements e^(2*pi*i*t) and e^(2*pi*i*t)*j as
 integer (jflag, angle numerator) pairs over a common grid.
+An AlgebraicQuaternion is a plain slotted value, equal and hashed by its
+exact coordinates, each of them 0 or a cos(pi t/60) the oracle tabulates.
 """
 
 from __future__ import annotations
@@ -31,17 +33,14 @@ class AlgebraicQuaternion:
 
     def __init__(self, w: QuadFieldElement, x: QuadFieldElement,
                  y: QuadFieldElement, z: QuadFieldElement):
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "_key", tuple(
+        self.w = w
+        self.x = x
+        self.y = y
+        self.z = z
+        self._key = tuple(
             (c.a.numerator, c.a.denominator, c.b.numerator, c.b.denominator,
              c.c.numerator, c.c.denominator, c.d.numerator, c.d.denominator)
-            for c in (w, x, y, z)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraicQuaternion is immutable")
+            for c in (w, x, y, z))
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraicQuaternion):

@@ -11,6 +11,8 @@ The package multiplies quaternions and pairs and nothing more.  The
 algebra only tests use, `inverse`, `is_identity` and `norm_squared`, is
 here as functions that take a circle element, a quaternion or a pair,
 and `multiply` is the one product that takes either kind of factor.
+`QF_ONE`, the unit of Q(sqrt2, sqrt5), is here too: no module of the
+package reads it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import math
 from fractions import Fraction
 
 from orbiseif import groups, quaternions
-from orbiseif.exactfield import QF_ONE
+from orbiseif.exactfield import QuadFieldElement
 from orbiseif.quaternions import AlgebraicQuaternion, PairElement
 from row_reference import group_rows
+
+QF_ONE = QuadFieldElement(1)
 
 
 class CircleJElement:

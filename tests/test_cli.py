@@ -9,6 +9,8 @@ import pathlib
 import sys
 import tracemalloc
 
+import pytest
+
 from orbiseif import cli, verify
 from orbiseif.cli import MAX_VERIFY_ORDER, main, report_from_dict, report_json
 from orbiseif.engine import evaluate
@@ -45,6 +47,17 @@ def test_compute_invalid_parameters_exit_1(capsys):
                            "-m", "2", "-n", "1", "-r", "2", "-s", "1")
     assert code == 1
     assert "m must be odd" in err
+
+
+@pytest.mark.parametrize("r, s", [(1, 2), (3, 4), (4, 5)])
+def test_compute_s_outside_catalog_range_exit_1(capsys, r, s):
+    """s runs over 1..r-1, and is 1 when r = 1, as in the catalog: a
+    larger s is refused rather than read through a negative conjugate
+    representative or printed with invariants off its range."""
+    code, out, err = run_cli(capsys, "compute", "--family", "1", "-m", "1",
+                             "-n", "3", "-r", str(r), "-s", str(s))
+    assert (code, out) == (1, "")
+    assert err == f"invalid: s must lie in 1..{max(r - 1, 1)}\n"
 
 
 def test_compute_unsupported_family_exit_3(capsys):

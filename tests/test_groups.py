@@ -175,10 +175,12 @@ def test_family_declarations_are_well_formed():
     ("33p", (1, 1), ["m must differ from 1", "n must differ from 1"]),
     ("34", (2, 3), ["m must be odd"]),
     ("34bis", (1, 2), ["n must be odd"]),
+    ("11", (1, 1, 4, 6), ["gcd(s,r)=1 fails", "s must lie in 1..3"]),
+    ("1p", (2, 1, 2, 3), ["s must lie in 1..1", "m must be odd"]),
 ])
 def test_validate_lists_every_violation_in_order(family, params, expected):
-    """The full list: gcd(s, r) first, then odd, even and differ-from-1,
-    each in parameter order."""
+    """The full list: gcd(s, r) first, then the range of s, then odd,
+    even and differ-from-1, each in parameter order."""
     spec = FamilySpec(family, *params)
     assert validate(spec) == (expected, [])
 

@@ -39,6 +39,7 @@ from orbiseif.groups import (
 from orbiseif.oracle import (
     _COSET_AXES,
     _HALF_ANGLE,
+    _RECIPROCAL,
     _axis,
     _axis_base,
     _axis_hnf,
@@ -407,6 +408,9 @@ def test_failed_self_checks_keep_their_messages():
     r = quat_rational(F(1, 3), 0, 0, 0)
     assert _raised_message(_axis, r) == \
         f"real part of {r} is not a tabulated cos(pi t/60)"
+    r = quat_rational(F(1, 2), F(1, 3), 0, 0)
+    assert _raised_message(_axis, r) == \
+        f"coordinate 1/3 of {r} is not a tabulated cosine"
     assert _raised_message(_polyhedral_quotient, BINARY_TETRAHEDRAL,
                            BINARY_ICOSAHEDRAL) == \
         f"{BINARY_ICOSAHEDRAL} is not contained in {BINARY_TETRAHEDRAL}"
@@ -472,23 +476,53 @@ def test_oracle_report_klein_action():
     assert rep.topology.singular_components == (2, 2)
 
 
+def _exact_sign(x):
+    """-1, 0 or 1 for x = p + q sqrt(n) in Q(sqrt2) or Q(sqrt5), exactly:
+    when p and q differ in sign, the larger of p^2 and n q^2 wins."""
+    assert x.d == 0 and (x.b == 0 or x.c == 0), x
+    p, q, n = (x.a, x.b, 2) if x.c == 0 else (x.a, x.c, 5)
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sq == 0 or sp == sq:
+        return sp
+    if sp == 0:
+        return sq
+    gap = p * p - n * q * q
+    return sp * ((gap > 0) - (gap < 0))
+
+
 def test_polyhedral_real_parts_are_tabulated_cosines():
-    """Re r = cos(pi t/60) for a tabulated integer t on every element of
-    T*, O*, I*.  Each entry c = cos(pi k/n), k/n = t/60 in lowest terms,
-    satisfies the Chebyshev identity T_n(c) = (-1)^k exactly, and the
-    entries decrease as t grows."""
+    """Every coordinate, real part or not, of every element of T*, O*, I*
+    is cos(pi t/60) for a tabulated integer t.  Each entry c = cos(pi k/n),
+    k/n = t/60 in lowest terms, satisfies the Chebyshev identity
+    T_n(c) = (-1)^k exactly, and the entries decrease as t grows: -c is
+    the entry of 60 - t, c > 0 exactly when t < 30, and c^2 falls with t
+    there.  Each entry and each difference of squares lies in Q(sqrt2) or
+    Q(sqrt5), so every sign is exact."""
     for gid in (BINARY_TETRAHEDRAL, BINARY_OCTAHEDRAL, BINARY_ICOSAHEDRAL):
-        assert all(r.w in _HALF_ANGLE for r in standard_group(gid))
+        for r in standard_group(gid):
+            assert all(c in _HALF_ANGLE for c in (r.w, r.x, r.y, r.z)), r
     assert len(_HALF_ANGLE) == 11
     assert all(isinstance(t, int) and 0 <= t <= 60 for t in _HALF_ANGLE.values())
+    two = QuadFieldElement(2)
     for c, sixtieths in _HALF_ANGLE.items():
         t = F(sixtieths, 60)
         previous, current = QuadFieldElement(1), c     # T_0, T_1
         for _ in range(t.denominator - 1):
-            previous, current = current, 2 * c * current - previous
-        assert current == (-1) ** t.numerator, (c, t)
-    ordered = sorted(_HALF_ANGLE, key=_HALF_ANGLE.get)
-    assert all((b - a).sign() == -1 for a, b in zip(ordered, ordered[1:]))
+            previous, current = current, two * c * current - previous
+        assert current == QuadFieldElement((-1) ** t.numerator), (c, t)
+        assert _HALF_ANGLE[-c] == 60 - sixtieths, c
+        assert _exact_sign(c) == (sixtieths < 30) - (sixtieths > 30), c
+    positive = sorted((c for c, t in _HALF_ANGLE.items() if t < 30), key=_HALF_ANGLE.get)
+    assert all(_exact_sign(a * a - b * b) == 1 for a, b in zip(positive, positive[1:]))
+
+
+def test_reciprocal_column_inverts_each_nonzero_cosine():
+    """_axis divides by a pivot coordinate through _RECIPROCAL: one exact
+    reciprocal per nonzero tabulated cosine, keyed by its t."""
+    assert set(_RECIPROCAL) == set(_HALF_ANGLE.values()) - {30}
+    for c, t in _HALF_ANGLE.items():
+        if t != 30:
+            assert c * _RECIPROCAL[t] == QuadFieldElement(1), (c, t)
 
 
 def _with_quaternion_right_factors(group):

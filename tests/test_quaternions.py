@@ -192,7 +192,7 @@ def test_right_rotation_factor():
         assert induced(pair, axis) == axis
         trace = (induced(pair, QUAT_I).x + induced(pair, QUAT_J).y
                  + induced(pair, QUAT_K).z)
-        assert trace == 4 * r.w * r.w - 1
+        assert trace == QuadFieldElement(4) * r.w * r.w - _ONE
 
 
 def test_left_j_factor_is_antipodal():

@@ -141,9 +141,11 @@ def test_enumerated_rows_stay_small():
 ALLOWED_STORES = {
     # a built group reads its order off its lattice or coset data once
     ("groups.py", "PairGroup.__post_init__", "self.order"),
-    # immutable classes that refuse __setattr__ set their slots once
-    ("exactfield.py", "QuadFieldElement.__init__", "object.__setattr__"),
-    ("quaternions.py", "AlgebraicQuaternion.__init__", "object.__setattr__"),
+    # the two hand-written slotted value classes fill their slots once
+    *(("exactfield.py", "QuadFieldElement.__init__", f"self.{name}")
+      for name in ("a", "b", "c", "d")),
+    *(("quaternions.py", "AlgebraicQuaternion.__init__", f"self.{name}")
+      for name in ("w", "x", "y", "z", "_key")),
 }
 
 _SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
