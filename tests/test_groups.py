@@ -37,6 +37,7 @@ from element_reference import (
     as_element,
     element_negate,
     elements,
+    fraction_key,
     inverse,
     is_identity,
     multiply,
@@ -345,15 +346,18 @@ def test_lattice_build_matches_the_full_walk():
 
 
 def test_polyhedral_row_view_matches_the_row_build_digest():
-    """(spec, grid, rows sorted by (jl, a, r._key)) of every group with a
+    """(spec, grid, rows sorted by (jl, a, key of r)) of every group with a
     T*, O* or I* right factor of order <= 480 hash to the digest of the
-    row build that preceded the coset gluing (106 groups, 56,160 rows)."""
+    row build that preceded the coset gluing (106 groups, 56,160 rows).
+    The key of r renders each coordinate as the reduced (numerator,
+    denominator) pairs of its coefficients, as the quaternions were keyed
+    then (see element_reference.fraction_key)."""
     digest = hashlib.sha256()
     count = rows = 0
     for spec in sweep_specs(480, TABLE4_FAMILIES):
         if not _circle_type(spec):
             group = goursat_group(spec)
-            keys = sorted((jl, a, r._key) for jl, a, r in group_rows(group))
+            keys = sorted((jl, a, fraction_key(r)) for jl, a, r in group_rows(group))
             digest.update(repr((str(spec), group.grid, keys)).encode())
             count += 1
             rows += len(keys)

@@ -71,7 +71,7 @@ from row_reference import (
     slope_invariant,
     torus_quotient_map,
 )
-from element_reference import CircleJElement, elements
+from element_reference import CircleJElement, RationalQuad, elements, field_reference
 from test_quaternions import circle_to_quaternion
 
 F = Fraction
@@ -405,12 +405,12 @@ def test_failed_self_checks_keep_their_messages():
     sig = BaseSignature(SPHERE, (2, 3))
     assert _raised_message(_check_chi, SPHERE, (2, 3), (), 60, sig) == \
         f"quotient signature {sig} fails chi*order=2"
-    r = quat_rational(F(1, 3), 0, 0, 0)
+    r = quat_rational(F(3, 8), 0, 0, 0)
     assert _raised_message(_axis, r) == \
         f"real part of {r} is not a tabulated cos(pi t/60)"
-    r = quat_rational(F(1, 2), F(1, 3), 0, 0)
+    r = quat_rational(F(1, 2), F(3, 8), 0, 0)
     assert _raised_message(_axis, r) == \
-        f"coordinate 1/3 of {r} is not a tabulated cosine"
+        f"coordinate 3/8 of {r} is not a tabulated cosine"
     assert _raised_message(_polyhedral_quotient, BINARY_TETRAHEDRAL,
                            BINARY_ICOSAHEDRAL) == \
         f"{BINARY_ICOSAHEDRAL} is not contained in {BINARY_TETRAHEDRAL}"
@@ -503,16 +503,17 @@ def test_polyhedral_real_parts_are_tabulated_cosines():
             assert all(c in _HALF_ANGLE for c in (r.w, r.x, r.y, r.z)), r
     assert len(_HALF_ANGLE) == 11
     assert all(isinstance(t, int) and 0 <= t <= 60 for t in _HALF_ANGLE.values())
-    two = QuadFieldElement(2)
+    two = RationalQuad(F(2))
     for c, sixtieths in _HALF_ANGLE.items():
-        t = F(sixtieths, 60)
-        previous, current = QuadFieldElement(1), c     # T_0, T_1
+        t, x = F(sixtieths, 60), field_reference(c)
+        previous, current = RationalQuad(F(1)), x     # T_0, T_1
         for _ in range(t.denominator - 1):
-            previous, current = current, two * c * current - previous
-        assert current == QuadFieldElement((-1) ** t.numerator), (c, t)
+            previous, current = current, two * x * current - previous
+        assert current == RationalQuad(F((-1) ** t.numerator)), (c, t)
         assert _HALF_ANGLE[-c] == 60 - sixtieths, c
-        assert _exact_sign(c) == (sixtieths < 30) - (sixtieths > 30), c
+        assert _exact_sign(x) == (sixtieths < 30) - (sixtieths > 30), c
     positive = sorted((c for c, t in _HALF_ANGLE.items() if t < 30), key=_HALF_ANGLE.get)
+    positive = list(map(field_reference, positive))
     assert all(_exact_sign(a * a - b * b) == 1 for a, b in zip(positive, positive[1:]))
 
 

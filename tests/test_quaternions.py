@@ -20,6 +20,8 @@ from orbiseif.quaternions import AlgebraicQuaternion, PairElement, quat_rational
 from element_reference import (
     CIRCLE_J,
     CircleJElement,
+    RationalQuad,
+    RationalQuaternion,
     RepresentationMismatchError,
     _circle,
     circle_root,
@@ -29,6 +31,7 @@ from element_reference import (
     is_identity,
     multiply,
     norm_squared,
+    quaternion_reference,
 )
 
 F = Fraction
@@ -146,53 +149,66 @@ def test_circle_to_quaternion_is_a_homomorphism():
 
 
 # -- the base point of a fiber --------------------------------------------------
+#
+# The projection and the induced map run on the Fraction reference: their
+# products mix O* and I* coordinates and may leave the package's grid.
+
+def _ref(q):
+    """A package quaternion or a circle element with an angle in eighths,
+    as a RationalQuaternion; a RationalQuaternion stays as it is."""
+    if isinstance(q, RationalQuaternion):
+        return q
+    if isinstance(q, CircleJElement):
+        q = circle_to_quaternion(q)
+    return quaternion_reference(q)
+
+
+REF_I, REF_J, REF_K = map(_ref, (QUAT_I, QUAT_J, QUAT_K))
+
 
 def base_point(h):
     """h^-1 i h: constant on the fiber {e^(i t) h}."""
-    return multiply(multiply(inverse(h), QUAT_I), h)
+    h = _ref(h)
+    return h.conjugate().multiply(REF_I).multiply(h)
 
 
 def induced(pair, point):
     """Image of a base point under the pair, by the rule the oracle uses."""
-    right = pair.right
-    if isinstance(right, CircleJElement):
-        right = circle_to_quaternion(right)
-    image = multiply(multiply(right, point), inverse(right))
-    if pair.left.jflag:
-        image = AlgebraicQuaternion(-image.w, -image.x, -image.y, -image.z)
-    return image
+    right = _ref(pair.right)
+    image = right.multiply(point).multiply(right.conjugate())
+    return image.negate() if pair.left.jflag else image
 
 
 def test_hopf_projection_examples():
     # the core at infinity {e^(i t)} lies over i, the core {e^(i t) j} over -i
-    one = circle_to_quaternion(CircleJElement(F(0)))
-    assert base_point(one) == QUAT_I
-    assert base_point(QUAT_J) == quat_rational(0, -1, 0, 0)
-    assert base_point(SIGMA) == QUAT_K      # SIGMA = (1 + j)/sqrt2
+    assert base_point(CircleJElement(F(0))) == REF_I
+    assert base_point(QUAT_J) == REF_I.negate()
+    assert base_point(SIGMA) == REF_K      # SIGMA = (1 + j)/sqrt2
     # the same base point along the whole fiber
     for k in range(8):
         e = circle_to_quaternion(CircleJElement(F(k, 8)))
-        assert base_point(multiply(e, SIGMA)) == QUAT_K
+        assert base_point(multiply(e, SIGMA)) == REF_K
 
 
 def test_right_j_factor_rotates_half_turn():
     # (1, j) rotates the base by a half turn about j: orientation preserving
     pair = PairElement(CircleJElement(F(0)), CIRCLE_J)
-    assert induced(pair, QUAT_I) == quat_rational(0, -1, 0, 0)
-    assert induced(pair, QUAT_J) == QUAT_J
-    assert induced(pair, QUAT_K) == quat_rational(0, 0, 0, -1)
+    assert induced(pair, REF_I) == REF_I.negate()
+    assert induced(pair, REF_J) == REF_J
+    assert induced(pair, REF_K) == REF_K.negate()
 
 
 def test_right_rotation_factor():
     # r = cos(pi t) + sin(pi t) u fixes u and rotates by 2 pi t: the trace
     # of P -> r P r^-1 is 1 + 2 cos(2 pi t) = 4 Re(r)^2 - 1
-    for r in standard_group(BINARY_ICOSAHEDRAL):
-        axis = AlgebraicQuaternion(_ZERO, r.x, r.y, r.z)
+    zero = RationalQuad()
+    for r in map(_ref, standard_group(BINARY_ICOSAHEDRAL)):
+        axis = RationalQuaternion(zero, r.x, r.y, r.z)
         pair = PairElement(CircleJElement(F(0)), r)
         assert induced(pair, axis) == axis
-        trace = (induced(pair, QUAT_I).x + induced(pair, QUAT_J).y
-                 + induced(pair, QUAT_K).z)
-        assert trace == QuadFieldElement(4) * r.w * r.w - _ONE
+        trace = (induced(pair, REF_I).x + induced(pair, REF_J).y
+                 + induced(pair, REF_K).z)
+        assert trace == RationalQuad(F(4)) * r.w * r.w - RationalQuad(F(1))
 
 
 def test_left_j_factor_is_antipodal():
@@ -201,7 +217,7 @@ def test_left_j_factor_is_antipodal():
     for h in standard_group(BINARY_OCTAHEDRAL):
         point = base_point(h)
         moved = base_point(multiply(left, h))
-        assert moved == AlgebraicQuaternion(_ZERO, -point.x, -point.y, -point.z)
+        assert moved == RationalQuaternion(RationalQuad(), -point.x, -point.y, -point.z)
         assert induced(pair, point) == moved
 
 
@@ -214,12 +230,6 @@ SAMPLE_SPECS = [
 ]
 
 
-def _as_quaternion_pair(pair):
-    def convert(el):
-        return circle_to_quaternion(el) if isinstance(el, CircleJElement) else el
-    return convert(pair.left), convert(pair.right)
-
-
 def test_equivariance_of_projection():
     """The base point of the pair action equals the induced map applied
     to the base point, exactly, on sampled elements of built groups."""
@@ -228,9 +238,9 @@ def test_equivariance_of_projection():
         group = goursat_group(spec)
         pairs = elements(group)
         for pair in rng.sample(pairs, min(16, len(pairs))):
-            left, right = _as_quaternion_pair(pair)
+            left, right = _ref(pair.left), _ref(pair.right)
             for h in (IOTA, SIGMA):
-                moved = multiply(multiply(left, h), inverse(right))
+                moved = left.multiply(_ref(h)).multiply(right.conjugate())
                 assert base_point(moved) == induced(pair, base_point(h))
 
 
