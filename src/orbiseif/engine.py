@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .groups import (
     ABELIAN_FAMILIES,
@@ -39,6 +38,7 @@ from .groups import (
     normalized_s,
     require_fibered,
 )
+from .record import Record
 
 
 def modinv_pos(x: int, modulus: int) -> int:
@@ -68,28 +68,26 @@ CONE = "cone"
 CORNER = "corner"
 
 
-# Result records are slotted dataclasses, equal and hashed by value, and
-# no code assigns a field after construction (an AST scan in the tests
-# holds that); frozen=True would enforce it at run time at about 1 us a
-# record.  The specs are slotted the same way; the group ids stay frozen
-# because they key caches.
-@dataclass(slots=True, unsafe_hash=True)
-class BaseSignature:
-    kind: str
-    cones: tuple = ()
-    corners: tuple = ()
+# Result records are Records (see record.py), equal and hashed by value,
+# and no code assigns a field after construction (an AST scan in the
+# tests holds that).  SeifertData and EngineReport stay dataclasses, as
+# callers rebuild them with dataclasses.replace.
+class BaseSignature(Record):
+    __slots__ = ("kind", "cones", "corners")
 
-    def __post_init__(self):
-        if self.kind not in (SPHERE, DISC, PROJECTIVE):
+    def __init__(self, kind: str, cones: tuple = (), corners: tuple = ()):
+        if kind not in (SPHERE, DISC, PROJECTIVE):
             raise ValueError("base kind must be sphere, disc or projective")
-        if self.corners and self.kind != DISC:
+        if corners and kind != DISC:
             raise ValueError("only a disc base has corner reflectors")
+        self.kind, self.cones, self.corners = kind, cones, corners
 
     def canonical(self) -> tuple:
         """(kind, cones, corners), indices sorted, index-1 cone points and
-        corner reflectors dropped: the data of normalized(), unbuilt."""
-        return (self.kind, tuple(sorted([c for c in self.cones if c > 1])),
-                tuple(sorted([c for c in self.corners if c > 1])))
+        corner reflectors dropped: the data of normalized(), unbuilt.
+        `(1).__lt__` keeps the entries above 1 with no Python-level call."""
+        return (self.kind, tuple(sorted(filter((1).__lt__, self.cones))),
+                tuple(sorted(filter((1).__lt__, self.corners))))
 
     def normalized(self) -> "BaseSignature":
         """Indices sorted, index-1 cone points and corner reflectors dropped."""
@@ -105,8 +103,7 @@ class BaseSignature:
         return f"D2({cones};{corners})"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class LocalInvariant:
+class LocalInvariant(Record):
     """Non-normalized local invariant num/den of one exceptional fiber.
 
     The denominator equals the index of the underlying cone point or
@@ -115,15 +112,14 @@ class LocalInvariant:
     fiber of index 5 with a trivially fibered neighborhood.
     """
 
-    num: int
-    den: int
-    location: str = CONE
+    __slots__ = ("num", "den", "location")
 
-    def __post_init__(self):
-        if self.den < 1:
+    def __init__(self, num: int, den: int, location: str = CONE):
+        if den < 1:
             raise ValueError("invariant denominator must be at least 1")
-        if self.location not in (CONE, CORNER):
+        if location not in (CONE, CORNER):
             raise ValueError("invariant location must be cone or corner")
+        self.num, self.den, self.location = num, den, location
 
     @property
     def normalized_num(self) -> int:
@@ -142,7 +138,7 @@ class SeifertData:
     base: BaseSignature
     invariants: tuple
     euler: Fraction
-    xi: Optional[int] = None
+    xi: int | None = None
 
     def __post_init__(self):
         if (self.xi is not None) != (self.base.kind == DISC):
@@ -151,24 +147,28 @@ class SeifertData:
             raise ValueError("xi must be 0 or 1")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class DerivedQuantities:
+class DerivedQuantities(Record):
     """The integer box shared by the abelian and dihedral families; the
     parity factors e1 and e2 of family 1 are 1 in family 1p."""
 
-    h: int
-    m_prime: int
-    n_prime: int
-    a: int
-    b1: int
-    b2: int
-    nu: int
-    d: int
-    g: int
-    e: int
-    f_bar: int
-    e1: int = 1
-    e2: int = 1
+    __slots__ = ("h", "m_prime", "n_prime", "a", "b1", "b2", "nu", "d", "g",
+                 "e", "f_bar", "e1", "e2")
+
+    def __init__(self, h, m_prime, n_prime, a, b1, b2, nu, d, g, e, f_bar,
+                 e1=1, e2=1):
+        self.h = h
+        self.m_prime = m_prime
+        self.n_prime = n_prime
+        self.a = a
+        self.b1 = b1
+        self.b2 = b2
+        self.nu = nu
+        self.d = d
+        self.g = g
+        self.e = e
+        self.f_bar = f_bar
+        self.e1 = e1
+        self.e2 = e2
 
 
 THREE_SPHERE = "S3"
@@ -176,13 +176,13 @@ LENS = "lens"
 NOT_COMPUTED = "not-computed"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TopologyReport:
-    underlying: str
-    p: Optional[int] = None
-    q: Optional[int] = None
-    reason: Optional[str] = None
-    singular_components: tuple = ()
+class TopologyReport(Record):
+    __slots__ = ("underlying", "p", "q", "reason", "singular_components")
+
+    def __init__(self, underlying: str, p: int | None = None, q: int | None = None,
+                 reason: str | None = None, singular_components: tuple = ()):
+        self.underlying, self.p, self.q = underlying, p, q
+        self.reason, self.singular_components = reason, singular_components
 
     def __str__(self):
         if self.underlying == THREE_SPHERE:
@@ -281,9 +281,11 @@ def _row(kind, euler, triples) -> SeifertData:
     (location, den, normalized num, num), a cone point or corner
     reflector at the denominator of each invariant, by location, and xi
     from the sum congruence on a disc."""
+    keys = []
+    for num, den, loc in triples:     # a comprehension would be one more call
+        keys.append((loc, den, num % den, num))
     invariants, cones, corners = [], [], []
-    for loc, den, _, num in sorted([(loc, den, num % den, num)
-                                    for num, den, loc in triples]):
+    for loc, den, _, num in sorted(keys):
         invariants.append(LocalInvariant(num, den, loc))
         (cones if loc == CONE else corners).append(den)
     xi = derive_xi(invariants, euler) if kind == DISC else None
@@ -403,7 +405,9 @@ def _fiber_sum(euler, invariants, xi=0):
     """Euler number + cone invariants + half the normalized corner ones
     + xi/2, as the integer pair (total, 2L) of the sum total/(2L), L the
     lcm of the denominators."""
-    lcm = math.lcm(euler.denominator, *[v.den for v in invariants])
+    lcm = euler.denominator
+    for v in invariants:              # a comprehension would be one more call
+        lcm = math.lcm(lcm, v.den)
     total = 2 * euler.numerator * (lcm // euler.denominator) + xi * lcm
     for v in invariants:
         total += (2 * v.num if v.location == CONE else v.num % v.den) * (lcm // v.den)

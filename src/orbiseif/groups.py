@@ -36,13 +36,12 @@ Self-checks raise InternalInconsistencyError, so python -O keeps them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Optional
 
 from .exactfield import (QF_HALF, QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV,
                          QuadFieldElement)
 from .quaternions import AlgebraicQuaternion, element_negate, multiply, quat_rational
+from .record import Record
 
 
 class InternalInconsistencyError(ArithmeticError):
@@ -65,22 +64,20 @@ def _require(condition: bool, message: str, *args) -> None:
 _POLYHEDRAL_ORDERS = {"T": 24, "O": 48, "I": 120}
 
 
-@dataclass(frozen=True)
-class StandardGroupId:
+class StandardGroupId(Record):
     """C = cyclic, D = binary dihedral, T/O/I = binary polyhedral."""
 
-    kind: str
-    order: int
+    __slots__ = ("kind", "order")
 
-    def __post_init__(self):
-        if self.kind not in ("C", "D", "T", "O", "I"):
+    def __init__(self, kind: str, order: int):
+        if kind not in ("C", "D", "T", "O", "I"):
             raise ValueError("group kind must be one of C, D, T, O, I")
         # C_n u C_n j is closed only when -1 = j^2 lies in C_n, i.e. n even.
-        if self.kind == "D" and self.order % 4 != 0:
+        if kind == "D" and order % 4 != 0:
             raise ValueError("binary dihedral order must be a multiple of 4")
-        if self.kind in _POLYHEDRAL_ORDERS and \
-                self.order != _POLYHEDRAL_ORDERS[self.kind]:
+        if kind in _POLYHEDRAL_ORDERS and order != _POLYHEDRAL_ORDERS[kind]:
             raise ValueError("T*, O* and I* have orders 24, 48 and 120")
+        self.kind, self.order = kind, order
 
     def __str__(self):
         if self.kind == "C":
@@ -176,13 +173,16 @@ def algebraic_group(group_id: StandardGroupId) -> list[AlgebraicQuaternion]:
 # family specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
-class FamilySpec:
-    family: str
-    m: Optional[int] = None
-    n: Optional[int] = None
-    r: Optional[int] = None
-    s: Optional[int] = None
+class FamilySpec(Record):
+    __slots__ = ("family", "m", "n", "r", "s")
+
+    def __init__(self, family: str, m: int | None = None, n: int | None = None,
+                 r: int | None = None, s: int | None = None):
+        self.family = family
+        self.m = m
+        self.n = n
+        self.r = r
+        self.s = s
 
     def params(self) -> dict:
         return {k: v for k, v in (("m", self.m), ("n", self.n),
@@ -193,19 +193,20 @@ class FamilySpec:
         return f"{self.family}({inner})"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class GoursatData:
-    left: StandardGroupId
-    left_kernel: StandardGroupId
-    right: StandardGroupId
-    right_kernel: StandardGroupId
-    # generator coset images pinning phi; the identity coset maps to the
-    # identity coset and the rest follows by multiplicativity
-    phi_generators: tuple = ()
+class GoursatData(Record):
+    __slots__ = ("left", "left_kernel", "right", "right_kernel", "phi_generators")
+
+    def __init__(self, left: StandardGroupId, left_kernel: StandardGroupId,
+                 right: StandardGroupId, right_kernel: StandardGroupId,
+                 phi_generators: tuple = ()):
+        self.left, self.left_kernel = left, left_kernel
+        self.right, self.right_kernel = right, right_kernel
+        # generator coset images pinning phi; the identity coset maps to the
+        # identity coset and the rest follows by multiplicativity
+        self.phi_generators = phi_generators
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """One catalog family and the declared constraints on its parameters.
 
     `params` is (), (m,), (m, n) or (m, n, r, s).  Every parameter is a
@@ -214,21 +215,19 @@ class Family:
     parameters other than s in signature order.  The signature
     (m, n, r, s) also requires gcd(s, r) = 1.  `phi_order` increases in
     each parameter and does not depend on s.  Exactly the fibered families
-    have a `goursat` builder.
+    have a `goursat` builder, and `fibered` says whether it has one.
     """
 
-    name: str
-    params: tuple
-    phi_order: Callable[[FamilySpec], int]
-    goursat: Optional[Callable[[FamilySpec], GoursatData]] = None
-    label: str = ""
-    odd: tuple = ()
-    even: tuple = ()
-    above_one: tuple = ()
+    __slots__ = ("name", "params", "phi_order", "goursat", "label", "odd",
+                 "even", "above_one", "fibered")
 
-    @property
-    def fibered(self) -> bool:
-        return self.goursat is not None
+    def __init__(self, name: str, params: tuple, phi_order, goursat=None,
+                 label: str = "", odd: tuple = (), even: tuple = (),
+                 above_one: tuple = ()):
+        self.name, self.params, self.phi_order = name, params, phi_order
+        self.goursat, self.label = goursat, label
+        self.odd, self.even, self.above_one = odd, even, above_one
+        self.fibered = goursat is not None
 
     def start(self, p: str) -> int:
         """Least allowed value of parameter p."""
@@ -639,8 +638,7 @@ def _hnf_reduce(hnf, a: int, b: int):
     return a - x * h11, (b - x * h12) % h22
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class RotationLattice:
+class RotationLattice(Record):
     """A group with two circle-type factors, as integer lattice data.
 
     Its rotation pairs (a, b), both factors plain rotations by a/grid and
@@ -651,24 +649,28 @@ class RotationLattice:
     (see _hnf_reduce), the rotation class (False, False, 0, 0) first.
     """
 
-    h11: int
-    h12: int
-    h22: int
-    offsets: tuple
+    __slots__ = ("h11", "h12", "h22", "offsets")
+
+    def __init__(self, h11: int, h12: int, h22: int, offsets: tuple):
+        self.h11 = h11
+        self.h12 = h12
+        self.h22 = h22
+        self.offsets = offsets
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CosetGluing:
+class CosetGluing(Record):
     """A group with a T*, O* or I* right factor, as Goursat coset data:
     the cosets r*R_K (`right_cosets`, tuples of quaternions) and, one per
     right coset in `offsets`, the reduced offset (jflag, a) of the coset
     of L_K glued to it, (jflag, a + (grid/period)*Z) with period the angle
     period of L_K, joined by the other jflag when L_K is binary dihedral."""
 
-    period: int
-    dihedral: bool
-    offsets: tuple
-    right_cosets: tuple
+    __slots__ = ("period", "dihedral", "offsets", "right_cosets")
+
+    def __init__(self, period: int, dihedral: bool, offsets: tuple,
+                 right_cosets: tuple):
+        self.period, self.dihedral = period, dihedral
+        self.offsets, self.right_cosets = offsets, right_cosets
 
     def parts(self):
         """(jflag, a, right coset) per left progression."""
@@ -677,48 +679,52 @@ class CosetGluing:
                 yield jflag, a, coset
 
 
-@dataclass(slots=True)
-class PairGroup:
+class PairGroup(Record):
     """A built group: its factor ids and, on a grid of circle angle
     numerators, its structure.  With a circle-type right factor that is
     `lattice`, with a T*, O* or I* right factor `gluing`; the other is
-    None.  `order` is read off that structure when the group is made.
+    None.  `order` is read off that structure, and checked to be even,
+    when the group is made.
     """
 
-    spec: FamilySpec
-    grid: int
-    left: StandardGroupId
-    left_kernel: StandardGroupId
-    right: StandardGroupId
-    right_kernel: StandardGroupId
-    lattice: Optional[RotationLattice] = None
-    gluing: Optional[CosetGluing] = None
-    order: int = field(init=False)
+    __slots__ = ("spec", "grid", "left", "left_kernel", "right", "right_kernel",
+                 "lattice", "gluing", "order")
+    __hash__ = None
 
-    def __post_init__(self):
-        lat, glue = self.lattice, self.gluing
-        if lat is None:
-            self.order = (sum(map(len, glue.right_cosets)) * glue.period
-                          * (1 + glue.dihedral))
+    def __init__(self, spec: FamilySpec, grid: int, left: StandardGroupId,
+                 left_kernel: StandardGroupId, right: StandardGroupId,
+                 right_kernel: StandardGroupId,
+                 lattice: RotationLattice | None = None,
+                 gluing: CosetGluing | None = None):
+        self.spec, self.grid = spec, grid
+        self.left, self.left_kernel = left, left_kernel
+        self.right, self.right_kernel = right, right_kernel
+        self.lattice, self.gluing = lattice, gluing
+        if lattice is None:
+            self.order = (sum(map(len, gluing.right_cosets)) * gluing.period
+                          * (1 + gluing.dihedral))
         else:
-            self.order = self.grid ** 2 // (lat.h11 * lat.h22) * len(lat.offsets)
+            self.order = grid ** 2 // (lattice.h11 * lattice.h22) * len(lattice.offsets)
+        if self.order % 2:
+            raise InternalInconsistencyError("pair group has odd order")
 
 
 def phi_order(group: PairGroup) -> int:
     """Order of the rotation group; the pair kernel is {(1,1), (-1,-1)}."""
-    _require(group.order % 2 == 0, "pair group has odd order")
     return group.order // 2
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class _Quotient:
+class _Quotient(Record):
     """A factor R of a Goursat 5-tuple with its kernel K, as coset data."""
 
-    coset_of: Callable   # element of R -> index of its coset l*K
-    cosets: tuple        # index -> members of the coset
-    table: tuple         # table[a][b] = index of the coset product a*b
-    identity: int        # index of the kernel itself
-    minus_one: int       # index of the coset of -1
+    __slots__ = ("coset_of", "cosets", "table", "identity", "minus_one")
+
+    def __init__(self, coset_of, cosets, table, identity, minus_one):
+        self.coset_of = coset_of     # element of R -> index of its coset l*K
+        self.cosets = cosets         # index -> members of the coset
+        self.table = table           # table[a][b] = index of the coset product a*b
+        self.identity = identity     # index of the kernel itself
+        self.minus_one = minus_one   # index of the coset of -1
 
 
 def _circle_period(group_id: StandardGroupId) -> int:
@@ -927,11 +933,11 @@ def goursat_group(spec: FamilySpec) -> PairGroup:
 # enumeration below an order bound
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
-class EnumeratedSpec:
-    spec: FamilySpec
-    phi_order: int
-    fibered: bool
+class EnumeratedSpec(Record):
+    __slots__ = ("spec", "phi_order", "fibered")
+
+    def __init__(self, spec: FamilySpec, phi_order: int, fibered: bool):
+        self.spec, self.phi_order, self.fibered = spec, phi_order, fibered
 
 
 def _family_rows(fam: Family, max_order: int, rows: list) -> None:

@@ -35,10 +35,8 @@ and no numeric tolerance is used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .engine import (
     CONE,
@@ -58,6 +56,7 @@ from .exactfield import (QF_HALF, QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV,
                          QuadFieldElement)
 from .groups import CosetGluing, PairGroup, _ext_gcd, _hnf, _require, phi_order
 from .quaternions import NotHopfPreservingError
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +92,7 @@ def _lattice_invariant(hnf, grid: int, location: str) -> LocalInvariant:
 # the induced action on the base sphere: common data model
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
-class SingularOrbit:
+class SingularOrbit(Record):
     """One equivalence class of singular base points.
 
     `position` names one representative exactly: ("pole", swap) is the
@@ -103,16 +101,22 @@ class SingularOrbit:
     point sign * u of the axis path, u the stored direction of the line.
     """
 
-    rotation_order: int            # order of the orientation-preserving stabilizer
-    corner: bool                   # lies on a reflection circle
-    position: tuple
+    __slots__ = ("rotation_order", "corner", "position")
+
+    def __init__(self, rotation_order: int, corner: bool, position: tuple):
+        # the order of the orientation-preserving stabilizer
+        self.rotation_order = rotation_order
+        self.corner = corner           # lies on a reflection circle
+        self.position = position
 
 
-@dataclass(slots=True)
-class BaseActionGroup:
-    order: int
-    signature: BaseSignature
-    orbits: list                   # SingularOrbit entries, deterministic order
+class BaseActionGroup(Record):
+    __slots__ = ("order", "signature", "orbits")
+    __hash__ = None
+
+    def __init__(self, order: int, signature: BaseSignature, orbits: list):
+        self.order, self.signature = order, signature
+        self.orbits = orbits           # SingularOrbit entries, deterministic order
 
 
 def _check_chi(kind, cones, corners, order, signature):
@@ -372,8 +376,7 @@ def _perpendicular(line_a: int, line_b: int) -> bool:
 _COSET_AXES = {}
 
 
-@dataclass(slots=True)
-class _CosetAxes:
+class _CosetAxes(Record):
     """The _axis data of one right coset.  `classes[jflag]` maps (jflag,
     line, sign * t mod 60) to the (jflag, t, line, sign) of its first
     element r: r and -r, which has 60 - t and -sign, induce the same
@@ -381,8 +384,11 @@ class _CosetAxes:
     distinct keys.  `turns` maps None to the t of the elements +-1 and a
     line to the sign * t of the elements on it."""
 
-    classes: tuple
-    turns: dict
+    __slots__ = ("classes", "turns")
+    __hash__ = None
+
+    def __init__(self, classes: tuple, turns: dict):
+        self.classes, self.turns = classes, turns
 
 
 def _coset_axes(gluing: CosetGluing) -> tuple:
@@ -616,10 +622,11 @@ def _single_class_lattice(group: PairGroup) -> bool:
 # the full report
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
-class OracleReport:
-    seifert: SeifertData
-    topology: Optional[TopologyReport]
+class OracleReport(Record):
+    __slots__ = ("seifert", "topology")
+
+    def __init__(self, seifert: SeifertData, topology: TopologyReport | None):
+        self.seifert, self.topology = seifert, topology
 
 
 def oracle_report(group: PairGroup) -> OracleReport:

@@ -18,9 +18,8 @@ each 0 or a cos(pi t/60) the oracle tabulates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactfield import QuadFieldElement
+from .record import Record
 
 
 class NotHopfPreservingError(ValueError):
@@ -80,14 +79,15 @@ def element_negate(a: AlgebraicQuaternion) -> AlgebraicQuaternion:
 # pairs acting on S^3
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairElement:
+class PairElement(Record):
     """(p, q) in S^3 x S^3 acting by h -> p*h*q^-1; each factor brings
     its own multiply.  The package builds no pairs itself: the tests
     build them from the rows of a group."""
 
-    left: object
-    right: object
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
 
     def multiply(self, other: "PairElement") -> "PairElement":
         return PairElement(self.left.multiply(other.left),

@@ -15,8 +15,6 @@ pool of `workers` processes; both return the same ComparisonResult list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import _fiber_sum, evaluate, somma_residue
 from .groups import (
     ABELIAN_FAMILIES,
@@ -30,12 +28,15 @@ from .groups import (
     phi_order,
 )
 from .oracle import oracle_report
+from .record import Record
 
 
-@dataclass(slots=True)
-class ComparisonResult:
-    spec: FamilySpec
-    differences: list
+class ComparisonResult(Record):
+    __slots__ = ("spec", "differences")
+    __hash__ = None
+
+    def __init__(self, spec: FamilySpec, differences: list):
+        self.spec, self.differences = spec, differences
 
     @property
     def ok(self) -> bool:

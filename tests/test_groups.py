@@ -17,8 +17,10 @@ from orbiseif.groups import (
     FAMILY_ORDER,
     TABLE4_FAMILIES,
     FamilySpec,
+    RotationLattice,
     StandardGroupId,
     UnsupportedFamilyError,
+    _hnf_reduce,
     algebraic_group,
     binary_dihedral,
     cyclic,
@@ -344,6 +346,37 @@ def test_lattice_build_matches_the_full_walk():
         count += 1
     assert count == 61709
 
+
+
+def _negated_lattice(lat):
+    """The image of a rotation lattice under b -> -b, its offsets reduced
+    again for the new normal form: (h11, h12), (0, h22) goes to
+    (h11, -h12), (0, h22)."""
+    hnf = (lat.h11, -lat.h12 % lat.h22, lat.h22)
+    return RotationLattice(*hnf, tuple(
+        (jl, jr, *_hnf_reduce(hnf, a, -b)) for jl, jr, a, b in lat.offsets))
+
+
+def test_minus_s_builds_the_negated_lattice():
+    """In families 1, 1p, 11 and 11p the group of s' = r - s is the
+    conjugate of that of s by (1, j), which negates every right angle
+    and fixes (j, j): for each spec of order <= 240 with r > 1 the
+    lattice built for s' is the b -> -b image of the one built for s,
+    offsets included and in the same order, on the same grid."""
+    specs = sweep_specs(240, ["1", "1p", "11", "11p"])
+    built = {}
+    for spec in specs:
+        group = goursat_group(spec)
+        built[spec] = group.grid, group.lattice
+    count = 0
+    for spec in specs:
+        if spec.r == 1:
+            continue
+        grid, lat = built[spec]
+        mirror = FamilySpec(spec.family, spec.m, spec.n, spec.r, spec.r - spec.s)
+        assert built[mirror] == (grid, _negated_lattice(lat)), spec
+        count += 1
+    assert count == 58743
 
 def test_polyhedral_row_view_matches_the_row_build_digest():
     """(spec, grid, rows sorted by (jl, a, key of r)) of every group with a

@@ -2,11 +2,14 @@
 checks, the shape of the spec and group records, and no assignment after
 construction anywhere in the package.
 
-The result records, `FamilySpec` and `PairGroup` are slotted dataclasses
-without `frozen`, so nothing at run time refuses `record.field = value`;
-the AST scan below refuses it statically instead."""
+Every record is a plain slotted class on `record.Record`, except
+`SeifertData` and `EngineReport`, slotted dataclasses without `frozen`;
+so nothing at run time refuses `record.field = value`, and the AST scan
+below refuses it statically instead."""
 
 import ast
+import copy
+import importlib
 import pathlib
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 import orbiseif
+from orbiseif import engine, groups, oracle
 from orbiseif.engine import (
     CONE,
     CORNER,
@@ -21,11 +25,15 @@ from orbiseif.engine import (
     PROJECTIVE,
     SPHERE,
     BaseSignature,
+    EngineReport,
     LocalInvariant,
     SeifertData,
 )
 from orbiseif.groups import FamilySpec, StandardGroupId, enumerate_specs, goursat_group
-from test_oracle import _run_optimized
+from orbiseif.quaternions import PairElement, quat_rational
+from orbiseif.record import Record
+from orbiseif.verify import compare_spec
+from test_oracle import _run_optimized, _run_python
 
 # Each expression breaks one rule a record checks when it is built.
 INVALID_RECORDS = [
@@ -117,6 +125,90 @@ def test_built_group_is_slotted():
         assert (group.lattice is None) != (group.gluing is None)
 
 
+# ---------------------------------------------------------------------------
+# what a fresh process pays for the records
+# ---------------------------------------------------------------------------
+
+PACKAGE = pathlib.Path(orbiseif.__file__).parent
+
+
+def _package_classes() -> set:
+    classes = set()
+    for path in PACKAGE.glob("*.py"):
+        module = importlib.import_module(f"orbiseif.{path.stem}")
+        classes.update(c for c in vars(module).values()
+                       if isinstance(c, type) and c.__module__ == module.__name__)
+    return classes
+
+
+def _one_of_each_record() -> list:
+    spec, gluing_spec = FamilySpec("1", 1, 3, 4, 1), FamilySpec("8", m=1)
+    report = engine.evaluate(spec)
+    lattice_group, gluing_group = goursat_group(spec), goursat_group(gluing_spec)
+    gluing_data = groups.get_family("8").goursat(gluing_spec)
+    base = oracle.base_group(lattice_group)
+    one = quat_rational(1, 0, 0, 0)
+    return [
+        report, report.seifert, report.seifert.base, report.seifert.invariants[0],
+        report.topology, engine._derived_quantities_cached(spec),
+        spec, groups.get_family("1"), gluing_data, gluing_data.right,
+        lattice_group, lattice_group.lattice, gluing_group.gluing,
+        groups._polyhedral_quotient(gluing_data.right, gluing_data.right_kernel),
+        enumerate_specs(8)[0], base, base.orbits[0],
+        next(iter(oracle._coset_axes(gluing_group.gluing)[1].values())),
+        oracle.oracle_report(lattice_group), PairElement(one, one), compare_spec(spec),
+    ]
+
+
+# mutable results, unhashable as their dataclasses were
+UNHASHABLE = {"PairGroup", "BaseActionGroup", "_CosetAxes", "ComparisonResult"}
+
+
+def test_only_the_replaced_reports_are_dataclasses():
+    """Defining a dataclass compiles its generated methods, which every
+    fresh process without cached bytecode pays at import; only the two
+    reports that callers rebuild with dataclasses.replace are dataclasses,
+    and every other record is a Record."""
+    classes = _package_classes()
+    assert {c for c in classes if "__dataclass_fields__" in vars(c)} == \
+        {SeifertData, EngineReport}
+    records = {c for c in classes if issubclass(c, Record) and c is not Record}
+    assert len(records) == 19
+    assert {type(r) for r in _one_of_each_record()} == records | {SeifertData, EngineReport}
+
+
+@pytest.mark.parametrize("record", _one_of_each_record(), ids=lambda r: type(r).__name__)
+def test_record_is_slotted_shown_and_compared_by_value(record):
+    """No instance dict; the text Name(field=value, ...) over the slots;
+    a copy is equal, with an equal hash; a tuple of the same values
+    is not equal; the four mutable results refuse hash()."""
+    names = type(record).__slots__
+    values = tuple(getattr(record, name) for name in names)
+    assert not hasattr(record, "__dict__")
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{type(record).__name__}({fields})"
+    twin = copy.copy(record)
+    assert twin is not record and twin == record and not twin != record
+    assert record != values and values != record
+    if type(record).__name__ in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record)
+
+
+def test_importing_the_package_loads_no_typing():
+    """The modules annotate with `X | None` under postponed evaluation, so
+    the import brings in no `typing`.  `-S` keeps out the site packages,
+    whose .pth files may import it themselves."""
+    proc = _run_python("-S", "-c", "import sys\n"
+                       "import orbiseif, orbiseif.cli, orbiseif.verify\n"
+                       "print(sorted(m for m in ('typing', 'orbiseif.cli') "
+                       "if m in sys.modules))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['orbiseif.cli']\n"
+
+
 # On CPython 3.11 the rows of enumerate_specs(240) take 138.8 bytes each
 # with slotted specs and 178.8 with frozen ones, which carry a __dict__.
 ENUMERATE_BYTES_PER_ROW = 146
@@ -137,14 +229,43 @@ def test_enumerated_rows_stay_small():
 # no attribute store outside the constructors that need one
 # ---------------------------------------------------------------------------
 
+def _init_stores(module: str, cls: str, names: str) -> set:
+    return {(module, f"{cls}.__init__", f"self.{name}") for name in names.split()}
+
+
 # (module, enclosing function, stored attribute or setter)
 ALLOWED_STORES = {
-    # a built group reads its order off its lattice or coset data once
-    ("groups.py", "PairGroup.__post_init__", "self.order"),
-    # the hand-written slotted value class fills its slots once (a field
-    # element is a tuple and stores no attribute)
-    *(("quaternions.py", "AlgebraicQuaternion.__init__", f"self.{name}")
-      for name in ("w", "x", "y", "z", "_key")),
+    # each record's constructor fills its slots once; there a built group
+    # also reads its order off its lattice or coset data, and a catalog
+    # family whether it has a builder (a field element is a tuple and
+    # stores no attribute)
+    *_init_stores("engine.py", "BaseSignature", "kind cones corners"),
+    *_init_stores("engine.py", "LocalInvariant", "num den location"),
+    *_init_stores("engine.py", "DerivedQuantities",
+                  "h m_prime n_prime a b1 b2 nu d g e f_bar e1 e2"),
+    *_init_stores("engine.py", "TopologyReport",
+                  "underlying p q reason singular_components"),
+    *_init_stores("groups.py", "StandardGroupId", "kind order"),
+    *_init_stores("groups.py", "FamilySpec", "family m n r s"),
+    *_init_stores("groups.py", "GoursatData",
+                  "left left_kernel right right_kernel phi_generators"),
+    *_init_stores("groups.py", "Family",
+                  "name params phi_order goursat label odd even above_one fibered"),
+    *_init_stores("groups.py", "RotationLattice", "h11 h12 h22 offsets"),
+    *_init_stores("groups.py", "CosetGluing", "period dihedral offsets right_cosets"),
+    *_init_stores("groups.py", "PairGroup", "spec grid left left_kernel right "
+                  "right_kernel lattice gluing order"),
+    *_init_stores("groups.py", "_Quotient", "coset_of cosets table identity minus_one"),
+    *_init_stores("groups.py", "EnumeratedSpec", "spec phi_order fibered"),
+    *_init_stores("oracle.py", "SingularOrbit", "rotation_order corner position"),
+    *_init_stores("oracle.py", "BaseActionGroup", "order signature orbits"),
+    *_init_stores("oracle.py", "_CosetAxes", "classes turns"),
+    *_init_stores("oracle.py", "OracleReport", "seifert topology"),
+    *_init_stores("quaternions.py", "AlgebraicQuaternion", "w x y z _key"),
+    *_init_stores("quaternions.py", "PairElement", "left right"),
+    *_init_stores("verify.py", "ComparisonResult", "spec differences"),
+    # the record base reads each record's field getter off its slots once
+    ("record.py", "Record.__init_subclass__", "cls._values"),
 }
 
 _SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}

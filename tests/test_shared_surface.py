@@ -9,16 +9,27 @@ reference over a complete small domain.
 """
 
 import ast
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import orbiseif
 from orbiseif.engine import (
+    CONE,
+    CORNER,
+    DISC,
     LENS,
+    PROJECTIVE,
+    SPHERE,
     THREE_SPHERE,
+    BaseSignature,
     InternalInconsistencyError,
+    LocalInvariant,
+    _fiber_sum,
     lens_report,
     modinv_pos,
 )
@@ -90,3 +101,72 @@ def test_modinv_pos_matches_a_linear_search():
             else:
                 with pytest.raises(InternalInconsistencyError):
                     modinv_pos(x, modulus)
+
+
+def test_invariant_helpers_match_their_definitions():
+    """For every den <= 60 and num in -2*den..2*den, normalized_num is the
+    r in 0..den-1 with den | num - r, and index the greatest common
+    divisor of r and den, both found by search."""
+    for den in range(1, 61):
+        divisors = [d for d in range(den, 0, -1) if den % d == 0]
+        for num in range(-2 * den, 2 * den + 1):
+            rest = next(r for r in range(den) if (num - r) % den == 0)
+            index = next(d for d in divisors if rest % d == 0)
+            invariant = LocalInvariant(num, den)
+            assert (invariant.normalized_num, invariant.index) == (rest, index), (num, den)
+
+
+def _multiset_canonical(kind, cones, corners):
+    """Each multiset of indices, less its index-1 entries, listed in order."""
+    def listed(entries):
+        counts = Counter(entries)
+        del counts[1]
+        return tuple(sorted(counts.elements()))
+    return kind, listed(cones), listed(corners)
+
+
+def test_canonical_base_matches_sorted_multisets():
+    """canonical() and normalized() on every base with up to three cone
+    points and, on a disc, up to three corner reflectors of index 1..4."""
+    tuples = [t for k in range(4) for t in itertools.product(range(1, 5), repeat=k)]
+    count = 0
+    for kind in (SPHERE, DISC, PROJECTIVE):
+        for cones in tuples:
+            for corners in tuples if kind == DISC else [()]:
+                base = BaseSignature(kind, cones, corners)
+                expected = _multiset_canonical(kind, cones, corners)
+                assert base.canonical() == expected, base
+                normalized = base.normalized()
+                assert (normalized.kind, normalized.cones, normalized.corners) == expected
+                count += 1
+    assert count == 85 * 85 + 2 * 85
+
+
+def _fraction_fiber_sum(euler, invariants, xi):
+    """euler + xi/2 + each cone invariant num/den + half of each corner
+    one, the latter as the fractional part of num/den, in Fractions."""
+    total = euler + Fraction(xi, 2)
+    for v in invariants:
+        value = Fraction(v.num, v.den)
+        total += value if v.location == CONE else (value - math.floor(value)) / 2
+    return total
+
+
+def test_fiber_sum_matches_a_fraction_sum():
+    """_fiber_sum(euler, invariants, xi) is (total, 2L) with total/(2L)
+    the Fraction sum and L the lcm of the denominators, for every Euler
+    number a/b with |a| <= 4, b <= 4, every list of at most two
+    invariants num/den with -2 <= num <= 3, den <= 4 at a cone or a
+    corner, and xi in 0, 1."""
+    eulers = sorted({Fraction(a, b) for a in range(-4, 5) for b in range(1, 5)})
+    invariants = [LocalInvariant(num, den, loc) for loc in (CONE, CORNER)
+                  for den in range(1, 5) for num in range(-2, 4)]
+    lists = [c for k in range(3) for c in itertools.combinations_with_replacement(invariants, k)]
+    for euler in eulers:
+        for chosen in lists:
+            lcm = math.lcm(euler.denominator, *[v.den for v in chosen])
+            for xi in (0, 1):
+                total, den = _fiber_sum(euler, chosen, xi)
+                assert den == 2 * lcm
+                assert Fraction(total, den) == _fraction_fiber_sum(euler, chosen, xi), \
+                    (euler, chosen, xi)
