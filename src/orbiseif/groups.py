@@ -23,12 +23,12 @@ in Hermite normal form, and one coset of it per class of j-flags, all
 from the catalog generators closed by Schreier generators.  With a T*,
 O* or I* right factor it is kept as coset data (CosetGluing): one left
 progression of integer angles per right coset of R_K, found by walking
-the right cosets along the generators.  The right cosets are built from
-the elements once per process, keyed by (right, right kernel), since
-they do not depend on the family parameters.  A circle element
-e^(2 pi i num/den), times j when jflag is set, is the integer triple
-(jflag, num, den) in the catalog and (jflag, numerator over a common
-grid) in a built group (see PairGroup).  A built group is its lattice or
+the right cosets along the generators, which `polyhedral` builds from
+the elements once per process and (right, right kernel), loaded with
+the first such group.  A circle element e^(2 pi i num/den), times j
+when jflag is set, is the integer triple (jflag, num, den) in the
+catalog and (jflag, numerator over a common grid) in a built group
+(see PairGroup).  A built group is its lattice or
 its coset data and nothing else: it lists no pairs.
 Self-checks raise InternalInconsistencyError, so python -O keeps them.
 """
@@ -38,15 +38,28 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .exactfield import (QF_HALF, QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV,
-                         QuadFieldElement)
-from .quaternions import AlgebraicQuaternion, element_negate, multiply, quat_rational
 from .record import Record
+
+
+class _Polyhedral:
+    """Imports orbiseif.polyhedral as _polyhedral on the first read."""
+
+    def __getattr__(self, name):
+        global _polyhedral
+        from . import polyhedral as _polyhedral
+        return getattr(_polyhedral, name)
+
+
+_polyhedral = _Polyhedral()
 
 
 class InternalInconsistencyError(ArithmeticError):
     """A self-check failed: a derived quantity is not integral, or a built
     group or quotient is not what its construction promises."""
+
+
+class NotHopfPreservingError(ValueError):
+    """Pair whose left factor is not circle-type; it moves the fibration."""
 
 
 def _require(condition: bool, message: str, *args) -> None:
@@ -88,9 +101,9 @@ class StandardGroupId(Record):
 
 
 # One shared id per argument: catalog constants, bounded by the distinct
-# orders a process builds, like the keys of _polyhedral_quotient.  An id
-# is checked when it is first built, and a malformed one is not cached,
-# so it raises on every call.
+# orders a process builds, like the keys of the polyhedral quotients.  An
+# id is checked when it is first built, and a malformed one is not
+# cached, so it raises on every call.
 @cache
 def cyclic(n: int) -> StandardGroupId:
     return StandardGroupId("C", n)
@@ -105,58 +118,22 @@ BINARY_TETRAHEDRAL = StandardGroupId("T", 24)
 BINARY_OCTAHEDRAL = StandardGroupId("O", 48)
 BINARY_ICOSAHEDRAL = StandardGroupId("I", 120)
 
-OMEGA = AlgebraicQuaternion(QF_HALF, QF_HALF, QF_HALF, QF_HALF)
-SIGMA = AlgebraicQuaternion(QF_HALF_SQRT2, QuadFieldElement(0),
-                            QF_HALF_SQRT2, QuadFieldElement(0))
-IOTA = AlgebraicQuaternion(QF_HALF_TAU_INV, QuadFieldElement(0),
-                           QF_HALF_TAU, QF_HALF)
+
+def multiply(a, b):
+    """Exact quaternion product."""
+    return a.multiply(b)
 
 
-def _tetrahedral_elements():
-    units = [quat_rational(*coords) for coords in (
-        (1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
-        (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1))]
-    signed = (QF_HALF, -QF_HALF)
-    halves = [AlgebraicQuaternion(w, x, y, z)
-              for w in signed for x in signed for y in signed for z in signed]
-    return units + halves
-
-
-def _coset_union(base, multipliers):
-    seen = {}
-    for mult in multipliers:
-        for el in base:
-            prod = mult.multiply(el)
-            seen.setdefault(prod, None)
-    return list(seen)
-
-
-# Listing I* takes 124 quaternion products, each about 30 us (a 2-vCPU
-# Xeon VM, Python 3.11), so each of T*, O* and I* is listed once per
-# process; there are three keys.
-@cache
-def _polyhedral_elements(kind: str) -> tuple:
-    t = _tetrahedral_elements()
-    if kind == "T":
-        return tuple(t)
-    if kind == "O":
-        return tuple(_coset_union(t, [quat_rational(1, 0, 0, 0), SIGMA]))
-    powers = [quat_rational(1, 0, 0, 0)]
-    for _ in range(4):
-        powers.append(IOTA.multiply(powers[-1]))
-    return tuple(_coset_union(t, powers))
-
-
-def standard_group(group_id: StandardGroupId) -> list[AlgebraicQuaternion]:
+def standard_group(group_id: StandardGroupId) -> list:
     """Exact element list of T*, O* or I*, a fresh list on every call.
     Cyclic and binary dihedral groups are never listed: their elements
     are integer angle data."""
     if group_id.kind not in _POLYHEDRAL_ORDERS:
         raise ValueError(f"standard_group lists T*, O* and I* only, not {group_id}")
-    return list(_polyhedral_elements(group_id.kind))
+    return list(_polyhedral._polyhedral_elements(group_id.kind))
 
 
-def algebraic_group(group_id: StandardGroupId) -> list[AlgebraicQuaternion]:
+def algebraic_group(group_id: StandardGroupId) -> list:
     """Element list in quaternion coordinates: T*, O* or I*, or D*8, the
     one binary dihedral right kernel in the catalog (families 6 and 18).
     """
@@ -315,7 +292,7 @@ _register(Family(
     lambda sp: 24 * sp.m,
     goursat=lambda sp: _g(cyclic(6 * sp.m), cyclic(2 * sp.m),
                           BINARY_TETRAHEDRAL, binary_dihedral(8),
-                          [(_z(6 * sp.m), OMEGA)]),
+                          [(_z(6 * sp.m), _polyhedral.OMEGA)]),
     label="(C6m/C2m, T*/D*8)"))
 
 _register(Family(
@@ -330,7 +307,7 @@ _register(Family(
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
-                          [(_z(4 * sp.m), SIGMA)]),
+                          [(_z(4 * sp.m), _polyhedral.SIGMA)]),
     label="(C4m/C2m, O*/T*)"))
 
 _register(Family(
@@ -400,7 +377,7 @@ _register(Family(
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
-                          [(CIRCLE_J, SIGMA)]),
+                          [(CIRCLE_J, _polyhedral.SIGMA)]),
     label="(D*4m/C2m, O*/T*)"))
 
 _register(Family(
@@ -408,7 +385,7 @@ _register(Family(
     lambda sp: 96 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
                           BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
-                          [(_z(4 * sp.m), SIGMA)]),
+                          [(_z(4 * sp.m), _polyhedral.SIGMA)]),
     label="(D*8m/D*4m, O*/T*)"))
 
 _register(Family(
@@ -416,7 +393,8 @@ _register(Family(
     lambda sp: 48 * sp.m,
     goursat=lambda sp: _g(binary_dihedral(12 * sp.m), cyclic(2 * sp.m),
                           BINARY_OCTAHEDRAL, binary_dihedral(8),
-                          [(_z(6 * sp.m), OMEGA), (CIRCLE_J, SIGMA)]),
+                          [(_z(6 * sp.m), _polyhedral.OMEGA),
+                           (CIRCLE_J, _polyhedral.SIGMA)]),
     label="(D*12m/C2m, O*/D*8)"))
 
 _register(Family(
@@ -714,19 +692,6 @@ def phi_order(group: PairGroup) -> int:
     return group.order // 2
 
 
-class _Quotient(Record):
-    """A factor R of a Goursat 5-tuple with its kernel K, as coset data."""
-
-    __slots__ = ("coset_of", "cosets", "table", "identity", "minus_one")
-
-    def __init__(self, coset_of, cosets, table, identity, minus_one):
-        self.coset_of = coset_of     # element of R -> index of its coset l*K
-        self.cosets = cosets         # index -> members of the coset
-        self.table = table           # table[a][b] = index of the coset product a*b
-        self.identity = identity     # index of the kernel itself
-        self.minus_one = minus_one   # index of the coset of -1
-
-
 def _circle_period(group_id: StandardGroupId) -> int:
     """Least common denominator of the angles of a C or D* group."""
     return group_id.order if group_id.kind == "C" else group_id.order // 2
@@ -761,45 +726,6 @@ def _circle_times(x, y, grid: int):
     if not xj:
         return yj, (a + b) % grid
     return not yj, (a - b + (grid // 2 if yj else 0)) % grid
-
-
-# Cached per (right, right_kernel): the coset data of a binary polyhedral
-# right factor does not depend on the family parameters, and its cosets
-# and table take up to 76 quaternion products of about 30 us each, so
-# each is built once per process; the catalog has six keys.
-@cache
-def _polyhedral_quotient(group_id: StandardGroupId,
-                         kernel_id: StandardGroupId) -> _Quotient:
-    """Coset data of a T*, O* or I* factor, from its elements in
-    quaternion coordinates; each coset is the tuple (l*k for k in K),
-    the first one K itself."""
-    elements = algebraic_group(group_id)
-    kernel = elements if kernel_id == group_id else algebraic_group(kernel_id)
-    members = set(elements)
-    _require(all(k in members for k in kernel),
-             "{} is not contained in {}", kernel_id, group_id)
-    # the coset of an element of K is K, so it is not multiplied out
-    index = dict.fromkeys(kernel, 0)
-    cosets = [tuple(kernel)]
-    for el in elements:
-        if el in index:
-            continue
-        coset = tuple(multiply(el, k) for k in kernel)
-        for x in coset:
-            index[x] = len(cosets)
-        cosets.append(coset)
-    _require(len(index) == len(elements), "kernel is not a subgroup of the group")
-    identity = quat_rational(1, 0, 0, 0)
-    _require(identity in index, "element list lacks the identity")
-    reps = [coset[0] for coset in cosets]
-    table = tuple(tuple(index[multiply(a, b)] for b in reps) for a in reps)
-
-    def coset_of(element):
-        _require(element in index, "{} is not in {}", element, group_id)
-        return index[element]
-
-    return _Quotient(coset_of, tuple(cosets), table, index[identity],
-                     index[element_negate(identity)])
 
 
 def _circle_lattice(data: GoursatData):
@@ -866,49 +792,6 @@ def _circle_lattice(data: GoursatData):
     return grid, RotationLattice(h11, h12, h22, offsets)
 
 
-def _coset_gluing(data: GoursatData):
-    """(grid, coset data) of the group for a T*, O* or I* right factor,
-    on grid = lcm(4, period(L)): the coset of L_K glued to each right
-    coset of R_K.  Walking the right cosets from R_K, the product c*s
-    of a coset c and a generator pair (l, s) is glued to t*l for the
-    offset t of c, so the gluing is multiplicative along every generator
-    edge, a homomorphism from R/R_K.  It inverts phi once it reaches
-    every right coset and glues no left coset twice (the quotients have
-    equal orders, checked by the caller)."""
-    left_period, period = _circle_period(data.left), _circle_period(data.left_kernel)
-    _check_circle_factor(data.left, data.left_kernel, left_period, period)
-    grid = math.lcm(4, left_period)
-    right = _polyhedral_quotient(data.right, data.right_kernel)
-    dihedral = data.left_kernel.kind == "D"
-
-    def reduced(jflag, a):
-        # the offset of the coset of L_K through (jflag, a); grid/2 is a
-        # multiple of the step, so a binary dihedral L_K joins the jflags
-        return not dihedral and jflag, a % (grid // period)
-
-    gens = [(_on_circle_grid(l, data.left, left_period, grid), right.coset_of(r))
-            for l, r in data.phi_generators]
-    offsets = {right.identity: (False, 0)}
-    reached = [right.identity]
-    for c in reached:             # grows while it is walked
-        for x, s in gens:
-            d = right.table[c][s]
-            image = reduced(*_circle_times(offsets[c], x, grid))
-            if d not in offsets:
-                reached.append(d)
-            _require(offsets.setdefault(d, image) == image,
-                     "generator images do not extend to a homomorphism")
-    _require(len(offsets) == len(right.cosets),
-             "generator cosets do not span the quotient")
-    _require(len(set(offsets.values())) == len(offsets),
-             "gluing isomorphism is not injective")
-    _require(offsets[right.minus_one] == reduced(False, grid // 2),
-             "(-1, -1) must belong to every catalog group")
-    return grid, CosetGluing(period, dihedral,
-                             tuple([offsets[c] for c in range(len(offsets))]),
-                             right.cosets)
-
-
 def goursat_group(spec: FamilySpec) -> PairGroup:
     """The group {(l, r) : phi(l L_K) = r R_K}, as lattice data when both
     factors are circle-type and as coset data otherwise."""
@@ -918,7 +801,7 @@ def goursat_group(spec: FamilySpec) -> PairGroup:
              "quotients have different orders")
     lattice = gluing = None
     if data.right.kind in "TOI":
-        grid, gluing = _coset_gluing(data)
+        grid, gluing = _polyhedral._coset_gluing(data)
     else:
         grid, lattice = _circle_lattice(data)
     group = PairGroup(spec, grid, data.left, data.left_kernel, data.right,

@@ -22,10 +22,6 @@ from .exactfield import QuadFieldElement
 from .record import Record
 
 
-class NotHopfPreservingError(ValueError):
-    """Pair whose left factor is not circle-type; it moves the fibration."""
-
-
 class AlgebraicQuaternion:
     """w + x*i + y*j + z*k with coordinates in Q(sqrt2, sqrt5)."""
 
@@ -64,11 +60,6 @@ class AlgebraicQuaternion:
 def quat_rational(w, x, y, z) -> AlgebraicQuaternion:
     return AlgebraicQuaternion(QuadFieldElement(w), QuadFieldElement(x),
                                QuadFieldElement(y), QuadFieldElement(z))
-
-
-def multiply(a: AlgebraicQuaternion, b: AlgebraicQuaternion) -> AlgebraicQuaternion:
-    """Exact quaternion product."""
-    return a.multiply(b)
 
 
 def element_negate(a: AlgebraicQuaternion) -> AlgebraicQuaternion:

@@ -5,9 +5,10 @@ recomputation agree on the base signature, the Euler number, the
 multiset of (normalized invariant, singularity index) pairs at cone
 points and corner reflectors, the boundary invariant, the invariant-sum
 congruence, and (for the abelian families) the underlying lens space up
-to homeomorphism.  Invariant lists are compared as multisets: which
-printed invariant sits at which equal-index cone point is not part of
-the data.
+to homeomorphism, the engine's also against the oracle's raw (p, q),
+as both print theirs through lens_report.  Invariant lists are compared
+as multisets: which printed invariant sits at which equal-index cone
+point is not part of the data.
 
 A sweep maps compare_spec over the specs, in this process or over a
 pool of `workers` processes; both return the same ComparisonResult list.
@@ -15,7 +16,7 @@ pool of `workers` processes; both return the same ComparisonResult list.
 
 from __future__ import annotations
 
-from .engine import _fiber_sum, evaluate, somma_residue
+from .engine import THREE_SPHERE, _fiber_sum, evaluate, somma_residue
 from .groups import (
     ABELIAN_FAMILIES,
     DIHEDRAL_FAMILIES,
@@ -59,6 +60,16 @@ def _invariant_keys(invariants) -> list:
                    if v.den > 1])
 
 
+def _outside_lens_class(top, p: int, q: int) -> bool:
+    """Whether `top` is not L(p, q), by % and pow and not lens_report:
+    L(p, q') = L(p, q) exactly when q' = +-q^(+-1) mod p (K. Reidemeister,
+    1935; E. J. Brody, Ann. of Math. 71, 1960); p = 1 is the 3-sphere."""
+    if p == 1:
+        return top.underlying != THREE_SPHERE
+    inverse = pow(q, -1, p)
+    return top.p != p or top.q % p not in (q % p, -q % p, inverse, -inverse % p)
+
+
 def compare_spec(spec: FamilySpec) -> ComparisonResult:
     """Build the group, run both paths, and list every disagreement."""
     diffs = []
@@ -100,6 +111,9 @@ def compare_spec(spec: FamilySpec) -> ComparisonResult:
         if ((top_e.underlying, top_e.p, top_e.q)
                 != (top_o.underlying, top_o.p, top_o.q)):
             diffs.append(f"underlying space: engine {top_e}, oracle {top_o}")
+        if _outside_lens_class(top_e, *orc.raw_lens):
+            diffs.append(f"lens class: engine {top_e}, oracle raw "
+                         f"L({orc.raw_lens[0]},{orc.raw_lens[1]})")
         comp_e, comp_o = top_e.singular_components, top_o.singular_components
         if comp_e != comp_o:
             diffs.append(f"singular components: engine {comp_e}, "

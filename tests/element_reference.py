@@ -128,7 +128,7 @@ def multiply(a, b):
     if isinstance(a, CircleJElement) and isinstance(b, CircleJElement):
         return a.multiply(b)
     if isinstance(a, AlgebraicQuaternion) and isinstance(b, AlgebraicQuaternion):
-        return quaternions.multiply(a, b)
+        return groups.multiply(a, b)
     raise RepresentationMismatchError(
         f"cannot multiply {type(a).__name__} by {type(b).__name__}")
 

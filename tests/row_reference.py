@@ -42,10 +42,10 @@ from orbiseif.engine import (
     lens_report,
     modinv_pos,
 )
+from orbiseif.axis import _axis
 from orbiseif.groups import (
     CosetGluing,
     StandardGroupId,
-    _Quotient,
     _check_circle_factor,
     _circle_period,
     _circle_times,
@@ -63,9 +63,9 @@ from orbiseif.oracle import (
     ROT,
     BaseActionGroup,
     SingularOrbit,
-    _axis,
     _quotient_signature,
 )
+from orbiseif.polyhedral import _Quotient
 from orbiseif.quaternions import element_negate, quat_rational
 
 HOPF_FIBER = (1, 1)
@@ -344,7 +344,7 @@ def axis_classes(group):
 def axis_stab_vectors(group, line, sign):
     """Common grid and the exact set of torus translations of the
     stabilizer of the fiber over sign * (direction of line), one row at a
-    time (see oracle._axis_hnf)."""
+    time (see axis._axis_hnf)."""
     grid = math.lcm(120, group.grid)
     lift = grid // group.grid
     vectors = set()

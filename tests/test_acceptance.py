@@ -22,9 +22,6 @@ from orbiseif.groups import (
     BINARY_ICOSAHEDRAL,
     BINARY_OCTAHEDRAL,
     BINARY_TETRAHEDRAL,
-    IOTA,
-    OMEGA,
-    SIGMA,
     FamilySpec,
     get_family,
     goursat_group,
@@ -32,6 +29,7 @@ from orbiseif.groups import (
     standard_group,
 )
 from orbiseif.oracle import lens_oracle
+from orbiseif.polyhedral import IOTA, OMEGA, SIGMA
 from orbiseif.verify import run_sweep, sweep_specs
 from element_reference import multiply
 from test_properties import (

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbiseif import groups
+from orbiseif import groups, polyhedral
 from orbiseif.engine import evaluate
 from orbiseif.groups import (
     BINARY_ICOSAHEDRAL,
@@ -477,7 +477,7 @@ def test_fixed_factor_cache_stays_bounded():
     (right, right kernel), however many specs ran."""
     results = run_sweep(sweep_specs(60, TABLE4_FAMILIES))
     assert all(res.ok for res in results)
-    assert 0 < groups._polyhedral_quotient.cache_info().currsize <= 6
+    assert 0 < polyhedral._polyhedral_quotient.cache_info().currsize <= 6
 
 
 def test_goursat_checks_survive_python_optimize():
@@ -486,9 +486,10 @@ def test_goursat_checks_survive_python_optimize():
     in the generator builds of both kinds of right factor, under -O too."""
     script = (
         "import sys\n"
-        "from orbiseif import engine, groups\n"
+        "from orbiseif import engine, groups, polyhedral\n"
         "from orbiseif.groups import (BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL, "
-        "CIRCLE_J, OMEGA, SIGMA, GoursatData, _z, binary_dihedral, cyclic)\n"
+        "CIRCLE_J, GoursatData, _z, binary_dihedral, cyclic)\n"
+        "from orbiseif.polyhedral import OMEGA, SIGMA\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "if engine.InternalInconsistencyError is not "
@@ -496,7 +497,7 @@ def test_goursat_checks_survive_python_optimize():
         "    sys.exit('engine and groups raise different errors')\n"
         "c4, c2, z4, minus = cyclic(4), cyclic(2), _z(4), _z(2)\n"
         "o, t = BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL\n"
-        "lattice, gluing = groups._circle_lattice, groups._coset_gluing\n"
+        "lattice, gluing = groups._circle_lattice, polyhedral._coset_gluing\n"
         "for build, data, want in (\n"
         "        (lattice, GoursatData(c4, cyclic(3), c4, c4),\n"
         "         'C3 is not contained in C4'),\n"
@@ -578,15 +579,18 @@ def test_cold_polyhedral_fill_counts_its_products(monkeypatch):
     I* once and does not multiply out the coset of the kernel, which is
     the kernel: 132 products go through groups.multiply, and with the
     listings of O* (48) and I* (124) the fill forms 304 quaternion
-    products in all."""
+    products in all.  The nine element lists the quotients ask for, a
+    kernel other than the factor being a second one, go through
+    groups.standard_group, where the benchmark's tracer sees them, and
+    make the three listings."""
     keys = set()
     for fam in TABLE4_FAMILIES:
         data = get_family(fam).goursat(enumerate_specs(240, [fam])[0].spec)
         if data.right.kind in "TOI":
             keys.add((data.right, data.right_kernel))
     assert len(keys) == 6
-    groups._polyhedral_quotient.cache_clear()
-    groups._polyhedral_elements.cache_clear()
+    polyhedral._polyhedral_quotient.cache_clear()
+    polyhedral._polyhedral_elements.cache_clear()
     calls = Counter()
 
     def counted(name, original):
@@ -595,14 +599,17 @@ def test_cold_polyhedral_fill_counts_its_products(monkeypatch):
             return original(*args)
         return count
 
-    monkeypatch.setattr(groups, "multiply",
-                        counted("groups.multiply", groups.multiply))
+    for name in ("multiply", "standard_group"):
+        monkeypatch.setattr(groups, name,
+                            counted(f"groups.{name}", getattr(groups, name)))
     monkeypatch.setattr(AlgebraicQuaternion, "multiply",
                         counted("quaternion", AlgebraicQuaternion.multiply))
     for right, kernel in sorted(keys, key=str):
-        groups._polyhedral_quotient(right, kernel)
-    assert calls == {"groups.multiply": 132, "quaternion": 304}
-    assert groups._polyhedral_elements.cache_info().currsize == 3
+        polyhedral._polyhedral_quotient(right, kernel)
+    assert calls == {"groups.multiply": 132, "quaternion": 304,
+                     "groups.standard_group": 9}
+    listings = polyhedral._polyhedral_elements.cache_info()
+    assert (listings.misses, listings.currsize) == (3, 3)
 
 
 def test_contains_minus_one_pair():

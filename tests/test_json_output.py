@@ -23,7 +23,7 @@ from orbiseif.engine import (
 from orbiseif.groups import FamilySpec
 from orbiseif.verify import ComparisonResult, sweep_specs
 from json_reference import reference_to_dict
-from test_verify import package_calls
+from test_verify import python_calls
 
 # sha256 of the texts `_pinned_texts` lists, joined by newlines, as the
 # stdlib encoder wrote them from the reference document
@@ -124,18 +124,18 @@ def _assert_stdlib_layout(out):
 
 
 @pytest.mark.parametrize("spec, bound", [
-    (FamilySpec("1", m=1, n=3, r=4, s=1), 25),
-    (FamilySpec("11p", m=1, n=3, r=4, s=1), 27),
-    (FamilySpec("12", m=1, n=9), 21),
-    (FamilySpec("8", m=1), 19),
+    (FamilySpec("1", m=1, n=3, r=4, s=1), 34),
+    (FamilySpec("11p", m=1, n=3, r=4, s=1), 36),
+    (FamilySpec("12", m=1, n=9), 30),
+    (FamilySpec("8", m=1), 28),
 ], ids=str)
 def test_tabulated_report_enters_a_bounded_number_of_functions(spec, bound):
     """A warm `report_json(evaluate(spec))`, the work of one tabulated
-    spec, enters at most `bound` Python functions of the package: the
-    writer makes no call per value and the engine builds no throwaway
-    spec, without timing anything."""
+    spec, makes at most `bound` Python-level calls (see
+    test_verify.python_calls): the writer makes no call per value and
+    the engine builds no throwaway spec, without timing anything."""
     text = report_json(evaluate(spec))
-    again, calls = package_calls(lambda: report_json(evaluate(spec)))
+    again, calls = python_calls(lambda: report_json(evaluate(spec)))
     assert again == text
     assert calls <= bound, calls
 

@@ -12,6 +12,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import orbiseif
+from orbiseif.axis import (
+    _COSET_AXES,
+    _HALF_ANGLE,
+    _RECIPROCAL,
+    _axis,
+    _axis_base,
+    _axis_hnf,
+)
 from orbiseif.engine import (
     DISC,
     LENS,
@@ -30,19 +38,13 @@ from orbiseif.groups import (
     TABLE4_FAMILIES,
     CosetGluing,
     FamilySpec,
+    NotHopfPreservingError,
     PairGroup,
     _hnf,
-    _polyhedral_quotient,
     goursat_group,
     standard_group,
 )
 from orbiseif.oracle import (
-    _COSET_AXES,
-    _HALF_ANGLE,
-    _RECIPROCAL,
-    _axis,
-    _axis_base,
-    _axis_hnf,
     _check_chi,
     base_group,
     euler_oracle,
@@ -54,7 +56,8 @@ from orbiseif.oracle import (
     lens_oracle,
     oracle_report,
 )
-from orbiseif.quaternions import NotHopfPreservingError, quat_rational
+from orbiseif.polyhedral import _polyhedral_quotient
+from orbiseif.quaternions import quat_rational
 from orbiseif.verify import compare_spec, sweep_specs
 from row_reference import (
     axis_classes,

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import orbiseif
-from orbiseif import engine, groups, oracle
+from orbiseif import axis, engine, groups, oracle, polyhedral
 from orbiseif.engine import (
     CONE,
     CORNER,
@@ -153,9 +153,9 @@ def _one_of_each_record() -> list:
         report.topology, engine._derived_quantities_cached(spec),
         spec, groups.get_family("1"), gluing_data, gluing_data.right,
         lattice_group, lattice_group.lattice, gluing_group.gluing,
-        groups._polyhedral_quotient(gluing_data.right, gluing_data.right_kernel),
+        polyhedral._polyhedral_quotient(gluing_data.right, gluing_data.right_kernel),
         enumerate_specs(8)[0], base, base.orbits[0],
-        next(iter(oracle._coset_axes(gluing_group.gluing)[1].values())),
+        next(iter(axis._coset_axes(gluing_group.gluing)[1].values())),
         oracle.oracle_report(lattice_group), PairElement(one, one), compare_spec(spec),
     ]
 
@@ -209,6 +209,36 @@ def test_importing_the_package_loads_no_typing():
     assert proc.stdout == "['orbiseif.cli']\n"
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                          if p.stem != "__init__"))
+def test_each_module_imports_alone(module):
+    """Each module imports first in a fresh interpreter, so an import
+    cycle between `groups` or `oracle` and the modules they load on
+    demand fails here and not in a run."""
+    proc = _run_python("-S", "-c", f"import orbiseif.{module}")
+    assert proc.returncode == 0, proc.stderr
+
+
+# the modules only a group with a T*, O* or I* right factor needs
+POLYHEDRAL_LAYER = ["orbiseif.axis", "orbiseif.exactfield", "orbiseif.polyhedral",
+                    "orbiseif.quaternions"]
+
+
+def test_the_polyhedral_layer_loads_with_the_first_such_group():
+    """Importing the package, the command line and the sweep loads none of
+    the T*, O* and I* modules; comparing a spec of family 9 (I*) loads
+    all of them, and the comparison agrees."""
+    proc = _run_python("-S", "-c", "import sys\n"
+                       "import orbiseif, orbiseif.cli, orbiseif.verify\n"
+                       f"layer = {POLYHEDRAL_LAYER!r}\n"
+                       "print([m for m in layer if m in sys.modules])\n"
+                       "from orbiseif.groups import FamilySpec\n"
+                       "result = orbiseif.compare_spec(FamilySpec('9', m=1))\n"
+                       "print(result.ok, [m for m in layer if m in sys.modules])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"[]\nTrue {POLYHEDRAL_LAYER!r}\n"
+
+
 # On CPython 3.11 the rows of enumerate_specs(240) take 138.8 bytes each
 # with slotted specs and 178.8 with frozen ones, which carry a __dict__.
 ENUMERATE_BYTES_PER_ROW = 146
@@ -255,12 +285,12 @@ ALLOWED_STORES = {
     *_init_stores("groups.py", "CosetGluing", "period dihedral offsets right_cosets"),
     *_init_stores("groups.py", "PairGroup", "spec grid left left_kernel right "
                   "right_kernel lattice gluing order"),
-    *_init_stores("groups.py", "_Quotient", "coset_of cosets table identity minus_one"),
+    *_init_stores("polyhedral.py", "_Quotient", "coset_of cosets table identity minus_one"),
     *_init_stores("groups.py", "EnumeratedSpec", "spec phi_order fibered"),
     *_init_stores("oracle.py", "SingularOrbit", "rotation_order corner position"),
     *_init_stores("oracle.py", "BaseActionGroup", "order signature orbits"),
-    *_init_stores("oracle.py", "_CosetAxes", "classes turns"),
-    *_init_stores("oracle.py", "OracleReport", "seifert topology"),
+    *_init_stores("axis.py", "_CosetAxes", "classes turns"),
+    *_init_stores("oracle.py", "OracleReport", "seifert topology raw_lens"),
     *_init_stores("quaternions.py", "AlgebraicQuaternion", "w x y z _key"),
     *_init_stores("quaternions.py", "PairElement", "left right"),
     *_init_stores("verify.py", "ComparisonResult", "spec differences"),

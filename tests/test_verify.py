@@ -3,15 +3,21 @@
 import dataclasses
 import itertools
 import math
-import os
 import sys
 from fractions import Fraction
 
 import pytest
 
-import orbiseif
 from orbiseif import engine, oracle, verify
-from orbiseif.engine import DISC, BaseSignature, LocalInvariant, evaluate
+from orbiseif.engine import (
+    DISC,
+    LENS,
+    THREE_SPHERE,
+    BaseSignature,
+    LocalInvariant,
+    TopologyReport,
+    evaluate,
+)
 from orbiseif.groups import (
     DIHEDRAL_FAMILIES,
     FIBERED_FAMILIES,
@@ -23,6 +29,7 @@ from orbiseif.groups import (
 )
 from orbiseif.verify import (
     ComparisonResult,
+    _outside_lens_class,
     compare_spec,
     resolve_families,
     run_sweep,
@@ -167,6 +174,45 @@ def test_invariant_sum_mismatch_text_names_the_sum(monkeypatch):
     assert not any(d.startswith("oracle invariant sum") for d in differences)
 
 
+def test_raw_lens_class_catches_a_lens_report_both_sides_share(monkeypatch):
+    """A `lens_report` that prints L(p, 1) for every lens space moves the
+    engine and the oracle together, so their printed spaces agree; the
+    engine's L(30, 1) is still caught against the oracle's raw pair
+    (30, 23), whose class is {7, 13, 17, 23}."""
+    spec = FamilySpec("1", m=3, n=5, r=8, s=3)
+    assert str(evaluate(spec).topology) == "L(30,7)"
+    assert compare_spec(spec).ok
+    shared = engine.lens_report
+
+    def first_of_its_p(p, q, components=()):
+        return shared(p, 1, components)
+
+    monkeypatch.setattr(engine, "lens_report", first_of_its_p)
+    monkeypatch.setattr(oracle, "lens_report", first_of_its_p)
+    assert compare_spec(spec).differences == [
+        "lens class: engine L(30,1), oracle raw L(30,23)"]
+
+
+def test_lens_class_test_matches_the_enumerated_classes():
+    """For every p <= 60 and units q, q' mod p, a printed L(p, q') passes
+    against the raw pair (p, q) exactly when q' lies in {+-q, +-q^-1},
+    found by search; a printed L(p', q) with p' != p and a printed S3
+    fail, and p = 1 passes only the 3-sphere."""
+    sphere = TopologyReport(THREE_SPHERE)
+    assert not _outside_lens_class(sphere, 1, 0)
+    assert _outside_lens_class(TopologyReport(LENS, 2, 1), 1, 0)
+    for p in range(2, 61):
+        units = [x for x in range(1, p) if math.gcd(x, p) == 1]
+        for q in units:
+            inverse = next(y for y in units if q * y % p == 1)
+            members = {q, p - q, inverse, p - inverse}
+            for printed in units:
+                lens = TopologyReport(LENS, p, printed)
+                assert _outside_lens_class(lens, p, q + p) == (printed not in members)
+            assert _outside_lens_class(TopologyReport(LENS, p + 1, 1), p, q)
+            assert _outside_lens_class(sphere, p, q)
+
+
 @pytest.mark.parametrize("spec", [
     FamilySpec("1", m=1, n=3, r=4, s=1),      # sphere, lens
     FamilySpec("11p", m=1, n=3, r=4, s=1),    # disc, corners
@@ -190,16 +236,17 @@ def test_agreeing_comparison_builds_only_the_euler_numbers(monkeypatch, spec):
     assert len(built) == 2, built
 
 
-def package_calls(work):
-    """(work(), the Python functions of the package it entered), counted
-    as profiler call events: each comprehension call and each generator
-    resumption counts."""
-    package = os.path.dirname(orbiseif.__file__) + os.sep
+def python_calls(work):
+    """(work(), the Python-level calls made while it ran), counted as
+    profiler call events whatever file the code came from: a method
+    generated in `<string>`, each comprehension call, each generator
+    resumption and the import machinery a `from . import x` runs all
+    count, as does the call of `work` itself."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(package):
+        if event == "call":
             calls += 1
 
     previous = sys.getprofile()
@@ -212,17 +259,17 @@ def package_calls(work):
 
 
 @pytest.mark.parametrize("spec, bound", [
-    (FamilySpec("1", m=1, n=3, r=4, s=1), 129),
-    (FamilySpec("11p", m=1, n=3, r=4, s=1), 139),
-    (FamilySpec("12", m=1, n=9), 173),
-    (FamilySpec("8", m=1), 150),
+    (FamilySpec("1", m=1, n=3, r=4, s=1), 148),
+    (FamilySpec("11p", m=1, n=3, r=4, s=1), 161),
+    (FamilySpec("12", m=1, n=9), 195),
+    (FamilySpec("8", m=1), 169),
 ], ids=str)
 def test_agreeing_comparison_enters_a_bounded_number_of_functions(spec, bound):
-    """A warm agreeing compare_spec enters at most `bound` Python
-    functions of the package, so per-spec work that was removed stays
+    """A warm agreeing compare_spec makes at most `bound` Python-level
+    calls (see python_calls), so per-spec work that was removed stays
     removed without timing anything."""
     assert compare_spec(spec).ok
-    result, calls = package_calls(lambda: compare_spec(spec))
+    result, calls = python_calls(lambda: compare_spec(spec))
     assert result.ok
     assert calls <= bound, calls
 
