@@ -17,8 +17,7 @@ from .engine import (
     normalize,
     somma_residue,
 )
-from .groups import FamilySpec, enumerate_specs, goursat_group, phi_order, validate
-from .oracle import oracle_report
+from .groups import FamilySpec, enumerate_specs, validate
 from .verify import compare_spec, run_sweep, sweep_specs
 
 __version__ = "0.1.0"
@@ -30,3 +29,15 @@ __all__ = [
     "oracle_report", "phi_order", "run_sweep", "somma_residue",
     "sweep_specs", "validate",
 ]
+
+
+# names whose module only a comparison needs, loaded with their first read
+_LOADED_ON_READ = {"goursat_group": "build", "phi_order": "build",
+                   "oracle_report": "oracle"}
+
+
+def __getattr__(name):
+    if name not in _LOADED_ON_READ:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{_LOADED_ON_READ[name]}"), name)

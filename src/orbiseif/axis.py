@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .build import CosetGluing, PairGroup, _hnf, phi_order
 from .exactfield import (QF_HALF, QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV,
                          QuadFieldElement)
-from .groups import CosetGluing, PairGroup, _hnf, _require, phi_order
+from .groups import _require
 from .oracle import BaseActionGroup, SingularOrbit, _quotient_signature
 from .record import Record
 

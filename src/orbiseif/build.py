@@ -1,0 +1,251 @@
+"""The group builder: a spec's Goursat group as integer data, loaded with
+the first comparison (see verify) and not with the package.
+
+With two circle-type factors a group is a lattice (RotationLattice): its
+rotation pairs as integer angle pairs in Hermite normal form, and one
+coset of it per class of j-flags, from the catalog generators closed by
+Schreier generators.  With a T*, O* or I* right factor it is coset data
+(CosetGluing): one left progression of integer angles per right coset of
+R_K, from `polyhedral`, which loads on the first read of
+`groups._polyhedral`.  A circle element is (jflag, numerator over a
+common grid) in a built group (see PairGroup), which is its lattice or
+its coset data and lists no pairs.
+"""
+
+from __future__ import annotations
+
+import math
+
+from . import groups
+from .groups import (FamilySpec, GoursatData, InternalInconsistencyError,
+                     StandardGroupId, _require, require_fibered)
+from .record import Record
+
+
+def _ext_gcd(a, b):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
+    u, v, u1, v1 = 1, 0, 0, 1
+    while b:
+        quo = a // b
+        a, b, u, v, u1, v1 = b, a - quo * b, u1, v1, u - quo * u1, v - quo * v1
+    return (a, u, v) if a >= 0 else (-a, -u, -v)
+
+
+def _hnf(vectors, grid: int):
+    """Hermite normal form (h11, h12, h22) of the lattice spanned by the
+    integer vectors and grid*Z^2: the basis (h11, h12), (0, h22), h11 and
+    h22 dividing grid, 0 <= h12 < h22 (H. Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, section 2.4.2).  Each vector (x, y)
+    meets the first row through the unimodular ((s, t), (-x/g, h11/g)),
+    s*h11 + t*x = g."""
+    h11, h12, h22 = grid, 0, grid
+    for x, y in vectors:
+        g, s, t = _ext_gcd(h11, x)
+        h22 = math.gcd(h22, (h11 * y - x * h12) // g)
+        h11, h12 = g, (s * h12 + t * y) % h22
+    return h11, h12, h22
+
+
+def _hnf_reduce(hnf, a: int, b: int):
+    """The representative of (a, b) + Lambda with 0 <= a < h11,
+    0 <= b < h22, Lambda the lattice of the normal form `hnf`; it is
+    (0, 0) exactly on Lambda."""
+    h11, h12, h22 = hnf
+    x = a // h11
+    return a - x * h11, (b - x * h12) % h22
+
+
+class RotationLattice(Record):
+    """A group with two circle-type factors, as integer lattice data.
+
+    Its rotation pairs (a, b), both factors plain rotations by a/grid and
+    b/grid, form a lattice Lambda of Z^2 that contains grid*Z^2, kept as
+    its Hermite normal form (see _hnf).  Each flag class (left jflag, right
+    jflag) is one coset x_f + Lambda, as a rotation keeps the flags of what
+    it multiplies; `offsets` holds one reduced (jl, jr, a, b) per class
+    (see _hnf_reduce), the rotation class (False, False, 0, 0) first.
+    """
+
+    __slots__ = ("h11", "h12", "h22", "offsets")
+
+    def __init__(self, h11: int, h12: int, h22: int, offsets: tuple):
+        self.h11 = h11
+        self.h12 = h12
+        self.h22 = h22
+        self.offsets = offsets
+
+
+class CosetGluing(Record):
+    """A group with a T*, O* or I* right factor, as Goursat coset data:
+    the cosets r*R_K (`right_cosets`, tuples of quaternions) and, one per
+    right coset in `offsets`, the reduced offset (jflag, a) of the coset
+    of L_K glued to it, (jflag, a + (grid/period)*Z) with period the angle
+    period of L_K, joined by the other jflag when L_K is binary dihedral."""
+
+    __slots__ = ("period", "dihedral", "offsets", "right_cosets")
+
+    def __init__(self, period: int, dihedral: bool, offsets: tuple,
+                 right_cosets: tuple):
+        self.period, self.dihedral = period, dihedral
+        self.offsets, self.right_cosets = offsets, right_cosets
+
+    def parts(self):
+        """(jflag, a, right coset) per left progression."""
+        for (jl, a), coset in zip(self.offsets, self.right_cosets):
+            for jflag in (False, True) if self.dihedral else (jl,):
+                yield jflag, a, coset
+
+
+class PairGroup(Record):
+    """A built group: its factor ids and, on a grid of circle angle
+    numerators, its structure.  With a circle-type right factor that is
+    `lattice`, with a T*, O* or I* right factor `gluing`; the other is
+    None.  `order` is read off that structure, and checked to be even,
+    when the group is made.
+    """
+
+    __slots__ = ("spec", "grid", "left", "left_kernel", "right", "right_kernel",
+                 "lattice", "gluing", "order")
+    __hash__ = None
+
+    def __init__(self, spec: FamilySpec, grid: int, left: StandardGroupId,
+                 left_kernel: StandardGroupId, right: StandardGroupId,
+                 right_kernel: StandardGroupId,
+                 lattice: RotationLattice | None = None,
+                 gluing: CosetGluing | None = None):
+        self.spec, self.grid = spec, grid
+        self.left, self.left_kernel = left, left_kernel
+        self.right, self.right_kernel = right, right_kernel
+        self.lattice, self.gluing = lattice, gluing
+        if lattice is None:
+            self.order = (sum(map(len, gluing.right_cosets)) * gluing.period
+                          * (1 + gluing.dihedral))
+        else:
+            self.order = grid ** 2 // (lattice.h11 * lattice.h22) * len(lattice.offsets)
+        if self.order % 2:
+            raise InternalInconsistencyError("pair group has odd order")
+
+
+def phi_order(group: PairGroup) -> int:
+    """Order of the rotation group; the pair kernel is {(1,1), (-1,-1)}."""
+    return group.order // 2
+
+
+def _circle_period(group_id: StandardGroupId) -> int:
+    """Least common denominator of the angles of a C or D* group."""
+    return group_id.order if group_id.kind == "C" else group_id.order // 2
+
+
+def _check_circle_factor(group: StandardGroupId, kernel: StandardGroupId,
+                         period: int, kernel_period: int) -> None:
+    """A C or D* factor of period `period` over a kernel of period
+    `kernel_period`: the period is even, so that -1 lies in the factor,
+    and a multiple of its kernel's, whose j-type elements it must have."""
+    if period % kernel_period or (kernel.kind == "D" and group.kind != "D"):
+        raise InternalInconsistencyError(f"{kernel} is not contained in {group}")
+    if period % 2:
+        raise InternalInconsistencyError(f"-1 is not in {group}")
+
+
+def _on_circle_grid(element, group: StandardGroupId, period: int, grid: int):
+    """(jflag, angle numerator over grid) of a circle triple of group,
+    whose period is `period`."""
+    jflag, num, den = element
+    if period % den or (jflag and group.kind != "D"):
+        raise InternalInconsistencyError(f"{element} is not in {group}")
+    return jflag, num * (grid // den)
+
+
+def _circle_times(x, y, grid: int):
+    """Product of (jflag, angle) parts over grid.  A rotation x adds its
+    angle and keeps y's flag; as j*e^(2 pi i b) = e^(-2 pi i b)*j, a
+    j-type x subtracts b and flips the flag, and as j*j = -1 it adds half
+    a turn when y is j-type too."""
+    (xj, a), (yj, b) = x, y
+    if not xj:
+        return yj, (a + b) % grid
+    return not yj, (a - b + (grid // 2 if yj else 0)) % grid
+
+
+def _circle_lattice(data: GoursatData):
+    """(grid, lattice data) of the group generated by L_K x 1, 1 x R_K
+    and the generator pairs of phi, on grid = lcm(4, period(L),
+    period(R)); each of the four factor periods is read once.  A kernel
+    rotation keeps every flag class and gives the rotation pair +-(its
+    angle) in each, so the rotations of L_K x 1 and 1 x R_K enter Lambda
+    once, as (grid/period(L_K), 0) and (0, grid/period(R_K)).  Walking
+    the flag classes from the rotation class along the j-type kernel
+    generators and the generator pairs, each product t*s of a class
+    representative t and a generator s opens a class or gives the
+    rotation pair t*s*rep(t*s)^-1; by Schreier's lemma those pairs and
+    the kernel rotations span Lambda.  The closure is the Goursat group
+    exactly when its kernels are L_K and R_K and its order is |L|*|R_K|
+    (checked by the caller): a larger right kernel means the images do
+    not extend to a homomorphism, a larger left one that phi is not
+    injective."""
+    left, right = data.left, data.right
+    left_period, right_period = _circle_period(left), _circle_period(right)
+    left_k = _circle_period(data.left_kernel)
+    right_k = _circle_period(data.right_kernel)
+    _check_circle_factor(left, data.left_kernel, left_period, left_k)
+    _check_circle_factor(right, data.right_kernel, right_period, right_k)
+    grid = math.lcm(4, left_period, right_period)
+    one, j = (False, 0), (True, 0)
+    gens = [(j, one)] if data.left_kernel.kind == "D" else []
+    if data.right_kernel.kind == "D":
+        gens.append((one, j))
+    gens += [(_on_circle_grid(l, left, left_period, grid),
+              _on_circle_grid(r, right, right_period, grid))
+             for l, r in data.phi_generators]
+
+    reps = {(False, False): (0, 0)}
+    flags = [(False, False)]
+    vectors = {(grid // left_k, 0), (0, grid // right_k)}
+    for jl, jr in flags:          # grows while it is walked
+        a, b = reps[jl, jr]
+        for x, y in gens:
+            (kl, c), (kr, d) = (_circle_times((jl, a), x, grid),
+                                _circle_times((jr, b), y, grid))
+            if (kl, kr) not in reps:
+                flags.append((kl, kr))
+            # t*s*rep(t*s)^-1 has the angles of t*s minus those of the rep
+            rep = reps.setdefault((kl, kr), (c, d))
+            vectors.add((c - rep[0], d - rep[1]))
+    vectors.discard((0, 0))
+    hnf = h11, h12, h22 = _hnf(vectors, grid)
+    offsets = tuple([(jl, jr) + _hnf_reduce(hnf, *reps[jl, jr]) for jl, jr in flags])
+    _require(_hnf_reduce(hnf, grid // 2, grid // 2) == (0, 0),
+             "(-1, -1) must belong to every catalog group")
+
+    # (1, r) for rotations r: b in h22*Z; (l, 1): a in h11*h22/gcd(h12, h22)*Z.
+    # A j-type class adds a kernel coset when its a (resp. b) can reach 0.
+    g = math.gcd(h12, h22)
+    right_kernel = grid // h22 * (1 + any([
+        not jl and jr and a == 0 for jl, jr, a, _ in offsets]))
+    left_kernel = grid // (h11 * (h22 // g)) * (1 + any([
+        jl and not jr and b % g == 0 for jl, jr, _, b in offsets]))
+    _require(right_kernel == data.right_kernel.order,
+             "generator images do not extend to a homomorphism")
+    _require(left_kernel == data.left_kernel.order,
+             "gluing isomorphism is not injective")
+    return grid, RotationLattice(h11, h12, h22, offsets)
+
+
+def goursat_group(spec: FamilySpec) -> PairGroup:
+    """The group {(l, r) : phi(l L_K) = r R_K}, as lattice data when both
+    factors are circle-type and as coset data otherwise."""
+    data = require_fibered(spec).goursat(spec)
+    _require(data.left.order * data.right_kernel.order
+             == data.right.order * data.left_kernel.order,
+             "quotients have different orders")
+    lattice = gluing = None
+    if data.right.kind in "TOI":
+        grid, gluing = groups._polyhedral._coset_gluing(data)
+    else:
+        grid, lattice = _circle_lattice(data)
+    group = PairGroup(spec, grid, data.left, data.left_kernel, data.right,
+                      data.right_kernel, lattice, gluing)
+    if group.order != data.left.order * data.right_kernel.order:
+        raise InternalInconsistencyError(
+            f"{spec} has {group.order} elements, not |L| * |R_K|")
+    return group

@@ -1,4 +1,5 @@
-"""Brute-force recomputation of the quotient invariants from group data.
+"""Brute-force recomputation of the quotient invariants from group data,
+loaded with the first comparison (see verify) and not with the package.
 
 Nothing in this module reads the closed-form tables.  It reads only the
 group data of a built group (`PairGroup.lattice`, or `PairGroup.gluing`
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .build import PairGroup, _ext_gcd, _hnf, phi_order
 from .engine import (
     CONE,
     CORNER,
@@ -44,8 +46,7 @@ from .engine import (
     lens_report,
     modinv_pos,
 )
-from .groups import (NotHopfPreservingError, PairGroup, _ext_gcd, _hnf, _require,
-                     phi_order)
+from .groups import NotHopfPreservingError, _require
 from .record import Record
 
 

@@ -12,6 +12,8 @@ point is not part of the data.
 
 A sweep maps compare_spec over the specs, in this process or over a
 pool of `workers` processes; both return the same ComparisonResult list.
+The group builder (`build`) and the oracle load with the first
+comparison, through the stand-ins `goursat_group` and `oracle_report`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,26 @@ from .groups import (
     FamilySpec,
     enumerate_specs,
     get_family,
-    goursat_group,
-    phi_order,
 )
-from .oracle import oracle_report
 from .record import Record
+
+
+def _loaded_on_first_call(module: str, name: str):
+    """Stand-in for the function `name` of orbiseif.<module>: the first call
+    imports the module and rebinds `name` here to the function if `name`
+    still holds the stand-in, so a wrapper in its place sees every call."""
+    def stand_in(*args):
+        # with a fromlist __import__ returns the submodule, and a loaded one
+        # costs no Python-level call: a wrapper's every call comes through here
+        function = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+        if globals()[name] is stand_in:
+            globals()[name] = function
+        return function(*args)
+    return stand_in
+
+
+goursat_group = _loaded_on_first_call("build", "goursat_group")
+oracle_report = _loaded_on_first_call("oracle", "oracle_report")
 
 
 class ComparisonResult(Record):
@@ -61,13 +78,14 @@ def _invariant_keys(invariants) -> list:
 
 
 def _outside_lens_class(top, p: int, q: int) -> bool:
-    """Whether `top` is not L(p, q), by % and pow and not lens_report:
-    L(p, q') = L(p, q) exactly when q' = +-q^(+-1) mod p (K. Reidemeister,
-    1935; E. J. Brody, Ann. of Math. 71, 1960); p = 1 is the 3-sphere."""
+    """Whether `top` is not L(p, q), by products and % and not lens_report:
+    L(p, q') = L(p, q) exactly when q' = +-q or q'*q = +-1 mod p
+    (K. Reidemeister, 1935; E. J. Brody, Ann. of Math. 71, 1960); p = 1 is
+    the 3-sphere.  A q not prime to p names no lens space, so it is outside."""
     if p == 1:
         return top.underlying != THREE_SPHERE
-    inverse = pow(q, -1, p)
-    return top.p != p or top.q % p not in (q % p, -q % p, inverse, -inverse % p)
+    return top.p != p or (top.q * q % p not in (1, p - 1)
+                          and (top.q - q) % p != 0 and (top.q + q) % p != 0)
 
 
 def compare_spec(spec: FamilySpec) -> ComparisonResult:
@@ -78,9 +96,8 @@ def compare_spec(spec: FamilySpec) -> ComparisonResult:
     orc = oracle_report(group)
 
     formula_order = get_family(spec.family).phi_order(spec)
-    order = phi_order(group)
-    if order != formula_order:
-        diffs.append(f"group order {2 * order} != "
+    if group.order != 2 * formula_order:
+        diffs.append(f"group order {group.order} != "
                      f"2 * {formula_order} from the order formula")
 
     base_e, base_o = eng.seifert.base, orc.seifert.base

@@ -34,6 +34,16 @@ row, and a test holds the two equal.
 import math
 from dataclasses import dataclass
 
+from orbiseif.build import (
+    CosetGluing,
+    _check_circle_factor,
+    _circle_period,
+    _circle_times,
+    _hnf,
+    _hnf_reduce,
+    _on_circle_grid,
+    phi_order,
+)
 from orbiseif.engine import (
     CONE,
     THREE_SPHERE,
@@ -44,17 +54,9 @@ from orbiseif.engine import (
 )
 from orbiseif.axis import _axis
 from orbiseif.groups import (
-    CosetGluing,
     StandardGroupId,
-    _check_circle_factor,
-    _circle_period,
-    _circle_times,
-    _hnf,
-    _hnf_reduce,
-    _on_circle_grid,
     _require,
     get_family,
-    phi_order,
 )
 from orbiseif.oracle import (
     AROT,

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbiseif.build import goursat_group, phi_order
 from orbiseif.engine import (
     LENS,
     SPHERE,
@@ -24,8 +25,6 @@ from orbiseif.groups import (
     BINARY_TETRAHEDRAL,
     FamilySpec,
     get_family,
-    goursat_group,
-    phi_order,
     standard_group,
 )
 from orbiseif.oracle import lens_oracle

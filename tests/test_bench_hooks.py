@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from orbiseif import engine, groups, oracle, verify
+from orbiseif import build, engine, groups, oracle, verify
 from orbiseif.groups import FamilySpec
+from test_oracle import _run_python
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,6 +32,36 @@ def test_benchmark_trace_hooks_exist():
             assert attr in vars(owner), name
     assert callable(engine._derived_quantities_cached.cache_info)
     assert callable(engine._derived_quantities_cached.cache_clear)
+
+
+def test_wrappers_installed_before_the_first_comparison_see_every_call():
+    """`verify.goursat_group` and `verify.oracle_report` load their modules
+    on the first call.  Counting wrappers put in their place before any
+    comparison, as the tracer puts its own, count every one of 20
+    comparisons; once the stand-ins are back, the next comparison binds
+    the builder's function, and the comparisons still agree."""
+    proc = _run_python("-S", "-c", "import sys\n"
+                       "from orbiseif import verify\n"
+                       "from orbiseif.groups import FIBERED_FAMILIES, FamilySpec, get_family\n"
+                       "specs = [FamilySpec(n, *map(get_family(n).start, get_family(n).params))\n"
+                       "         for n in FIBERED_FAMILIES[:20]]\n"
+                       "counts, saved = {}, {}\n"
+                       "def counting(name, fn):\n"
+                       "    def counted(*args):\n"
+                       "        counts[name] = counts.get(name, 0) + 1\n"
+                       "        return fn(*args)\n"
+                       "    return counted\n"
+                       "for name in ('goursat_group', 'oracle_report'):\n"
+                       "    saved[name] = vars(verify)[name]\n"
+                       "    setattr(verify, name, counting(name, saved[name]))\n"
+                       "print(all(verify.compare_spec(spec).ok for spec in specs), counts)\n"
+                       "for name, fn in saved.items():\n"
+                       "    setattr(verify, name, fn)\n"
+                       "print(all(verify.compare_spec(spec).ok for spec in specs),\n"
+                       "      verify.goursat_group is sys.modules['orbiseif.build'].goursat_group)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("True {'goursat_group': 20, 'oracle_report': 20}\n"
+                           "True True\n")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +107,7 @@ def test_records_are_equal_and_hashed_by_value(spec):
              (first.seifert.base, second.seifert.base),
              (first.topology, second.topology),
              *zip(first.seifert.invariants, second.seifert.invariants)]
-    group_a, group_b = groups.goursat_group(spec), groups.goursat_group(spec)
+    group_a, group_b = build.goursat_group(spec), build.goursat_group(spec)
     data_a, data_b = oracle.oracle_report(group_a), oracle.oracle_report(group_b)
     pairs += [(data_a, data_b), (data_a.seifert, data_b.seifert),
               (group_a.lattice or group_a.gluing, group_b.lattice or group_b.gluing),
@@ -92,7 +123,7 @@ def test_records_are_equal_and_hashed_by_value(spec):
 
 
 def test_mutable_results_stay_unhashable():
-    group = groups.goursat_group(SPECS[0])
+    group = build.goursat_group(SPECS[0])
     for record in (oracle.base_group(group), verify.compare_spec(SPECS[0])):
         with pytest.raises(TypeError):
             hash(record)

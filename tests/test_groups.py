@@ -9,6 +9,12 @@ from fractions import Fraction
 import pytest
 
 from orbiseif import groups, polyhedral
+from orbiseif.build import (
+    RotationLattice,
+    _hnf_reduce,
+    goursat_group,
+    phi_order,
+)
 from orbiseif.engine import evaluate
 from orbiseif.groups import (
     BINARY_ICOSAHEDRAL,
@@ -17,18 +23,14 @@ from orbiseif.groups import (
     FAMILY_ORDER,
     TABLE4_FAMILIES,
     FamilySpec,
-    RotationLattice,
     StandardGroupId,
     UnsupportedFamilyError,
-    _hnf_reduce,
     algebraic_group,
     binary_dihedral,
     cyclic,
     enumerate_specs,
     get_family,
-    goursat_group,
     normalized_s,
-    phi_order,
     standard_group,
     validate,
 )
@@ -487,6 +489,7 @@ def test_goursat_checks_survive_python_optimize():
     script = (
         "import sys\n"
         "from orbiseif import engine, groups, polyhedral\n"
+        "from orbiseif.build import _circle_lattice\n"
         "from orbiseif.groups import (BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL, "
         "CIRCLE_J, GoursatData, _z, binary_dihedral, cyclic)\n"
         "from orbiseif.polyhedral import OMEGA, SIGMA\n"
@@ -497,7 +500,7 @@ def test_goursat_checks_survive_python_optimize():
         "    sys.exit('engine and groups raise different errors')\n"
         "c4, c2, z4, minus = cyclic(4), cyclic(2), _z(4), _z(2)\n"
         "o, t = BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL\n"
-        "lattice, gluing = groups._circle_lattice, polyhedral._coset_gluing\n"
+        "lattice, gluing = _circle_lattice, polyhedral._coset_gluing\n"
         "for build, data, want in (\n"
         "        (lattice, GoursatData(c4, cyclic(3), c4, c4),\n"
         "         'C3 is not contained in C4'),\n"

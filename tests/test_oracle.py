@@ -20,6 +20,12 @@ from orbiseif.axis import (
     _axis_base,
     _axis_hnf,
 )
+from orbiseif.build import (
+    CosetGluing,
+    PairGroup,
+    _hnf,
+    goursat_group,
+)
 from orbiseif.engine import (
     DISC,
     LENS,
@@ -36,12 +42,8 @@ from orbiseif.groups import (
     BINARY_TETRAHEDRAL,
     FIBERED_FAMILIES,
     TABLE4_FAMILIES,
-    CosetGluing,
     FamilySpec,
     NotHopfPreservingError,
-    PairGroup,
-    _hnf,
-    goursat_group,
     standard_group,
 )
 from orbiseif.oracle import (

@@ -8,6 +8,7 @@ runner can reuse them; the pytest wrappers just invoke them.
 import math
 from fractions import Fraction
 
+from orbiseif.build import goursat_group
 from orbiseif.engine import (
     _derived_quantities_cached,
     evaluate,
@@ -15,7 +16,7 @@ from orbiseif.engine import (
     modinv_pos,
     normalize,
 )
-from orbiseif.groups import FamilySpec, goursat_group
+from orbiseif.groups import FamilySpec
 from orbiseif.oracle import oracle_report
 from orbiseif.verify import invariant_multiset, sweep_specs
 from row_reference import slope_invariant, torus_quotient_map

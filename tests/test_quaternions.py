@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orbiseif.build import goursat_group
 from orbiseif.exactfield import QF_HALF_SQRT2, QuadFieldElement
-from orbiseif.groups import FamilySpec, goursat_group, standard_group
+from orbiseif.groups import FamilySpec, standard_group
 from orbiseif.groups import BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL
 from orbiseif.polyhedral import IOTA, SIGMA
 from orbiseif.quaternions import AlgebraicQuaternion, PairElement, quat_rational

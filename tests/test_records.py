@@ -18,6 +18,7 @@ import pytest
 
 import orbiseif
 from orbiseif import axis, engine, groups, oracle, polyhedral
+from orbiseif.build import goursat_group
 from orbiseif.engine import (
     CONE,
     CORNER,
@@ -29,7 +30,7 @@ from orbiseif.engine import (
     LocalInvariant,
     SeifertData,
 )
-from orbiseif.groups import FamilySpec, StandardGroupId, enumerate_specs, goursat_group
+from orbiseif.groups import FamilySpec, StandardGroupId, enumerate_specs
 from orbiseif.quaternions import PairElement, quat_rational
 from orbiseif.record import Record
 from orbiseif.verify import compare_spec
@@ -213,8 +214,8 @@ def test_importing_the_package_loads_no_typing():
                                           if p.stem != "__init__"))
 def test_each_module_imports_alone(module):
     """Each module imports first in a fresh interpreter, so an import
-    cycle between `groups` or `oracle` and the modules they load on
-    demand fails here and not in a run."""
+    cycle between `groups`, `verify` or `oracle` and the modules they
+    load on demand fails here and not in a run."""
     proc = _run_python("-S", "-c", f"import orbiseif.{module}")
     assert proc.returncode == 0, proc.stderr
 
@@ -237,6 +238,32 @@ def test_the_polyhedral_layer_loads_with_the_first_such_group():
                        "print(result.ok, [m for m in layer if m in sys.modules])\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"[]\nTrue {POLYHEDRAL_LAYER!r}\n"
+
+
+# the modules only a comparison needs
+COMPARISON_LAYER = ["orbiseif.build", "orbiseif.oracle"]
+
+
+def test_the_builder_and_the_oracle_load_with_the_first_comparison():
+    """Enumerating, and evaluating and printing the least spec of every
+    fibered family, loads neither the group builder nor the oracle; one
+    comparison of a circle-type spec loads both, and no T*, O* or I*
+    module, and it agrees."""
+    proc = _run_python("-S", "-c", "import sys\n"
+                       "import orbiseif, orbiseif.cli, orbiseif.verify\n"
+                       "from orbiseif.groups import (FIBERED_FAMILIES, FamilySpec,\n"
+                       "                             enumerate_specs, get_family)\n"
+                       f"layers = {COMPARISON_LAYER + POLYHEDRAL_LAYER!r}\n"
+                       "rows = enumerate_specs(60)\n"
+                       "for name in FIBERED_FAMILIES:\n"
+                       "    fam = get_family(name)\n"
+                       "    spec = FamilySpec(name, *map(fam.start, fam.params))\n"
+                       "    orbiseif.cli.report_json(orbiseif.evaluate(spec))\n"
+                       "print(len(rows), [m for m in layers if m in sys.modules])\n"
+                       "result = orbiseif.compare_spec(FamilySpec('1', 1, 3, 4, 1))\n"
+                       "print(result.ok, [m for m in layers if m in sys.modules])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(enumerate_specs(60))} []\nTrue {COMPARISON_LAYER!r}\n"
 
 
 # On CPython 3.11 the rows of enumerate_specs(240) take 138.8 bytes each
@@ -281,9 +308,9 @@ ALLOWED_STORES = {
                   "left left_kernel right right_kernel phi_generators"),
     *_init_stores("groups.py", "Family",
                   "name params phi_order goursat label odd even above_one fibered"),
-    *_init_stores("groups.py", "RotationLattice", "h11 h12 h22 offsets"),
-    *_init_stores("groups.py", "CosetGluing", "period dihedral offsets right_cosets"),
-    *_init_stores("groups.py", "PairGroup", "spec grid left left_kernel right "
+    *_init_stores("build.py", "RotationLattice", "h11 h12 h22 offsets"),
+    *_init_stores("build.py", "CosetGluing", "period dihedral offsets right_cosets"),
+    *_init_stores("build.py", "PairGroup", "spec grid left left_kernel right "
                   "right_kernel lattice gluing order"),
     *_init_stores("polyhedral.py", "_Quotient", "coset_of cosets table identity minus_one"),
     *_init_stores("groups.py", "EnumeratedSpec", "spec phi_order fibered"),

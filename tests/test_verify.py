@@ -197,7 +197,8 @@ def test_lens_class_test_matches_the_enumerated_classes():
     """For every p <= 60 and units q, q' mod p, a printed L(p, q') passes
     against the raw pair (p, q) exactly when q' lies in {+-q, +-q^-1},
     found by search; a printed L(p', q) with p' != p and a printed S3
-    fail, and p = 1 passes only the 3-sphere."""
+    fail, a raw q not prime to p fails every printed lens (and raises
+    nothing), and p = 1 passes only the 3-sphere."""
     sphere = TopologyReport(THREE_SPHERE)
     assert not _outside_lens_class(sphere, 1, 0)
     assert _outside_lens_class(TopologyReport(LENS, 2, 1), 1, 0)
@@ -211,6 +212,9 @@ def test_lens_class_test_matches_the_enumerated_classes():
                 assert _outside_lens_class(lens, p, q + p) == (printed not in members)
             assert _outside_lens_class(TopologyReport(LENS, p + 1, 1), p, q)
             assert _outside_lens_class(sphere, p, q)
+        for q in set(range(p)) - set(units):
+            assert all(_outside_lens_class(TopologyReport(LENS, p, printed), p, q)
+                       for printed in units)
 
 
 @pytest.mark.parametrize("spec", [
