@@ -6,7 +6,39 @@ Seifert fibered quotient orbifold, and checks every closed form against
 a brute-force geometric recomputation.
 """
 
-from .engine import (
+
+# Defined before the submodules are imported, since they import it.
+class _OnFirstUse:
+    """Stands in for `target`, the submodule "module" of this package or
+    its attribute "module.attr", under `name` in the namespace `into`.
+    The first call or attribute read imports the module and binds `name`
+    in `into` to the target, if `name` still holds this stand-in, so a
+    wrapper put in its place sees every call; each use forwards."""
+
+    __slots__ = ("_into", "_name", "_target")
+
+    def __init__(self, into: dict, name: str, target: str):
+        self._into, self._name, self._target = into, name, target
+
+    def _load(self):
+        module, _, attr = self._target.partition(".")
+        # with a fromlist __import__ returns the submodule, and a loaded
+        # one costs no Python-level call
+        found = __import__(f"{__package__}.{module}", fromlist=[module])
+        if attr:
+            found = getattr(found, attr)
+        if self._into.get(self._name) is self:
+            self._into[self._name] = found
+        return found
+
+    def __getattr__(self, attr):
+        return getattr(self._load(), attr)
+
+    def __call__(self, *args):
+        return self._load()(*args)
+
+
+from .engine import (  # noqa: E402
     BaseSignature,
     EngineReport,
     LocalInvariant,
@@ -17,8 +49,8 @@ from .engine import (
     normalize,
     somma_residue,
 )
-from .groups import FamilySpec, enumerate_specs, validate
-from .verify import compare_spec, run_sweep, sweep_specs
+from .groups import FamilySpec, enumerate_specs, validate  # noqa: E402
+from .verify import compare_spec, run_sweep, sweep_specs  # noqa: E402
 
 __version__ = "0.1.0"
 
@@ -30,14 +62,7 @@ __all__ = [
     "sweep_specs", "validate",
 ]
 
-
-# names whose module only a comparison needs, loaded with their first read
-_LOADED_ON_READ = {"goursat_group": "build", "phi_order": "build",
-                   "oracle_report": "oracle"}
-
-
-def __getattr__(name):
-    if name not in _LOADED_ON_READ:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    return getattr(import_module(f"{__name__}.{_LOADED_ON_READ[name]}"), name)
+# only a comparison needs these
+goursat_group = _OnFirstUse(globals(), "goursat_group", "build.goursat_group")
+phi_order = _OnFirstUse(globals(), "phi_order", "build.phi_order")
+oracle_report = _OnFirstUse(globals(), "oracle_report", "oracle.oracle_report")

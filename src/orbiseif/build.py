@@ -1,25 +1,147 @@
-"""The group builder: a spec's Goursat group as integer data, loaded with
-the first comparison (see verify) and not with the package.
+"""The group builder: each fibered family's Goursat data and a spec's
+group as integer data, loaded with the first comparison (see verify)
+and not with the package.
+
+For each fibered family of the catalog (see groups) the gluing
+isomorphism is pinned by explicit generator images; whenever several
+choices of phi give conjugate groups, one fixed choice is made here and
+all downstream invariants are insensitive to it.  A circle element
+e^(2 pi i num/den), times j when jflag is set, is the integer triple
+(jflag, num, den) in that data.
 
 With two circle-type factors a group is a lattice (RotationLattice): its
 rotation pairs as integer angle pairs in Hermite normal form, and one
 coset of it per class of j-flags, from the catalog generators closed by
 Schreier generators.  With a T*, O* or I* right factor it is coset data
 (CosetGluing): one left progression of integer angles per right coset of
-R_K, from `polyhedral`, which loads on the first read of
-`groups._polyhedral`.  A circle element is (jflag, numerator over a
-common grid) in a built group (see PairGroup), which is its lattice or
-its coset data and lists no pairs.
+R_K, from `polyhedral`, which loads on the first read of `_polyhedral`.
+A circle element is (jflag, numerator over a common grid) in a built
+group (see PairGroup), which is its lattice or its coset data and lists
+no pairs.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import groups
-from .groups import (FamilySpec, GoursatData, InternalInconsistencyError,
-                     StandardGroupId, _require, require_fibered)
+from . import _OnFirstUse
+from .groups import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
+                     FamilySpec, InternalInconsistencyError, StandardGroupId,
+                     _require, binary_dihedral, cyclic, require_fibered)
 from .record import Record
+
+_polyhedral = _OnFirstUse(globals(), "_polyhedral", "polyhedral")
+
+
+class GoursatData(Record):
+    __slots__ = ("left", "left_kernel", "right", "right_kernel", "phi_generators")
+
+    def __init__(self, left: StandardGroupId, left_kernel: StandardGroupId,
+                 right: StandardGroupId, right_kernel: StandardGroupId,
+                 phi_generators: tuple = ()):
+        self.left, self.left_kernel = left, left_kernel
+        self.right, self.right_kernel = right, right_kernel
+        # generator coset images pinning phi; the identity coset maps to the
+        # identity coset and the rest follows by multiplicativity
+        self.phi_generators = phi_generators
+
+
+def _g(left, lk, right, rk, gens=()):
+    return GoursatData(left, lk, right, rk, tuple(gens))
+
+
+def _z(k, power=1):
+    """e^(2*pi*i*power/k) as the circle triple (jflag, num, den)."""
+    return False, power, k
+
+
+CIRCLE_J = (True, 0, 1)
+
+# The Goursat data of each fibered family of the catalog, by identifier.
+GOURSAT_BUILDERS = {
+    "1": lambda sp: _g(cyclic(2 * sp.m * sp.r), cyclic(2 * sp.m),
+                       cyclic(2 * sp.n * sp.r), cyclic(2 * sp.n),
+                       [(_z(2 * sp.m * sp.r), _z(2 * sp.n * sp.r, sp.s))]),
+    "1p": lambda sp: _g(cyclic(sp.m * sp.r), cyclic(sp.m),
+                        cyclic(sp.n * sp.r), cyclic(sp.n),
+                        [(_z(sp.m * sp.r), _z(sp.n * sp.r, sp.s))]),
+    "2": lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
+                       binary_dihedral(4 * sp.n), binary_dihedral(4 * sp.n)),
+    "3": lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
+                       binary_dihedral(4 * sp.n), cyclic(2 * sp.n),
+                       [(_z(4 * sp.m), CIRCLE_J)]),
+    "4": lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
+                       binary_dihedral(8 * sp.n), binary_dihedral(4 * sp.n),
+                       [(_z(4 * sp.m), _z(4 * sp.n))]),
+    "5": lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
+                       BINARY_TETRAHEDRAL, BINARY_TETRAHEDRAL),
+    "6": lambda sp: _g(cyclic(6 * sp.m), cyclic(2 * sp.m),
+                       BINARY_TETRAHEDRAL, binary_dihedral(8),
+                       [(_z(6 * sp.m), _polyhedral.OMEGA)]),
+    "7": lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
+                       BINARY_OCTAHEDRAL, BINARY_OCTAHEDRAL),
+    "8": lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
+                       BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
+                       [(_z(4 * sp.m), _polyhedral.SIGMA)]),
+    "9": lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
+                       BINARY_ICOSAHEDRAL, BINARY_ICOSAHEDRAL),
+    "10": lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
+                        binary_dihedral(4 * sp.n), binary_dihedral(4 * sp.n)),
+    "11": lambda sp: _g(binary_dihedral(4 * sp.m * sp.r), cyclic(2 * sp.m),
+                        binary_dihedral(4 * sp.n * sp.r), cyclic(2 * sp.n),
+                        [(_z(2 * sp.m * sp.r), _z(2 * sp.n * sp.r, sp.s)),
+                         (CIRCLE_J, CIRCLE_J)]),
+    "11p": lambda sp: _g(binary_dihedral(2 * sp.m * sp.r), cyclic(sp.m),
+                         binary_dihedral(2 * sp.n * sp.r), cyclic(sp.n),
+                         [(_z(sp.m * sp.r), _z(sp.n * sp.r, sp.s)),
+                          (CIRCLE_J, CIRCLE_J)]),
+    "12": lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
+                        binary_dihedral(8 * sp.n), binary_dihedral(4 * sp.n),
+                        [(_z(4 * sp.m), _z(4 * sp.n))]),
+    "13": lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
+                        binary_dihedral(4 * sp.n), cyclic(2 * sp.n),
+                        [(_z(4 * sp.m), CIRCLE_J)]),
+    "14": lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
+                        BINARY_TETRAHEDRAL, BINARY_TETRAHEDRAL),
+    "15": lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
+                        BINARY_OCTAHEDRAL, BINARY_OCTAHEDRAL),
+    "16": lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
+                        BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
+                        [(CIRCLE_J, _polyhedral.SIGMA)]),
+    "17": lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
+                        BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
+                        [(_z(4 * sp.m), _polyhedral.SIGMA)]),
+    "18": lambda sp: _g(binary_dihedral(12 * sp.m), cyclic(2 * sp.m),
+                        BINARY_OCTAHEDRAL, binary_dihedral(8),
+                        [(_z(6 * sp.m), _polyhedral.OMEGA),
+                         (CIRCLE_J, _polyhedral.SIGMA)]),
+    "19": lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
+                        BINARY_ICOSAHEDRAL, BINARY_ICOSAHEDRAL),
+    # the exceptional gluing swaps the rotation coset and the j coset
+    "33": lambda sp: _g(binary_dihedral(8 * sp.m), cyclic(2 * sp.m),
+                        binary_dihedral(8 * sp.n), cyclic(2 * sp.n),
+                        [(_z(4 * sp.m), CIRCLE_J), (CIRCLE_J, _z(4 * sp.n))]),
+    "33p": lambda sp: _g(binary_dihedral(8 * sp.m), cyclic(sp.m),
+                         binary_dihedral(8 * sp.n), cyclic(sp.n),
+                         [(_z(4 * sp.m), CIRCLE_J), (CIRCLE_J, _z(4 * sp.n))]),
+    "34": lambda sp: _g(cyclic(4 * sp.m), cyclic(sp.m),
+                        binary_dihedral(4 * sp.n), cyclic(sp.n),
+                        [(_z(4 * sp.m), CIRCLE_J)]),
+    "2bis": lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
+                          cyclic(2 * sp.n), cyclic(2 * sp.n)),
+    "3bis": lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
+                          cyclic(4 * sp.n), cyclic(2 * sp.n),
+                          [(CIRCLE_J, _z(4 * sp.n))]),
+    "4bis": lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
+                          cyclic(4 * sp.n), cyclic(2 * sp.n),
+                          [(_z(4 * sp.m), _z(4 * sp.n))]),
+    "13bis": lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
+                           binary_dihedral(8 * sp.n), binary_dihedral(4 * sp.n),
+                           [(CIRCLE_J, _z(4 * sp.n))]),
+    "34bis": lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(sp.m),
+                           cyclic(4 * sp.n), cyclic(sp.n),
+                           [(CIRCLE_J, _z(4 * sp.n))]),
+}
 
 
 def _ext_gcd(a, b):
@@ -234,13 +356,14 @@ def _circle_lattice(data: GoursatData):
 def goursat_group(spec: FamilySpec) -> PairGroup:
     """The group {(l, r) : phi(l L_K) = r R_K}, as lattice data when both
     factors are circle-type and as coset data otherwise."""
-    data = require_fibered(spec).goursat(spec)
+    require_fibered(spec)
+    data = GOURSAT_BUILDERS[spec.family](spec)
     _require(data.left.order * data.right_kernel.order
              == data.right.order * data.left_kernel.order,
              "quotients have different orders")
     lattice = gluing = None
     if data.right.kind in "TOI":
-        grid, gluing = groups._polyhedral._coset_gluing(data)
+        grid, gluing = _polyhedral._coset_gluing(data)
     else:
         grid, lattice = _circle_lattice(data)
     group = PairGroup(spec, grid, data.left, data.left_kernel, data.right,

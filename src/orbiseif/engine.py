@@ -70,8 +70,9 @@ CORNER = "corner"
 
 # Result records are Records (see record.py), equal and hashed by value,
 # and no code assigns a field after construction (an AST scan in the
-# tests holds that).  SeifertData and EngineReport stay dataclasses, as
-# callers rebuild them with dataclasses.replace.
+# tests holds that).  SeifertData and EngineReport are also registered
+# as dataclasses, which generates no method, so that callers can rebuild
+# them with dataclasses.replace.
 class BaseSignature(Record):
     __slots__ = ("kind", "cones", "corners")
 
@@ -133,18 +134,27 @@ class LocalInvariant(Record):
         return f"{self.num}/{self.den}"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SeifertData:
+@dataclass(init=False, repr=False, eq=False)
+class SeifertData(Record):
+    """The base, the local invariants in document order, the Euler number
+    and, exactly on a disc base, the boundary invariant xi in {0, 1}."""
+
+    __slots__ = ("base", "invariants", "euler", "xi")
     base: BaseSignature
     invariants: tuple
     euler: Fraction
-    xi: int | None = None
+    xi: int | None
 
-    def __post_init__(self):
-        if (self.xi is not None) != (self.base.kind == DISC):
+    def __init__(self, base: BaseSignature, invariants: tuple, euler: Fraction,
+                 xi: int | None = None):
+        if (xi is not None) != (base.kind == DISC):
             raise ValueError("xi is given exactly for a disc base")
-        if self.xi is not None and self.xi not in (0, 1):
+        if xi is not None and xi not in (0, 1):
             raise ValueError("xi must be 0 or 1")
+        self.base = base
+        self.invariants = invariants
+        self.euler = euler
+        self.xi = xi
 
 
 class DerivedQuantities(Record):
@@ -535,12 +545,23 @@ def underlying_space(d: SeifertData) -> TopologyReport:
 # one-stop evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
-class EngineReport:
+@dataclass(init=False, repr=False, eq=False)
+class EngineReport(Record):
+    """The closed-form Seifert data of a spec, its underlying space and
+    the table row or box that gave them."""
+
+    __slots__ = ("spec", "seifert", "topology", "provenance")
     spec: FamilySpec
     seifert: SeifertData
     topology: TopologyReport
     provenance: str
+
+    def __init__(self, spec: FamilySpec, seifert: SeifertData,
+                 topology: TopologyReport, provenance: str):
+        self.spec = spec
+        self.seifert = seifert
+        self.topology = topology
+        self.provenance = provenance
 
 
 _BOX_FAMILIES = (*ABELIAN_FAMILIES, *DIHEDRAL_FAMILIES)

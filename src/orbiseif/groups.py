@@ -1,27 +1,27 @@
-"""Finite subgroups of S^3 x S^3, kept as Goursat coset structure.
+"""The catalog of finite subgroups of S^3 x S^3: family specs, their
+rotation orders and the standard subgroups of S^3 they are made of.
 
 A subgroup G of S^3 x S^3 containing (-1, -1) is determined by the
-5-tuple (L, L_K, R, R_K, phi): the two projections L, R, the two kernels
-L_K = {l : (l, 1) in G} and R_K, and the gluing isomorphism
+Goursat 5-tuple (L, L_K, R, R_K, phi): the two projections L, R, the two
+kernels L_K = {l : (l, 1) in G} and R_K, and the gluing isomorphism
 phi : L/L_K -> R/R_K.  G is then the union over cosets C of L_K of
 C x phi(C).
 
 The catalog below lists the families by identifier (primed families use
-the suffix "p", swapped families the suffix "bis").  For each family the
-gluing isomorphism is pinned by explicit generator images; whenever
-several choices of phi give conjugate groups, one fixed choice is made
-here and all downstream invariants are insensitive to it.  Each family
-declares which parameters must be odd, even or above one (a family with
-the signature (m, n, r, s) also needs gcd(s, r) = 1); `validate` words
-its violations from these declarations, and `enumerate_specs` reads the
-same declarations to start each parameter at its least allowed value and
-step it over the allowed parity, so it produces only valid specs.
+the suffix "p", swapped families the suffix "bis"), each with its
+rotation order, its label and whether it preserves the Hopf fibration.
+Each family declares which parameters must be odd, even or above one
+(a family with the signature (m, n, r, s) also needs gcd(s, r) = 1);
+`validate` words its violations from these declarations, and
+`enumerate_specs` reads the same declarations to start each parameter
+at its least allowed value and step it over the allowed parity, so it
+produces only valid specs.
 
-A circle element e^(2 pi i num/den), times j when jflag is set, is the
-integer triple (jflag, num, den) in the catalog.  `build` turns a spec
-into its group; `polyhedral`, the T*, O* and I* elements and quotients,
-loads on the first read of `_polyhedral`.
-Self-checks raise InternalInconsistencyError, so python -O keeps them.
+The 5-tuple of each fibered family lives in `build`, which turns a spec
+into its group and loads with the first comparison; `polyhedral`, the
+T*, O* and I* elements and quotients, loads on the first read of
+`_polyhedral`.  Self-checks raise InternalInconsistencyError, so
+python -O keeps them.
 """
 
 from __future__ import annotations
@@ -29,19 +29,10 @@ from __future__ import annotations
 import math
 from functools import cache
 
+from . import _OnFirstUse
 from .record import Record
 
-
-class _Polyhedral:
-    """Imports orbiseif.polyhedral as _polyhedral on the first read."""
-
-    def __getattr__(self, name):
-        global _polyhedral
-        from . import polyhedral as _polyhedral
-        return getattr(_polyhedral, name)
-
-
-_polyhedral = _Polyhedral()
+_polyhedral = _OnFirstUse(globals(), "_polyhedral", "polyhedral")
 
 
 class InternalInconsistencyError(ArithmeticError):
@@ -161,19 +152,6 @@ class FamilySpec(Record):
         return f"{self.family}({inner})"
 
 
-class GoursatData(Record):
-    __slots__ = ("left", "left_kernel", "right", "right_kernel", "phi_generators")
-
-    def __init__(self, left: StandardGroupId, left_kernel: StandardGroupId,
-                 right: StandardGroupId, right_kernel: StandardGroupId,
-                 phi_generators: tuple = ()):
-        self.left, self.left_kernel = left, left_kernel
-        self.right, self.right_kernel = right, right_kernel
-        # generator coset images pinning phi; the identity coset maps to the
-        # identity coset and the rest follows by multiplicativity
-        self.phi_generators = phi_generators
-
-
 class Family(Record):
     """One catalog family and the declared constraints on its parameters.
 
@@ -182,20 +160,20 @@ class Family(Record):
     even and those in `above_one` at least 2, each tuple listing
     parameters other than s in signature order.  The signature
     (m, n, r, s) also requires gcd(s, r) = 1.  `phi_order` increases in
-    each parameter and does not depend on s.  Exactly the fibered families
-    have a `goursat` builder, and `fibered` says whether it has one.
+    each parameter and does not depend on s.  `fibered` says whether the
+    family preserves the Hopf fibration; exactly those families have a
+    Goursat builder in `build`.
     """
 
-    __slots__ = ("name", "params", "phi_order", "goursat", "label", "odd",
-                 "even", "above_one", "fibered")
+    __slots__ = ("name", "params", "phi_order", "label", "odd", "even",
+                 "above_one", "fibered")
 
-    def __init__(self, name: str, params: tuple, phi_order, goursat=None,
-                 label: str = "", odd: tuple = (), even: tuple = (),
-                 above_one: tuple = ()):
+    def __init__(self, name: str, params: tuple, phi_order, label: str = "",
+                 odd: tuple = (), even: tuple = (), above_one: tuple = (),
+                 fibered: bool = True):
         self.name, self.params, self.phi_order = name, params, phi_order
-        self.goursat, self.label = goursat, label
-        self.odd, self.even, self.above_one = odd, even, above_one
-        self.fibered = goursat is not None
+        self.label, self.odd, self.even = label, odd, even
+        self.above_one, self.fibered = above_one, fibered
 
     def start(self, p: str) -> int:
         """Least allowed value of parameter p."""
@@ -212,18 +190,6 @@ class Family(Record):
 _WITH_UNITS = ("m", "n", "r", "s")
 
 
-def _g(left, lk, right, rk, gens=()):
-    return GoursatData(left, lk, right, rk, tuple(gens))
-
-
-def _z(k, power=1):
-    """e^(2*pi*i*power/k) as the circle triple (jflag, num, den)."""
-    return False, power, k
-
-
-CIRCLE_J = (True, 0, 1)
-
-
 # registered in catalog order, which FAMILY_ORDER and enumeration follow
 FAMILIES: dict[str, Family] = {}
 
@@ -232,171 +198,40 @@ def _register(fam: Family):
     FAMILIES[fam.name] = fam
 
 
-_register(Family(
-    "1", ("m", "n", "r", "s"),
-    lambda sp: 2 * sp.m * sp.n * sp.r,
-    lambda sp: _g(cyclic(2 * sp.m * sp.r), cyclic(2 * sp.m),
-                  cyclic(2 * sp.n * sp.r), cyclic(2 * sp.n),
-                  [(_z(2 * sp.m * sp.r), _z(2 * sp.n * sp.r, sp.s))]),
-    "(C2mr/C2m, C2nr/C2n)_s"))
-
-_register(Family(
-    "1p", ("m", "n", "r", "s"),
-    lambda sp: sp.m * sp.n * sp.r // 2,
-    lambda sp: _g(cyclic(sp.m * sp.r), cyclic(sp.m),
-                  cyclic(sp.n * sp.r), cyclic(sp.n),
-                  [(_z(sp.m * sp.r), _z(sp.n * sp.r, sp.s))]),
-    "(Cmr/Cm, Cnr/Cn)_s", odd=("m", "n"), even=("r",)))
-
-_register(Family(
-    "2", ("m", "n"),
-    lambda sp: 4 * sp.m * sp.n,
-    goursat=lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
-                          binary_dihedral(4 * sp.n), binary_dihedral(4 * sp.n)),
-    label="(C2m/C2m, D*4n/D*4n)"))
-
-_register(Family(
-    "3", ("m", "n"),
-    lambda sp: 4 * sp.m * sp.n,
-    goursat=lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
-                          binary_dihedral(4 * sp.n), cyclic(2 * sp.n),
-                          [(_z(4 * sp.m), CIRCLE_J)]),
-    label="(C4m/C2m, D*4n/C2n)"))
-
-_register(Family(
-    "4", ("m", "n"),
-    lambda sp: 8 * sp.m * sp.n,
-    goursat=lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
-                          binary_dihedral(8 * sp.n), binary_dihedral(4 * sp.n),
-                          [(_z(4 * sp.m), _z(4 * sp.n))]),
-    label="(C4m/C2m, D*8n/D*4n)"))
-
-_register(Family(
-    "5", ("m",),
-    lambda sp: 24 * sp.m,
-    goursat=lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
-                          BINARY_TETRAHEDRAL, BINARY_TETRAHEDRAL),
-    label="(C2m/C2m, T*/T*)"))
-
-_register(Family(
-    "6", ("m",),
-    lambda sp: 24 * sp.m,
-    goursat=lambda sp: _g(cyclic(6 * sp.m), cyclic(2 * sp.m),
-                          BINARY_TETRAHEDRAL, binary_dihedral(8),
-                          [(_z(6 * sp.m), _polyhedral.OMEGA)]),
-    label="(C6m/C2m, T*/D*8)"))
-
-_register(Family(
-    "7", ("m",),
-    lambda sp: 48 * sp.m,
-    goursat=lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
-                          BINARY_OCTAHEDRAL, BINARY_OCTAHEDRAL),
-    label="(C2m/C2m, O*/O*)"))
-
-_register(Family(
-    "8", ("m",),
-    lambda sp: 48 * sp.m,
-    goursat=lambda sp: _g(cyclic(4 * sp.m), cyclic(2 * sp.m),
-                          BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
-                          [(_z(4 * sp.m), _polyhedral.SIGMA)]),
-    label="(C4m/C2m, O*/T*)"))
-
-_register(Family(
-    "9", ("m",),
-    lambda sp: 120 * sp.m,
-    goursat=lambda sp: _g(cyclic(2 * sp.m), cyclic(2 * sp.m),
-                          BINARY_ICOSAHEDRAL, BINARY_ICOSAHEDRAL),
-    label="(C2m/C2m, I*/I*)"))
-
-_register(Family(
-    "10", ("m", "n"),
-    lambda sp: 8 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
-                          binary_dihedral(4 * sp.n), binary_dihedral(4 * sp.n)),
-    label="(D*4m/D*4m, D*4n/D*4n)"))
-
-_register(Family(
-    "11", ("m", "n", "r", "s"),
-    lambda sp: 4 * sp.m * sp.n * sp.r,
-    lambda sp: _g(binary_dihedral(4 * sp.m * sp.r), cyclic(2 * sp.m),
-                  binary_dihedral(4 * sp.n * sp.r), cyclic(2 * sp.n),
-                  [(_z(2 * sp.m * sp.r), _z(2 * sp.n * sp.r, sp.s)),
-                   (CIRCLE_J, CIRCLE_J)]),
-    "(D*4mr/C2m, D*4nr/C2n)_s"))
-
-_register(Family(
-    "11p", ("m", "n", "r", "s"),
-    lambda sp: sp.m * sp.n * sp.r,
-    lambda sp: _g(binary_dihedral(2 * sp.m * sp.r), cyclic(sp.m),
-                  binary_dihedral(2 * sp.n * sp.r), cyclic(sp.n),
-                  [(_z(sp.m * sp.r), _z(sp.n * sp.r, sp.s)),
-                   (CIRCLE_J, CIRCLE_J)]),
-    "(D*2mr/Cm, D*2nr/Cn)_s", odd=("m", "n"), even=("r",)))
-
-_register(Family(
-    "12", ("m", "n"),
-    lambda sp: 16 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
-                          binary_dihedral(8 * sp.n), binary_dihedral(4 * sp.n),
-                          [(_z(4 * sp.m), _z(4 * sp.n))]),
-    label="(D*8m/D*4m, D*8n/D*4n)"))
-
-_register(Family(
-    "13", ("m", "n"),
-    lambda sp: 8 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
-                          binary_dihedral(4 * sp.n), cyclic(2 * sp.n),
-                          [(_z(4 * sp.m), CIRCLE_J)]),
-    label="(D*8m/D*4m, D*4n/C2n)"))
-
-_register(Family(
-    "14", ("m",),
-    lambda sp: 48 * sp.m,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
-                          BINARY_TETRAHEDRAL, BINARY_TETRAHEDRAL),
-    label="(D*4m/D*4m, T*/T*)"))
-
-_register(Family(
-    "15", ("m",),
-    lambda sp: 96 * sp.m,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
-                          BINARY_OCTAHEDRAL, BINARY_OCTAHEDRAL),
-    label="(D*4m/D*4m, O*/O*)"))
-
-_register(Family(
-    "16", ("m",),
-    lambda sp: 48 * sp.m,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
-                          BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
-                          [(CIRCLE_J, _polyhedral.SIGMA)]),
-    label="(D*4m/C2m, O*/T*)"))
-
-_register(Family(
-    "17", ("m",),
-    lambda sp: 96 * sp.m,
-    goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
-                          BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL,
-                          [(_z(4 * sp.m), _polyhedral.SIGMA)]),
-    label="(D*8m/D*4m, O*/T*)"))
-
-_register(Family(
-    "18", ("m",),
-    lambda sp: 48 * sp.m,
-    goursat=lambda sp: _g(binary_dihedral(12 * sp.m), cyclic(2 * sp.m),
-                          BINARY_OCTAHEDRAL, binary_dihedral(8),
-                          [(_z(6 * sp.m), _polyhedral.OMEGA),
-                           (CIRCLE_J, _polyhedral.SIGMA)]),
-    label="(D*12m/C2m, O*/D*8)"))
-
-_register(Family(
-    "19", ("m",),
-    lambda sp: 240 * sp.m,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
-                          BINARY_ICOSAHEDRAL, BINARY_ICOSAHEDRAL),
-    label="(D*4m/D*4m, I*/I*)"))
+_register(Family("1", ("m", "n", "r", "s"), lambda sp: 2 * sp.m * sp.n * sp.r,
+                 "(C2mr/C2m, C2nr/C2n)_s"))
+_register(Family("1p", ("m", "n", "r", "s"), lambda sp: sp.m * sp.n * sp.r // 2,
+                 "(Cmr/Cm, Cnr/Cn)_s", odd=("m", "n"), even=("r",)))
+_register(Family("2", ("m", "n"), lambda sp: 4 * sp.m * sp.n,
+                 "(C2m/C2m, D*4n/D*4n)"))
+_register(Family("3", ("m", "n"), lambda sp: 4 * sp.m * sp.n,
+                 "(C4m/C2m, D*4n/C2n)"))
+_register(Family("4", ("m", "n"), lambda sp: 8 * sp.m * sp.n,
+                 "(C4m/C2m, D*8n/D*4n)"))
+_register(Family("5", ("m",), lambda sp: 24 * sp.m, "(C2m/C2m, T*/T*)"))
+_register(Family("6", ("m",), lambda sp: 24 * sp.m, "(C6m/C2m, T*/D*8)"))
+_register(Family("7", ("m",), lambda sp: 48 * sp.m, "(C2m/C2m, O*/O*)"))
+_register(Family("8", ("m",), lambda sp: 48 * sp.m, "(C4m/C2m, O*/T*)"))
+_register(Family("9", ("m",), lambda sp: 120 * sp.m, "(C2m/C2m, I*/I*)"))
+_register(Family("10", ("m", "n"), lambda sp: 8 * sp.m * sp.n,
+                 "(D*4m/D*4m, D*4n/D*4n)"))
+_register(Family("11", ("m", "n", "r", "s"), lambda sp: 4 * sp.m * sp.n * sp.r,
+                 "(D*4mr/C2m, D*4nr/C2n)_s"))
+_register(Family("11p", ("m", "n", "r", "s"), lambda sp: sp.m * sp.n * sp.r,
+                 "(D*2mr/Cm, D*2nr/Cn)_s", odd=("m", "n"), even=("r",)))
+_register(Family("12", ("m", "n"), lambda sp: 16 * sp.m * sp.n,
+                 "(D*8m/D*4m, D*8n/D*4n)"))
+_register(Family("13", ("m", "n"), lambda sp: 8 * sp.m * sp.n,
+                 "(D*8m/D*4m, D*4n/C2n)"))
+_register(Family("14", ("m",), lambda sp: 48 * sp.m, "(D*4m/D*4m, T*/T*)"))
+_register(Family("15", ("m",), lambda sp: 96 * sp.m, "(D*4m/D*4m, O*/O*)"))
+_register(Family("16", ("m",), lambda sp: 48 * sp.m, "(D*4m/C2m, O*/T*)"))
+_register(Family("17", ("m",), lambda sp: 96 * sp.m, "(D*8m/D*4m, O*/T*)"))
+_register(Family("18", ("m",), lambda sp: 48 * sp.m, "(D*12m/C2m, O*/D*8)"))
+_register(Family("19", ("m",), lambda sp: 240 * sp.m, "(D*4m/D*4m, I*/I*)"))
 
 # Families with two binary polyhedral factors preserve no fibration of the
-# 3-sphere; they are listed for enumeration only and cannot be built here.
+# 3-sphere; they are listed for enumeration only and cannot be built.
 _NON_FIBERED = [
     ("20", 288, "(T*/T*, T*/T*)"), ("21", 24, "(T*/C2, T*/C2)"),
     ("21p", 12, "(T*/C1, T*/C1)"), ("22", 96, "(T*/D*8, T*/D*8)"),
@@ -409,71 +244,24 @@ _NON_FIBERED = [
     ("32", 120, "(I*/C2, I*/C2)_f"), ("32p", 60, "(I*/C1, I*/C1)_f"),
 ]
 for _name, _order, _label in _NON_FIBERED:
-    _register(Family(_name, (), lambda sp, o=_order: o, label=_label))
+    _register(Family(_name, (), lambda sp, o=_order: o, _label, fibered=False))
 
-_register(Family(
-    "33", ("m", "n"),
-    lambda sp: 8 * sp.m * sp.n,
-    # the exceptional gluing swaps the rotation coset and the j coset
-    lambda sp: _g(binary_dihedral(8 * sp.m), cyclic(2 * sp.m),
-                  binary_dihedral(8 * sp.n), cyclic(2 * sp.n),
-                  [(_z(4 * sp.m), CIRCLE_J), (CIRCLE_J, _z(4 * sp.n))]),
-    "(D*8m/C2m, D*8n/C2n)_f", above_one=("m", "n")))
-
-_register(Family(
-    "33p", ("m", "n"),
-    lambda sp: 4 * sp.m * sp.n,
-    lambda sp: _g(binary_dihedral(8 * sp.m), cyclic(sp.m),
-                  binary_dihedral(8 * sp.n), cyclic(sp.n),
-                  [(_z(4 * sp.m), CIRCLE_J), (CIRCLE_J, _z(4 * sp.n))]),
-    "(D*8m/Cm, D*8n/Cn)_f", odd=("m", "n"), above_one=("m", "n")))
-
-_register(Family(
-    "34", ("m", "n"),
-    lambda sp: 2 * sp.m * sp.n,
-    lambda sp: _g(cyclic(4 * sp.m), cyclic(sp.m),
-                  binary_dihedral(4 * sp.n), cyclic(sp.n),
-                  [(_z(4 * sp.m), CIRCLE_J)]),
-    "(C4m/Cm, D*4n/Cn)", odd=("m", "n")))
-
-_register(Family(
-    "2bis", ("m", "n"),
-    lambda sp: 4 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), binary_dihedral(4 * sp.m),
-                          cyclic(2 * sp.n), cyclic(2 * sp.n)),
-    label="(D*4m/D*4m, C2n/C2n)"))
-
-_register(Family(
-    "3bis", ("m", "n"),
-    lambda sp: 4 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
-                          cyclic(4 * sp.n), cyclic(2 * sp.n),
-                          [(CIRCLE_J, _z(4 * sp.n))]),
-    label="(D*4m/C2m, C4n/C2n)"))
-
-_register(Family(
-    "4bis", ("m", "n"),
-    lambda sp: 8 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(8 * sp.m), binary_dihedral(4 * sp.m),
-                          cyclic(4 * sp.n), cyclic(2 * sp.n),
-                          [(_z(4 * sp.m), _z(4 * sp.n))]),
-    label="(D*8m/D*4m, C4n/C2n)"))
-
-_register(Family(
-    "13bis", ("m", "n"),
-    lambda sp: 8 * sp.m * sp.n,
-    goursat=lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(2 * sp.m),
-                          binary_dihedral(8 * sp.n), binary_dihedral(4 * sp.n),
-                          [(CIRCLE_J, _z(4 * sp.n))]),
-    label="(D*4m/C2m, D*8n/D*4n)"))
-
-_register(Family(
-    "34bis", ("m", "n"),
-    lambda sp: 2 * sp.m * sp.n,
-    lambda sp: _g(binary_dihedral(4 * sp.m), cyclic(sp.m),
-                  cyclic(4 * sp.n), cyclic(sp.n),
-                  [(CIRCLE_J, _z(4 * sp.n))]),
-    "(D*4m/Cm, C4n/Cn)", odd=("m", "n")))
+_register(Family("33", ("m", "n"), lambda sp: 8 * sp.m * sp.n,
+                 "(D*8m/C2m, D*8n/C2n)_f", above_one=("m", "n")))
+_register(Family("33p", ("m", "n"), lambda sp: 4 * sp.m * sp.n,
+                 "(D*8m/Cm, D*8n/Cn)_f", odd=("m", "n"), above_one=("m", "n")))
+_register(Family("34", ("m", "n"), lambda sp: 2 * sp.m * sp.n,
+                 "(C4m/Cm, D*4n/Cn)", odd=("m", "n")))
+_register(Family("2bis", ("m", "n"), lambda sp: 4 * sp.m * sp.n,
+                 "(D*4m/D*4m, C2n/C2n)"))
+_register(Family("3bis", ("m", "n"), lambda sp: 4 * sp.m * sp.n,
+                 "(D*4m/C2m, C4n/C2n)"))
+_register(Family("4bis", ("m", "n"), lambda sp: 8 * sp.m * sp.n,
+                 "(D*8m/D*4m, C4n/C2n)"))
+_register(Family("13bis", ("m", "n"), lambda sp: 8 * sp.m * sp.n,
+                 "(D*4m/C2m, D*8n/D*4n)"))
+_register(Family("34bis", ("m", "n"), lambda sp: 2 * sp.m * sp.n,
+                 "(D*4m/Cm, C4n/Cn)", odd=("m", "n")))
 
 FAMILY_ORDER = list(FAMILIES)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import _OnFirstUse
 from .build import PairGroup, _ext_gcd, _hnf, phi_order
 from .engine import (
     CONE,
@@ -49,17 +50,7 @@ from .engine import (
 from .groups import NotHopfPreservingError, _require
 from .record import Record
 
-
-class _AxisPath:
-    """Imports orbiseif.axis as _axis_path on the first read."""
-
-    def __getattr__(self, name):
-        global _axis_path
-        from . import axis as _axis_path
-        return getattr(_axis_path, name)
-
-
-_axis_path = _AxisPath()
+_axis_path = _OnFirstUse(globals(), "_axis_path", "axis")
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ import math
 from functools import cache
 
 from . import groups
-from .build import (CosetGluing, _check_circle_factor, _circle_period, _circle_times,
-                    _on_circle_grid)
+from .build import (CosetGluing, GoursatData, _check_circle_factor, _circle_period,
+                    _circle_times, _on_circle_grid)
 from .exactfield import (QF_HALF, QF_HALF_SQRT2, QF_HALF_TAU, QF_HALF_TAU_INV,
                          QuadFieldElement)
-from .groups import GoursatData, StandardGroupId, _require
+from .groups import StandardGroupId, _require
 from .quaternions import AlgebraicQuaternion, element_negate, quat_rational
 from .record import Record
 

@@ -18,6 +18,7 @@ comparison, through the stand-ins `goursat_group` and `oracle_report`.
 
 from __future__ import annotations
 
+from . import _OnFirstUse
 from .engine import THREE_SPHERE, _fiber_sum, evaluate, somma_residue
 from .groups import (
     ABELIAN_FAMILIES,
@@ -30,23 +31,8 @@ from .groups import (
 )
 from .record import Record
 
-
-def _loaded_on_first_call(module: str, name: str):
-    """Stand-in for the function `name` of orbiseif.<module>: the first call
-    imports the module and rebinds `name` here to the function if `name`
-    still holds the stand-in, so a wrapper in its place sees every call."""
-    def stand_in(*args):
-        # with a fromlist __import__ returns the submodule, and a loaded one
-        # costs no Python-level call: a wrapper's every call comes through here
-        function = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
-        if globals()[name] is stand_in:
-            globals()[name] = function
-        return function(*args)
-    return stand_in
-
-
-goursat_group = _loaded_on_first_call("build", "goursat_group")
-oracle_report = _loaded_on_first_call("oracle", "oracle_report")
+goursat_group = _OnFirstUse(globals(), "goursat_group", "build.goursat_group")
+oracle_report = _OnFirstUse(globals(), "oracle_report", "oracle.oracle_report")
 
 
 class ComparisonResult(Record):

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 from orbiseif.build import (
+    GOURSAT_BUILDERS,
     CosetGluing,
     _check_circle_factor,
     _circle_period,
@@ -53,11 +54,7 @@ from orbiseif.engine import (
     modinv_pos,
 )
 from orbiseif.axis import _axis
-from orbiseif.groups import (
-    StandardGroupId,
-    _require,
-    get_family,
-)
+from orbiseif.groups import StandardGroupId, _require
 from orbiseif.oracle import (
     AROT,
     FLIP,
@@ -519,7 +516,7 @@ def direct_grid_rows(spec):
 def coset_rows(spec):
     """(grid, rows) coset by coset: both factors as closed-form coset data,
     phi spread from the generator cosets through the quotient tables."""
-    data = get_family(spec.family).goursat(spec)
+    data = GOURSAT_BUILDERS[spec.family](spec)
     grid = math.lcm(4, _circle_period(data.left), _circle_period(data.right))
     left = _circle_quotient(data.left, data.left_kernel, grid)
     right = _circle_quotient(data.right, data.right_kernel, grid)

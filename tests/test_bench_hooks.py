@@ -111,8 +111,8 @@ def test_records_are_equal_and_hashed_by_value(spec):
     data_a, data_b = oracle.oracle_report(group_a), oracle.oracle_report(group_b)
     pairs += [(data_a, data_b), (data_a.seifert, data_b.seifert),
               (group_a.lattice or group_a.gluing, group_b.lattice or group_b.gluing),
-              (groups.get_family(spec.family).goursat(spec),
-               groups.get_family(spec.family).goursat(spec))]
+              (build.GOURSAT_BUILDERS[spec.family](spec),
+               build.GOURSAT_BUILDERS[spec.family](spec))]
     pairs += zip(oracle.base_group(group_a).orbits, oracle.base_group(group_b).orbits)
     if spec.family == "1":
         pairs.append((engine._derived_quantities_cached.__wrapped__(spec),

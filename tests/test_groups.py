@@ -10,6 +10,7 @@ import pytest
 
 from orbiseif import groups, polyhedral
 from orbiseif.build import (
+    GOURSAT_BUILDERS,
     RotationLattice,
     _hnf_reduce,
     goursat_group,
@@ -207,6 +208,17 @@ def test_non_fibered_family_not_buildable():
         goursat_group(FamilySpec("20"))
 
 
+def test_the_catalog_and_the_builders_agree():
+    """`fibered` is declared in the catalog and the Goursat builders live
+    in `build`: the families marked fibered are exactly the builder
+    table's keys and FIBERED_FAMILIES, and no other family has a builder."""
+    fibered = {name for name, fam in groups.FAMILIES.items() if fam.fibered}
+    assert fibered == set(GOURSAT_BUILDERS) == set(groups.FIBERED_FAMILIES)
+    assert len(fibered) == len(groups.FIBERED_FAMILIES) == 29
+    others = set(groups.FAMILIES) - fibered
+    assert len(others) == 18 and not others & set(GOURSAT_BUILDERS)
+
+
 @pytest.mark.parametrize("entry", [goursat_group, evaluate],
                          ids=["goursat_group", "evaluate"])
 def test_entry_points_reject_a_spec_alike(entry):
@@ -278,8 +290,7 @@ def test_goursat_projection_and_kernel_consistency():
                  FamilySpec("11p", m=1, n=1, r=4, s=1),
                  FamilySpec("33", m=2, n=2)):
         group = goursat_group(spec)
-        fam = get_family(spec.family)
-        data = fam.goursat(spec)
+        data = GOURSAT_BUILDERS[spec.family](spec)
         pairs = elements(group)
         lefts = {p.left for p in pairs}
         assert lefts == set(standard_elements(data.left))
@@ -292,7 +303,7 @@ def test_goursat_projection_and_kernel_consistency():
 
 
 def _circle_type(spec):
-    return get_family(spec.family).goursat(spec).right.kind in "CD"
+    return GOURSAT_BUILDERS[spec.family](spec).right.kind in "CD"
 
 
 def test_grid_construction_matches_generic_cosets():
@@ -338,7 +349,7 @@ def test_lattice_build_matches_the_full_walk():
     circle-type group of order <= 240."""
     count = 0
     for spec in sweep_specs(240):
-        data = get_family(spec.family).goursat(spec)
+        data = GOURSAT_BUILDERS[spec.family](spec)
         if data.right.kind not in "CD":
             continue
         group = goursat_group(spec)
@@ -458,7 +469,7 @@ CIRCLE_SPECS = [
 # so the lattice build meets the brute force at many m and n
 CIRCLE_SPECS += [
     row.spec for row in enumerate_specs(48, TABLE4_FAMILIES)
-    if get_family(row.spec.family).goursat(row.spec).right.kind in "CD"
+    if GOURSAT_BUILDERS[row.spec.family](row.spec).right.kind in "CD"
     and row.spec not in CIRCLE_SPECS]
 
 
@@ -468,7 +479,7 @@ CIRCLE_SPECS += [
     for m in (1, 2)] + [FamilySpec("19", m=1)] + CIRCLE_SPECS, ids=str)
 def test_polyhedral_goursat_matches_brute_force_cosets(spec):
     group = goursat_group(spec)
-    reference = _reference_goursat(get_family(spec.family).goursat(spec))
+    reference = _reference_goursat(GOURSAT_BUILDERS[spec.family](spec))
     pairs = elements(group)
     assert len(pairs) == len(reference)
     assert set(pairs) == reference
@@ -489,9 +500,9 @@ def test_goursat_checks_survive_python_optimize():
     script = (
         "import sys\n"
         "from orbiseif import engine, groups, polyhedral\n"
-        "from orbiseif.build import _circle_lattice\n"
+        "from orbiseif.build import CIRCLE_J, GoursatData, _circle_lattice, _z\n"
         "from orbiseif.groups import (BINARY_OCTAHEDRAL, BINARY_TETRAHEDRAL, "
-        "CIRCLE_J, GoursatData, _z, binary_dihedral, cyclic)\n"
+        "binary_dihedral, cyclic)\n"
         "from orbiseif.polyhedral import OMEGA, SIGMA\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
@@ -588,7 +599,7 @@ def test_cold_polyhedral_fill_counts_its_products(monkeypatch):
     make the three listings."""
     keys = set()
     for fam in TABLE4_FAMILIES:
-        data = get_family(fam).goursat(enumerate_specs(240, [fam])[0].spec)
+        data = GOURSAT_BUILDERS[fam](enumerate_specs(240, [fam])[0].spec)
         if data.right.kind in "TOI":
             keys.add((data.right, data.right_kernel))
     assert len(keys) == 6

@@ -2,13 +2,15 @@
 checks, the shape of the spec and group records, and no assignment after
 construction anywhere in the package.
 
-Every record is a plain slotted class on `record.Record`, except
-`SeifertData` and `EngineReport`, slotted dataclasses without `frozen`;
-so nothing at run time refuses `record.field = value`, and the AST scan
-below refuses it statically instead."""
+Every record is a plain slotted class on `record.Record`; `SeifertData`
+and `EngineReport` are also registered as dataclasses, for
+`dataclasses.replace`, with no generated method.  Nothing at run time
+refuses `record.field = value`, so the AST scan below refuses it
+statically instead."""
 
 import ast
 import copy
+import dataclasses
 import importlib
 import pathlib
 import tracemalloc
@@ -17,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 import orbiseif
-from orbiseif import axis, engine, groups, oracle, polyhedral
+from orbiseif import axis, build, engine, groups, oracle, polyhedral
 from orbiseif.build import goursat_group
 from orbiseif.engine import (
     CONE,
@@ -146,7 +148,7 @@ def _one_of_each_record() -> list:
     spec, gluing_spec = FamilySpec("1", 1, 3, 4, 1), FamilySpec("8", m=1)
     report = engine.evaluate(spec)
     lattice_group, gluing_group = goursat_group(spec), goursat_group(gluing_spec)
-    gluing_data = groups.get_family("8").goursat(gluing_spec)
+    gluing_data = build.GOURSAT_BUILDERS["8"](gluing_spec)
     base = oracle.base_group(lattice_group)
     one = quat_rational(1, 0, 0, 0)
     return [
@@ -166,16 +168,55 @@ UNHASHABLE = {"PairGroup", "BaseActionGroup", "_CosetAxes", "ComparisonResult"}
 
 
 def test_only_the_replaced_reports_are_dataclasses():
-    """Defining a dataclass compiles its generated methods, which every
-    fresh process without cached bytecode pays at import; only the two
-    reports that callers rebuild with dataclasses.replace are dataclasses,
-    and every other record is a Record."""
+    """Defining a dataclass compiles the methods it generates, which every
+    fresh process without cached bytecode pays at import.  Every record
+    is a Record; only the two reports that callers rebuild with
+    dataclasses.replace are registered as dataclasses too, and that
+    registration generates no method: each keeps its own `__init__` and
+    the Record's text, equality and hash."""
     classes = _package_classes()
     assert {c for c in classes if "__dataclass_fields__" in vars(c)} == \
         {SeifertData, EngineReport}
     records = {c for c in classes if issubclass(c, Record) and c is not Record}
-    assert len(records) == 19
-    assert {type(r) for r in _one_of_each_record()} == records | {SeifertData, EngineReport}
+    assert len(records) == 21
+    assert {type(r) for r in _one_of_each_record()} == records
+    for cls in (SeifertData, EngineReport):
+        assert cls.__init__.__code__.co_filename == engine.__file__
+        assert (cls.__repr__, cls.__eq__, cls.__hash__) == \
+            (Record.__repr__, Record.__eq__, Record.__hash__)
+        assert [f.name for f in dataclasses.fields(cls)] == list(cls.__slots__)
+
+
+# the text of the parent design's dataclass repr, for a sphere and a disc
+REPORT_TEXTS = {
+    FamilySpec("1", 1, 3, 4, 1):
+        "EngineReport(spec=FamilySpec(family='1', m=1, n=3, r=4, s=1), "
+        "seifert=SeifertData(base=BaseSignature(kind='sphere', cones=(12, 12), "
+        "corners=()), invariants=(LocalInvariant(num=16, den=12, location='cone'), "
+        "LocalInvariant(num=10, den=12, location='cone')), euler=Fraction(-1, 6), "
+        "xi=None), topology=TopologyReport(underlying='lens', p=3, q=1, reason=None, "
+        "singular_components=(2, 4)), provenance='abelian box, family 1')",
+    FamilySpec("11p", 1, 3, 4, 1):
+        "EngineReport(spec=FamilySpec(family='11p', m=1, n=3, r=4, s=1), "
+        "seifert=SeifertData(base=BaseSignature(kind='disc', cones=(), "
+        "corners=(6, 6)), invariants=(LocalInvariant(num=8, den=6, "
+        "location='corner'), LocalInvariant(num=5, den=6, location='corner')), "
+        "euler=Fraction(-1, 12), xi=1), topology=TopologyReport(underlying='S3', "
+        "p=None, q=None, reason=None, singular_components=(2,)), "
+        "provenance='dihedral fold of the abelian box, family 11p')",
+}
+
+
+@pytest.mark.parametrize("spec", REPORT_TEXTS, ids=str)
+def test_reports_keep_their_dataclass_text_and_hash(spec):
+    """A report prints as its dataclass did, and two equal reports, and
+    their Seifert data, hash alike, as the tuples of their fields."""
+    report, again = engine.evaluate(spec), engine.evaluate(spec)
+    assert repr(report) == REPORT_TEXTS[spec]
+    assert report is not again and report == again
+    assert hash(report) == hash(again) == hash(
+        (report.spec, report.seifert, report.topology, report.provenance))
+    assert hash(report.seifert) == hash(again.seifert)
 
 
 @pytest.mark.parametrize("record", _one_of_each_record(), ids=lambda r: type(r).__name__)
@@ -245,11 +286,13 @@ COMPARISON_LAYER = ["orbiseif.build", "orbiseif.oracle"]
 
 
 def test_the_builder_and_the_oracle_load_with_the_first_comparison():
-    """Enumerating, and evaluating and printing the least spec of every
-    fibered family, loads neither the group builder nor the oracle; one
-    comparison of a circle-type spec loads both, and no T*, O* or I*
-    module, and it agrees."""
-    proc = _run_python("-S", "-c", "import sys\n"
+    """Enumerating, evaluating and printing the least spec of every
+    fibered family, and the commands `enumerate --json` and `compute`
+    without `--verify`, load neither the group builder nor the oracle
+    nor any T*, O* or I* module; one comparison of a circle-type spec
+    loads the builder and the oracle, and no T*, O* or I* module, and it
+    agrees."""
+    proc = _run_python("-S", "-c", "import contextlib, io, sys\n"
                        "import orbiseif, orbiseif.cli, orbiseif.verify\n"
                        "from orbiseif.groups import (FIBERED_FAMILIES, FamilySpec,\n"
                        "                             enumerate_specs, get_family)\n"
@@ -259,11 +302,42 @@ def test_the_builder_and_the_oracle_load_with_the_first_comparison():
                        "    fam = get_family(name)\n"
                        "    spec = FamilySpec(name, *map(fam.start, fam.params))\n"
                        "    orbiseif.cli.report_json(orbiseif.evaluate(spec))\n"
-                       "print(len(rows), [m for m in layers if m in sys.modules])\n"
+                       "with contextlib.redirect_stdout(io.StringIO()):\n"
+                       "    codes = [orbiseif.cli.main(argv) for argv in (\n"
+                       "        ['enumerate', '--max-order', '60', '--json'],\n"
+                       "        ['compute', '--family', '9', '-m', '1'])]\n"
+                       "print(len(rows), codes, [m for m in layers if m in sys.modules])\n"
                        "result = orbiseif.compare_spec(FamilySpec('1', 1, 3, 4, 1))\n"
                        "print(result.ok, [m for m in layers if m in sys.modules])\n")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{len(enumerate_specs(60))} []\nTrue {COMPARISON_LAYER!r}\n"
+    assert proc.stdout == (f"{len(enumerate_specs(60))} [0, 0] []\n"
+                           f"True {COMPARISON_LAYER!r}\n")
+
+
+# Bytes of bytecode, summed over every code object of the package modules
+# that `import orbiseif, orbiseif.cli, orbiseif.verify` loads: 42,832 on
+# CPython 3.11 with the Goursat builders in `groups`, 35,580 with them in
+# `build`.  What a fresh process without cached bytecode compiles
+# follows this figure.
+IMPORT_BYTECODE_BYTES = 37_500
+
+
+def test_the_import_compiles_a_bounded_amount_of_bytecode():
+    """The count is deterministic, unlike the import's time, so code that
+    moves back into the import fails here and not only in the benchmark."""
+    proc = _run_python("-S", "-c", "import sys\n"
+                       "import orbiseif, orbiseif.cli, orbiseif.verify\n"
+                       "def size(code):\n"
+                       "    return len(code.co_code) + sum(\n"
+                       "        size(c) for c in code.co_consts if isinstance(c, type(code)))\n"
+                       "total = 0\n"
+                       "for name, module in sorted(sys.modules.items()):\n"
+                       "    if name.partition('.')[0] == 'orbiseif':\n"
+                       "        with open(module.__file__) as fh:\n"
+                       "            total += size(compile(fh.read(), module.__file__, 'exec'))\n"
+                       "print(total)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < IMPORT_BYTECODE_BYTES
 
 
 # On CPython 3.11 the rows of enumerate_specs(240) take 138.8 bytes each
@@ -293,9 +367,8 @@ def _init_stores(module: str, cls: str, names: str) -> set:
 # (module, enclosing function, stored attribute or setter)
 ALLOWED_STORES = {
     # each record's constructor fills its slots once; there a built group
-    # also reads its order off its lattice or coset data, and a catalog
-    # family whether it has a builder (a field element is a tuple and
-    # stores no attribute)
+    # also reads its order off its lattice or coset data (a field element
+    # is a tuple and stores no attribute)
     *_init_stores("engine.py", "BaseSignature", "kind cones corners"),
     *_init_stores("engine.py", "LocalInvariant", "num den location"),
     *_init_stores("engine.py", "DerivedQuantities",
@@ -304,10 +377,12 @@ ALLOWED_STORES = {
                   "underlying p q reason singular_components"),
     *_init_stores("groups.py", "StandardGroupId", "kind order"),
     *_init_stores("groups.py", "FamilySpec", "family m n r s"),
-    *_init_stores("groups.py", "GoursatData",
+    *_init_stores("engine.py", "SeifertData", "base invariants euler xi"),
+    *_init_stores("engine.py", "EngineReport", "spec seifert topology provenance"),
+    *_init_stores("build.py", "GoursatData",
                   "left left_kernel right right_kernel phi_generators"),
     *_init_stores("groups.py", "Family",
-                  "name params phi_order goursat label odd even above_one fibered"),
+                  "name params phi_order label odd even above_one fibered"),
     *_init_stores("build.py", "RotationLattice", "h11 h12 h22 offsets"),
     *_init_stores("build.py", "CosetGluing", "period dihedral offsets right_cosets"),
     *_init_stores("build.py", "PairGroup", "spec grid left left_kernel right "
@@ -323,6 +398,8 @@ ALLOWED_STORES = {
     *_init_stores("verify.py", "ComparisonResult", "spec differences"),
     # the record base reads each record's field getter off its slots once
     ("record.py", "Record.__init_subclass__", "cls._values"),
+    # the one stand-in for a module or function loaded on first use
+    *_init_stores("__init__.py", "_OnFirstUse", "_into _name _target"),
 }
 
 _SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
