@@ -144,27 +144,19 @@ GOURSAT_BUILDERS = {
 }
 
 
-def _ext_gcd(a, b):
-    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    u, v, u1, v1 = 1, 0, 0, 1
-    while b:
-        quo = a // b
-        a, b, u, v, u1, v1 = b, a - quo * b, u1, v1, u - quo * u1, v - quo * v1
-    return (a, u, v) if a >= 0 else (-a, -u, -v)
-
-
 def _hnf(vectors, grid: int):
     """Hermite normal form (h11, h12, h22) of the lattice spanned by the
     integer vectors and grid*Z^2: the basis (h11, h12), (0, h22), h11 and
     h22 dividing grid, 0 <= h12 < h22 (H. Cohen, A Course in Computational
     Algebraic Number Theory, 1993, section 2.4.2).  Each vector (x, y)
     meets the first row through the unimodular ((s, t), (-x/g, h11/g)),
-    s*h11 + t*x = g."""
+    s*h11 + t*x = g, t = (x/g)^-1 mod h11/g."""
     h11, h12, h22 = grid, 0, grid
     for x, y in vectors:
-        g, s, t = _ext_gcd(h11, x)
+        g = math.gcd(h11, x)
+        t = pow(x // g, -1, h11 // g)
         h22 = math.gcd(h22, (h11 * y - x * h12) // g)
-        h11, h12 = g, (s * h12 + t * y) % h22
+        h11, h12 = g, ((g - t * x) // h11 * h12 + t * y) % h22
     return h11, h12, h22
 
 

@@ -415,10 +415,10 @@ def _fiber_sum(euler, invariants, xi=0):
     """Euler number + cone invariants + half the normalized corner ones
     + xi/2, as the integer pair (total, 2L) of the sum total/(2L), L the
     lcm of the denominators."""
-    lcm = euler.denominator
+    lcm = den = euler.denominator     # each property read is a call
     for v in invariants:              # a comprehension would be one more call
         lcm = math.lcm(lcm, v.den)
-    total = 2 * euler.numerator * (lcm // euler.denominator) + xi * lcm
+    total = 2 * euler.numerator * (lcm // den) + xi * lcm
     for v in invariants:
         total += (2 * v.num if v.location == CONE else v.num % v.den) * (lcm // v.den)
     return total, 2 * lcm

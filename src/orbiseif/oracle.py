@@ -11,7 +11,8 @@ for T*, O* and I* right factors, over `PairGroup.grid`) and
   itself has Euler number -1),
 * conjugates each fiber to the core at infinity and reads its local
   invariant in closed form off the Hermite normal form (h11, h12, h22)
-  of the stabilizer's torus translations,
+  of the stabilizer's torus translations (one normal form serves both
+  polar cores; each Bezout coefficient is a modular inverse),
 * for a group with two cyclic factors, reads the underlying lens space
   L(h22/g, h12/g), g = gcd(h12, h22), off that normal form for the
   rotation group.
@@ -32,7 +33,7 @@ import math
 from fractions import Fraction
 
 from . import _OnFirstUse
-from .build import PairGroup, _ext_gcd, _hnf, phi_order
+from .build import PairGroup, _hnf, phi_order
 from .engine import (
     CONE,
     CORNER,
@@ -184,15 +185,23 @@ def _circle_shapes(group: PairGroup) -> dict:
     return shapes
 
 
-def _pole_hnf(group: PairGroup, swap: bool):
-    """Translations of the stabilizer of a polar core: every rotation pair
-    (a, b) fixes both poles and translates the torus by T(a, b) =
-    (a - b, a + b).  The core at zero is carried to the core at infinity
-    by conjugation with (1, j), which inverts the right angle, i.e. swaps
-    the two translation coordinates."""
+def _pole_hnf(group: PairGroup):
+    """Translations of the stabilizer of the core at infinity: every
+    rotation pair (a, b) fixes both poles and translates the torus by
+    T(a, b) = (a - b, a + b)."""
     lat = group.lattice
-    vectors = [(a - b, a + b) for a, b in ((lat.h11, lat.h12), (0, lat.h22))]
-    return _hnf([(v, u) for u, v in vectors] if swap else vectors, group.grid)
+    return _hnf([(a - b, a + b) for a, b in ((lat.h11, lat.h12), (0, lat.h22))],
+                group.grid)
+
+
+def _swap_hnf(hnf):
+    """The lattice `hnf` with its two coordinates swapped: conjugation with
+    (1, j) inverts the right angle and takes the core at zero to the core
+    at infinity.  With g = gcd(h12, h22), x*(h11, h12) + z*(0, h22) can be
+    (x*h11, 0) iff h22/g divides x, and (x*h11, g) for x = (h12/g)^-1 mod h22/g."""
+    h11, h12, h22 = hnf
+    g = math.gcd(h12, h22)
+    return g, pow(h12 // g, -1, h22 // g) * h11 % (h11 * h22 // g), h11 * h22 // g
 
 
 def _equator_hnf(group: PairGroup, point: int):
@@ -216,9 +225,10 @@ def _equator_hnf(group: PairGroup, point: int):
     z0 = -x0 * h12 // g2 * pow(h22 // g2, -1, half // g2)
     kernel = [(x0 * h11, x0 * h12 + z0 * h22), (0, math.lcm(h22, half))]
     # the b of the (False, True) class run through b_f + g*Z; solve for
-    # g*y = grid/4 - point - b_f mod half and move a by the same y
+    # g*y = grid/4 - point - b_f mod half and move a by s*y*h11, s*h12 = g
     _, _, a_f, b_f = [o for o in lat.offsets if not o[0] and o[1]][0]
-    g, s, _ = _ext_gcd(h12, h22)
+    g = math.gcd(h12, h22)
+    s = pow(h12 // g, -1, h22 // g)
     target, g3 = grid // 4 - point - b_f, math.gcd(g, half)
     _require(target % g3 == 0, "no half turn fixes the equator point")
     y = target // g3 * pow(g // g3, -1, half // g3)
@@ -296,17 +306,6 @@ def euler_oracle(group: PairGroup, base: BaseActionGroup) -> Fraction:
 # local invariants of the exceptional fibers
 # ---------------------------------------------------------------------------
 
-def _orbit_hnf(group, orbit):
-    """(grid, Hermite normal form) of the torus translations of the
-    stabilizer of an orbit's representative fiber."""
-    kind, *where = orbit.position
-    if kind == "axis":
-        return _axis_path._axis_hnf(group, *where)
-    if kind == "pole":
-        return group.grid, _pole_hnf(group, where[0])
-    return group.grid, _equator_hnf(group, where[0])
-
-
 def _fiber_pass(group: PairGroup, base: BaseActionGroup):
     """One local invariant per singular-point orbit of the base, and the
     stabilizer HNF of the core at infinity when it heads an orbit (None
@@ -315,9 +314,16 @@ def _fiber_pass(group: PairGroup, base: BaseActionGroup):
     invariants, pole = [], None
     for orbit in base.orbits:
         location = CORNER if (disc and orbit.corner) else CONE
-        grid, hnf = _orbit_hnf(group, orbit)
-        if orbit.position == ("pole", False):
-            pole = hnf
+        kind, *where = orbit.position
+        grid = group.grid
+        if kind == "axis":
+            grid, hnf = _axis_path._axis_hnf(group, *where)
+        elif kind == "equator":
+            hnf = _equator_hnf(group, where[0])
+        elif where[0]:            # after ("pole", False), see _circle_base
+            hnf = _swap_hnf(pole)
+        else:
+            hnf = pole = _pole_hnf(group)
         inv = _lattice_invariant(hnf, grid, location)
         _require(inv.den == orbit.rotation_order,
                  "invariant denominator must match the base cone index")
@@ -351,7 +357,7 @@ def lens_oracle(group: PairGroup) -> TopologyReport:
     if not _single_class_lattice(group):
         raise ValueError("the lens assembly applies to groups with two "
                          "cyclic factors")
-    return _lens(group, _pole_hnf(group, False))[1]
+    return _lens(group, _pole_hnf(group))[1]
 
 
 def _lens(group: PairGroup, hnf):
@@ -399,5 +405,5 @@ def oracle_report(group: PairGroup) -> OracleReport:
     seifert = SeifertData(base.signature, tuple(invariants), euler, xi)
     raw_lens = topology = None
     if _single_class_lattice(group):
-        raw_lens, topology = _lens(group, pole or _pole_hnf(group, False))
+        raw_lens, topology = _lens(group, pole or _pole_hnf(group))
     return OracleReport(seifert, topology, raw_lens)

@@ -25,6 +25,10 @@ route for the local invariants and the lens space: the oracle reads both
 in closed form off a Hermite normal form, and the tests compare those
 closed forms with the composed quotient maps.
 
+`euclid_hnf` is the Hermite normal form with its Bezout coefficients
+from the extended Euclidean loop `ext_gcd`; the library takes them from
+a modular inverse, and a test holds the two forms equal.
+
 `box_topology` keeps the source's closed forms for the lens space and
 singular set of families 1 and 1p, read off the engine's integer box;
 the engine reads both off the Seifert data by the rule it uses for every
@@ -40,7 +44,6 @@ from orbiseif.build import (
     _check_circle_factor,
     _circle_period,
     _circle_times,
-    _hnf,
     _hnf_reduce,
     _on_circle_grid,
     phi_order,
@@ -141,6 +144,28 @@ def slope_invariant(tq: TorusQuotientMap, fiber=HOPF_FIBER,
 IDENTITY_TORUS_MAP = TorusQuotientMap(((1, 0), (0, 1)), 1)
 
 
+def ext_gcd(a, b):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
+    u, v, u1, v1 = 1, 0, 0, 1
+    while b:
+        quo = a // b
+        a, b, u, v, u1, v1 = b, a - quo * b, u1, v1, u - quo * u1, v - quo * v1
+    return (a, u, v) if a >= 0 else (-a, -u, -v)
+
+
+def euclid_hnf(vectors, grid):
+    """Hermite normal form (h11, h12, h22) of the lattice spanned by the
+    integer vectors and grid*Z^2, each vector (x, y) meeting the first row
+    through the unimodular ((s, t), (-x/g, h11/g)), (g, s, t) =
+    ext_gcd(h11, x)."""
+    h11, h12, h22 = grid, 0, grid
+    for x, y in vectors:
+        g, s, t = ext_gcd(h11, x)
+        h22 = math.gcd(h22, (h11 * y - x * h12) // g)
+        h11, h12 = g, (s * h12 + t * y) % h22
+    return h11, h12, h22
+
+
 def lattice_points(hnf, grid):
     """The lattice of a Hermite normal form, modulo grid, as a set."""
     h11, h12, h22 = hnf
@@ -200,7 +225,7 @@ def circle_lattice_by_full_walk(data, grid):
                 flags.append((kl, kr))
             rep = reps.setdefault((kl, kr), (c, d))
             vectors.append((c - rep[0], d - rep[1]))
-    hnf = _hnf(vectors, grid)
+    hnf = euclid_hnf(vectors, grid)
     return hnf + (tuple((jl, jr) + _hnf_reduce(hnf, *reps[jl, jr])
                         for jl, jr in flags),)
 

@@ -1,6 +1,9 @@
 """Brute-force geometric recomputation against known quotient data."""
 
+import functools
+import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import orbiseif
+from orbiseif import axis, build, oracle
 from orbiseif.axis import (
     _COSET_AXES,
     _HALF_ANGLE,
@@ -52,9 +56,8 @@ from orbiseif.oracle import (
     euler_oracle,
     exceptional_fibers_oracle,
     _circle_shapes,
-    _equator_hnf,
     _lattice_invariant,
-    _pole_hnf,
+    _swap_hnf,
     lens_oracle,
     oracle_report,
 )
@@ -66,6 +69,8 @@ from row_reference import (
     axis_stab_vectors,
     circle_base_by_sets,
     equator_stab_vectors,
+    euclid_hnf,
+    ext_gcd,
     gluing_by_right_element,
     group_rows,
     invariant_from_int_vectors,
@@ -259,12 +264,20 @@ def test_lattice_invariant_matches_quotient_map_composition():
     assert checked == 14448
 
 
-def test_lattice_oracle_matches_row_scan_reference():
+def test_lattice_oracle_matches_row_scan_reference(monkeypatch):
     """On every circle-type group of order <= 120 the lattice formulas
     reproduce the row scans: the four shape sets, the base order,
     signature and orbits, the exact stabilizer translations of every
-    singular orbit with its local invariant, and the lens space of the
-    abelian families."""
+    singular orbit, as the normal form the fiber pass reads its local
+    invariant off, with that invariant, and the lens space of the abelian
+    families."""
+    used = []
+
+    def recording(hnf, grid, location):
+        used.append(hnf)
+        return _lattice_invariant(hnf, grid, location)
+
+    monkeypatch.setattr(oracle, "_lattice_invariant", recording)
     checked = orbits = 0
     for spec in sweep_specs(120, FIBERED_FAMILIES):
         group = goursat_group(spec)
@@ -279,22 +292,107 @@ def test_lattice_oracle_matches_row_scan_reference():
         assert (base.order, base.signature, base.orbits) == \
             (by_rows.order, by_rows.signature, by_rows.orbits), spec
         rows = group_rows(group)
-        for orbit in base.orbits:
+        used.clear()
+        invariants = exceptional_fibers_oracle(group, base)
+        for orbit, hnf, inv in zip(base.orbits, used, invariants, strict=True):
             kind, where = orbit.position
             if kind == "pole":
                 vectors = pole_stab_vectors(rows, grid, where)
-                hnf = _pole_hnf(group, where)
             else:
                 vectors = equator_stab_vectors(rows, grid, where)
-                hnf = _equator_hnf(group, where)
             assert lattice_points(hnf, grid) == vectors, (spec, orbit)
-            assert _lattice_invariant(hnf, grid, "cone") == \
-                invariant_from_int_vectors(vectors, grid, "cone"), (spec, orbit)
+            assert inv == invariant_from_int_vectors(vectors, grid, inv.location), \
+                (spec, orbit)
             orbits += 1
         if spec.family in ("1", "1p"):
             assert lens_oracle(group) == lens_by_matrices(group), spec
         checked += 1
     assert (checked, orbits) == (15864, 31235)
+
+
+@functools.cache
+def _hnf_inputs(kind):
+    """(vectors, grid) inputs of the normal form: every call the builder
+    and the oracle make on the groups of order <= 120 ("sweep"), random
+    signed vectors with zeros over small grids ("signed"), and vectors and
+    grids near 10^18 ("huge")."""
+    if kind == "sweep":
+        calls = []
+
+        def recording(vectors, grid):
+            calls.append((list(vectors), grid))
+            return _hnf(calls[-1][0], grid)
+
+        modules = (build, oracle, axis)
+        for module in modules:
+            module._hnf = recording
+        try:
+            for spec in sweep_specs(120, FIBERED_FAMILIES):
+                oracle_report(goursat_group(spec))
+        finally:
+            for module in modules:
+                module._hnf = _hnf
+        return calls
+    rng = random.Random(31)
+    inputs = []
+    for _ in range(4000):
+        if kind == "signed":
+            grid = rng.randint(1, 360)
+            bound = 3 * grid
+        else:
+            grid = rng.choice([10 ** 18, 10 ** 18 - 1, 2 * (10 ** 18 + 1),
+                               rng.randint(10 ** 18 - 10 ** 6, 10 ** 18)])
+            bound = 10 ** 18 + 10 ** 6
+
+        def coordinate():
+            pick = rng.random()
+            if pick < 0.25:
+                return 0
+            if pick < 0.5:        # a multiple of a divisor of the grid
+                return rng.choice([-1, 1]) * grid // math.gcd(grid, rng.randint(1, 720)) \
+                    * rng.randint(0, 4)
+            return rng.randint(-bound, bound)
+
+        inputs.append(([(coordinate(), coordinate())
+                        for _ in range(rng.randint(0, 4))], grid))
+    return inputs
+
+
+HNF_INPUTS = ["sweep", "signed", "huge"]
+
+
+@pytest.mark.parametrize("kind", HNF_INPUTS)
+def test_hnf_matches_the_euclid_reference(kind):
+    """The normal form with its Bezout coefficients from a modular inverse
+    equals the one from the extended Euclidean loop, and the swapped
+    lattice's form read off it equals the form of the swapped vectors."""
+    inputs = _hnf_inputs(kind)
+    assert len(inputs) == (32479 if kind == "sweep" else 4000)
+    for vectors, grid in inputs:
+        hnf = euclid_hnf(vectors, grid)
+        assert _hnf(vectors, grid) == hnf, (vectors, grid)
+        assert _swap_hnf(hnf) == euclid_hnf([(y, x) for x, y in vectors], grid), \
+            (vectors, grid)
+
+
+@pytest.mark.parametrize("kind", HNF_INPUTS)
+def test_bezout_coefficient_from_the_modular_inverse(kind):
+    """For every pair (h11, x) the normal form meets on those inputs, and
+    for its (h22, h12) pairs as the equator solve meets them, g =
+    gcd(a, b) and t = (b/g)^-1 mod a/g give t*b = g mod a: the cofactor
+    (g - t*b)/a is exact, and g is the Euclidean loop's gcd."""
+    for vectors, grid in _hnf_inputs(kind):
+        pairs, h11 = [], grid
+        for x, _ in vectors:
+            pairs.append((h11, x))
+            h11 = math.gcd(h11, x)
+        _, h12, h22 = _hnf(vectors, grid)
+        pairs.append((h22, h12))
+        for a, b in pairs:
+            g, u, v = ext_gcd(a, b)
+            assert u * a + v * b == g == math.gcd(a, b), (a, b)
+            t = pow(b // g, -1, a // g)
+            assert (t * b - g) % a == 0, (a, b)
 
 
 def test_circle_base_on_progressions_matches_set_reference():
@@ -349,7 +447,7 @@ def test_axis_memo_is_keyed_by_the_cosets():
         for orbit in base.orbits:
             _, line, sign = orbit.position
             grid, vectors = axis_stab_vectors(g, line, sign)
-            assert _axis_hnf(g, line, sign) == (grid, _hnf(vectors, grid))
+            assert _axis_hnf(g, line, sign) == (grid, euclid_hnf(vectors, grid))
     assert {id(group.gluing.right_cosets), id(flipped.gluing.right_cosets)} <= \
         _COSET_AXES.keys()
 
@@ -448,7 +546,7 @@ def test_axis_oracle_matches_row_scan_reference():
         for orbit in base.orbits:
             _, line, sign = orbit.position
             grid, vectors = axis_stab_vectors(group, line, sign)
-            hnf = _hnf(vectors, grid)
+            hnf = euclid_hnf(vectors, grid)
             assert _axis_hnf(group, line, sign) == (grid, hnf), (spec, orbit)
             assert lattice_points(hnf, grid) == vectors, (spec, orbit)
             assert _lattice_invariant(hnf, grid, "cone") == \

@@ -263,10 +263,10 @@ def python_calls(work):
 
 
 @pytest.mark.parametrize("spec, bound", [
-    (FamilySpec("1", m=1, n=3, r=4, s=1), 148),
-    (FamilySpec("11p", m=1, n=3, r=4, s=1), 161),
-    (FamilySpec("12", m=1, n=9), 195),
-    (FamilySpec("8", m=1), 169),
+    (FamilySpec("1", m=1, n=3, r=4, s=1), 134),
+    (FamilySpec("11p", m=1, n=3, r=4, s=1), 143),
+    (FamilySpec("12", m=1, n=9), 171),
+    (FamilySpec("8", m=1), 143),
 ], ids=str)
 def test_agreeing_comparison_enters_a_bounded_number_of_functions(spec, bound):
     """A warm agreeing compare_spec makes at most `bound` Python-level
